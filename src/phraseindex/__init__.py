@@ -54,8 +54,6 @@ from .search import (
 from .service import EvalReport, benchmark, em_f1, eval_em_f1, normalize_answer, serve
 from .sparse import (
     InvertedIndex,
-    LearnedSparseConfig,
-    LearnedSparseEncoder,
     SparseVector,
     TfIdfModel,
     build_inverted_index,

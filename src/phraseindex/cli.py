@@ -107,26 +107,7 @@ def cmd_train(args) -> int:
 def cmd_query(args) -> int:
     index = PhraseIndex(args.index)
     out = run_search(index, embed_question(index, args.question), _search_config(args))
-    print(
-        json.dumps(
-            [
-                {
-                    "text": r.text,
-                    "doc_id": r.span.doc_id,
-                    "doc_title": r.doc_title,
-                    "para_idx": r.span.para_idx,
-                    "start_token": r.span.i,
-                    "end_token": r.span.j,
-                    "score": r.score,
-                    "dense_score": r.dense_score,
-                    "sparse_score": r.sparse_score,
-                    "strategy": r.strategy,
-                }
-                for r in out.results
-            ],
-            indent=2,
-        )
-    )
+    print(json.dumps([r.as_dict() for r in out.results], indent=2))
     return 0
 
 

@@ -79,7 +79,12 @@ def quantize(vectors: np.ndarray, params: QuantizationParams) -> np.ndarray:
 
 
 def dequantize(codes: np.ndarray, params: QuantizationParams) -> np.ndarray:
-    return params.minimums + (codes.astype(np.float64) + 128.0) * params.scales
+    """minimums + (codes + 128) * scales, computed in one float64 buffer."""
+    out = codes.astype(np.float64)
+    out += 128.0
+    out *= params.scales
+    out += params.minimums
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +595,12 @@ class PhraseIndex:
         self._para_row = {
             (int(r["doc"]), int(r["para"])): k for k, r in enumerate(self.para_table)
         }
+        # Per-record lookups for search. Records are stored in (doc, para, tok)
+        # order, so document d owns records [doc_rec_begin[d], doc_rec_begin[d + 1]).
+        self.rec_para = np.repeat(np.arange(n_para), self.para_table["n_recs"].astype(np.int64))
+        self.rec_ends_begin = self.start_records["ends_begin"].astype(np.int64)
+        self.rec_n_ends = self.start_records["n_ends"].astype(np.int64)
+        self.doc_rec_begin = np.searchsorted(self.start_records["doc"], np.arange(counts["docs"] + 1))
 
     def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
         with open(self.path / name, "rb") as fh:

@@ -1,14 +1,17 @@
 """Answer retrieval over a loaded phrase index.
 
-Four strategies share one scoring core: exact scan, sparse-first (restrict to
-the top sparse documents), dense-first (IVF over start rows, then best-end
-expansion), and hybrid (union of both candidate lists, reranked).
+A strategy only chooses which start records to score: exact takes every
+record, sparse-first (SFS) the records of the top sparse documents,
+dense-first (DFS) the best start rows found by an IVF probe, and hybrid the
+union of the SFS and DFS sets. One kernel then scores every phrase starting at
+those records and keeps the top k, so a phrase gets the same score under every
+strategy, and hybrid scores the union once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -58,6 +61,21 @@ class SearchResult:
     doc_title: str
     strategy: str
 
+    def as_dict(self) -> dict:
+        """The result in the layout of the HTTP response and `phraseindex query`."""
+        return {
+            "text": self.text,
+            "doc_id": self.span.doc_id,
+            "doc_title": self.doc_title,
+            "para_idx": self.span.para_idx,
+            "start_token": self.span.i,
+            "end_token": self.span.j,
+            "score": self.score,
+            "dense_score": self.dense_score,
+            "sparse_score": self.sparse_score,
+            "strategy": self.strategy,
+        }
+
 
 @dataclass
 class SearchOutput:
@@ -85,105 +103,130 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
 
 
 # ---------------------------------------------------------------------------
-# Shared scoring core
+# Shared scoring kernel
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Candidates:
-    doc: np.ndarray
-    para: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    rec: np.ndarray
-    total: np.ndarray
-    dense: np.ndarray
-    sparse_raw: np.ndarray
-
-    @staticmethod
-    def empty() -> "_Candidates":
-        z = np.empty(0, dtype=np.int64)
-        f = np.empty(0, dtype=np.float64)
-        return _Candidates(z, z, z, z, z, f, f, f)
-
-    @staticmethod
-    def concat(parts: list["_Candidates"]) -> "_Candidates":
-        if not parts:
-            return _Candidates.empty()
-        return _Candidates(
-            *(np.concatenate([getattr(p, name) for p in parts])
-              for name in ("doc", "para", "i", "j", "rec", "total", "dense", "sparse_raw"))
-        )
+_LOGIT_BLOCK = 1024  # rows dequantized at a time, to bound the float64 scratch
 
 
-def _score_paragraph(
-    index: "PhraseIndex", query: QueryVector, sparse_scale: float, para_row: int
-) -> _Candidates:
-    """Score every stored phrase of one paragraph against the query."""
-    row = index.para_table[para_row]
-    rec_lo = int(row["rec_begin"])
-    rec_hi = rec_lo + int(row["n_recs"])
-    if rec_hi == rec_lo:
-        return _Candidates.empty()
-    recs = index.start_records[rec_lo:rec_hi]
-    n_ends = recs["n_ends"].astype(np.int64)
-    end_lo = int(recs[0]["ends_begin"])
-    end_hi = int(recs[-1]["ends_begin"]) + int(recs[-1]["n_ends"])
-    if end_hi == end_lo:
-        return _Candidates.empty()
-    entries = index.end_entries[end_lo:end_hi]
+def _row_logits(
+    dequant: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Inner product of q with each stored row in `rows`, dequantized a block
+    at a time. A per-row reduction, unlike a BLAS matmul, gives a row the same
+    bits whichever other rows share its block."""
+    out = np.empty(rows.size, dtype=np.float64)
+    for b in range(0, rows.size, _LOGIT_BLOCK):
+        out[b : b + _LOGIT_BLOCK] = np.einsum("ij,j->i", dequant(rows[b : b + _LOGIT_BLOCK]), q)
+    return out
 
-    start_logits = index.dequant_start_rows(slice(rec_lo, rec_hi)) @ query.dense.start
-    end_logits = index.dequant_end_rows(entries["row"].astype(np.int64)) @ query.dense.end
-    coh = np.asarray(index.coherency[end_lo:end_hi], dtype=np.float64)
-    dense = np.repeat(start_logits, n_ends) + end_logits + query.dense.coherency * coh
-    sparse_raw = sparse_score(query.sparse, index.para_vector(para_row))
-    total = dense + sparse_scale * sparse_raw
 
-    n = dense.shape[0]
-    doc_ord = int(row["doc"])
-    return _Candidates(
-        doc=np.full(n, doc_ord, dtype=np.int64),
-        para=np.full(n, int(row["para"]), dtype=np.int64),
-        i=np.repeat(recs["tok"].astype(np.int64), n_ends),
-        j=entries["tok"].astype(np.int64),
-        rec=np.repeat(np.arange(rec_lo, rec_hi, dtype=np.int64), n_ends),
-        total=total,
-        dense=dense,
-        sparse_raw=np.full(n, sparse_raw, dtype=np.float64),
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest scores, best first; ties go to the lower position."""
+    if scores.size > k:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        keep = np.flatnonzero(scores >= kth)  # every score tied with the k-th stays in
+    else:
+        keep = np.arange(scores.size)
+    return keep[np.argsort(-scores[keep], kind="stable")[:k]]
+
+
+def _ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(b, b + c) over the (begin, count) pairs."""
+    stop = np.cumsum(count)
+    return np.arange(stop[-1] if stop.size else 0) + np.repeat(begin - (stop - count), count)
+
+
+def _score_starts(
+    index: "PhraseIndex",
+    query: QueryVector,
+    recs: np.ndarray,
+    config: SearchConfig,
+    label: Callable[[int], str],
+) -> list[SearchResult]:
+    """Score every stored phrase that starts at one of the ascending start
+    records `recs` and return the best config.top_k, labelled by start record.
+
+    Record r is start row r, and phrase ids ascend in (doc, para, i, j) order,
+    so ranking on (-score, phrase id) gives the documented tie-break. Every
+    term is computed per row, per phrase or per paragraph, so a phrase scores
+    the same bits whichever set of records it is scored in.
+    """
+    n_ends = index.rec_n_ends[recs]
+    phrase = _ranges(index.rec_ends_begin[recs], n_ends)
+    end_rows, end_of = np.unique(index.end_entries["row"][phrase], return_inverse=True)
+    paras, para_of = np.unique(index.rec_para[recs], return_inverse=True)
+    sparse = np.array(
+        [sparse_score(query.sparse, index.para_vector(int(p))) for p in paras], dtype=np.float64
     )
 
+    # Built in place, term by term, to keep few phrase-sized arrays alive.
+    dense = np.repeat(_row_logits(index.dequant_start_rows, recs, query.dense.start), n_ends)
+    dense += _row_logits(index.dequant_end_rows, end_rows, query.dense.end)[end_of]
+    coh = index.coherency[phrase].astype(np.float64)
+    coh *= query.dense.coherency
+    dense += coh
+    total = np.repeat(config.sparse_scale * sparse[para_of], n_ends)
+    total += dense
 
-def _top_results(
-    index: "PhraseIndex", cand: _Candidates, top_k: int, strategy: str
-) -> list[SearchResult]:
-    """Rank candidates by total score; ties break on (doc, para, i, j)."""
-    order = np.lexsort((cand.j, cand.i, cand.para, cand.doc, -cand.total))[:top_k]
+    top = _top_k(total, config.top_k)
+    owners = np.searchsorted(np.cumsum(n_ends), top, side="right")  # positions in recs
     results = []
-    for idx in order:
+    for c, k in zip(top, owners):
+        r = int(recs[k])
+        rec = index.start_records[r]
+        doc_ord = int(rec["doc"])
         ref = SpanRef(
-            doc_id=index.doc_id(int(cand.doc[idx])),
-            para_idx=int(cand.para[idx]),
-            i=int(cand.i[idx]),
-            j=int(cand.j[idx]),
+            doc_id=index.doc_id(doc_ord),
+            para_idx=int(rec["para"]),
+            i=int(rec["tok"]),
+            j=int(index.end_entries[phrase[c]]["tok"]),
         )
         results.append(
             SearchResult(
                 text=index.span_text(ref),
                 span=ref,
-                score=float(cand.total[idx]),
-                dense_score=float(cand.dense[idx]),
-                sparse_score=float(cand.sparse_raw[idx]),
-                doc_title=index.doc_title(int(cand.doc[idx])),
-                strategy=strategy,
+                score=float(total[c]),
+                dense_score=float(dense[c]),
+                sparse_score=float(sparse[para_of[k]]),
+                doc_title=index.doc_title(doc_ord),
+                strategy=label(r),
             )
         )
     return results
 
 
 # ---------------------------------------------------------------------------
-# Strategies
+# Strategies: each one only chooses the start records to score
 # ---------------------------------------------------------------------------
+
+
+def _sfs_starts(
+    index: "PhraseIndex", query: QueryVector, config: SearchConfig
+) -> tuple[np.ndarray, frozenset[int]]:
+    """Start records of the top sparse documents, and those documents."""
+    ranked = retrieve_top_docs(query.sparse, index.postings, config.sparse_top_docs)
+    docs = np.sort(np.array([d for d, _ in ranked], dtype=np.int64))
+    begin = index.doc_rec_begin[docs]
+    return _ranges(begin, index.doc_rec_begin[docs + 1] - begin), frozenset(docs.tolist())
+
+
+def _dfs_starts(
+    index: "PhraseIndex", ivf: "IvfIndex | None", query: QueryVector, config: SearchConfig
+) -> np.ndarray:
+    """Probe the IVF cells whose centroids score highest against the start
+    query, and keep the best-scoring start rows found in them, ascending."""
+    if ivf is None:
+        raise ValueError("missing ivf section: build the index with build_ivf=True")
+    probe = _top_k(ivf.centroids @ query.dense.start, config.nprobe)
+    cand_rows = np.sort(np.concatenate([ivf.lists[int(c)] for c in probe]))
+    start_logits = _row_logits(index.dequant_start_rows, cand_rows, query.dense.start)
+    return np.sort(cand_rows[_top_k(start_logits, config.dense_top_starts)])
+
+
+def _docs_of(index: "PhraseIndex", recs: np.ndarray) -> frozenset[int]:
+    return frozenset(index.start_records["doc"][recs].tolist())
 
 
 def exact_search(
@@ -192,13 +235,9 @@ def exact_search(
     """Score every stored phrase; the oracle for all approximate strategies."""
     if index.n_phrases == 0:
         raise RuntimeError("empty index")
-    parts = [
-        _score_paragraph(index, query, config.sparse_scale, k)
-        for k in range(len(index.para_table))
-    ]
-    cand = _Candidates.concat(parts)
+    recs = np.arange(index.n_start_rows, dtype=np.int64)
     return SearchOutput(
-        results=_top_results(index, cand, config.top_k, "exact"),
+        results=_score_starts(index, query, recs, config, lambda r: "exact"),
         visited_doc_ordinals=frozenset(range(index.n_docs)),
         strategy="exact",
     )
@@ -208,17 +247,10 @@ def sfs_search(
     index: "PhraseIndex", query: QueryVector, config: SearchConfig
 ) -> SearchOutput:
     """Sparse-first: exact scoring restricted to the top sparse documents."""
-    ranked = retrieve_top_docs(query.sparse, index.postings, config.sparse_top_docs)
-    doc_set = frozenset(d for d, _ in ranked)
-    parts = [
-        _score_paragraph(index, query, config.sparse_scale, k)
-        for k in range(len(index.para_table))
-        if int(index.para_table[k]["doc"]) in doc_set
-    ]
-    cand = _Candidates.concat(parts)
+    recs, docs = _sfs_starts(index, query, config)
     return SearchOutput(
-        results=_top_results(index, cand, config.top_k, "sfs"),
-        visited_doc_ordinals=doc_set,
+        results=_score_starts(index, query, recs, config, lambda r: "sfs"),
+        visited_doc_ordinals=docs,
         strategy="sfs",
     )
 
@@ -231,46 +263,10 @@ def dfs_search(
 ) -> SearchOutput:
     """Dense-first: probe IVF cells by start score, keep the best start rows,
     then expand each retrieved start over its surviving end window."""
-    if ivf is None:
-        raise ValueError("missing ivf section: build the index with build_ivf=True")
-    n_clusters = ivf.centroids.shape[0]
-    nprobe = min(config.nprobe, n_clusters)
-    cluster_scores = ivf.centroids @ query.dense.start
-    probe = np.lexsort((np.arange(n_clusters), -cluster_scores))[:nprobe]
-    cand_rows = (
-        np.concatenate([ivf.lists[int(c)] for c in probe])
-        if nprobe
-        else np.empty(0, np.int64)
-    )
-    if cand_rows.size == 0:
-        return SearchOutput([], frozenset(), "dfs")
-    start_scores = index.dequant_start_rows(cand_rows) @ query.dense.start
-    keep = np.lexsort((cand_rows, -start_scores))[: config.dense_top_starts]
-    selected = np.sort(cand_rows[keep])
-
-    # Score whole paragraphs (bit-identical to exact_search), then keep only
-    # phrases whose start record was retrieved.
-    para_rows = sorted(
-        {
-            index.para_row(int(rec["doc"]), int(rec["para"]))
-            for rec in index.start_records[selected]
-        }
-    )
-    parts = []
-    for k in para_rows:
-        cand = _score_paragraph(index, query, config.sparse_scale, k)
-        mask = np.isin(cand.rec, selected)
-        parts.append(
-            _Candidates(
-                cand.doc[mask], cand.para[mask], cand.i[mask], cand.j[mask],
-                cand.rec[mask], cand.total[mask], cand.dense[mask], cand.sparse_raw[mask],
-            )
-        )
-    merged = _Candidates.concat(parts)
-    visited = frozenset(int(rec["doc"]) for rec in index.start_records[selected])
+    recs = _dfs_starts(index, ivf, query, config)
     return SearchOutput(
-        results=_top_results(index, merged, config.top_k, "dfs"),
-        visited_doc_ordinals=visited,
+        results=_score_starts(index, query, recs, config, lambda r: "dfs"),
+        visited_doc_ordinals=_docs_of(index, recs),
         strategy="dfs",
     )
 
@@ -281,38 +277,18 @@ def hybrid_search(
     query: QueryVector,
     config: SearchConfig,
 ) -> SearchOutput:
-    """Union of the SFS and DFS candidate lists, deduplicated and reranked."""
-    sfs_out = sfs_search(index, query, config)
-    dfs_out = dfs_search(index, ivf, query, config)
-    by_span: dict[SpanRef, SearchResult] = {}
-    for res in [*sfs_out.results, *dfs_out.results]:
-        prev = by_span.get(res.span)
-        if prev is None:
-            by_span[res.span] = res
-        else:
-            best = res if res.score > prev.score else prev
-            by_span[res.span] = SearchResult(
-                text=best.text,
-                span=best.span,
-                score=best.score,
-                dense_score=best.dense_score,
-                sparse_score=best.sparse_score,
-                doc_title=best.doc_title,
-                strategy="sfs+dfs",
-            )
-    merged = sorted(
-        by_span.values(),
-        key=lambda r: (
-            -r.score,
-            index.corpus.ordinal(r.span.doc_id),
-            r.span.para_idx,
-            r.span.i,
-            r.span.j,
-        ),
-    )[: config.top_k]
+    """The union of the SFS and DFS start records, scored once. A result is
+    labelled "sfs", "dfs" or "sfs+dfs" by the set(s) its start record is in."""
+    sfs_recs, sfs_docs = _sfs_starts(index, query, config)
+    dfs_recs = _dfs_starts(index, ivf, query, config)
+    in_sfs, in_dfs = set(sfs_recs.tolist()), set(dfs_recs.tolist())
+    names = {(True, True): "sfs+dfs", (True, False): "sfs", (False, True): "dfs"}
     return SearchOutput(
-        results=merged,
-        visited_doc_ordinals=sfs_out.visited_doc_ordinals | dfs_out.visited_doc_ordinals,
+        results=_score_starts(
+            index, query, np.union1d(sfs_recs, dfs_recs), config,
+            lambda r: names[r in in_sfs, r in in_dfs],
+        ),
+        visited_doc_ordinals=sfs_docs | _docs_of(index, dfs_recs),
         strategy="hybrid",
     )
 

@@ -8,7 +8,7 @@ import string
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
@@ -103,14 +103,7 @@ def benchmark(
     total_tokens = index.counts["tokens"]
     reports: dict[str, EvalReport] = {}
     for strategy in strategies:
-        cfg = SearchConfig(
-            strategy=strategy,
-            top_k=config.top_k,
-            sparse_top_docs=config.sparse_top_docs,
-            dense_top_starts=config.dense_top_starts,
-            nprobe=config.nprobe,
-            sparse_scale=config.sparse_scale,
-        )
+        cfg = replace(config, strategy=strategy)
         for q, _ in questions[: min(warmup, len(questions))]:
             run_search(index, as_query(q), cfg)
         latencies: list[float] = []
@@ -155,6 +148,8 @@ class _QueryHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -178,8 +173,16 @@ class _QueryHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(400, {"error": "bad Content-Length"})
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             self._send_json(400, {"error": "malformed JSON body"})
             return
         try:
@@ -192,44 +195,25 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
 def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -> dict:
     """Validate a QueryRequest payload, run the search, time the stages."""
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
     question = payload.get("question")
     if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be a non-empty string")
     top_k = payload.get("top_k", base_config.top_k)
-    if not isinstance(top_k, int) or top_k < 1:
+    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
         raise ValueError("top_k must be a positive integer")
     strategy = payload.get("strategy", base_config.strategy)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    cfg = SearchConfig(
-        strategy=strategy,
-        top_k=top_k,
-        sparse_top_docs=base_config.sparse_top_docs,
-        dense_top_starts=base_config.dense_top_starts,
-        nprobe=base_config.nprobe,
-        sparse_scale=base_config.sparse_scale,
-    )
+    cfg = replace(base_config, strategy=strategy, top_k=top_k)
     t0 = time.perf_counter()
     query = embed_question(index, question)
     t1 = time.perf_counter()
     out = run_search(index, query, cfg)
     t2 = time.perf_counter()
     return {
-        "results": [
-            {
-                "text": r.text,
-                "doc_id": r.span.doc_id,
-                "doc_title": r.doc_title,
-                "para_idx": r.span.para_idx,
-                "start_token": r.span.i,
-                "end_token": r.span.j,
-                "score": r.score,
-                "dense_score": r.dense_score,
-                "sparse_score": r.sparse_score,
-                "strategy": r.strategy,
-            }
-            for r in out.results
-        ],
+        "results": [r.as_dict() for r in out.results],
         "timings": {
             "embed_ms": (t1 - t0) * 1e3,
             "search_ms": (t2 - t1) * 1e3,

@@ -1,4 +1,4 @@
-"""Hashed 2-gram tf-idf vectors, inverted-index retrieval, and the learned sparse encoder."""
+"""Hashed 2-gram tf-idf vectors, inverted-index retrieval, and learned sparse encoding."""
 
 from __future__ import annotations
 
@@ -203,20 +203,8 @@ def retrieve_top_docs(
 
 
 # ---------------------------------------------------------------------------
-# Learned sparse encoder (optional; off by default in the index pipeline)
+# Learned sparse encoding (not used by the index pipeline)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LearnedSparseConfig:
-    vocab_size: int
-    transform: str = "linear"  # "linear" or "mlp"
-
-    def __post_init__(self) -> None:
-        if self.transform not in ("linear", "mlp"):
-            raise ValueError(f"unknown transform kind {self.transform!r}")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
 
 
 @dataclass
@@ -273,85 +261,3 @@ def learned_sparse_encode(
         keep = sums != 0.0
         rows.append(SparseVector(unique_ids[keep].copy(), sums[keep].astype(np.float64)))
     return rows
-
-
-class LearnedSparseEncoder:
-    """Paired start/end sparse encoders with a vocabulary built from the corpus.
-
-    Phrase vectors are the concatenation [start_row_i, end_row_j] with end bins
-    offset by vocab_size; the question side mirrors the phrase transforms at the
-    marker row. Outputs are left unnormalized.
-    """
-
-    def __init__(
-        self,
-        config: LearnedSparseConfig,
-        dim: int,
-        seed: int = 0,
-        hidden: int | None = None,
-    ):
-        self.config = config
-        self.dim = dim
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / math.sqrt(dim)
-
-        def make_map() -> LinearMap | TwoLayerMap:
-            if config.transform == "linear":
-                return LinearMap(rng.normal(0.0, scale, size=(dim, dim)))
-            h = hidden or dim
-            return TwoLayerMap(
-                rng.normal(0.0, scale, size=(h, dim)),
-                rng.normal(0.0, 1.0 / math.sqrt(h), size=(dim, h)),
-            )
-
-        self.start_q, self.start_k = make_map(), make_map()
-        self.end_q, self.end_k = make_map(), make_map()
-        self.vocab: dict[str, int] = {}
-
-    @property
-    def overflow_id(self) -> int:
-        return self.config.vocab_size - 1
-
-    def fit_vocab(self, corpus: CorpusStore) -> None:
-        """Assign ids to lowercased corpus words; the last bin catches overflow."""
-        words = sorted(
-            {t.surface.lower() for d in corpus for p in d.paragraphs for t in p.tokens}
-        )
-        if len(words) + 1 > self.config.vocab_size:
-            raise ValueError(
-                f"vocab_size {self.config.vocab_size} too small for "
-                f"{len(words)} corpus words plus overflow"
-            )
-        self.vocab = {w: i for i, w in enumerate(words)}
-
-    def word_ids(self, surfaces: Sequence[str]) -> np.ndarray:
-        return np.array(
-            [self.vocab.get(s.lower(), self.overflow_id) for s in surfaces],
-            dtype=np.int64,
-        )
-
-    def encode_rows(
-        self, start_dense: np.ndarray, end_dense: np.ndarray, surfaces: Sequence[str]
-    ) -> tuple[list[SparseVector], list[SparseVector]]:
-        ids = self.word_ids(surfaces)
-        starts = learned_sparse_encode(
-            start_dense, ids, self.config.vocab_size, self.start_q, self.start_k
-        )
-        ends = learned_sparse_encode(
-            end_dense, ids, self.config.vocab_size, self.end_q, self.end_k
-        )
-        return starts, ends
-
-    def phrase_vector(
-        self, start_rows: list[SparseVector], end_rows: list[SparseVector], i: int, j: int
-    ) -> SparseVector:
-        s, e = start_rows[i], end_rows[j]
-        bins = np.concatenate([s.bins, e.bins + self.config.vocab_size])
-        weights = np.concatenate([s.weights, e.weights])
-        return SparseVector(bins, weights)
-
-    def question_vector(
-        self, start_dense: np.ndarray, end_dense: np.ndarray, surfaces: Sequence[str]
-    ) -> SparseVector:
-        starts, ends = self.encode_rows(start_dense, end_dense, surfaces)
-        return self.phrase_vector(starts, ends, 0, 0)

@@ -8,6 +8,7 @@ from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.search import (
     QueryVector,
     SearchConfig,
+    _row_logits,
     dfs_search,
     embed_question,
     exact_search,
@@ -273,6 +274,23 @@ class TestHybridSearch:
         for r in hybrid.results:
             assert r.score == pytest.approx(exact_by_span[r.span], abs=1e-6)
 
+    def test_labels_match_sfs_and_dfs_membership(self, random_index):
+        # A hybrid result is labelled by which of the SFS and DFS result
+        # lists, under the same config, contain its span.
+        names = {(True, True): "sfs+dfs", (True, False): "sfs", (False, True): "dfs"}
+        seen = set()
+        for k, text in enumerate(["w003 w007", "w021 w022 w023", "w040 w041", "w011 w013"]):
+            q = embed_question(random_index, text)
+            cfg = SearchConfig(strategy="hybrid", top_k=15, sparse_top_docs=2 + k,
+                               dense_top_starts=10 + 10 * k, nprobe=1 + k % 3)
+            hybrid = hybrid_search(random_index, random_index.ivf, q, cfg)
+            sfs_spans = {r.span for r in sfs_search(random_index, q, cfg).results}
+            dfs_spans = {r.span for r in dfs_search(random_index, random_index.ivf, q, cfg).results}
+            for r in hybrid.results:
+                assert r.strategy == names[r.span in sfs_spans, r.span in dfs_spans]
+                seen.add(r.strategy)
+        assert len(seen) >= 2
+
     def test_visited_docs_is_the_union(self, random_index):
         q = embed_question(random_index, "w011 w013")
         cfg = SearchConfig(strategy="hybrid", top_k=5, sparse_top_docs=3,
@@ -316,6 +334,21 @@ class TestMonotonicityAndDeterminism:
         runs = [hybrid_search(random_index, random_index.ivf, q, cfg) for _ in range(3)]
         first = spans_and_scores(runs[0])
         assert all(spans_and_scores(r) == first for r in runs[1:])
+
+
+def test_row_logits_same_bits_in_any_subset(random_index):
+    # A phrase's score must not depend on which other rows are scored with
+    # it, or the exhaustive-limit strategies would match exact only by luck.
+    # The random table spans several dequantization blocks.
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(5000, SMALL_CONFIG.boundary_dim))
+    for dequant, n_rows in [(lambda rows: table[rows], table.shape[0]),
+                            (random_index.dequant_start_rows, random_index.n_start_rows)]:
+        q = rng.normal(size=SMALL_CONFIG.boundary_dim)
+        full = _row_logits(dequant, np.arange(n_rows), q)
+        for n in [1, 1, 2, 3, *rng.integers(1, n_rows, size=40)]:
+            subset = np.sort(rng.choice(n_rows, size=int(n), replace=False))
+            assert np.array_equal(_row_logits(dequant, subset, q), full[subset])
 
 
 def test_run_search_dispatch(random_index):

@@ -1,5 +1,6 @@
 """HTTP query service, EM/F1 scoring, and the benchmark harness."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -140,6 +141,34 @@ class TestHttpService:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
+
+    def test_non_object_json_body_is_400(self, served_index):
+        _, base = served_index
+        for body in (["where is w001"], "where is w001", 3, None):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(base + "/query", body)
+            assert err.value.code == 400
+
+    def test_bool_top_k_is_400(self, served_index):
+        _, base = served_index
+        for flag in (True, False):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(base + "/query", {"question": "where is w001", "top_k": flag})
+            assert err.value.code == 400
+
+    def test_negative_content_length_is_400(self, served_index):
+        _, base = served_index
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
 
     def test_bad_strategy_is_400(self, served_index):
         _, base = served_index
