@@ -179,15 +179,14 @@ def _write_sparse_list(fh, vectors: list[SparseVector]) -> None:
     _write_sized(fh, weights.astype("<f4"))
 
 
-def _read_sparse_list(fh) -> list[SparseVector]:
-    (n,) = struct.unpack("<Q", fh.read(8))
-    offsets = _read_sized(fh, "<u8")
+def _read_sparse_csr(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A written sparse-vector list as CSR arrays (offsets, bins, weights):
+    vector i holds entries offsets[i]:offsets[i + 1]."""
+    fh.read(8)  # vector count, implied by the offsets
+    offsets = _read_sized(fh, "<u8").astype(np.int64)
     bins = _read_sized(fh, "<u4").astype(np.int64)
     weights = _read_sized(fh, "<f4").astype(np.float64)
-    return [
-        SparseVector(bins[offsets[i] : offsets[i + 1]], weights[offsets[i] : offsets[i + 1]])
-        for i in range(n)
-    ]
+    return offsets, bins, weights
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +545,11 @@ class PhraseIndex:
                 doc_count=doc_count,
                 doc_freq={int(b): int(c) for b, c in zip(df_bins, df_counts)},
             )
-            self.doc_vectors = _read_sparse_list(fh)
-            self.para_vectors = _read_sparse_list(fh)
+            offsets, bins, weights = _read_sparse_csr(fh)
+            self.doc_vectors = [
+                SparseVector(bins[lo:hi], weights[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
+            ]
+            self.para_offsets, self.para_bins, self.para_weights = _read_sparse_csr(fh)
 
         with open(self.path / "postings.bin", "rb") as fh:
             _check_header(fh, b"PSTG", "postings.bin")
@@ -600,6 +602,13 @@ class PhraseIndex:
         self.rec_para = np.repeat(np.arange(n_para), self.para_table["n_recs"].astype(np.int64))
         self.rec_ends_begin = self.start_records["ends_begin"].astype(np.int64)
         self.rec_n_ends = self.start_records["n_ends"].astype(np.int64)
+        # A record's ends sit at consecutive end rows, from rec_end_row[r] on.
+        # A record without ends takes the value before it, which keeps the
+        # array nondecreasing.
+        has_ends = self.rec_n_ends > 0
+        first_end_row = np.zeros(n_recs, dtype=np.int64)
+        first_end_row[has_ends] = self.end_entries["row"][self.rec_ends_begin[has_ends]]
+        self.rec_end_row = np.maximum.accumulate(first_end_row)
         self.doc_rec_begin = np.searchsorted(self.start_records["doc"], np.arange(counts["docs"] + 1))
 
     def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
@@ -649,8 +658,10 @@ class PhraseIndex:
         return self._para_row[(doc_ordinal, para_idx)]
 
     def para_vector(self, para_row: int) -> SparseVector:
-        """Combined document + paragraph sparse vector for a para_table row."""
-        return self.para_vectors[para_row]
+        """Combined document + paragraph sparse vector for a para_table row,
+        as views into the CSR arrays para_offsets/para_bins/para_weights."""
+        lo, hi = self.para_offsets[para_row], self.para_offsets[para_row + 1]
+        return SparseVector(self.para_bins[lo:hi], self.para_weights[lo:hi])
 
     def span_text(self, ref: SpanRef) -> str:
         return self.corpus.span_text(ref)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .corpus import SpanRef, tokenize
 from .dense import QueryDenseVector, question_dense
-from .sparse import SparseVector, retrieve_top_docs, sparse_score
+from .sparse import SparseVector, _top_k, retrieve_top_docs
+from .sparse import sparse_score  # noqa: F401  (callers import it from here)
 
 if TYPE_CHECKING:
     from .index import PhraseIndex
@@ -122,20 +123,55 @@ def _row_logits(
     return out
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k highest scores, best first; ties go to the lower position."""
-    if scores.size > k:
-        kth = np.partition(scores, scores.size - k)[scores.size - k]
-        keep = np.flatnonzero(scores >= kth)  # every score tied with the k-th stays in
-    else:
-        keep = np.arange(scores.size)
-    return keep[np.argsort(-scores[keep], kind="stable")[:k]]
-
-
 def _ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(b, b + c) over the (begin, count) pairs."""
-    stop = np.cumsum(count)
-    return np.arange(stop[-1] if stop.size else 0) + np.repeat(begin - (stop - count), count)
+    """Concatenation of arange(b, b + c) over the (begin, count) pairs, as one
+    running sum of steps: 1 within a range, a jump at each range's head. It
+    allocates only the output, since each fresh page of a large array costs
+    a page fault."""
+    some = count > 0
+    begin, count = begin[some], count[some]
+    out = np.ones(int(count.sum()), dtype=np.int64)
+    if out.size:
+        out[0] = begin[0]
+        out[np.cumsum(count[:-1])] = begin[1:] - (begin[:-1] + count[:-1]) + 1
+        np.cumsum(out, out=out)
+    return out
+
+
+def _end_ranges(begin: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the row intervals [begin, begin + count) of a run of records.
+
+    Returns the distinct rows, ascending, and for each interval the position
+    of its row `begin` among them; row begin + t sits at that position + t.
+    The begins must be nondecreasing. Then each interval adds only its rows
+    past the largest end before it, and its rows below that end are already
+    in, because the interval with that end began no later.
+    """
+    stop = begin + count
+    covered = np.zeros_like(stop)
+    np.maximum.accumulate(stop[:-1], out=covered[1:])
+    lo = np.maximum(begin, covered)
+    fresh = np.maximum(stop - lo, 0)
+    first = np.cumsum(fresh) - fresh - (lo - begin)
+    return _ranges(lo, fresh), first
+
+
+def _para_sparse(index: "PhraseIndex", q: SparseVector, paras: np.ndarray) -> np.ndarray:
+    """Sparse score of q against each paragraph vector in `paras`, in one pass
+    over their CSR entries. Each paragraph sums its matches in bin order, so
+    it gets the same bits whichever other paragraphs are scored with it."""
+    if q.is_empty:
+        return np.zeros(paras.size)
+    begin = index.para_offsets[paras]
+    count = index.para_offsets[paras + 1] - begin
+    entries = _ranges(begin, count)
+    bins = index.para_bins[entries]
+    pos = np.minimum(np.searchsorted(q.bins, bins), q.bins.size - 1)
+    hit = np.flatnonzero(q.bins[pos] == bins)
+    owner = np.searchsorted(np.cumsum(count), hit, side="right")
+    return np.bincount(
+        owner, weights=q.weights[pos[hit]] * index.para_weights[entries[hit]], minlength=paras.size
+    )
 
 
 def _score_starts(
@@ -154,41 +190,53 @@ def _score_starts(
     the same bits whichever set of records it is scored in.
     """
     n_ends = index.rec_n_ends[recs]
-    phrase = _ranges(index.rec_ends_begin[recs], n_ends)
-    end_rows, end_of = np.unique(index.end_entries["row"][phrase], return_inverse=True)
-    paras, para_of = np.unique(index.rec_para[recs], return_inverse=True)
-    sparse = np.array(
-        [sparse_score(query.sparse, index.para_vector(int(p))) for p in paras], dtype=np.float64
-    )
+    ends_begin = index.rec_ends_begin[recs]
+    end_rows, end_first = _end_ranges(index.rec_end_row[recs], n_ends)
+    rec_paras = index.rec_para[recs]
+    para_begins = np.ones(recs.size, dtype=bool)  # rec_paras is nondecreasing
+    np.not_equal(rec_paras[1:], rec_paras[:-1], out=para_begins[1:])
+    para_of = np.cumsum(para_begins) - 1
+    sparse = _para_sparse(index, query.sparse, rec_paras[para_begins])
+    start_logits = _row_logits(index.dequant_start_rows, recs, query.dense.start)
+    end_logits = _row_logits(index.dequant_end_rows, end_rows, query.dense.end)
 
-    # Built in place, term by term, to keep few phrase-sized arrays alive.
-    dense = np.repeat(_row_logits(index.dequant_start_rows, recs, query.dense.start), n_ends)
-    dense += _row_logits(index.dequant_end_rows, end_rows, query.dense.end)[end_of]
-    coh = index.coherency[phrase].astype(np.float64)
-    coh *= query.dense.coherency
-    dense += coh
-    total = np.repeat(config.sparse_scale * sparse[para_of], n_ends)
-    total += dense
+    # total = ((start + end) + coherency) + scaled sparse, summed in place so
+    # that few phrase-sized arrays are alive at once. The top k's dense part
+    # is recomputed below in the same order, which gives the same bits.
+    total = np.repeat(start_logits, n_ends)
+    term = end_logits[_ranges(end_first, n_ends)]
+    total += term
+    coh = index.coherency[_ranges(ends_begin, n_ends)]
+    total += np.multiply(coh, query.dense.coherency, out=term, dtype=np.float64)
+    del term, coh
+    total += np.repeat(config.sparse_scale * sparse[para_of], n_ends)
 
     top = _top_k(total, config.top_k)
-    owners = np.searchsorted(np.cumsum(n_ends), top, side="right")  # positions in recs
+    phrase_stop = np.cumsum(n_ends)
+    owners = np.searchsorted(phrase_stop, top, side="right")  # positions in recs
     results = []
     for c, k in zip(top, owners):
         r = int(recs[k])
         rec = index.start_records[r]
         doc_ord = int(rec["doc"])
+        at = c - (phrase_stop[k] - n_ends[k])  # the phrase's place among its record's ends
+        phrase = ends_begin[k] + at
         ref = SpanRef(
             doc_id=index.doc_id(doc_ord),
             para_idx=int(rec["para"]),
             i=int(rec["tok"]),
-            j=int(index.end_entries[phrase[c]]["tok"]),
+            j=int(index.end_entries[phrase]["tok"]),
+        )
+        dense = (
+            start_logits[k] + end_logits[end_first[k] + at]
+            + np.float64(index.coherency[phrase]) * query.dense.coherency
         )
         results.append(
             SearchResult(
                 text=index.span_text(ref),
                 span=ref,
                 score=float(total[c]),
-                dense_score=float(dense[c]),
+                dense_score=float(dense),
                 sparse_score=float(sparse[para_of[k]]),
                 doc_title=index.doc_title(doc_ord),
                 strategy=label(r),

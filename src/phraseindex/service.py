@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 import string
 import threading
@@ -15,6 +16,9 @@ from typing import Sequence
 from .index import PhraseIndex
 from .search import STRATEGIES, SearchConfig, embed_question, run_search
 
+REQUEST_TIMEOUT_S = 30.0  # a connection that sends nothing for this long is closed
+
+_log = logging.getLogger(__name__)
 _ARTICLES = {"a", "an", "the"}
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -143,6 +147,12 @@ class _QueryHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default
         pass
 
+    def setup(self) -> None:
+        # Set per connection, so that a slow or stalled client cannot hold
+        # its handler thread forever.
+        self.timeout = REQUEST_TIMEOUT_S
+        super().setup()
+
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -181,7 +191,14 @@ class _QueryHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "bad Content-Length"})
             return
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            body = self.rfile.read(length)
+        except TimeoutError:
+            # The rest of the body may still arrive, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(408, {"error": "request body not received in time"})
+            return
+        try:
+            payload = json.loads(body or b"{}")
         except ValueError:
             self._send_json(400, {"error": "malformed JSON body"})
             return
@@ -189,6 +206,10 @@ class _QueryHandler(BaseHTTPRequestHandler):
             response = handle_query(index, payload, self.server.search_config)
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
+            return
+        except Exception as exc:  # the server keeps serving; the client still gets an answer
+            _log.exception("query failed")
+            self._send_json(500, {"error": f"internal error: {type(exc).__name__}"})
             return
         self._send_json(200, response)
 

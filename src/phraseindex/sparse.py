@@ -180,6 +180,16 @@ def build_inverted_index(doc_vectors: list[SparseVector]) -> InvertedIndex:
     return InvertedIndex(n_docs=len(doc_vectors), postings=postings)
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest scores, best first; ties go to the lower position."""
+    if scores.size > k:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        keep = np.flatnonzero(scores >= kth)  # every score tied with the k-th stays in
+    else:
+        keep = np.arange(scores.size)
+    return keep[np.argsort(-scores[keep], kind="stable")[:k]]
+
+
 def retrieve_top_docs(
     q: SparseVector, index: InvertedIndex, k: int
 ) -> list[tuple[int, float]]:
@@ -198,8 +208,7 @@ def retrieve_top_docs(
         if posting is not None:
             docs, weights = posting
             scores[docs] += w * weights
-    order = np.lexsort((np.arange(index.n_docs), -scores))
-    return [(int(d), float(scores[d])) for d in order[:k]]
+    return [(int(d), float(scores[d])) for d in _top_k(scores, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.search import (
     QueryVector,
     SearchConfig,
+    _end_ranges,
+    _para_sparse,
+    _ranges,
     _row_logits,
     dfs_search,
     embed_question,
@@ -17,7 +20,8 @@ from phraseindex.search import (
     run_search,
     sfs_search,
 )
-from phraseindex.sparse import SparseVector
+from phraseindex.sparse import SparseVector, sparse_score
+from phraseindex.training import FilterModel
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +32,20 @@ def random_index(tmp_path_factory):
         corpus, tmp_path_factory.mktemp("search") / "idx", max_span=3, ivf_clusters=6
     )
     return index
+
+
+@pytest.fixture(scope="module")
+def filtered_index(tmp_path_factory):
+    # About 40% of end tokens survive, so with a short max_span about a
+    # quarter of the start records keep no end at all.
+    rng = np.random.default_rng(8)
+    corpus = make_random_corpus(rng, n_docs=10, tokens_per_para=(8, 20))
+    w = rng.normal(size=SMALL_CONFIG.boundary_dim)
+    model = FilterModel(w, 0.3, -w, 0.0, threshold=0.5)
+    return build_small_index(
+        corpus, tmp_path_factory.mktemp("filtered") / "idx", max_span=3, ivf_clusters=4,
+        filter_model=model,
+    )
 
 
 def spans_and_scores(output):
@@ -349,6 +367,56 @@ def test_row_logits_same_bits_in_any_subset(random_index):
         for n in [1, 1, 2, 3, *rng.integers(1, n_rows, size=40)]:
             subset = np.sort(rng.choice(n_rows, size=int(n), replace=False))
             assert np.array_equal(_row_logits(dequant, subset, q), full[subset])
+
+
+def test_record_end_rows_match_end_entries(random_index, filtered_index):
+    assert (filtered_index.rec_n_ends == 0).any()
+    rng = np.random.default_rng(3)
+    for index in (random_index, filtered_index):
+        n_ends, ends_begin = index.rec_n_ends, index.rec_ends_begin
+        # Per phrase: its record's first end row plus its place among the record's ends.
+        owner = np.repeat(np.arange(index.n_start_rows), n_ends)
+        place = np.arange(index.n_phrases) - ends_begin[owner]
+        assert np.array_equal(index.rec_end_row[owner] + place, index.end_entries["row"])
+        # Per query: the merged ranges of any ascending set of records.
+        for n in [1, 2, index.n_start_rows, *rng.integers(1, index.n_start_rows, size=30)]:
+            recs = np.sort(rng.choice(index.n_start_rows, size=int(n), replace=False))
+            phrase = np.concatenate([np.arange(ends_begin[r], ends_begin[r] + n_ends[r]) for r in recs])
+            want = index.end_entries["row"][phrase]
+            rows, first = _end_ranges(index.rec_end_row[recs], n_ends[recs])
+            assert np.array_equal(rows, np.unique(want))
+            assert np.array_equal(rows[_ranges(first, n_ends[recs])], want)
+
+
+def test_end_ranges_merge_any_nondecreasing_begins():
+    # Intervals may overlap, nest or be empty; only the begins are ordered.
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        begin = np.sort(rng.integers(0, 20, size=n))
+        count = rng.integers(0, 6, size=n)
+        want = np.concatenate([np.arange(b, b + c) for b, c in zip(begin, count)])
+        rows, first = _end_ranges(begin, count)
+        assert np.array_equal(rows, np.unique(want))
+        assert np.array_equal(rows[_ranges(first, count)], want)
+
+
+def test_para_sparse_same_bits_in_any_subset(random_index):
+    # The CSR pass must give a paragraph the same bits whatever else is
+    # scored with it, and agree with the per-vector reference.
+    index = random_index
+    n_paras = len(index.para_table)
+    assert np.shares_memory(index.para_vector(1).bins, index.para_bins)
+    rng = np.random.default_rng(11)
+    for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043"]:
+        q = embed_question(index, text).sparse
+        full = _para_sparse(index, q, np.arange(n_paras))
+        assert full.any()
+        for p in range(n_paras):
+            assert abs(full[p] - sparse_score(q, index.para_vector(p))) <= 1e-12
+        for n in [1, 2, 3, *rng.integers(1, n_paras, size=20)]:
+            subset = np.sort(rng.choice(n_paras, size=int(n), replace=False))
+            assert np.array_equal(_para_sparse(index, q, subset), full[subset])
 
 
 def test_run_search_dispatch(random_index):

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import build_small_index, make_random_corpus
+from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
+from phraseindex import service
+from phraseindex.dense import PrecomputedEncoder, write_embedding_file
 from phraseindex.search import SearchConfig
 from phraseindex.service import (
     benchmark,
@@ -169,6 +172,49 @@ class TestHttpService:
             assert "error" in json.loads(resp.read())
         finally:
             conn.close()
+
+    def test_unexpected_error_is_500(self, tmp_path):
+        # An index built from precomputed embeddings has no question encoder,
+        # so embed_question raises RuntimeError inside the handler.
+        rng = np.random.default_rng(5)
+        corpus = make_random_corpus(rng, n_docs=3)
+        rows = {
+            f"{doc.id}/{pidx}": rng.normal(size=(para.n_tokens, SMALL_CONFIG.dim))
+            for _, doc, pidx, para in corpus.iter_paragraphs()
+        }
+        write_embedding_file(tmp_path / "rows.bin", rows, SMALL_CONFIG.dim)
+        encoder = PrecomputedEncoder(tmp_path / "rows.bin", SMALL_CONFIG)
+        index = build_small_index(corpus, tmp_path / "idx", max_span=2, ivf_clusters=2,
+                                  encoder=encoder)
+        server = make_server(index)
+        start_server_thread(server)
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(base + "/query", {"question": "where is w001"})
+            assert err.value.code == 500
+            with err.value as resp:
+                assert "RuntimeError" in json.loads(resp.read())["error"]
+            assert get(base + "/health")[0] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_short_body_times_out(self, served_index, monkeypatch):
+        monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.2)
+        _, base = served_index
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+                b'{"question": "w001'
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # ends only when the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408")
+        assert "error" in json.loads(body)
 
     def test_bad_strategy_is_400(self, served_index):
         _, base = served_index
