@@ -61,8 +61,8 @@ def cmd_build(args) -> int:
         args.out,
         BuildConfig(max_span=args.max_span, seed=args.seed, ivf_clusters=args.clusters),
     )
-    index = PhraseIndex(out)
-    print(json.dumps({"index": str(out), "counts": index.counts}))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    print(json.dumps({"index": str(out), "counts": manifest["counts"]}))
     return 0
 
 
@@ -148,7 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--max-span", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=1 << 20)
+    p.add_argument(
+        "--clusters", type=int, help="IVF cells (default: ceil(4 * sqrt(start rows)))"
+    )
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--boundary-dim", type=int, default=28)
     p.add_argument("--coherency-dim", type=int, default=4)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import shutil
 import struct
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -167,8 +170,7 @@ def _sha256(path: Path) -> str:
 
 def _write_sparse_list(fh, vectors: list[SparseVector]) -> None:
     offsets = np.zeros(len(vectors) + 1, dtype="<u8")
-    for i, v in enumerate(vectors):
-        offsets[i + 1] = offsets[i] + v.bins.size
+    offsets[1:] = np.cumsum([v.bins.size for v in vectors])
     bins = np.concatenate([v.bins for v in vectors]) if vectors else np.empty(0, np.int64)
     weights = (
         np.concatenate([v.weights for v in vectors]) if vectors else np.empty(0, np.float64)
@@ -176,6 +178,24 @@ def _write_sparse_list(fh, vectors: list[SparseVector]) -> None:
     fh.write(struct.pack("<Q", len(vectors)))
     _write_sized(fh, offsets)
     _write_sized(fh, bins.astype("<u4"))
+    _write_sized(fh, weights.astype("<f4"))
+
+
+def _write_postings(fh, inv: InvertedIndex) -> None:
+    """Bins ascending, then per-bin offsets, doc deltas and weights. A bin's
+    first delta is its first doc ordinal, so decoding restarts at each bin."""
+    bins = sorted(inv.postings)
+    offsets = np.zeros(len(bins) + 1, dtype="<u8")
+    offsets[1:] = np.cumsum([inv.postings[b][0].size for b in bins])
+    docs = np.concatenate([inv.postings[b][0] for b in bins]) if bins else np.empty(0, np.int64)
+    weights = np.concatenate([inv.postings[b][1] for b in bins]) if bins else np.empty(0)
+    deltas = np.diff(docs, prepend=0)
+    heads = offsets[:-1].astype(np.int64)
+    deltas[heads] = docs[heads]
+    fh.write(struct.pack("<Q", len(bins)))
+    _write_sized(fh, np.array(bins, dtype="<u4"))
+    _write_sized(fh, offsets)
+    _write_sized(fh, deltas.astype("<u4"))
     _write_sized(fh, weights.astype("<f4"))
 
 
@@ -203,15 +223,15 @@ class _Reservoir:
         self.size = 0
 
     def add(self, rows: np.ndarray) -> None:
-        for row in rows:
+        fill = min(self.capacity - self.size, rows.shape[0])  # copied while there is room
+        self.buffer[self.size : self.size + fill] = rows[:fill]
+        self.size += fill
+        self.seen += fill
+        for row in rows[fill:]:
             self.seen += 1
-            if self.size < self.capacity:
-                self.buffer[self.size] = row
-                self.size += 1
-            else:
-                k = int(self.rng.integers(self.seen))
-                if k < self.capacity:
-                    self.buffer[k] = row
+            k = int(self.rng.integers(self.seen))
+            if k < self.capacity:
+                self.buffer[k] = row
 
     def sample(self) -> np.ndarray:
         return self.buffer[: self.size]
@@ -227,7 +247,7 @@ class BuildConfig:
     max_span: int = 20
     seed: int = 0
     quant_sample_size: int = 100_000
-    ivf_clusters: int = 1 << 20  # capped at the number of stored start rows
+    ivf_clusters: int | None = None  # None: ceil(4 * sqrt(start rows)); capped at the start rows
     build_ivf: bool = True
 
 
@@ -257,6 +277,34 @@ def _load_encoder_section(path: Path) -> tuple[EncoderConfig, ToyEncoder | None]
         return config, encoder
 
 
+def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
+    """A paragraph's phrases from its survival masks: the surviving start
+    tokens, each one's number of ends, and the (start, end) token pair of
+    every phrase in (start, end) order. The ends of start i are the surviving
+    tokens of the window [i, i + max_span) that fall inside the paragraph."""
+    starts = np.flatnonzero(smask)
+    window = starts[:, None] + np.arange(min(max_span, emask.size))
+    ok = window < emask.size
+    ok[ok] = emask[window[ok]]
+    return starts, ok.sum(axis=1), np.broadcast_to(starts[:, None], window.shape)[ok], window[ok]
+
+
+def _fsync_tree(path: Path) -> None:
+    """Flush every file directly under path, then the directory entry list."""
+    for f in path.iterdir():
+        with open(f, "rb") as fh:
+            os.fsync(fh.fileno())
+    _fsync_dir(path)
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def build_index(
     corpus: CorpusStore,
     encoder: Encoder,
@@ -265,9 +313,16 @@ def build_index(
     out_dir: str | Path,
     config: BuildConfig | None = None,
 ) -> Path:
-    """Stream the corpus twice (survival pass, then write pass) into a new
-    index directory. The build is atomic: everything lands in a temp dir that
-    is renamed at the end, so a partial build is never visible.
+    """Encode each paragraph once, then write a new index directory.
+
+    One pass over the corpus encodes each paragraph and keeps its surviving
+    start/end rows, fills the quantization reservoirs, and builds its phrase
+    table (start records, end entries, coherency values) as numpy arrays.
+    The kept rows are quantized once the reservoirs are fitted, and each
+    section is written from arrays concatenated once. The build is atomic:
+    everything lands in a fresh temp directory beside out_dir, which is
+    fsynced and renamed at the end and removed if the build fails, so a
+    partial build is never visible and never blocks the next one.
     """
     config = config or BuildConfig()
     out_dir = Path(out_dir)
@@ -279,193 +334,168 @@ def build_index(
     if filter_model.start_weights.shape[0] != cfg.boundary_dim:
         raise ValueError("filter width does not match encoder boundary width")
 
-    def encode(doc, pidx, para):
-        H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
-        if H.n_tokens != para.n_tokens:
-            raise ValueError(f"encoder returned {H.n_tokens} rows for {para.n_tokens} tokens")
-        return H
-
-    # Pass A: survival masks, phrase counts, quantization reservoirs.
     rng = np.random.default_rng(config.seed)
     start_res = _Reservoir(config.quant_sample_size, cfg.boundary_dim, rng)
     end_res = _Reservoir(config.quant_sample_size, cfg.boundary_dim, rng)
-    n_tokens = n_paras = n_phrases = n_start_surv = n_end_surv = 0
-    for _, doc, pidx, para in corpus.iter_paragraphs():
-        H = encode(doc, pidx, para)
+    start_rows: list[np.ndarray] = []  # surviving start/end columns, float64
+    end_rows: list[np.ndarray] = []
+    para_rows: list[tuple] = []
+    records: list[np.ndarray] = []
+    end_entries: list[np.ndarray] = []
+    coherency: list[np.ndarray] = []
+    doc_vectors = [tfidf.embed(doc) for doc in corpus]
+    para_vectors: list[SparseVector] = []
+    n_tokens = n_recs = n_phrases = n_end_rows = 0
+    for ord_, doc, pidx, para in corpus.iter_paragraphs():
+        H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
+        if H.n_tokens != para.n_tokens:
+            raise ValueError(f"encoder returned {H.n_tokens} rows for {para.n_tokens} tokens")
         smask, emask = apply_filter(H, filter_model)
-        n_paras += 1
+        starts, n_ends, ii, jj = _phrase_table(smask, emask, config.max_span)
+        start_rows.append(H.start_cols[starts])
+        end_rows.append(H.end_cols[emask])
+        start_res.add(start_rows[-1])
+        end_res.add(end_rows[-1])
+
+        rec = np.empty(starts.size, dtype=REC_DTYPE)
+        rec["doc"], rec["para"], rec["tok"], rec["n_ends"] = ord_, pidx, starts, n_ends
+        rec["ends_begin"] = n_phrases + np.cumsum(n_ends) - n_ends
+        ends = np.empty(jj.size, dtype=END_DTYPE)
+        ends["tok"] = jj
+        ends["row"] = n_end_rows + np.cumsum(emask)[jj] - 1  # rank among the surviving ends
+        coh = H.coh_head_cols @ H.coh_tail_cols.T
+        records.append(rec)
+        end_entries.append(ends)
+        coherency.append(coh[ii, jj].astype("<f4"))
+        para_rows.append((ord_, pidx, n_recs, starts.size, para.n_tokens))
+        para_vectors.append(combine_doc_para(doc_vectors[ord_], tfidf.embed(para)))
         n_tokens += para.n_tokens
-        n_start_surv += int(smask.sum())
-        n_end_surv += int(emask.sum())
-        start_res.add(H.start_cols[smask])
-        end_res.add(H.end_cols[emask])
-        end_cum = np.concatenate([[0], np.cumsum(emask)])
-        for i in np.flatnonzero(smask):
-            hi = min(i + config.max_span, para.n_tokens)
-            n_phrases += int(end_cum[hi] - end_cum[i])
+        n_recs += starts.size
+        n_phrases += jj.size
+        n_end_rows += end_rows[-1].shape[0]
     if n_phrases == 0:
         raise ValueError("empty index: filter discarded every candidate phrase")
 
     start_quant = fit_quantization(start_res.sample())
     end_quant = fit_quantization(end_res.sample())
+    start_codes = np.concatenate([quantize(rows, start_quant) for rows in start_rows])
+    end_codes = np.concatenate([quantize(rows, end_quant) for rows in end_rows])
+    n_start_rows = start_codes.shape[0]
 
-    # Pass B: quantize and accumulate all sections.
-    start_codes: list[np.ndarray] = []
-    end_codes: list[np.ndarray] = []
-    para_rows: list[tuple] = []
-    records: list[tuple] = []
-    end_entries: list[tuple[int, int]] = []
-    coherency: list[float] = []
-    para_vectors: list[SparseVector] = []
-    doc_vectors = [tfidf.embed(doc) for doc in corpus]
-    n_end_rows = 0
-    for ord_, doc, pidx, para in corpus.iter_paragraphs():
-        H = encode(doc, pidx, para)
-        smask, emask = apply_filter(H, filter_model)
-        end_row_of = {}
-        for t in np.flatnonzero(emask):
-            end_row_of[int(t)] = n_end_rows
-            n_end_rows += 1
-        if emask.any():
-            end_codes.append(quantize(H.end_cols[emask], end_quant))
-        rec_begin = len(records)
-        surv_starts = np.flatnonzero(smask)
-        if surv_starts.size:
-            start_codes.append(quantize(H.start_cols[surv_starts], start_quant))
-        coh = H.coh_head_cols @ H.coh_tail_cols.T
-        for i in surv_starts:
-            ends_begin = len(end_entries)
-            for j in range(int(i), min(int(i) + config.max_span, para.n_tokens)):
-                if emask[j]:
-                    end_entries.append((j, end_row_of[j]))
-                    coherency.append(float(coh[i, j]))
-            records.append((ord_, pidx, int(i), ends_begin, len(end_entries) - ends_begin))
-        para_rows.append((ord_, pidx, rec_begin, len(records) - rec_begin, para.n_tokens))
-        para_vectors.append(combine_doc_para(doc_vectors[ord_], tfidf.embed(para)))
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", suffix=".tmp", dir=out_dir.parent))
+    try:
+        # mkdtemp makes the directory private; give it the mode mkdir would.
+        umask = os.umask(0)
+        os.umask(umask)
+        tmp.chmod(0o777 & ~umask)
+        with open(tmp / "starts.bin", "wb") as fh:
+            _write_header(fh, b"STRT")
+            fh.write(struct.pack("<QI", n_start_rows, cfg.boundary_dim))
+            fh.write(start_codes.tobytes())
+        with open(tmp / "ends.bin", "wb") as fh:
+            _write_header(fh, b"ENDS")
+            fh.write(struct.pack("<QI", n_end_rows, cfg.boundary_dim))
+            fh.write(end_codes.tobytes())
+        with open(tmp / "quant.bin", "wb") as fh:
+            _write_header(fh, b"QNTZ")
+            fh.write(struct.pack("<I", cfg.boundary_dim))
+            for arr in (start_quant.minimums, start_quant.scales, end_quant.minimums, end_quant.scales):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        with open(tmp / "coherency.bin", "wb") as fh:
+            _write_header(fh, b"COHR")
+            fh.write(struct.pack("<Q", n_phrases))
+            fh.write(np.concatenate(coherency).tobytes())
+        with open(tmp / "phrases.bin", "wb") as fh:
+            _write_header(fh, b"PHRS")
+            fh.write(struct.pack("<QQQ", len(para_rows), n_recs, n_phrases))
+            fh.write(np.array(para_rows, dtype=PARA_DTYPE).tobytes())
+            fh.write(np.concatenate(records).tobytes())
+            fh.write(np.concatenate(end_entries).tobytes())
+        with open(tmp / "sparse_docs.bin", "wb") as fh:
+            _write_header(fh, b"SPRS")
+            df_bins = np.array(sorted(tfidf.doc_freq), dtype="<u4")
+            df_counts = np.array([tfidf.doc_freq[int(b)] for b in df_bins], dtype="<u4")
+            fh.write(struct.pack("<Q", tfidf.doc_count))
+            _write_sized(fh, df_bins)
+            _write_sized(fh, df_counts)
+            _write_sparse_list(fh, doc_vectors)
+            _write_sparse_list(fh, para_vectors)
+        with open(tmp / "postings.bin", "wb") as fh:
+            _write_header(fh, b"PSTG")
+            _write_postings(fh, build_inverted_index(doc_vectors))
+        with open(tmp / "filter.bin", "wb") as fh:
+            _write_header(fh, b"FLTR")
+            fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
+            fh.write(np.ascontiguousarray(filter_model.start_weights, dtype="<f8").tobytes())
+            fh.write(struct.pack("<d", filter_model.start_bias))
+            fh.write(np.ascontiguousarray(filter_model.end_weights, dtype="<f8").tobytes())
+            fh.write(struct.pack("<d", filter_model.end_bias))
+        with open(tmp / "encoder.bin", "wb") as fh:
+            _write_header(fh, b"ENCD")
+            fh.write(_encoder_section_bytes(encoder))
+        ivf_written = False
+        if config.build_ivf and n_start_rows > 0:
+            from .search import kmeans_train  # deferred: search depends on this module
 
-    n_start_rows = sum(c.shape[0] for c in start_codes)
-    tmp = out_dir.parent / f"{out_dir.name}.tmp"
-    if tmp.exists():
-        raise FileExistsError(f"stale temp directory {tmp}")
-    tmp.mkdir(parents=True)
-
-    with open(tmp / "starts.bin", "wb") as fh:
-        _write_header(fh, b"STRT")
-        fh.write(struct.pack("<QI", n_start_rows, cfg.boundary_dim))
-        for block in start_codes:
-            fh.write(block.tobytes())
-    with open(tmp / "ends.bin", "wb") as fh:
-        _write_header(fh, b"ENDS")
-        fh.write(struct.pack("<QI", n_end_rows, cfg.boundary_dim))
-        for block in end_codes:
-            fh.write(block.tobytes())
-    with open(tmp / "quant.bin", "wb") as fh:
-        _write_header(fh, b"QNTZ")
-        fh.write(struct.pack("<I", cfg.boundary_dim))
-        for arr in (start_quant.minimums, start_quant.scales, end_quant.minimums, end_quant.scales):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(tmp / "coherency.bin", "wb") as fh:
-        _write_header(fh, b"COHR")
-        fh.write(struct.pack("<Q", len(coherency)))
-        fh.write(np.asarray(coherency, dtype="<f4").tobytes())
-    with open(tmp / "phrases.bin", "wb") as fh:
-        _write_header(fh, b"PHRS")
-        fh.write(struct.pack("<QQQ", len(para_rows), len(records), len(end_entries)))
-        fh.write(np.array(para_rows, dtype=PARA_DTYPE).tobytes())
-        fh.write(np.array(records, dtype=REC_DTYPE).tobytes())
-        fh.write(np.array(end_entries, dtype=END_DTYPE).tobytes())
-    with open(tmp / "sparse_docs.bin", "wb") as fh:
-        _write_header(fh, b"SPRS")
-        df_bins = np.array(sorted(tfidf.doc_freq), dtype="<u4")
-        df_counts = np.array([tfidf.doc_freq[int(b)] for b in df_bins], dtype="<u4")
-        fh.write(struct.pack("<Q", tfidf.doc_count))
-        _write_sized(fh, df_bins)
-        _write_sized(fh, df_counts)
-        _write_sparse_list(fh, doc_vectors)
-        _write_sparse_list(fh, para_vectors)
-    with open(tmp / "postings.bin", "wb") as fh:
-        _write_header(fh, b"PSTG")
-        inv = build_inverted_index(doc_vectors)
-        bins = np.array(sorted(inv.postings), dtype="<u4")
-        offsets = np.zeros(bins.size + 1, dtype="<u8")
-        deltas: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for k, b in enumerate(bins):
-            docs, ws = inv.postings[int(b)]
-            offsets[k + 1] = offsets[k] + docs.size
-            deltas.append(np.diff(docs, prepend=0).astype("<u4"))
-            weights.append(ws.astype("<f4"))
-        fh.write(struct.pack("<Q", bins.size))
-        _write_sized(fh, bins)
-        _write_sized(fh, offsets)
-        _write_sized(fh, np.concatenate(deltas) if deltas else np.empty(0, "<u4"))
-        _write_sized(fh, np.concatenate(weights) if weights else np.empty(0, "<f4"))
-    with open(tmp / "filter.bin", "wb") as fh:
-        _write_header(fh, b"FLTR")
-        fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
-        fh.write(np.ascontiguousarray(filter_model.start_weights, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", filter_model.start_bias))
-        fh.write(np.ascontiguousarray(filter_model.end_weights, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", filter_model.end_bias))
-    with open(tmp / "encoder.bin", "wb") as fh:
-        _write_header(fh, b"ENCD")
-        fh.write(_encoder_section_bytes(encoder))
-    ivf_written = False
-    if config.build_ivf and n_start_rows > 0:
-        from .search import kmeans_train  # deferred: search depends on this module
-
-        all_codes = np.concatenate(start_codes) if start_codes else np.empty((0, cfg.boundary_dim), np.int8)
-        rows = dequantize(all_codes, start_quant)
-        n_clusters = min(config.ivf_clusters, n_start_rows)
-        ivf = kmeans_train(rows, n_clusters, seed=config.seed)
-        with open(tmp / "ivf.bin", "wb") as fh:
-            _write_header(fh, b"IVFC")
-            fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
-            fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
-            offsets = np.zeros(len(ivf.lists) + 1, dtype="<u8")
-            for k, lst in enumerate(ivf.lists):
-                offsets[k + 1] = offsets[k] + lst.size
-            _write_sized(fh, offsets)
-            _write_sized(
-                fh,
-                np.concatenate(ivf.lists).astype("<u4") if ivf.lists else np.empty(0, "<u4"),
+            n_clusters = config.ivf_clusters
+            if n_clusters is None:
+                n_clusters = math.ceil(4 * math.sqrt(n_start_rows))
+            ivf = kmeans_train(
+                dequantize(start_codes, start_quant), min(n_clusters, n_start_rows), seed=config.seed
             )
-        ivf_written = True
-    (tmp / "corpus.jsonl").write_text(corpus.to_jsonl(), encoding="utf-8")
+            with open(tmp / "ivf.bin", "wb") as fh:
+                _write_header(fh, b"IVFC")
+                fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
+                fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
+                offsets = np.zeros(len(ivf.lists) + 1, dtype="<u8")
+                offsets[1:] = np.cumsum([lst.size for lst in ivf.lists])
+                _write_sized(fh, offsets)
+                _write_sized(
+                    fh,
+                    np.concatenate(ivf.lists).astype("<u4") if ivf.lists else np.empty(0, "<u4"),
+                )
+            ivf_written = True
+        (tmp / "corpus.jsonl").write_text(corpus.to_jsonl(), encoding="utf-8")
 
-    sections = sorted(p.name for p in tmp.iterdir())
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "encoder": {
-            "kind": "toy" if isinstance(encoder, ToyEncoder) else "precomputed",
-            "dim": cfg.dim,
-            "boundary_dim": cfg.boundary_dim,
-            "coherency_dim": cfg.coherency_dim,
-        },
-        "max_span": config.max_span,
-        "seed": config.seed,
-        "sparse_model_digest": tfidf.digest(),
-        "counts": {
-            "docs": corpus.n_docs,
-            "paragraphs": n_paras,
-            "tokens": n_tokens,
-            "surviving_start_tokens": n_start_surv,
-            "surviving_end_tokens": n_end_surv,
-            "start_rows": n_start_rows,
-            "end_rows": n_end_rows,
-            "phrases": n_phrases,
-        },
-        "has_ivf": ivf_written,
-        "sections": {
-            name: {"bytes": (tmp / name).stat().st_size, "sha256": _sha256(tmp / name)}
-            for name in sections
-        },
-    }
-    (tmp / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    os.rename(tmp, out_dir)
+        sections = sorted(p.name for p in tmp.iterdir())
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+            "encoder": {
+                "kind": "toy" if isinstance(encoder, ToyEncoder) else "precomputed",
+                "dim": cfg.dim,
+                "boundary_dim": cfg.boundary_dim,
+                "coherency_dim": cfg.coherency_dim,
+            },
+            "max_span": config.max_span,
+            "seed": config.seed,
+            "sparse_model_digest": tfidf.digest(),
+            "counts": {
+                "docs": corpus.n_docs,
+                "paragraphs": len(para_rows),
+                "tokens": n_tokens,
+                "surviving_start_tokens": n_start_rows,
+                "surviving_end_tokens": n_end_rows,
+                "start_rows": n_start_rows,
+                "end_rows": n_end_rows,
+                "phrases": n_phrases,
+            },
+            "has_ivf": ivf_written,
+            "sections": {
+                name: {"bytes": (tmp / name).stat().st_size, "sha256": _sha256(tmp / name)}
+                for name in sections
+            },
+        }
+        (tmp / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        _fsync_tree(tmp)
+        os.rename(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    _fsync_dir(out_dir.parent)
     return out_dir
 
 
@@ -553,17 +583,24 @@ class PhraseIndex:
 
         with open(self.path / "postings.bin", "rb") as fh:
             _check_header(fh, b"PSTG", "postings.bin")
-            (n_bins,) = struct.unpack("<Q", fh.read(8))
+            fh.read(8)  # bin count, implied by the offsets
             bins = _read_sized(fh, "<u4")
             offsets = _read_sized(fh, "<u8")
             deltas = _read_sized(fh, "<u4")
             weights = _read_sized(fh, "<f4")
-        postings = {}
-        for k in range(n_bins):
-            lo, hi = int(offsets[k]), int(offsets[k + 1])
-            docs = np.cumsum(deltas[lo:hi]).astype(np.int64)
-            postings[int(bins[k])] = (docs, weights[lo:hi].astype(np.float64))
-        self.postings = InvertedIndex(n_docs=counts["docs"], postings=postings)
+        # One running sum over all deltas, less its value before each bin's head.
+        docs = np.cumsum(deltas, dtype=np.int64)
+        heads = offsets[:-1].astype(np.int64)
+        docs -= np.repeat(docs[heads] - deltas[heads], np.diff(offsets).astype(np.int64))
+        weights = weights.astype(np.float64)
+        bounds = offsets.astype(np.int64).tolist()
+        self.postings = InvertedIndex(
+            n_docs=counts["docs"],
+            postings={
+                b: (docs[lo:hi], weights[lo:hi])
+                for b, lo, hi in zip(bins.tolist(), bounds[:-1], bounds[1:])
+            },
+        )
 
         with open(self.path / "filter.bin", "rb") as fh:
             _check_header(fh, b"FLTR", "filter.bin")

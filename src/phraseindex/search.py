@@ -367,10 +367,27 @@ class IvfIndex:
     lists: list[np.ndarray]  # row ids, ascending, one array per cluster
 
 
+_ASSIGN_BLOCK = 1024  # rows per distance block, to bound the (rows x cells) scratch
+
+
 def _assign(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Squared Euclidean distance; the ||rows||^2 term is constant per row.
-    d2 = -2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
-    return np.argmin(d2, axis=1)
+    """Nearest centroid of each row, a block of rows at a time. The squared
+    Euclidean distance drops the ||row||^2 term, constant per row; scaling the
+    rows by -2 is exact, so this matches -2 * (rows @ centroids.T) + ||c||^2."""
+    c2 = (centroids * centroids).sum(axis=1)
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    for b in range(0, rows.shape[0], _ASSIGN_BLOCK):
+        d2 = (-2.0 * rows[b : b + _ASSIGN_BLOCK]) @ centroids.T
+        d2 += c2
+        out[b : b + _ASSIGN_BLOCK] = np.argmin(d2, axis=1)
+    return out
+
+
+def _cells(assign: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by cell: a stable sort of the assignment, so each cell's row
+    ids ascend, and the split points between consecutive cells."""
+    order = np.argsort(assign, kind="stable")
+    return order, np.cumsum(np.bincount(assign, minlength=n_clusters))[:-1]
 
 
 def kmeans_train(
@@ -404,10 +421,11 @@ def kmeans_train(
             d2 = np.minimum(d2, ((rows - centroids[t]) ** 2).sum(axis=1))
 
     for _ in range(max_iter):
-        assign = _assign(rows, centroids)
+        order, bounds = _cells(_assign(rows, centroids), n_clusters)
         new_centroids = centroids.copy()
-        for c in range(n_clusters):
-            members = rows[assign == c]
+        # A cell holds its rows in ascending order, as rows[assign == c] would,
+        # so each mean has the same bits.
+        for c, members in enumerate(np.split(rows[order], bounds)):
             if members.shape[0]:
                 new_centroids[c] = members.mean(axis=0)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
@@ -415,6 +433,5 @@ def kmeans_train(
         if shift < tol:
             break
 
-    assign = _assign(rows, centroids)
-    lists = [np.flatnonzero(assign == c).astype(np.int64) for c in range(n_clusters)]
-    return IvfIndex(centroids=centroids, lists=lists)
+    order, bounds = _cells(_assign(rows, centroids), n_clusters)
+    return IvfIndex(centroids=centroids, lists=np.split(order, bounds))

@@ -167,15 +167,21 @@ class InvertedIndex:
 
 
 def build_inverted_index(doc_vectors: list[SparseVector]) -> InvertedIndex:
-    acc: dict[int, tuple[list[int], list[float]]] = {}
-    for ord_, vec in enumerate(doc_vectors):
-        for b, w in zip(vec.bins, vec.weights):
-            docs, weights = acc.setdefault(int(b), ([], []))
-            docs.append(ord_)
-            weights.append(float(w))
+    """One stable sort of every (bin, doc, weight) entry by bin: each bin's
+    postings come out in ascending doc order."""
+    sizes = [v.bins.size for v in doc_vectors]
+    if not sum(sizes):
+        return InvertedIndex(n_docs=len(doc_vectors), postings={})
+    bins = np.concatenate([v.bins for v in doc_vectors], dtype=np.int64)
+    order = np.argsort(bins, kind="stable")
+    bins = bins[order]
+    docs = np.repeat(np.arange(len(doc_vectors), dtype=np.int64), sizes)[order]
+    weights = np.concatenate([v.weights for v in doc_vectors], dtype=np.float64)[order]
+    heads = np.flatnonzero(np.diff(bins, prepend=-1))
+    bounds = [*heads.tolist(), bins.size]
     postings = {
-        b: (np.array(docs, dtype=np.int64), np.array(weights, dtype=np.float64))
-        for b, (docs, weights) in acc.items()
+        b: (docs[lo:hi], weights[lo:hi])
+        for b, lo, hi in zip(bins[heads].tolist(), bounds[:-1], bounds[1:])
     }
     return InvertedIndex(n_docs=len(doc_vectors), postings=postings)
 

@@ -1,12 +1,20 @@
 """End-to-end runs of the command-line entry points."""
 
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phraseindex
 from conftest import make_random_corpus, write_corpus_jsonl
 from phraseindex.cli import main
+from phraseindex.index import load_index
 
 
 @pytest.fixture()
@@ -105,3 +113,44 @@ def test_bench_command(tmp_path, corpus_file, capsys):
     assert set(table) == {"exact", "sfs", "dfs", "hybrid"}
     for rep in table.values():
         assert rep["words_per_second"] > 0
+
+
+DEFAULT_BUILD_RSS_MB = 200  # measured ~105 MB; one IVF cell per start row took ~420 MB
+
+
+def test_default_build_of_20k_tokens_stays_under_rss_bound(tmp_path):
+    # A build with every default setting, in its own process so that its
+    # peak RSS is its own. The address-space cap turns a memory blow-up into
+    # a failed build instead of a strain on the machine.
+    rng = np.random.default_rng(20)
+    corpus = make_random_corpus(
+        rng, n_docs=100, tokens_per_para=(100, 100), paras_per_doc=(2, 2), vocab=2000
+    )
+    assert corpus.total_tokens() >= 20_000
+    path = write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
+    src = str(Path(phraseindex.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    with subprocess.Popen(
+        [sys.executable, "-m", "phraseindex.cli", "build", "--corpus", str(path),
+         "--out", str(tmp_path / "idx")],
+        env=env, stdout=subprocess.PIPE, preexec_fn=cap_address_space,
+    ) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    counts = json.loads(out)["counts"]
+    assert counts["tokens"] == corpus.total_tokens()
+    assert usage.ru_maxrss / 1024 < DEFAULT_BUILD_RSS_MB
+    cells = load_index(tmp_path / "idx").ivf.centroids.shape[0]
+    assert cells == math.ceil(4 * math.sqrt(counts["start_rows"]))

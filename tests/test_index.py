@@ -1,13 +1,22 @@
 """Quantization, filter application, index build/load, and size arithmetic."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef
-from phraseindex.dense import ToyEncoder, dense_score, phrase_dense, question_dense
+from phraseindex.dense import (
+    PrecomputedEncoder,
+    ToyEncoder,
+    dense_score,
+    phrase_dense,
+    question_dense,
+    write_embedding_file,
+)
 from phraseindex.index import (
     BuildConfig,
     apply_filter,
@@ -18,7 +27,7 @@ from phraseindex.index import (
     load_index,
     quantize,
 )
-from phraseindex.sparse import fit_tfidf
+from phraseindex.sparse import build_inverted_index, fit_tfidf
 from phraseindex.training import FilterModel
 
 
@@ -280,3 +289,135 @@ class TestDeterminism:
                 assert ma == mb
             else:
                 assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _reference_phrase_table(corpus, encoder, filter_model, max_span):
+    """Paragraph rows, start records, end entries and coherency values,
+    enumerated one phrase at a time."""
+    paras, recs, ends, coh = [], [], [], []
+    next_end_row = 0
+    for ord_, doc, pidx, para in corpus.iter_paragraphs():
+        H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
+        smask, emask = apply_filter(H, filter_model)
+        end_row = {}
+        for t in range(para.n_tokens):
+            if emask[t]:
+                end_row[t] = next_end_row
+                next_end_row += 1
+        pair = H.coh_head_cols @ H.coh_tail_cols.T
+        rec_begin = len(recs)
+        for i in range(para.n_tokens):
+            if not smask[i]:
+                continue
+            ends_begin = len(ends)
+            for j in range(i, min(i + max_span, para.n_tokens)):
+                if emask[j]:
+                    ends.append((j, end_row[j]))
+                    coh.append(np.float32(pair[i, j]))
+            recs.append((ord_, pidx, i, ends_begin, len(ends) - ends_begin))
+        paras.append((ord_, pidx, rec_begin, len(recs) - rec_begin, para.n_tokens))
+    return paras, recs, ends, coh
+
+
+class TestPhraseTable:
+    MAX_SPAN = 4
+
+    def _filtered_build(self, tmp_path):
+        # Column 0 of the start and of the end slice decides survival, so each
+        # paragraph's survival pattern is set by hand: (start, end) flags per token.
+        rng = np.random.default_rng(12)
+        b = SMALL_CONFIG.boundary_dim
+        patterns = {
+            "d0/0": ("1011011101", "1101101011"),  # longer than max_span
+            "d0/1": ("101", "011"),  # shorter than max_span
+            "d1/0": ("1", "1"),  # one token
+            "d1/1": ("000000", "110101"),  # no surviving start
+            "d2/0": ("111011", "000000"),  # starts, but no surviving end
+            "d2/1": ("01100111", "10011100"),
+        }
+        records, docs = {}, {}
+        for key, (starts, ends) in patterns.items():
+            rows = 0.1 * rng.normal(size=(len(starts), SMALL_CONFIG.dim))
+            rows[:, 0] = [3.0 if c == "1" else -3.0 for c in starts]
+            rows[:, b] = [3.0 if c == "1" else -3.0 for c in ends]
+            records[key] = rows
+            doc_id = key.split("/")[0]
+            text = " ".join(f"{doc_id}w{t}" for t in range(len(starts)))
+            docs.setdefault(doc_id, []).append(Paragraph.from_text(text))
+        corpus = CorpusStore([Document(d, d, paras) for d, paras in docs.items()])
+        write_embedding_file(tmp_path / "emb.bin", records, SMALL_CONFIG.dim)
+        encoder = PrecomputedEncoder(tmp_path / "emb.bin", SMALL_CONFIG)
+        w = np.zeros(b)
+        w[0] = 2.0
+        model = FilterModel(w, 0.0, w.copy(), 0.0, threshold=0.5)
+        index = build_small_index(
+            corpus, tmp_path / "idx", max_span=self.MAX_SPAN, ivf_clusters=3,
+            encoder=encoder, filter_model=model,
+        )
+        return corpus, encoder, model, index
+
+    def test_matches_one_phrase_at_a_time_enumeration(self, tmp_path):
+        corpus, encoder, model, index = self._filtered_build(tmp_path)
+        paras, recs, ends, coh = _reference_phrase_table(corpus, encoder, model, self.MAX_SPAN)
+        assert index.para_table.tolist() == paras
+        assert index.start_records.tolist() == recs
+        assert index.end_entries.tolist() == ends
+        assert np.array_equal(index.coherency, np.array(coh, dtype="<f4"))
+        assert index.n_phrases == len(ends) > 0
+        # The corpus reaches every edge it was written for.
+        table = index.para_table
+        assert ((table["n_tokens"] < self.MAX_SPAN) & (table["n_tokens"] > 1)).any()
+        assert (table["n_tokens"] == 1).any()
+        assert ((table["n_recs"] == 0) & (table["n_tokens"] > 1)).any()
+        d2 = int(np.flatnonzero(table["doc"] == 2)[0])
+        lo, n = int(table[d2]["rec_begin"]), int(table[d2]["n_recs"])
+        assert n > 0 and (index.start_records["n_ends"][lo : lo + n] == 0).all()
+
+
+class TestCrashSafeBuild:
+    def test_failed_build_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        from phraseindex import search
+
+        rng = np.random.default_rng(13)
+        corpus = make_random_corpus(rng, n_docs=4)
+        enc = ToyEncoder(SMALL_CONFIG, seed=0)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("k-means failed")
+
+        monkeypatch.setattr(search, "kmeans_train", fail)
+        with pytest.raises(RuntimeError, match="k-means failed"):
+            build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=3))
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.undo()
+        build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=3))
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+        assert load_index(tmp_path / "idx").counts["docs"] == 4
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "idx").stat().st_mode) == 0o777 & ~umask
+
+
+class TestDefaultCellCount:
+    @pytest.mark.parametrize("n_tokens, cells", [(10, 10), (40, 26), (100, 40)])
+    def test_four_root_n_capped_at_the_rows(self, tmp_path, n_tokens, cells):
+        # ceil(4 * sqrt(10)) = 13 is capped at 10 rows; ceil(4 * sqrt(40)) = 26.
+        text = " ".join(f"w{k}" for k in range(n_tokens))
+        corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text(text)])])
+        enc = ToyEncoder(SMALL_CONFIG, seed=0)
+        build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=2))
+        assert load_index(tmp_path / "idx").ivf.centroids.shape[0] == cells
+
+
+def test_postings_decode_to_the_inverted_index_of_the_doc_vectors(tmp_path):
+    rng = np.random.default_rng(14)
+    corpus = make_random_corpus(rng, n_docs=30, vocab=40)
+    index = build_small_index(corpus, tmp_path / "idx")
+    want = build_inverted_index(index.doc_vectors).postings
+    got = index.postings.postings
+    assert sorted(got) == sorted(want) and len(got) > 50
+    for b, (docs, weights) in want.items():
+        assert got[b][0].dtype == np.int64 and got[b][1].dtype == np.float64
+        assert np.array_equal(got[b][0], docs)
+        assert np.array_equal(got[b][1], weights)

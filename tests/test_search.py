@@ -8,6 +8,8 @@ from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.search import (
     QueryVector,
     SearchConfig,
+    _ASSIGN_BLOCK,
+    _assign,
     _end_ranges,
     _para_sparse,
     _ranges,
@@ -95,6 +97,23 @@ class TestKmeans:
         ivf = kmeans_train(rows, 6, seed=0)
         assigned = np.concatenate(ivf.lists)
         assert sorted(assigned.tolist()) == list(range(40))
+
+    def test_blocked_assign_equals_one_matrix(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(2 * _ASSIGN_BLOCK + 37, 5))
+        centroids = rng.normal(size=(23, 5))
+        d2 = -2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
+        assert np.array_equal(_assign(rows, centroids), np.argmin(d2, axis=1))
+
+    def test_lists_are_the_cells_of_the_final_assignment(self):
+        rng = np.random.default_rng(5)
+        rows = np.vstack([rng.normal(size=(1500, 4)), np.zeros((3, 4))])  # a few duplicate rows
+        ivf = kmeans_train(rows, 40, seed=3)
+        assign = _assign(rows, ivf.centroids)
+        assert len(ivf.lists) == 40
+        for c, members in enumerate(ivf.lists):
+            assert members.dtype == np.int64
+            assert np.array_equal(members, np.flatnonzero(assign == c))
 
 
 class TestExactSearch:

@@ -221,6 +221,30 @@ def test_inverted_index_reconstruction_is_bit_exact():
         np.testing.assert_array_equal(orig.weights, back.weights)
 
 
+def test_inverted_index_matches_per_entry_reference():
+    rng = np.random.default_rng(7)
+    doc_vecs = []
+    for d in range(25):
+        n = 0 if d % 6 == 0 else int(rng.integers(1, 12))  # some documents are empty
+        bins = np.sort(rng.choice(40, size=n, replace=False)).astype(np.int64)
+        doc_vecs.append(SparseVector(bins, rng.normal(size=n)))
+    want: dict[int, tuple[list[int], list[float]]] = {}
+    for d, vec in enumerate(doc_vecs):
+        for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
+            want.setdefault(b, ([], []))[0].append(d)
+            want[b][1].append(w)
+    index = build_inverted_index(doc_vecs)
+    assert index.n_docs == 25
+    assert sorted(index.postings) == sorted(want)
+    for b, (docs, weights) in want.items():
+        got_docs, got_weights = index.postings[b]
+        assert got_docs.dtype == np.int64 and got_weights.dtype == np.float64
+        assert got_docs.tolist() == docs and got_weights.tolist() == weights
+    empty = build_inverted_index([SparseVector.empty(), SparseVector.empty()])
+    assert empty.n_docs == 2 and empty.postings == {}
+    assert build_inverted_index([]).postings == {}
+
+
 class TestLearnedSparse:
     def test_zero_transforms_give_zero_output(self):
         rng = np.random.default_rng(7)
