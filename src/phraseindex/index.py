@@ -5,6 +5,12 @@ phrases.bin, coherency.bin, quant.bin, sparse_docs.bin, postings.bin,
 filter.bin, encoder.bin, optional ivf.bin) and corpus.jsonl. Every binary
 section is little-endian and begins with a magic + tag + version header; the
 manifest records a checksum for each file.
+
+phrases.bin holds, after its header, (n_paragraphs, n_tokens) as two u64,
+the PARA_DTYPE paragraph table, then the start and the end survival masks,
+each as np.packbits of one bit per token over the whole corpus in token
+order. Nothing per start or per phrase is stored: PhraseIndex derives the
+phrase table from the masks at open.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +40,14 @@ from .sparse import (
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
 
 PARA_DTYPE = np.dtype(
     [("doc", "<u4"), ("para", "<u4"), ("rec_begin", "<u8"), ("n_recs", "<u4"), ("n_tokens", "<u4")]
 )
+# Layouts of PhraseIndex.start_records and .end_entries, derived at open.
 REC_DTYPE = np.dtype(
     [("doc", "<u4"), ("para", "<u4"), ("tok", "<u4"), ("ends_begin", "<u8"), ("n_ends", "<u4")]
 )
@@ -278,15 +286,14 @@ def _load_encoder_section(path: Path) -> tuple[EncoderConfig, ToyEncoder | None]
 
 
 def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
-    """A paragraph's phrases from its survival masks: the surviving start
-    tokens, each one's number of ends, and the (start, end) token pair of
-    every phrase in (start, end) order. The ends of start i are the surviving
+    """The (start, end) token pair of every phrase of a paragraph, in (start,
+    end) order, from its survival masks. The ends of start i are the surviving
     tokens of the window [i, i + max_span) that fall inside the paragraph."""
     starts = np.flatnonzero(smask)
     window = starts[:, None] + np.arange(min(max_span, emask.size))
     ok = window < emask.size
     ok[ok] = emask[window[ok]]
-    return starts, ok.sum(axis=1), np.broadcast_to(starts[:, None], window.shape)[ok], window[ok]
+    return np.broadcast_to(starts[:, None], window.shape)[ok], window[ok]
 
 
 def _fsync_tree(path: Path) -> None:
@@ -315,14 +322,15 @@ def build_index(
 ) -> Path:
     """Encode each paragraph once, then write a new index directory.
 
-    One pass over the corpus encodes each paragraph and keeps its surviving
-    start/end rows, fills the quantization reservoirs, and builds its phrase
-    table (start records, end entries, coherency values) as numpy arrays.
-    The kept rows are quantized once the reservoirs are fitted, and each
-    section is written from arrays concatenated once. The build is atomic:
-    everything lands in a fresh temp directory beside out_dir, which is
-    fsynced and renamed at the end and removed if the build fails, so a
-    partial build is never visible and never blocks the next one.
+    One pass over the corpus encodes each paragraph and keeps its survival
+    masks, its surviving start/end rows and the coherency value of each of
+    its phrases, and fills the quantization reservoirs. The kept rows are
+    quantized once the reservoirs are fitted, and each section is written
+    from arrays concatenated once. phrases.bin stores the paragraph table and
+    the two masks, bit-packed; the phrases themselves are derived at open.
+    The build is atomic: everything lands in a fresh temp directory beside
+    out_dir, which is fsynced and renamed at the end and removed if the build
+    fails, so a partial build is never visible and never blocks the next one.
     """
     config = config or BuildConfig()
     out_dir = Path(out_dir)
@@ -340,8 +348,8 @@ def build_index(
     start_rows: list[np.ndarray] = []  # surviving start/end columns, float64
     end_rows: list[np.ndarray] = []
     para_rows: list[tuple] = []
-    records: list[np.ndarray] = []
-    end_entries: list[np.ndarray] = []
+    start_masks: list[np.ndarray] = []
+    end_masks: list[np.ndarray] = []
     coherency: list[np.ndarray] = []
     doc_vectors = [tfidf.embed(doc) for doc in corpus]
     para_vectors: list[SparseVector] = []
@@ -351,26 +359,21 @@ def build_index(
         if H.n_tokens != para.n_tokens:
             raise ValueError(f"encoder returned {H.n_tokens} rows for {para.n_tokens} tokens")
         smask, emask = apply_filter(H, filter_model)
-        starts, n_ends, ii, jj = _phrase_table(smask, emask, config.max_span)
-        start_rows.append(H.start_cols[starts])
+        ii, jj = _phrase_table(smask, emask, config.max_span)
+        start_rows.append(H.start_cols[smask])
         end_rows.append(H.end_cols[emask])
         start_res.add(start_rows[-1])
         end_res.add(end_rows[-1])
 
-        rec = np.empty(starts.size, dtype=REC_DTYPE)
-        rec["doc"], rec["para"], rec["tok"], rec["n_ends"] = ord_, pidx, starts, n_ends
-        rec["ends_begin"] = n_phrases + np.cumsum(n_ends) - n_ends
-        ends = np.empty(jj.size, dtype=END_DTYPE)
-        ends["tok"] = jj
-        ends["row"] = n_end_rows + np.cumsum(emask)[jj] - 1  # rank among the surviving ends
         coh = H.coh_head_cols @ H.coh_tail_cols.T
-        records.append(rec)
-        end_entries.append(ends)
+        start_masks.append(smask)
+        end_masks.append(emask)
         coherency.append(coh[ii, jj].astype("<f4"))
-        para_rows.append((ord_, pidx, n_recs, starts.size, para.n_tokens))
+        n_starts = start_rows[-1].shape[0]
+        para_rows.append((ord_, pidx, n_recs, n_starts, para.n_tokens))
         para_vectors.append(combine_doc_para(doc_vectors[ord_], tfidf.embed(para)))
         n_tokens += para.n_tokens
-        n_recs += starts.size
+        n_recs += n_starts
         n_phrases += jj.size
         n_end_rows += end_rows[-1].shape[0]
     if n_phrases == 0:
@@ -408,10 +411,10 @@ def build_index(
             fh.write(np.concatenate(coherency).tobytes())
         with open(tmp / "phrases.bin", "wb") as fh:
             _write_header(fh, b"PHRS")
-            fh.write(struct.pack("<QQQ", len(para_rows), n_recs, n_phrases))
+            fh.write(struct.pack("<QQ", len(para_rows), n_tokens))
             fh.write(np.array(para_rows, dtype=PARA_DTYPE).tobytes())
-            fh.write(np.concatenate(records).tobytes())
-            fh.write(np.concatenate(end_entries).tobytes())
+            fh.write(np.packbits(np.concatenate(start_masks)).tobytes())
+            fh.write(np.packbits(np.concatenate(end_masks)).tobytes())
         with open(tmp / "sparse_docs.bin", "wb") as fh:
             _write_header(fh, b"SPRS")
             df_bins = np.array(sorted(tfidf.doc_freq), dtype="<u4")
@@ -510,6 +513,25 @@ class PhraseIndex:
     Large vector sections stay on disk as memory maps and are dequantized per
     accessed row range; small sections are parsed once at load. Any number of
     concurrent readers may share a directory; each handle is independent.
+
+    The phrase table is derived at open from the paragraph table and the two
+    survival masks. Start record r is the r-th surviving start token and
+    owns start row r; end row e is the e-th surviving end token. For a start
+    record at global token g, in a paragraph of n tokens beginning at global
+    token B, with end_rank[g] the number of surviving end tokens before g:
+      rec_para       the paragraph holding g
+      rec_tok        g - B
+      rec_end_row    end_rank[g], the first end row of its phrases
+      rec_n_ends     end_rank[min(g + max_span, B + n)] - end_rank[g]
+      rec_ends_begin the exclusive cumsum of rec_n_ends: the record's first
+                     phrase id, which is also its first coherency value
+    Its phrases end at end rows rec_end_row .. + rec_n_ends - 1, in order, and
+    end_tok[e] is the paragraph-local token of end row e. end_rank never
+    decreases, so neither does rec_end_row, records without ends included.
+    Document d owns paragraph rows [doc_para_begin[d], doc_para_begin[d + 1])
+    and start records [doc_rec_begin[d], doc_rec_begin[d + 1]). These arrays
+    are O(tokens); nothing per phrase is built unless start_records or
+    end_entries is read.
     """
 
     def __init__(self, path: str | Path):
@@ -545,19 +567,23 @@ class PhraseIndex:
 
         with open(self.path / "phrases.bin", "rb") as fh:
             _check_header(fh, b"PHRS", "phrases.bin")
-            n_para, n_recs, n_ends = struct.unpack("<QQQ", fh.read(24))
-            base = fh.tell()
-        self.para_table = np.memmap(
-            self.path / "phrases.bin", dtype=PARA_DTYPE, mode="r", offset=base, shape=(n_para,)
-        )
-        rec_off = base + n_para * PARA_DTYPE.itemsize
-        self.start_records = np.memmap(
-            self.path / "phrases.bin", dtype=REC_DTYPE, mode="r", offset=rec_off, shape=(n_recs,)
-        )
-        end_off = rec_off + n_recs * REC_DTYPE.itemsize
-        self.end_entries = np.memmap(
-            self.path / "phrases.bin", dtype=END_DTYPE, mode="r", offset=end_off, shape=(n_ends,)
-        )
+            head = fh.read(16)
+            body = fh.read()
+        if len(head) < 16:
+            raise ValueError("section phrases.bin: truncated")
+        n_para, n_tokens = struct.unpack("<QQ", head)
+        table_bytes = n_para * PARA_DTYPE.itemsize
+        mask_bytes = -(-n_tokens // 8)
+        if len(body) != table_bytes + 2 * mask_bytes:
+            raise ValueError(
+                f"section phrases.bin: {len(body)} bytes after the counts, expected "
+                f"{table_bytes + 2 * mask_bytes} for {n_para} paragraphs and {n_tokens} tokens"
+            )
+        self.para_table = np.frombuffer(body, dtype=PARA_DTYPE, count=n_para)
+        # unpackbits pads a short buffer with zeros, hence the exact size check above.
+        masks = np.frombuffer(body, np.uint8, 2 * mask_bytes, table_bytes)
+        start_mask = np.unpackbits(masks[:mask_bytes], count=n_tokens)
+        end_mask = np.unpackbits(masks[mask_bytes:], count=n_tokens)
         with open(self.path / "coherency.bin", "rb") as fh:
             _check_header(fh, b"COHR", "coherency.bin")
             (n_coh,) = struct.unpack("<Q", fh.read(8))
@@ -565,6 +591,7 @@ class PhraseIndex:
         self.coherency = np.memmap(
             self.path / "coherency.bin", dtype="<f4", mode="r", offset=coh_off, shape=(n_coh,)
         )
+        self._derive_phrase_table(start_mask, end_mask, int(n_coh))
 
         with open(self.path / "sparse_docs.bin", "rb") as fh:
             _check_header(fh, b"SPRS", "sparse_docs.bin")
@@ -630,23 +657,51 @@ class PhraseIndex:
             ]
             self.ivf = IvfIndex(centroids=centroids, lists=lists)
 
-        # Paragraph lookup: (doc ordinal, para idx) -> para_table row.
-        self._para_row = {
-            (int(r["doc"]), int(r["para"])): k for k, r in enumerate(self.para_table)
-        }
-        # Per-record lookups for search. Records are stored in (doc, para, tok)
-        # order, so document d owns records [doc_rec_begin[d], doc_rec_begin[d + 1]).
-        self.rec_para = np.repeat(np.arange(n_para), self.para_table["n_recs"].astype(np.int64))
-        self.rec_ends_begin = self.start_records["ends_begin"].astype(np.int64)
-        self.rec_n_ends = self.start_records["n_ends"].astype(np.int64)
-        # A record's ends sit at consecutive end rows, from rec_end_row[r] on.
-        # A record without ends takes the value before it, which keeps the
-        # array nondecreasing.
-        has_ends = self.rec_n_ends > 0
-        first_end_row = np.zeros(n_recs, dtype=np.int64)
-        first_end_row[has_ends] = self.end_entries["row"][self.rec_ends_begin[has_ends]]
-        self.rec_end_row = np.maximum.accumulate(first_end_row)
-        self.doc_rec_begin = np.searchsorted(self.start_records["doc"], np.arange(counts["docs"] + 1))
+    def _derive_phrase_table(self, start_mask: np.ndarray, end_mask: np.ndarray, n_coh: int) -> None:
+        """Per-record and per-end-row arrays from the paragraph table and the
+        two survival masks, in O(tokens), checked against the other sections."""
+
+        def bad(what: str) -> ValueError:
+            return ValueError(f"section phrases.bin: {what}")
+
+        table, n_docs = self.para_table, self.n_docs
+        doc = table["doc"].astype(np.int64)
+        para_len = table["n_tokens"].astype(np.int64)
+        para_stop = np.cumsum(para_len)
+        para_base = para_stop - para_len
+        self.doc_para_begin = np.searchsorted(doc, np.arange(n_docs + 1))
+        if (
+            (np.diff(doc) < 0).any()
+            or self.doc_para_begin[-1] != doc.size
+            or not np.array_equal(table["para"], np.arange(doc.size) - self.doc_para_begin[doc])
+        ):
+            raise bad("paragraph table is not in (doc, para) order")
+        if int(para_len.sum()) != start_mask.size:
+            raise bad("paragraph lengths do not add up to the token count")
+        if int(start_mask.sum()) != self.n_start_rows or int(end_mask.sum()) != self.n_end_rows:
+            raise bad("mask sums disagree with the rows of starts.bin/ends.bin")
+
+        starts = np.flatnonzero(start_mask)
+        self.rec_para = np.searchsorted(para_stop, starts, side="right")
+        n_recs = np.bincount(self.rec_para, minlength=doc.size)
+        rec_stop = np.cumsum(n_recs)
+        if not (
+            np.array_equal(table["n_recs"], n_recs)
+            and np.array_equal(table["rec_begin"], rec_stop - n_recs)
+        ):
+            raise bad("paragraph table's records disagree with the start mask")
+        self.rec_tok = starts - para_base[self.rec_para]
+        end_rank = np.zeros(end_mask.size + 1, dtype=np.int64)
+        np.cumsum(end_mask, out=end_rank[1:])
+        self.rec_end_row = end_rank[starts]
+        window_stop = np.minimum(starts + self.max_span, para_stop[self.rec_para])
+        self.rec_n_ends = end_rank[window_stop] - self.rec_end_row
+        self.rec_ends_begin = np.cumsum(self.rec_n_ends) - self.rec_n_ends
+        if int(self.rec_n_ends.sum()) != n_coh:
+            raise bad(f"masks give {int(self.rec_n_ends.sum())} phrases, coherency.bin holds {n_coh}")
+        ends = np.flatnonzero(end_mask)
+        self.end_tok = ends - para_base[np.searchsorted(para_stop, ends, side="right")]
+        self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
 
     def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
         with open(self.path / name, "rb") as fh:
@@ -692,7 +747,12 @@ class PhraseIndex:
         return self.corpus.doc_by_ordinal(ordinal).title
 
     def para_row(self, doc_ordinal: int, para_idx: int) -> int:
-        return self._para_row[(doc_ordinal, para_idx)]
+        """para_table row of a paragraph; KeyError if the index has no such paragraph."""
+        if 0 <= doc_ordinal < self.n_docs:
+            begin, stop = self.doc_para_begin[doc_ordinal : doc_ordinal + 2]
+            if 0 <= para_idx < stop - begin:
+                return int(begin) + para_idx
+        raise KeyError((doc_ordinal, para_idx))
 
     def para_vector(self, para_row: int) -> SparseVector:
         """Combined document + paragraph sparse vector for a para_table row,
@@ -702,6 +762,33 @@ class PhraseIndex:
 
     def span_text(self, ref: SpanRef) -> str:
         return self.corpus.span_text(ref)
+
+    # -- per-record and per-phrase tables, built on first use ---------------
+    # Search never reads these: they exist for callers that want the phrase
+    # table as records, and they cost memory per phrase.
+
+    @cached_property
+    def start_records(self) -> np.ndarray:
+        """One read-only REC_DTYPE record per stored start row."""
+        recs = np.empty(self.n_start_rows, dtype=REC_DTYPE)
+        recs["doc"] = self.para_table["doc"][self.rec_para]
+        recs["para"] = self.para_table["para"][self.rec_para]
+        recs["tok"] = self.rec_tok
+        recs["ends_begin"] = self.rec_ends_begin
+        recs["n_ends"] = self.rec_n_ends
+        recs.flags.writeable = False
+        return recs
+
+    @cached_property
+    def end_entries(self) -> np.ndarray:
+        """One read-only END_DTYPE (end token, end row) entry per phrase."""
+        owner = np.repeat(np.arange(self.n_start_rows), self.rec_n_ends)
+        rows = self.rec_end_row[owner] + np.arange(owner.size) - self.rec_ends_begin[owner]
+        entries = np.empty(rows.size, dtype=END_DTYPE)
+        entries["tok"] = self.end_tok[rows]
+        entries["row"] = rows
+        entries.flags.writeable = False
+        return entries
 
 
 def load_index(path: str | Path) -> PhraseIndex:

@@ -217,18 +217,19 @@ def _score_starts(
     results = []
     for c, k in zip(top, owners):
         r = int(recs[k])
-        rec = index.start_records[r]
-        doc_ord = int(rec["doc"])
+        para = index.para_table[rec_paras[k]]
+        doc_ord = int(para["doc"])
         at = c - (phrase_stop[k] - n_ends[k])  # the phrase's place among its record's ends
         phrase = ends_begin[k] + at
+        end = end_first[k] + at  # the phrase's end row, as a position in end_rows
         ref = SpanRef(
             doc_id=index.doc_id(doc_ord),
-            para_idx=int(rec["para"]),
-            i=int(rec["tok"]),
-            j=int(index.end_entries[phrase]["tok"]),
+            para_idx=int(para["para"]),
+            i=int(index.rec_tok[r]),
+            j=int(index.end_tok[end_rows[end]]),
         )
         dense = (
-            start_logits[k] + end_logits[end_first[k] + at]
+            start_logits[k] + end_logits[end]
             + np.float64(index.coherency[phrase]) * query.dense.coherency
         )
         results.append(
@@ -274,7 +275,7 @@ def _dfs_starts(
 
 
 def _docs_of(index: "PhraseIndex", recs: np.ndarray) -> frozenset[int]:
-    return frozenset(index.start_records["doc"][recs].tolist())
+    return frozenset(index.para_table["doc"][index.rec_para[recs]].tolist())
 
 
 def exact_search(

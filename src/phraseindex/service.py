@@ -17,6 +17,7 @@ from .index import PhraseIndex
 from .search import STRATEGIES, SearchConfig, embed_question, run_search
 
 REQUEST_TIMEOUT_S = 30.0  # a connection that sends nothing for this long is closed
+MAX_BODY_BYTES = 1 << 20  # a longer Content-Length gets 413, and the body is not read
 
 _log = logging.getLogger(__name__)
 _ARTICLES = {"a", "an", "the"}
@@ -189,6 +190,11 @@ class _QueryHandler(BaseHTTPRequestHandler):
             # The body's extent is unknown, so the connection cannot be reused.
             self.close_connection = True
             self._send_json(400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(413, {"error": f"request body over {MAX_BODY_BYTES} bytes"})
             return
         try:
             body = self.rfile.read(length)

@@ -1,5 +1,6 @@
 """Quantization, filter application, index build/load, and size arithmetic."""
 
+import hashlib
 import json
 import os
 import stat
@@ -372,6 +373,74 @@ class TestPhraseTable:
         d2 = int(np.flatnonzero(table["doc"] == 2)[0])
         lo, n = int(table[d2]["rec_begin"]), int(table[d2]["n_recs"])
         assert n > 0 and (index.start_records["n_ends"][lo : lo + n] == 0).all()
+
+
+def _rewrite_section(index_dir, name, data):
+    """Replace a section and its manifest entry, so that only the section's
+    own structure checks can catch the change."""
+    (index_dir / name).write_bytes(data)
+    manifest_path = index_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sections"][name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestPhrasesSection:
+    def test_size_does_not_depend_on_max_span(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(15), n_docs=6)
+        short = build_small_index(corpus, tmp_path / "short", max_span=2)
+        long = build_small_index(corpus, tmp_path / "long", max_span=20)
+        assert long.n_phrases > 2 * short.n_phrases
+        assert (tmp_path / "short" / "phrases.bin").stat().st_size == (
+            tmp_path / "long" / "phrases.bin"
+        ).stat().st_size
+
+    @pytest.fixture
+    def keep_all_dir(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(16), n_docs=5)
+        index = build_small_index(corpus, tmp_path / "idx")
+        # Header, the two counts, then the paragraph table: the start mask follows.
+        return tmp_path / "idx", 12 + 16 + len(index.para_table) * 24, -(-index.counts["tokens"] // 8)
+
+    @pytest.mark.parametrize("keep", [14, 40, -1])
+    def test_cut_short_names_the_file(self, keep_all_dir, keep):
+        index_dir, _, _ = keep_all_dir
+        raw = (index_dir / "phrases.bin").read_bytes()
+        _rewrite_section(index_dir, "phrases.bin", raw[:keep])
+        with pytest.raises(ValueError, match="phrases.bin"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("mask", ["start", "end"])
+    def test_mask_sum_must_match_the_stored_rows(self, keep_all_dir, mask):
+        index_dir, start_mask_at, mask_bytes = keep_all_dir
+        raw = bytearray((index_dir / "phrases.bin").read_bytes())
+        raw[start_mask_at + (mask_bytes if mask == "end" else 0)] ^= 0x80  # token 0's bit
+        _rewrite_section(index_dir, "phrases.bin", bytes(raw))
+        with pytest.raises(ValueError, match="phrases.bin.*starts.bin/ends.bin"):
+            load_index(index_dir)
+
+    def test_paragraph_record_counts_must_match_the_start_mask(self, keep_all_dir):
+        index_dir, _, _ = keep_all_dir
+        raw = bytearray((index_dir / "phrases.bin").read_bytes())
+        n_recs_at = 12 + 16 + 16  # paragraph 0's n_recs field
+        raw[n_recs_at] ^= 1
+        _rewrite_section(index_dir, "phrases.bin", bytes(raw))
+        with pytest.raises(ValueError, match="phrases.bin.*start mask"):
+            load_index(index_dir)
+
+
+def test_para_row_round_trips_and_rejects_missing_paragraphs(tmp_path):
+    corpus = make_random_corpus(np.random.default_rng(17), n_docs=7, paras_per_doc=(1, 3))
+    index = build_small_index(corpus, tmp_path / "idx")
+    table = index.para_table
+    for row in range(len(table)):
+        assert index.para_row(int(table[row]["doc"]), int(table[row]["para"])) == row
+    for d in range(corpus.n_docs):
+        with pytest.raises(KeyError):
+            index.para_row(d, len(corpus.doc_by_ordinal(d).paragraphs))
+    for missing in [(-1, 0), (corpus.n_docs, 0), (0, -1)]:
+        with pytest.raises(KeyError):
+            index.para_row(*missing)
 
 
 class TestCrashSafeBuild:

@@ -438,6 +438,20 @@ def test_para_sparse_same_bits_in_any_subset(random_index):
             assert np.array_equal(_para_sparse(index, q, subset), full[subset])
 
 
+def test_search_and_service_never_build_the_per_phrase_tables(random_index):
+    from phraseindex.index import load_index
+    from phraseindex.service import handle_query
+
+    index = load_index(random_index.path)
+    q = embed_question(index, "w001 w002 w003")
+    for strategy in ("exact", "sfs", "dfs", "hybrid"):
+        assert run_search(index, q, SearchConfig(strategy=strategy, top_k=5)).results
+    assert handle_query(index, {"question": "w001 w002"}, SearchConfig())["results"]
+    assert "start_records" not in vars(index) and "end_entries" not in vars(index)
+    assert index.start_records.tolist() == random_index.start_records.tolist()
+    assert not index.end_entries.flags.writeable
+
+
 def test_run_search_dispatch(random_index):
     q = embed_question(random_index, "w001")
     for strategy in ("exact", "sfs", "dfs", "hybrid"):

@@ -173,6 +173,21 @@ class TestHttpService:
         finally:
             conn.close()
 
+    def test_oversized_body_is_413_and_closes(self, served_index):
+        _, base = served_index
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000000000000\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # ends only when the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+
     def test_unexpected_error_is_500(self, tmp_path):
         # An index built from precomputed embeddings has no question encoder,
         # so embed_question raises RuntimeError inside the handler.
