@@ -6,14 +6,17 @@ import json
 import re
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 _CHUNK_RE = re.compile(r"\S+")
 _PUNCT = frozenset(string.punctuation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A surface form with its character range in the paragraph text."""
 
@@ -37,6 +40,15 @@ class Paragraph:
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
+
+    @cached_property
+    def ngram_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hashed unigram/bigram bins of the lowercased tokens and their counts,
+        taken on first use and kept: a build's tf-idf fit and its document and
+        paragraph embeds all read them. The tokens must not change after."""
+        from .sparse import ngram_counts  # deferred: sparse imports this module
+
+        return ngram_counts([t.surface.lower() for t in self.tokens])
 
 
 @dataclass

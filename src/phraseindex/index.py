@@ -32,7 +32,9 @@ import numpy as np
 from .corpus import CorpusStore, SpanRef, load_corpus
 from .dense import Encoder, EncoderConfig, ToyEncoder
 from .sparse import (
+    NGRAM_BINS,
     InvertedIndex,
+    PostingLists,
     SparseVector,
     TfIdfModel,
     build_inverted_index,
@@ -617,16 +619,14 @@ class PhraseIndex:
             weights = _read_sized(fh, "<f4")
         # One running sum over all deltas, less its value before each bin's head.
         docs = np.cumsum(deltas, dtype=np.int64)
-        heads = offsets[:-1].astype(np.int64)
-        docs -= np.repeat(docs[heads] - deltas[heads], np.diff(offsets).astype(np.int64))
-        weights = weights.astype(np.float64)
-        bounds = offsets.astype(np.int64).tolist()
+        offsets = offsets.astype(np.int64)
+        heads = offsets[:-1]
+        docs -= np.repeat(docs[heads] - deltas[heads], np.diff(offsets))
         self.postings = InvertedIndex(
             n_docs=counts["docs"],
-            postings={
-                b: (docs[lo:hi], weights[lo:hi])
-                for b, lo, hi in zip(bins.tolist(), bounds[:-1], bounds[1:])
-            },
+            postings=PostingLists(
+                bins.astype(np.int64), offsets, docs, weights.astype(np.float64)
+            ),
         )
 
         with open(self.path / "filter.bin", "rb") as fh:
@@ -740,6 +740,12 @@ class PhraseIndex:
     def dequant_end_rows(self, rows: np.ndarray | slice) -> np.ndarray:
         return dequantize(np.asarray(self.end_codes[rows]), self.end_quant)
 
+    def code_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The start codes, end codes and coherency values as plain ndarray
+        views of their memory maps: nothing is copied, and indexing a view
+        skips the per-call overhead of memmap.__getitem__."""
+        return np.asarray(self.start_codes), np.asarray(self.end_codes), np.asarray(self.coherency)
+
     def doc_id(self, ordinal: int) -> str:
         return self.corpus.doc_by_ordinal(ordinal).id
 
@@ -762,6 +768,16 @@ class PhraseIndex:
 
     def span_text(self, ref: SpanRef) -> str:
         return self.corpus.span_text(ref)
+
+    @cached_property
+    def para_keys(self) -> np.ndarray:
+        """para_row * NGRAM_BINS + bin for each entry of the paragraph CSR:
+        ascending over the whole array, so one searchsorted finds any
+        (paragraph, bin) pair. Built on first use, O(paragraph entries)."""
+        rows = np.arange(self.para_offsets.size - 1)
+        keys = np.repeat(rows * NGRAM_BINS, np.diff(self.para_offsets))
+        keys += self.para_bins
+        return keys
 
     # -- per-record and per-phrase tables, built on first use ---------------
     # Search never reads these: they exist for callers that want the phrase

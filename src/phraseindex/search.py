@@ -6,6 +6,14 @@ dense-first (DFS) the best start rows found by an IVF probe, and hybrid the
 union of the SFS and DFS sets. One kernel then scores every phrase starting at
 those records and keeps the top k, so a phrase gets the same score under every
 strategy, and hybrid scores the union once.
+
+The kernel takes the records in fixed-size blocks. A block's start and end
+logits are inner products with the int8 codes, the quantizer's affine map
+folded into the query, so no float copy of a stored vector is kept. Its
+phrases form a rectangle of records by window offsets, scored in float64 and
+cut to the block's best before the next block, so the scratch per query does
+not grow with the number of records. The output counts the start rows and
+phrases scored.
 """
 
 from __future__ import annotations
@@ -17,11 +25,11 @@ import numpy as np
 
 from .corpus import SpanRef, tokenize
 from .dense import QueryDenseVector, question_dense
-from .sparse import SparseVector, _top_k, retrieve_top_docs
+from .sparse import NGRAM_BINS, SparseVector, _top_k, retrieve_top_docs
 from .sparse import sparse_score  # noqa: F401  (callers import it from here)
 
 if TYPE_CHECKING:
-    from .index import PhraseIndex
+    from .index import PhraseIndex, QuantizationParams
 
 STRATEGIES = ("exact", "sfs", "dfs", "hybrid")
 
@@ -83,6 +91,8 @@ class SearchOutput:
     results: list[SearchResult]
     visited_doc_ordinals: frozenset[int]
     strategy: str
+    start_rows_scored: int  # start records the kernel scored
+    phrases_scored: int  # phrases starting at them, each scored once
 
     @property
     def docs_visited(self) -> int:
@@ -108,18 +118,29 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
 # ---------------------------------------------------------------------------
 
 
-_LOGIT_BLOCK = 1024  # rows dequantized at a time, to bound the float64 scratch
+_BLOCK = 2048  # start records scored at a time; bounds the kernel's scratch
+_LOGIT_BLOCK = 1024  # code rows converted to float64 at a time
 
 
-def _row_logits(
-    dequant: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, q: np.ndarray
+def _fold(quant: "QuantizationParams", q: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c0, w) with q . dequantize(codes) = c0 + codes . w for any code row:
+    the affine map minimums + (codes + 128) * scales folded into the query."""
+    return float(np.dot(q, quant.minimums + 128.0 * quant.scales)), q * quant.scales
+
+
+def _code_logits(
+    codes: np.ndarray, rows: np.ndarray, fold: tuple[float, np.ndarray]
 ) -> np.ndarray:
-    """Inner product of q with each stored row in `rows`, dequantized a block
-    at a time. A per-row reduction, unlike a BLAS matmul, gives a row the same
-    bits whichever other rows share its block."""
+    """Inner product of the query folded into `fold` with each int8 code row in
+    `rows`, converted to float64 a block of rows at a time. A per-row
+    reduction, unlike a BLAS matmul, gives a row the same bits whichever other
+    rows share its block."""
+    c0, w = fold
     out = np.empty(rows.size, dtype=np.float64)
     for b in range(0, rows.size, _LOGIT_BLOCK):
-        out[b : b + _LOGIT_BLOCK] = np.einsum("ij,j->i", dequant(rows[b : b + _LOGIT_BLOCK]), q)
+        block = np.take(codes, rows[b : b + _LOGIT_BLOCK], axis=0).astype(np.float64)
+        out[b : b + _LOGIT_BLOCK] = np.einsum("ij,j->i", block, w)
+    out += c0
     return out
 
 
@@ -157,20 +178,20 @@ def _end_ranges(begin: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _para_sparse(index: "PhraseIndex", q: SparseVector, paras: np.ndarray) -> np.ndarray:
-    """Sparse score of q against each paragraph vector in `paras`, in one pass
-    over their CSR entries. Each paragraph sums its matches in bin order, so
-    it gets the same bits whichever other paragraphs are scored with it."""
-    if q.is_empty:
+    """Sparse score of q against each paragraph vector in `paras`: one
+    searchsorted of every (paragraph, query bin) pair in index.para_keys.
+    Each paragraph sums its matches in bin order, so it gets the same bits
+    whichever other paragraphs are scored with it."""
+    keys = index.para_keys
+    if q.is_empty or keys.size == 0:
         return np.zeros(paras.size)
-    begin = index.para_offsets[paras]
-    count = index.para_offsets[paras + 1] - begin
-    entries = _ranges(begin, count)
-    bins = index.para_bins[entries]
-    pos = np.minimum(np.searchsorted(q.bins, bins), q.bins.size - 1)
-    hit = np.flatnonzero(q.bins[pos] == bins)
-    owner = np.searchsorted(np.cumsum(count), hit, side="right")
+    want = ((paras * NGRAM_BINS)[:, None] + q.bins).ravel()
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    hit = np.flatnonzero(keys[pos] == want)
     return np.bincount(
-        owner, weights=q.weights[pos[hit]] * index.para_weights[entries[hit]], minlength=paras.size
+        hit // q.bins.size,
+        weights=q.weights[hit % q.bins.size] * index.para_weights[pos[hit]],
+        minlength=paras.size,
     )
 
 
@@ -179,71 +200,103 @@ def _score_starts(
     query: QueryVector,
     recs: np.ndarray,
     config: SearchConfig,
-    label: Callable[[int], str],
-) -> list[SearchResult]:
+    visited: frozenset[int],
+    strategy: str,
+    label: Callable[[int], str] | None = None,
+) -> SearchOutput:
     """Score every stored phrase that starts at one of the ascending start
-    records `recs` and return the best config.top_k, labelled by start record.
+    records `recs`, keep the best config.top_k and count the work done. A
+    result is labelled label(start record), or `strategy` without a label.
 
-    Record r is start row r, and phrase ids ascend in (doc, para, i, j) order,
-    so ranking on (-score, phrase id) gives the documented tie-break. Every
-    term is computed per row, per phrase or per paragraph, so a phrase scores
-    the same bits whichever set of records it is scored in.
+    The records are scored _BLOCK at a time, each block as a rectangle of
+    records by window offsets t below the block's largest rec_n_ends, stored
+    offset-major so that per-record terms broadcast along long rows. Cell
+    (r, t) is phrase rec_ends_begin[r] + t, ending at end row rec_end_row[r]
+    + t, and is valid when t < rec_n_ends[r]. Its total is ((start + end) +
+    coherency * q_c) + sparse_scale * sparse, in float64; invalid cells score
+    -inf. Start and end logits come straight from the int8 codes, once per
+    row of the block. A block keeps every score at or above both its own
+    k-th best and the k-th best of an earlier block, ties included, so the
+    overall top k is among the kept cells. Record r is start row r and
+    phrase ids ascend in (doc, para, i, j) order, as do the kept cells,
+    block after block; ranking them on (-score, position) gives the
+    documented tie-break. Every term is computed per row, per phrase or per
+    paragraph, so a phrase scores the same bits in any set of records. The
+    scratch is O(_BLOCK x max_span), whatever the number of records.
     """
-    n_ends = index.rec_n_ends[recs]
-    ends_begin = index.rec_ends_begin[recs]
-    end_rows, end_first = _end_ranges(index.rec_end_row[recs], n_ends)
-    rec_paras = index.rec_para[recs]
-    para_begins = np.ones(recs.size, dtype=bool)  # rec_paras is nondecreasing
-    np.not_equal(rec_paras[1:], rec_paras[:-1], out=para_begins[1:])
-    para_of = np.cumsum(para_begins) - 1
-    sparse = _para_sparse(index, query.sparse, rec_paras[para_begins])
-    start_logits = _row_logits(index.dequant_start_rows, recs, query.dense.start)
-    end_logits = _row_logits(index.dequant_end_rows, end_rows, query.dense.end)
+    q = query.dense
+    start_fold = _fold(index.start_quant, q.start)
+    end_fold = _fold(index.end_quant, q.end)
+    start_codes, end_codes, coherency = index.code_arrays()
+    k = config.top_k
+    # A cell below the k-th best score of an earlier block cannot be in the top k.
+    floor = -np.finfo(np.float64).max
+    kept = []  # per block: score, start logit, end logit, sparse, position in recs, offset
+    n_scored = 0
+    for b in range(0, recs.size, _BLOCK):
+        blk = recs[b : b + _BLOCK]
+        n_ends = index.rec_n_ends[blk]
+        n_valid = int(n_ends.sum())
+        if n_valid == 0:
+            continue
+        n_scored += n_valid
+        offsets = np.arange(int(n_ends.max()))[:, None]  # rectangles are (offset, record)
+        begin = index.rec_end_row[blk]
+        lo, hi = int(begin[0]), int((begin + n_ends).max())
+        if hi - lo <= 2 * blk.size:  # few unused rows between: score the whole run
+            end_rows, end_first = np.arange(lo, hi), begin - lo
+        else:
+            end_rows, end_first = _end_ranges(begin, n_ends)
+        start = _code_logits(start_codes, blk, start_fold)
+        end = _code_logits(end_codes, end_rows, end_fold)
+        paras = index.rec_para[blk]
+        para_begins = np.ones(blk.size, dtype=bool)  # paras is nondecreasing
+        np.not_equal(paras[1:], paras[:-1], out=para_begins[1:])
+        sparse = _para_sparse(index, query.sparse, paras[para_begins])[np.cumsum(para_begins) - 1]
 
-    # total = ((start + end) + coherency) + scaled sparse, summed in place so
-    # that few phrase-sized arrays are alive at once. The top k's dense part
-    # is recomputed below in the same order, which gives the same bits.
-    total = np.repeat(start_logits, n_ends)
-    term = end_logits[_ranges(end_first, n_ends)]
-    total += term
-    coh = index.coherency[_ranges(ends_begin, n_ends)]
-    total += np.multiply(coh, query.dense.coherency, out=term, dtype=np.float64)
-    del term, coh
-    total += np.repeat(config.sparse_scale * sparse[para_of], n_ends)
+        total = np.take(end, end_first + offsets, mode="clip")
+        total += start
+        coh = np.take(coherency, index.rec_ends_begin[blk] + offsets, mode="clip")
+        total += np.multiply(coh, q.coherency, dtype=np.float64)
+        total += config.sparse_scale * sparse
+        total[offsets >= n_ends] = -np.inf
+        above = total[total >= floor]
+        if above.size > k:
+            above.partition(above.size - k)  # in place: the k-th best of the block is at size - k
+            floor = max(floor, float(above[above.size - k]))
+        del above
+        # Cells in (record, offset) order, that is by ascending phrase id.
+        row, t = np.divmod(np.flatnonzero((total >= floor).T), offsets.size)
+        kept.append((total[t, row], start[row], end[end_first[row] + t], sparse[row], b + row, t))
 
-    top = _top_k(total, config.top_k)
-    phrase_stop = np.cumsum(n_ends)
-    owners = np.searchsorted(phrase_stop, top, side="right")  # positions in recs
     results = []
-    for c, k in zip(top, owners):
-        r = int(recs[k])
-        para = index.para_table[rec_paras[k]]
-        doc_ord = int(para["doc"])
-        at = c - (phrase_stop[k] - n_ends[k])  # the phrase's place among its record's ends
-        phrase = ends_begin[k] + at
-        end = end_first[k] + at  # the phrase's end row, as a position in end_rows
-        ref = SpanRef(
-            doc_id=index.doc_id(doc_ord),
-            para_idx=int(para["para"]),
-            i=int(index.rec_tok[r]),
-            j=int(index.end_tok[end_rows[end]]),
+    if kept:
+        score, start_logit, end_logit, para_score, pos, offset = (
+            np.concatenate(c) for c in zip(*kept)
         )
-        dense = (
-            start_logits[k] + end_logits[end]
-            + np.float64(index.coherency[phrase]) * query.dense.coherency
-        )
-        results.append(
-            SearchResult(
-                text=index.span_text(ref),
-                span=ref,
-                score=float(total[c]),
-                dense_score=float(dense),
-                sparse_score=float(sparse[para_of[k]]),
-                doc_title=index.doc_title(doc_ord),
-                strategy=label(r),
+        for c in _top_k(score, k):
+            r, t = int(recs[pos[c]]), int(offset[c])
+            para = index.para_table[index.rec_para[r]]
+            doc_ord = int(para["doc"])
+            ref = SpanRef(
+                doc_id=index.doc_id(doc_ord),
+                para_idx=int(para["para"]),
+                i=int(index.rec_tok[r]),
+                j=int(index.end_tok[index.rec_end_row[r] + t]),
             )
-        )
-    return results
+            coh = np.float64(coherency[index.rec_ends_begin[r] + t])
+            results.append(
+                SearchResult(
+                    text=index.span_text(ref),
+                    span=ref,
+                    score=float(score[c]),
+                    dense_score=float(start_logit[c] + end_logit[c] + coh * q.coherency),
+                    sparse_score=float(para_score[c]),
+                    doc_title=index.doc_title(doc_ord),
+                    strategy=label(r) if label else strategy,
+                )
+            )
+    return SearchOutput(results, visited, strategy, recs.size, n_scored)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +323,8 @@ def _dfs_starts(
         raise ValueError("missing ivf section: build the index with build_ivf=True")
     probe = _top_k(ivf.centroids @ query.dense.start, config.nprobe)
     cand_rows = np.sort(np.concatenate([ivf.lists[int(c)] for c in probe]))
-    start_logits = _row_logits(index.dequant_start_rows, cand_rows, query.dense.start)
+    start_fold = _fold(index.start_quant, query.dense.start)
+    start_logits = _code_logits(index.code_arrays()[0], cand_rows, start_fold)
     return np.sort(cand_rows[_top_k(start_logits, config.dense_top_starts)])
 
 
@@ -285,11 +339,7 @@ def exact_search(
     if index.n_phrases == 0:
         raise RuntimeError("empty index")
     recs = np.arange(index.n_start_rows, dtype=np.int64)
-    return SearchOutput(
-        results=_score_starts(index, query, recs, config, lambda r: "exact"),
-        visited_doc_ordinals=frozenset(range(index.n_docs)),
-        strategy="exact",
-    )
+    return _score_starts(index, query, recs, config, frozenset(range(index.n_docs)), "exact")
 
 
 def sfs_search(
@@ -297,11 +347,7 @@ def sfs_search(
 ) -> SearchOutput:
     """Sparse-first: exact scoring restricted to the top sparse documents."""
     recs, docs = _sfs_starts(index, query, config)
-    return SearchOutput(
-        results=_score_starts(index, query, recs, config, lambda r: "sfs"),
-        visited_doc_ordinals=docs,
-        strategy="sfs",
-    )
+    return _score_starts(index, query, recs, config, docs, "sfs")
 
 
 def dfs_search(
@@ -313,11 +359,7 @@ def dfs_search(
     """Dense-first: probe IVF cells by start score, keep the best start rows,
     then expand each retrieved start over its surviving end window."""
     recs = _dfs_starts(index, ivf, query, config)
-    return SearchOutput(
-        results=_score_starts(index, query, recs, config, lambda r: "dfs"),
-        visited_doc_ordinals=_docs_of(index, recs),
-        strategy="dfs",
-    )
+    return _score_starts(index, query, recs, config, _docs_of(index, recs), "dfs")
 
 
 def hybrid_search(
@@ -332,13 +374,10 @@ def hybrid_search(
     dfs_recs = _dfs_starts(index, ivf, query, config)
     in_sfs, in_dfs = set(sfs_recs.tolist()), set(dfs_recs.tolist())
     names = {(True, True): "sfs+dfs", (True, False): "sfs", (False, True): "dfs"}
-    return SearchOutput(
-        results=_score_starts(
-            index, query, np.union1d(sfs_recs, dfs_recs), config,
-            lambda r: names[r in in_sfs, r in in_dfs],
-        ),
-        visited_doc_ordinals=sfs_docs | _docs_of(index, dfs_recs),
-        strategy="hybrid",
+    return _score_starts(
+        index, query, np.union1d(sfs_recs, dfs_recs), config,
+        sfs_docs | _docs_of(index, dfs_recs), "hybrid",
+        lambda r: names[r in in_sfs, r in in_dfs],
     )
 
 

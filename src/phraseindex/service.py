@@ -247,6 +247,8 @@ def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -
             "total_ms": (t2 - t0) * 1e3,
         },
         "docs_visited": out.docs_visited,
+        "start_rows_scored": out.start_rows_scored,
+        "phrases_scored": out.phrases_scored,
     }
 
 

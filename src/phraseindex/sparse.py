@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -84,26 +86,28 @@ def combine_doc_para(doc_vec: SparseVector, para_vec: SparseVector) -> SparseVec
     return SparseVector(bins, weights).normalized()
 
 
-def _token_groups(unit: Paragraph | Document | Sequence[Token] | Sequence[str]) -> list[list[str]]:
-    """Lowercased surfaces, grouped so bigrams never cross paragraph boundaries."""
-    if isinstance(unit, Document):
-        return [[t.surface.lower() for t in p.tokens] for p in unit.paragraphs]
-    if isinstance(unit, Paragraph):
-        return [[t.surface.lower() for t in unit.tokens]]
-    surfaces = [t.surface if isinstance(t, Token) else t for t in unit]
-    return [[s.lower() for s in surfaces]]
+def _ngram_bins(words: Sequence[str]) -> list[int]:
+    """The bin of each unigram, then of each bigram, of one run of lowercased words."""
+    bigrams = [f"{w1} {w2}" for w1, w2 in zip(words, words[1:])]
+    return [ngram_bin(g) for g in [*words, *bigrams]]
 
 
-def _bin_counts(groups: list[list[str]]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for words in groups:
-        for w in words:
-            b = ngram_bin(w)
-            counts[b] = counts.get(b, 0) + 1
-        for w1, w2 in zip(words, words[1:]):
-            b = ngram_bin(f"{w1} {w2}")
-            counts[b] = counts.get(b, 0) + 1
-    return counts
+def ngram_counts(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending bins of the unigrams and bigrams of one run of lowercased
+    words, and how often each occurs; each n-gram is hashed once."""
+    return np.unique(np.array(_ngram_bins(words), dtype=np.int64), return_counts=True)
+
+
+def _doc_counts(doc: Document) -> tuple[np.ndarray, np.ndarray]:
+    """A document's bin counts: the sum of its paragraphs' (Paragraph.ngram_counts,
+    taken once per paragraph), since bigrams never cross paragraphs."""
+    parts = [p.ngram_counts for p in doc.paragraphs] or [ngram_counts([])]
+    if len(parts) == 1:
+        return parts[0]
+    bins, where = np.unique(np.concatenate([b for b, _ in parts]), return_inverse=True)
+    counts = np.zeros(bins.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return bins, counts
 
 
 @dataclass
@@ -119,8 +123,14 @@ class TfIdfModel:
         return max(0.0, math.log((self.doc_count - df + 0.5) / (df + 0.5)))
 
     def embed(self, unit: Paragraph | Document | Sequence[Token] | Sequence[str]) -> SparseVector:
-        counts = _bin_counts(_token_groups(unit))
-        pairs = {b: tf * self.idf(b) for b, tf in counts.items()}
+        if isinstance(unit, Paragraph):
+            tfs = zip(*(a.tolist() for a in unit.ngram_counts))
+        elif isinstance(unit, Document):
+            tfs = zip(*(a.tolist() for a in _doc_counts(unit)))
+        else:  # a question: at its size a dict count is faster than arrays
+            words = [(t.surface if isinstance(t, Token) else t).lower() for t in unit]
+            tfs = Counter(_ngram_bins(words)).items()
+        pairs = {b: tf * self.idf(b) for b, tf in tfs}
         return SparseVector.from_pairs(pairs).normalized()
 
     def digest(self) -> str:
@@ -136,11 +146,9 @@ def fit_tfidf(corpus: CorpusStore) -> TfIdfModel:
     """Count, per hashed unigram/bigram bin, the number of documents containing it."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    df: dict[int, int] = {}
-    for doc in corpus:
-        for b in _bin_counts(_token_groups(doc)):
-            df[b] = df.get(b, 0) + 1
-    return TfIdfModel(doc_count=len(corpus), doc_freq=df)
+    doc_bins = np.concatenate([_doc_counts(doc)[0] for doc in corpus])
+    bins, df = np.unique(doc_bins, return_counts=True)
+    return TfIdfModel(doc_count=len(corpus), doc_freq=dict(zip(bins.tolist(), df.tolist())))
 
 
 def embed_text_sparse(
@@ -155,7 +163,7 @@ class InvertedIndex:
     """bin -> (doc ordinals ascending, weights); weights match the doc vectors exactly."""
 
     n_docs: int
-    postings: dict[int, tuple[np.ndarray, np.ndarray]]
+    postings: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
     def reconstruct_doc_vectors(self) -> list[SparseVector]:
         pairs: list[dict[int, float]] = [{} for _ in range(self.n_docs)]
@@ -164,6 +172,30 @@ class InvertedIndex:
             for d, w in zip(docs, weights):
                 pairs[int(d)][b] = float(w)
         return [SparseVector.from_pairs(p) for p in pairs]
+
+
+class PostingLists(Mapping):
+    """Read-only bin -> (doc ordinals, weights) over CSR arrays: bins
+    ascending, and bin bins[k]'s postings at offsets[k]:offsets[k + 1]. A
+    lookup is one searchsorted and two views; nothing is held per bin."""
+
+    def __init__(
+        self, bins: np.ndarray, offsets: np.ndarray, docs: np.ndarray, weights: np.ndarray
+    ):
+        self.bins, self.offsets, self.docs, self.weights = bins, offsets, docs, weights
+
+    def __getitem__(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        k = int(np.searchsorted(self.bins, b))
+        if k == self.bins.size or self.bins[k] != b:
+            raise KeyError(b)
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return self.docs[lo:hi], self.weights[lo:hi]
+
+    def __iter__(self):
+        return iter(self.bins.tolist())
+
+    def __len__(self) -> int:
+        return self.bins.size
 
 
 def build_inverted_index(doc_vectors: list[SparseVector]) -> InvertedIndex:

@@ -490,3 +490,23 @@ def test_postings_decode_to_the_inverted_index_of_the_doc_vectors(tmp_path):
         assert got[b][0].dtype == np.int64 and got[b][1].dtype == np.float64
         assert np.array_equal(got[b][0], docs)
         assert np.array_equal(got[b][1], weights)
+
+
+def test_open_postings_answer_like_the_built_inverted_index(tmp_path):
+    # Postings are read as CSR arrays with no object per bin; lookups, misses
+    # and retrieval must behave as with the build's dict of posting lists.
+    from phraseindex.search import embed_question
+    from phraseindex.sparse import PostingLists, retrieve_top_docs
+
+    rng = np.random.default_rng(15)
+    index = build_small_index(make_random_corpus(rng, n_docs=30, vocab=40), tmp_path / "idx")
+    postings = index.postings.postings
+    assert isinstance(postings, PostingLists)
+    missing = max(postings) + 1
+    assert postings.get(missing) is None and missing not in postings
+    with pytest.raises(KeyError):
+        postings[missing]
+    built = build_inverted_index(index.doc_vectors)
+    for text in ["w001 w002", "w010 w011 w012", "w030", "w039 w000 w017"]:
+        q = embed_question(index, text).sparse
+        assert retrieve_top_docs(q, index.postings, 7) == retrieve_top_docs(q, built, 7)

@@ -1,19 +1,24 @@
 """Search strategies: exact oracle behavior, SFS/DFS/hybrid, k-means IVF."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.search import (
+    STRATEGIES,
     QueryVector,
     SearchConfig,
     _ASSIGN_BLOCK,
+    _BLOCK,
     _assign,
+    _code_logits,
     _end_ranges,
+    _fold,
     _para_sparse,
     _ranges,
-    _row_logits,
     dfs_search,
     embed_question,
     exact_search,
@@ -373,19 +378,102 @@ class TestMonotonicityAndDeterminism:
         assert all(spans_and_scores(r) == first for r in runs[1:])
 
 
-def test_row_logits_same_bits_in_any_subset(random_index):
+def test_code_logits_same_bits_in_any_subset(random_index):
     # A phrase's score must not depend on which other rows are scored with
     # it, or the exhaustive-limit strategies would match exact only by luck.
-    # The random table spans several dequantization blocks.
+    # The raw code table spans several blocks and holds both extreme codes.
+    from phraseindex.index import dequantize, fit_quantization
+
     rng = np.random.default_rng(7)
-    table = rng.normal(size=(5000, SMALL_CONFIG.boundary_dim))
-    for dequant, n_rows in [(lambda rows: table[rows], table.shape[0]),
-                            (random_index.dequant_start_rows, random_index.n_start_rows)]:
-        q = rng.normal(size=SMALL_CONFIG.boundary_dim)
-        full = _row_logits(dequant, np.arange(n_rows), q)
+    d = SMALL_CONFIG.boundary_dim
+    table = rng.integers(-128, 128, size=(5000, d), dtype=np.int8)
+    table[0], table[1] = -128, 127
+    quant = fit_quantization(rng.normal(size=(50, d)) * rng.uniform(0.1, 3.0, size=d))
+    for codes, params, n_rows in [(table, quant, table.shape[0]),
+                                  (random_index.start_codes, random_index.start_quant,
+                                   random_index.n_start_rows)]:
+        q = rng.normal(size=d)
+        fold = _fold(params, q)
+        full = _code_logits(codes, np.arange(n_rows), fold)
+        # The folded map is the dequantized inner product, up to rounding.
+        want = np.einsum("ij,j->i", dequantize(np.asarray(codes), params), q)
+        assert np.allclose(full, want, rtol=0, atol=1e-12 * np.abs(want).max())
         for n in [1, 1, 2, 3, *rng.integers(1, n_rows, size=40)]:
             subset = np.sort(rng.choice(n_rows, size=int(n), replace=False))
-            assert np.array_equal(_row_logits(dequant, subset, q), full[subset])
+            assert np.array_equal(_code_logits(codes, subset, fold), full[subset])
+
+
+def _phrase_of(index, span):
+    """(start record, end row, phrase id) of a result's span."""
+    prow = index.para_row(index.corpus.ordinal(span.doc_id), span.para_idx)
+    r = int(np.flatnonzero((index.rec_para == prow) & (index.rec_tok == span.i))[0])
+    ends = index.end_tok[index.rec_end_row[r] : index.rec_end_row[r] + index.rec_n_ends[r]]
+    t = int(np.flatnonzero(ends == span.j)[0])
+    return r, int(index.rec_end_row[r]) + t, int(index.rec_ends_begin[r]) + t
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_scores_add_up_bit_for_bit(fixture, request):
+    # score = dense + scale * sparse, and dense is the float64 sum of the start
+    # logit, the end logit and float64(coherency) * q_c, in that order. A
+    # coherency product taken in float32 loses bits and fails here.
+    index = request.getfixturevalue(fixture)
+    checked = 0
+    for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043", "w007"]:
+        q = embed_question(index, text)
+        start_fold = _fold(index.start_quant, q.dense.start)
+        end_fold = _fold(index.end_quant, q.dense.end)
+        for strategy in STRATEGIES:
+            cfg = SearchConfig(strategy=strategy, top_k=20, sparse_top_docs=4,
+                               dense_top_starts=40, nprobe=3)
+            for res in run_search(index, q, cfg).results:
+                r, row, phrase = _phrase_of(index, res.span)
+                start = _code_logits(index.start_codes, np.array([r]), start_fold)[0]
+                end = _code_logits(index.end_codes, np.array([row]), end_fold)[0]
+                coh = np.float64(index.coherency[phrase]) * q.dense.coherency
+                assert res.dense_score == start + end + coh
+                assert res.score == res.dense_score + cfg.sparse_scale * res.sparse_score
+                checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_work_counters(fixture, request):
+    index = request.getfixturevalue(fixture)
+    q = embed_question(index, "w001 w002 w003")
+    exact = run_search(index, q, SearchConfig(strategy="exact"))
+    assert (exact.start_rows_scored, exact.phrases_scored) == (index.n_start_rows, index.n_phrases)
+    sfs = run_search(index, q, SearchConfig(strategy="sfs", sparse_top_docs=3))
+    assert sfs.docs_visited == 3
+    recs = np.concatenate([
+        np.arange(index.doc_rec_begin[d], index.doc_rec_begin[d + 1])
+        for d in sorted(sfs.visited_doc_ordinals)
+    ])
+    assert sfs.start_rows_scored == recs.size
+    assert sfs.phrases_scored == int(index.rec_n_ends[recs].sum())
+
+
+def test_exact_scratch_does_not_grow_with_the_records(tmp_path):
+    # The kernel scores records a block at a time, so one exact query's traced
+    # peak must stay flat on a 4x larger index; phrase-sized scratch would
+    # grow it about 4x.
+    records, peaks = [], []
+    for n_docs in (25, 100):
+        corpus = make_random_corpus(np.random.default_rng(n_docs), n_docs=n_docs,
+                                    tokens_per_para=(100, 100), paras_per_doc=(1, 1))
+        index = build_small_index(corpus, tmp_path / f"idx{n_docs}", max_span=8, ivf_clusters=2)
+        q = embed_question(index, "w001 w002 w003")
+        cfg = SearchConfig(strategy="exact")
+        run_search(index, q, cfg)  # builds what is derived on first use
+        tracemalloc.start()
+        try:
+            run_search(index, q, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        records.append(index.n_start_rows)
+    assert records[0] > _BLOCK and records[1] >= 4 * records[0]
+    assert peaks[1] <= 1.5 * peaks[0], (records, peaks)
 
 
 def test_record_end_rows_match_end_entries(random_index, filtered_index):

@@ -130,6 +130,13 @@ class TestHttpService:
         assert timings["total_ms"] >= timings["embed_ms"] + timings["search_ms"] - 1.0
         assert body["docs_visited"] >= len({r["doc_id"] for r in body["results"]}) > 0
 
+    def test_body_reports_the_kernel_work_counters(self, served_index):
+        index, base = served_index
+        status, body = post(base + "/query", {"question": "where is w001", "strategy": "exact"})
+        assert status == 200
+        assert body["start_rows_scored"] == index.n_start_rows
+        assert body["phrases_scored"] == index.n_phrases
+
     def test_empty_question_is_400(self, served_index):
         _, base = served_index
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -293,3 +293,29 @@ class TestLearnedSparse:
         dense = rng.normal(size=(3, 4))
         with pytest.raises(ValueError, match="shape"):
             learned_sparse_encode(dense, np.arange(4), 10, LinearMap(np.eye(4)), LinearMap(np.eye(4)))
+
+
+def test_a_build_hashes_each_ngram_occurrence_once(tmp_path, monkeypatch):
+    # The tf-idf fit, the document embeds and the paragraph embeds of a build
+    # share one set of per-paragraph bin counts.
+    import phraseindex.sparse as sparse_module
+    from conftest import SMALL_CONFIG, make_random_corpus
+    from phraseindex.dense import ToyEncoder
+    from phraseindex.index import BuildConfig, build_index
+
+    corpus = make_random_corpus(np.random.default_rng(5), n_docs=8, paras_per_doc=(1, 3))
+    calls = []
+    monkeypatch.setattr(sparse_module, "ngram_bin", lambda s: calls.append(s) or ngram_bin(s))
+    build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx",
+                BuildConfig(max_span=3, build_ivf=False))
+    lengths = [p.n_tokens for _, _, _, p in corpus.iter_paragraphs()]
+    assert len(calls) == sum(2 * n - 1 for n in lengths)
+    # The counts match hashing each document afresh, bigrams kept inside paragraphs.
+    for doc in corpus:
+        words = [[t.surface.lower() for t in p.tokens] for p in doc.paragraphs]
+        want: dict[int, int] = {}
+        for w in words:
+            for g in w + [f"{a} {b}" for a, b in zip(w, w[1:])]:
+                want[ngram_bin(g)] = want.get(ngram_bin(g), 0) + 1
+        bins, counts = sparse_module._doc_counts(doc)
+        assert dict(zip(bins.tolist(), counts.tolist())) == want
