@@ -51,6 +51,7 @@ from .search import (
     run_search,
     sfs_search,
 )
+from .service import EvalReport, benchmark, em_f1, eval_em_f1, normalize_answer, serve
 from .sparse import (
     InvertedIndex,
     SparseVector,
@@ -79,15 +80,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-_SERVICE_NAMES = {"EvalReport", "benchmark", "em_f1", "eval_em_f1", "normalize_answer", "serve"}
-
-
-def __getattr__(name: str):
-    # The service module loads http.server; a process that imports only the
-    # index and search modules never pays for it.
-    if name in _SERVICE_NAMES:
-        from . import service
-
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,12 +5,11 @@ from __future__ import annotations
 import json
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator
-
-import numpy as np
 
 _CHUNK_RE = re.compile(r"\S+")
 _PUNCT = frozenset(string.punctuation)
@@ -42,8 +41,8 @@ class Paragraph:
         return [t.surface for t in self.tokens]
 
     @cached_property
-    def ngram_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hashed unigram/bigram bins of the lowercased tokens and their counts,
+    def ngram_counts(self) -> Counter[int]:
+        """How often each hashed unigram/bigram bin of the lowercased tokens occurs,
         taken on first use and kept: a build's tf-idf fit and its document and
         paragraph embeds all read them. The tokens must not change after."""
         from .sparse import ngram_counts  # deferred: sparse imports this module

@@ -209,13 +209,25 @@ def _write_postings(fh, inv: InvertedIndex) -> None:
     _write_sized(fh, weights.astype("<f4"))
 
 
-def _read_sparse_csr(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_bins(bins: np.ndarray, offsets: np.ndarray, name: str) -> None:
+    """Vector i's bins, bins[offsets[i]:offsets[i + 1]], must ascend strictly
+    and stay below NGRAM_BINS: PhraseIndex.para_keys and PostingLists find
+    entries by binary search over them."""
+    vector = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    if bins.size and (bins.max() >= NGRAM_BINS or (np.diff(vector * NGRAM_BINS + bins) <= 0).any()):
+        raise ValueError(
+            f"section {name}: n-gram bins must ascend within each vector and stay below {NGRAM_BINS}"
+        )
+
+
+def _read_sparse_csr(fh, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A written sparse-vector list as CSR arrays (offsets, bins, weights):
     vector i holds entries offsets[i]:offsets[i + 1]."""
     fh.read(8)  # vector count, implied by the offsets
     offsets = _read_sized(fh, "<u8").astype(np.int64)
     bins = _read_sized(fh, "<u4").astype(np.int64)
     weights = _read_sized(fh, "<f4").astype(np.float64)
+    _check_bins(bins, offsets, name)
     return offsets, bins, weights
 
 
@@ -604,11 +616,13 @@ class PhraseIndex:
                 doc_count=doc_count,
                 doc_freq={int(b): int(c) for b, c in zip(df_bins, df_counts)},
             )
-            offsets, bins, weights = _read_sparse_csr(fh)
+            offsets, bins, weights = _read_sparse_csr(fh, "sparse_docs.bin")
             self.doc_vectors = [
                 SparseVector(bins[lo:hi], weights[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
             ]
-            self.para_offsets, self.para_bins, self.para_weights = _read_sparse_csr(fh)
+            self.para_offsets, self.para_bins, self.para_weights = _read_sparse_csr(
+                fh, "sparse_docs.bin"
+            )
 
         with open(self.path / "postings.bin", "rb") as fh:
             _check_header(fh, b"PSTG", "postings.bin")
@@ -617,6 +631,7 @@ class PhraseIndex:
             offsets = _read_sized(fh, "<u8")
             deltas = _read_sized(fh, "<u4")
             weights = _read_sized(fh, "<f4")
+        _check_bins(bins, np.array([0, bins.size]), "postings.bin")
         # One running sum over all deltas, less its value before each bin's head.
         docs = np.cumsum(deltas, dtype=np.int64)
         offsets = offsets.astype(np.int64)

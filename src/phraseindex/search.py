@@ -241,12 +241,7 @@ def _score_starts(
             continue
         n_scored += n_valid
         offsets = np.arange(int(n_ends.max()))[:, None]  # rectangles are (offset, record)
-        begin = index.rec_end_row[blk]
-        lo, hi = int(begin[0]), int((begin + n_ends).max())
-        if hi - lo <= 2 * blk.size:  # few unused rows between: score the whole run
-            end_rows, end_first = np.arange(lo, hi), begin - lo
-        else:
-            end_rows, end_first = _end_ranges(begin, n_ends)
+        end_rows, end_first = _end_ranges(index.rec_end_row[blk], n_ends)
         start = _code_logits(start_codes, blk, start_fold)
         end = _code_logits(end_codes, end_rows, end_fold)
         paras = index.rec_para[blk]

@@ -86,28 +86,20 @@ def combine_doc_para(doc_vec: SparseVector, para_vec: SparseVector) -> SparseVec
     return SparseVector(bins, weights).normalized()
 
 
-def _ngram_bins(words: Sequence[str]) -> list[int]:
-    """The bin of each unigram, then of each bigram, of one run of lowercased words."""
+def ngram_counts(words: Sequence[str]) -> Counter[int]:
+    """How often each unigram and bigram bin of one run of lowercased words
+    occurs; each n-gram is hashed once."""
     bigrams = [f"{w1} {w2}" for w1, w2 in zip(words, words[1:])]
-    return [ngram_bin(g) for g in [*words, *bigrams]]
+    return Counter(map(ngram_bin, [*words, *bigrams]))
 
 
-def ngram_counts(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending bins of the unigrams and bigrams of one run of lowercased
-    words, and how often each occurs; each n-gram is hashed once."""
-    return np.unique(np.array(_ngram_bins(words), dtype=np.int64), return_counts=True)
-
-
-def _doc_counts(doc: Document) -> tuple[np.ndarray, np.ndarray]:
+def _doc_counts(doc: Document) -> Counter[int]:
     """A document's bin counts: the sum of its paragraphs' (Paragraph.ngram_counts,
     taken once per paragraph), since bigrams never cross paragraphs."""
-    parts = [p.ngram_counts for p in doc.paragraphs] or [ngram_counts([])]
-    if len(parts) == 1:
-        return parts[0]
-    bins, where = np.unique(np.concatenate([b for b, _ in parts]), return_inverse=True)
-    counts = np.zeros(bins.size, dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
-    return bins, counts
+    counts: Counter[int] = Counter()
+    for para in doc.paragraphs:
+        counts.update(para.ngram_counts)
+    return counts
 
 
 @dataclass
@@ -124,13 +116,12 @@ class TfIdfModel:
 
     def embed(self, unit: Paragraph | Document | Sequence[Token] | Sequence[str]) -> SparseVector:
         if isinstance(unit, Paragraph):
-            tfs = zip(*(a.tolist() for a in unit.ngram_counts))
+            counts = unit.ngram_counts
         elif isinstance(unit, Document):
-            tfs = zip(*(a.tolist() for a in _doc_counts(unit)))
-        else:  # a question: at its size a dict count is faster than arrays
-            words = [(t.surface if isinstance(t, Token) else t).lower() for t in unit]
-            tfs = Counter(_ngram_bins(words)).items()
-        pairs = {b: tf * self.idf(b) for b, tf in tfs}
+            counts = _doc_counts(unit)
+        else:
+            counts = ngram_counts([(t.surface if isinstance(t, Token) else t).lower() for t in unit])
+        pairs = {b: tf * self.idf(b) for b, tf in counts.items()}
         return SparseVector.from_pairs(pairs).normalized()
 
     def digest(self) -> str:
@@ -146,9 +137,10 @@ def fit_tfidf(corpus: CorpusStore) -> TfIdfModel:
     """Count, per hashed unigram/bigram bin, the number of documents containing it."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    doc_bins = np.concatenate([_doc_counts(doc)[0] for doc in corpus])
-    bins, df = np.unique(doc_bins, return_counts=True)
-    return TfIdfModel(doc_count=len(corpus), doc_freq=dict(zip(bins.tolist(), df.tolist())))
+    df: Counter[int] = Counter()
+    for doc in corpus:
+        df.update(_doc_counts(doc).keys())
+    return TfIdfModel(doc_count=len(corpus), doc_freq=dict(df))
 
 
 def embed_text_sparse(

@@ -154,21 +154,3 @@ def test_default_build_of_20k_tokens_stays_under_rss_bound(tmp_path):
     assert usage.ru_maxrss / 1024 < DEFAULT_BUILD_RSS_MB
     cells = load_index(tmp_path / "idx").ivf.centroids.shape[0]
     assert cells == math.ceil(4 * math.sqrt(counts["start_rows"]))
-
-
-def test_build_and_search_modules_do_not_load_the_http_service():
-    # A process that only opens and searches an index, such as perfbench's
-    # batch query child, should not pay for http.server; the package still
-    # exports the service names on first use.
-    src = str(Path(phraseindex.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        "from phraseindex.index import PhraseIndex\n"
-        "from phraseindex.search import run_search\n"
-        "assert 'http.server' not in sys.modules, 'http.server imported'\n"
-        "from phraseindex import em_f1, serve\n"
-        "assert 'http.server' in sys.modules and em_f1('a', ['a']) == (1.0, 1.0)\n"
-    )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from phraseindex.index import (
     load_index,
     quantize,
 )
-from phraseindex.sparse import build_inverted_index, fit_tfidf
+from phraseindex.sparse import NGRAM_BINS, build_inverted_index, fit_tfidf
 from phraseindex.training import FilterModel
 
 
@@ -426,6 +427,34 @@ class TestPhrasesSection:
         raw[n_recs_at] ^= 1
         _rewrite_section(index_dir, "phrases.bin", bytes(raw))
         with pytest.raises(ValueError, match="phrases.bin.*start mask"):
+            load_index(index_dir)
+
+
+class TestSparseBinsAtOpen:
+    @pytest.fixture
+    def index_dir(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(18), n_docs=5)
+        index = build_small_index(corpus, tmp_path / "idx")
+        return tmp_path / "idx", index.para_bins.size
+
+    @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
+    def test_paragraph_bins_must_ascend_below_the_bin_space(self, index_dir, value):
+        # The paragraph CSR ends with its bins, then the size and data of its weights.
+        index_dir, n_entries = index_dir
+        raw = bytearray((index_dir / "sparse_docs.bin").read_bytes())
+        last_bin_at = len(raw) - 8 - 4 * n_entries - 4
+        raw[last_bin_at : last_bin_at + 4] = struct.pack("<I", value)
+        _rewrite_section(index_dir, "sparse_docs.bin", bytes(raw))
+        with pytest.raises(ValueError, match="sparse_docs.bin.*bins"):
+            load_index(index_dir)
+
+    def test_posting_bins_must_stay_below_the_bin_space(self, index_dir):
+        # Header, the bin count, then the size and data of the bins.
+        index_dir, _ = index_dir
+        raw = bytearray((index_dir / "postings.bin").read_bytes())
+        raw[12 + 8 + 8 : 12 + 8 + 8 + 4] = struct.pack("<I", NGRAM_BINS)
+        _rewrite_section(index_dir, "postings.bin", bytes(raw))
+        with pytest.raises(ValueError, match="postings.bin.*bins"):
             load_index(index_dir)
 
 
