@@ -106,23 +106,22 @@ def cmd_train(args) -> int:
 
 def cmd_query(args) -> int:
     index = PhraseIndex(args.index)
-    out = run_search(index, embed_question(index, args.question), _search_config(args))
+    out = run_search(index, embed_question(index, args.question), args.search)
     print(json.dumps([r.as_dict() for r in out.results], indent=2))
     return 0
 
 
 def cmd_serve(args) -> int:
-    serve(args.index, args.addr, _search_config(args))
+    serve(args.index, args.addr, args.search)
     return 0
 
 
 def cmd_eval(args) -> int:
     index = PhraseIndex(args.index)
     qa = load_qa(args.qa)
-    cfg = _search_config(args)
     predictions = []
     for rec in qa:
-        out = run_search(index, embed_question(index, rec.question), cfg)
+        out = run_search(index, embed_question(index, rec.question), args.search)
         predictions.append(out.results[0].text if out.results else "")
     report = eval_em_f1(predictions, [rec.answers for rec in qa])
     print(json.dumps(asdict(report), indent=2))
@@ -133,7 +132,7 @@ def cmd_bench(args) -> int:
     index = PhraseIndex(args.index)
     qa = load_qa(args.qa)
     reports = benchmark(
-        index, [(rec.question, rec.answers) for rec in qa], _search_config(args)
+        index, [(rec.question, rec.answers) for rec in qa], args.search
     )
     print(json.dumps({k: asdict(v) for k, v in reports.items()}, indent=2))
     return 0
@@ -198,6 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
+    if "sparse_scale" in args:  # a command that searches: check its settings up front
+        try:
+            args.search = _search_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

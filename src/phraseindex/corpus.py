@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import string
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,12 +27,24 @@ class Token:
 
 @dataclass
 class Paragraph:
+    """A paragraph's raw text. Its tokens are taken on first use and kept, so
+    loading a corpus tokenizes nothing; span_text needs only char_bounds."""
+
     raw_text: str
-    tokens: list[Token]
 
     @classmethod
     def from_text(cls, text: str) -> "Paragraph":
-        return cls(raw_text=text, tokens=tokenize(text))
+        return cls(raw_text=text)
+
+    @cached_property
+    def tokens(self) -> list[Token]:
+        return tokenize(self.raw_text)
+
+    @cached_property
+    def char_bounds(self) -> array:
+        """char_start, char_end of each token in turn, as compact integers:
+        what span_text reads, without keeping a Token per token."""
+        return array("q", [c for t in tokenize(self.raw_text) for c in (t.char_start, t.char_end)])
 
     @property
     def n_tokens(self) -> int:
@@ -153,7 +166,8 @@ class CorpusStore:
 
     def span_text(self, ref: SpanRef) -> str:
         para = self._by_id[ref.doc_id].paragraphs[ref.para_idx]
-        return para.raw_text[para.tokens[ref.i].char_start : para.tokens[ref.j].char_end]
+        bounds = para.char_bounds
+        return para.raw_text[bounds[2 * ref.i] : bounds[2 * ref.j + 1]]
 
     def to_jsonl(self) -> str:
         """Canonical one-document-per-line serialization (deterministic bytes)."""

@@ -794,6 +794,13 @@ class PhraseIndex:
         keys += self.para_bins
         return keys
 
+    @cached_property
+    def coherency_range(self) -> tuple[float, float]:
+        """Least and greatest stored coherency value, (0, 0) for an index
+        without phrases. Taken on first use, one pass over coherency.bin."""
+        coh = np.asarray(self.coherency)
+        return (float(coh.min()), float(coh.max())) if coh.size else (0.0, 0.0)
+
     # -- per-record and per-phrase tables, built on first use ---------------
     # Search never reads these: they exist for callers that want the phrase
     # table as records, and they cost memory per phrase.

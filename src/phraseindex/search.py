@@ -9,15 +9,20 @@ strategy, and hybrid scores the union once.
 
 The kernel takes the records in fixed-size blocks. A block's start and end
 logits are inner products with the int8 codes, the quantizer's affine map
-folded into the query, so no float copy of a stored vector is kept. Its
-phrases form a rectangle of records by window offsets, scored in float64 and
-cut to the block's best before the next block, so the scratch per query does
-not grow with the number of records. The output counts the start rows and
-phrases scored.
+folded into the query, so no float copy of a stored vector is kept. Each
+record gets an upper bound on its phrases' scores from its start logit, the
+block's best end logit and the largest coherency term, and only the records
+whose bound reaches the running k-th best score (the floor) are expanded:
+their phrases form a rectangle of records by window offsets, scored in
+float64 and cut to the block's best before the next block, so the scratch per
+query does not grow with the number of records. The output counts the start
+rows and phrases scored, and the phrases expanded.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -46,8 +51,15 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if min(self.top_k, self.sparse_top_docs, self.dense_top_starts, self.nprobe) < 1:
+        counts = (self.top_k, self.sparse_top_docs, self.dense_top_starts, self.nprobe)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in counts):
+            raise ValueError("all count parameters must be integers, not bool")
+        if min(counts) < 1:
             raise ValueError("all count parameters must be >= 1")
+        # NaN fails every comparison with the floor, and inf * 0 is NaN: either
+        # would silently drop every phrase.
+        if isinstance(self.sparse_scale, bool) or not math.isfinite(self.sparse_scale):
+            raise ValueError("sparse_scale must be a finite number")
         if self.sparse_scale < 0:
             raise ValueError("sparse_scale must be >= 0")
 
@@ -92,7 +104,9 @@ class SearchOutput:
     visited_doc_ordinals: frozenset[int]
     strategy: str
     start_rows_scored: int  # start records the kernel scored
-    phrases_scored: int  # phrases starting at them, each scored once
+    # Phrases starting at the records, each scored or ruled out by its record's bound.
+    phrases_scored: int
+    phrases_expanded: int  # of those, the phrases whose score was computed in full
 
     @property
     def docs_visited(self) -> int:
@@ -198,49 +212,63 @@ def _para_sparse(index: "PhraseIndex", q: SparseVector, paras: np.ndarray) -> np
 def _score_starts(
     index: "PhraseIndex",
     query: QueryVector,
-    recs: np.ndarray,
+    recs: np.ndarray | range,
     config: SearchConfig,
     visited: frozenset[int],
     strategy: str,
     label: Callable[[int], str] | None = None,
 ) -> SearchOutput:
     """Score every stored phrase that starts at one of the ascending start
-    records `recs`, keep the best config.top_k and count the work done. A
-    result is labelled label(start record), or `strategy` without a label.
+    records `recs` (an array, or a range for all of them), keep the best
+    config.top_k and count the work done. A result is labelled label(start
+    record), or `strategy` without a label.
 
-    The records are scored _BLOCK at a time, each block as a rectangle of
-    records by window offsets t below the block's largest rec_n_ends, stored
-    offset-major so that per-record terms broadcast along long rows. Cell
-    (r, t) is phrase rec_ends_begin[r] + t, ending at end row rec_end_row[r]
-    + t, and is valid when t < rec_n_ends[r]. Its total is ((start + end) +
-    coherency * q_c) + sparse_scale * sparse, in float64; invalid cells score
-    -inf. Start and end logits come straight from the int8 codes, once per
-    row of the block. A block keeps every score at or above both its own
-    k-th best and the k-th best of an earlier block, ties included, so the
-    overall top k is among the kept cells. Record r is start row r and
-    phrase ids ascend in (doc, para, i, j) order, as do the kept cells,
-    block after block; ranking them on (-score, position) gives the
-    documented tie-break. Every term is computed per row, per phrase or per
-    paragraph, so a phrase scores the same bits in any set of records. The
-    scratch is O(_BLOCK x max_span), whatever the number of records.
+    The records are scored _BLOCK at a time. A block's phrases form a
+    rectangle of records by window offsets t below the largest rec_n_ends,
+    stored offset-major so that per-record terms broadcast along long rows.
+    Cell (r, t) is phrase rec_ends_begin[r] + t, ending at end row
+    rec_end_row[r] + t, and is valid when t < rec_n_ends[r]. Its total is
+    ((start + end) + coherency * q_c) + sparse_scale * sparse, in float64;
+    invalid cells score -inf. Start and end logits come straight from the
+    int8 codes, once per row of the block.
+
+    The floor is a score that at least k cells already reach, so no cell
+    below it can be in the top k. Record r's bound sums the same terms in the
+    same order, with the block's largest end logit and the larger of
+    float64(coherency) * q_c at the least and greatest stored coherency.
+    Rounding to nearest is monotone, so no cell of r scores above its bound,
+    and only the records whose bound reaches the floor are expanded into a
+    rectangle. Until a floor exists, a block of more than k records whose k
+    records of largest bound have k cells seeds it from their real scores;
+    a smaller block is expanded whole. A block keeps every expanded
+    score at or above both the floor and its own k-th best, ties included,
+    and raises the floor to the larger of the two, so the overall top k is
+    among the kept cells. Record r is start row r and phrase ids ascend in
+    (doc, para, i, j) order, as do the kept cells, block after block; ranking
+    them on (-score, position) gives the documented tie-break. Every term is
+    computed per row, per phrase or per paragraph, so a phrase scores the
+    same bits in any set of records. The scratch is O(_BLOCK x max_span),
+    whatever the number of records.
     """
     q = query.dense
     start_fold = _fold(index.start_quant, q.start)
     end_fold = _fold(index.end_quant, q.end)
     start_codes, end_codes, coherency = index.code_arrays()
-    k = config.top_k
-    # A cell below the k-th best score of an earlier block cannot be in the top k.
-    floor = -np.finfo(np.float64).max
+    coh_lo, coh_hi = index.coherency_range
+    coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
+    k, scale = config.top_k, config.sparse_scale
+    unset = floor = -np.finfo(np.float64).max
     kept = []  # per block: score, start logit, end logit, sparse, position in recs, offset
-    n_scored = 0
-    for b in range(0, recs.size, _BLOCK):
+    n_scored = n_expanded = 0
+    for b in range(0, len(recs), _BLOCK):
         blk = recs[b : b + _BLOCK]
+        if isinstance(blk, range):
+            blk = np.arange(blk.start, blk.stop)
         n_ends = index.rec_n_ends[blk]
         n_valid = int(n_ends.sum())
         if n_valid == 0:
             continue
         n_scored += n_valid
-        offsets = np.arange(int(n_ends.max()))[:, None]  # rectangles are (offset, record)
         end_rows, end_first = _end_ranges(index.rec_end_row[blk], n_ends)
         start = _code_logits(start_codes, blk, start_fold)
         end = _code_logits(end_codes, end_rows, end_fold)
@@ -248,21 +276,40 @@ def _score_starts(
         para_begins = np.ones(blk.size, dtype=bool)  # paras is nondecreasing
         np.not_equal(paras[1:], paras[:-1], out=para_begins[1:])
         sparse = _para_sparse(index, query.sparse, paras[para_begins])[np.cumsum(para_begins) - 1]
+        bound = start + end.max()
+        bound += coh_top
+        bound += scale * sparse
+        bound[n_ends == 0] = -np.inf
 
-        total = np.take(end, end_first + offsets, mode="clip")
-        total += start
-        coh = np.take(coherency, index.rec_ends_begin[blk] + offsets, mode="clip")
-        total += np.multiply(coh, q.coherency, dtype=np.float64)
-        total += config.sparse_scale * sparse
-        total[offsets >= n_ends] = -np.inf
+        def cells(sel: np.ndarray) -> np.ndarray:
+            """The (offset, record) rectangle of the block's records `sel`."""
+            offsets = np.arange(int(n_ends[sel].max()))[:, None]
+            total = np.take(end, end_first[sel] + offsets, mode="clip")
+            total += start[sel]
+            coh = np.take(coherency, index.rec_ends_begin[blk[sel]] + offsets, mode="clip")
+            total += np.multiply(coh, q.coherency, dtype=np.float64)
+            total += scale * sparse[sel]
+            total[offsets >= n_ends[sel]] = -np.inf
+            return total
+
+        if floor == unset and bound.size > k:
+            seed = np.argpartition(bound, -k)[-k:]
+            if int(n_ends[seed].sum()) >= k:
+                floor = float(np.partition(cells(seed), -k, axis=None)[-k])
+        live = np.flatnonzero(bound >= floor)
+        if live.size == 0:
+            continue
+        n_expanded += int(n_ends[live].sum())
+        total = cells(live)
         above = total[total >= floor]
         if above.size > k:
             above.partition(above.size - k)  # in place: the k-th best of the block is at size - k
             floor = max(floor, float(above[above.size - k]))
         del above
         # Cells in (record, offset) order, that is by ascending phrase id.
-        row, t = np.divmod(np.flatnonzero((total >= floor).T), offsets.size)
-        kept.append((total[t, row], start[row], end[end_first[row] + t], sparse[row], b + row, t))
+        col, t = np.divmod(np.flatnonzero((total >= floor).T), total.shape[0])
+        row = live[col]
+        kept.append((total[t, col], start[row], end[end_first[row] + t], sparse[row], b + row, t))
 
     results = []
     if kept:
@@ -291,7 +338,7 @@ def _score_starts(
                     strategy=label(r) if label else strategy,
                 )
             )
-    return SearchOutput(results, visited, strategy, recs.size, n_scored)
+    return SearchOutput(results, visited, strategy, len(recs), n_scored, n_expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +380,9 @@ def exact_search(
     """Score every stored phrase; the oracle for all approximate strategies."""
     if index.n_phrases == 0:
         raise RuntimeError("empty index")
-    recs = np.arange(index.n_start_rows, dtype=np.int64)
-    return _score_starts(index, query, recs, config, frozenset(range(index.n_docs)), "exact")
+    return _score_starts(
+        index, query, range(index.n_start_rows), config, frozenset(range(index.n_docs)), "exact"
+    )
 
 
 def sfs_search(

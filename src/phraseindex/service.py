@@ -249,6 +249,7 @@ def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -
         "docs_visited": out.docs_visited,
         "start_rows_scored": out.start_rows_scored,
         "phrases_scored": out.phrases_scored,
+        "phrases_expanded": out.phrases_expanded,
     }
 
 

@@ -154,3 +154,15 @@ def test_default_build_of_20k_tokens_stays_under_rss_bound(tmp_path):
     assert usage.ru_maxrss / 1024 < DEFAULT_BUILD_RSS_MB
     cells = load_index(tmp_path / "idx").ivf.centroids.shape[0]
     assert cells == math.ceil(4 * math.sqrt(counts["start_rows"]))
+
+
+@pytest.mark.parametrize("flags", [["--sparse-scale", "nan"], ["--sparse-scale", "inf"],
+                                   ["--top-k", "0"]], ids=["nan_scale", "inf_scale", "top_k_0"])
+def test_bad_search_settings_are_refused_before_the_index_is_read(tmp_path, capsys, flags):
+    # The index does not exist: a setting that slipped through would fail on
+    # the missing directory instead, or start a server.
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--index", str(tmp_path / "missing"), "--addr", "127.0.0.1:0", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("sparse_scale" in err) if "--sparse-scale" in flags else (">= 1" in err)

@@ -156,3 +156,19 @@ def test_load_qa(tmp_path):
     assert records[0].answer_span == (0, 3, 8)
     assert records[1].doc_id is None
     assert records[1].answers == ["y", "z"]
+
+
+def test_paragraph_tokens_are_taken_on_first_use(tmp_path):
+    # Loading keeps the raw text only. span_text reads compact char bounds,
+    # and build and training still get the same tokens as tokenize().
+    text = 'He said: "the U.S. grew 3.2%" (roughly).'
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "d1", "title": "T", "paragraphs": [text]}) + "\n")
+    store = load_corpus(path)
+    para = store.doc("d1").paragraphs[0]
+    assert "tokens" not in vars(para)
+    for span in enumerate_spans(Paragraph.from_text(text), 30, "d1", 0):
+        want = tokenize(text)
+        assert store.span_text(span) == text[want[span.i].char_start : want[span.j].char_end]
+    assert "tokens" not in vars(para)
+    assert para.tokens == tokenize(text) and para.n_tokens == len(tokenize(text))

@@ -539,3 +539,37 @@ def test_open_postings_answer_like_the_built_inverted_index(tmp_path):
     for text in ["w001 w002", "w010 w011 w012", "w030", "w039 w000 w017"]:
         q = embed_question(index, text).sparse
         assert retrieve_top_docs(q, index.postings, 7) == retrieve_top_docs(q, built, 7)
+
+
+def test_open_tokenizes_no_paragraph(tmp_path, monkeypatch):
+    # Open keeps paragraph text raw; a result's text tokenizes only its own
+    # paragraph, and keeps char bounds rather than Token objects.
+    import phraseindex.corpus as corpus_module
+    from phraseindex.search import SearchConfig, embed_question, run_search
+
+    rng = np.random.default_rng(16)
+    build_small_index(make_random_corpus(rng, n_docs=20), tmp_path / "idx")
+    tokenized = []
+    tokenize_orig = corpus_module.tokenize
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize_orig(text)
+
+    monkeypatch.setattr(corpus_module, "tokenize", counting_tokenize)
+    index = load_index(tmp_path / "idx")
+    assert tokenized == []
+    paragraphs = [p for doc in index.corpus for p in doc.paragraphs]
+    assert not any("tokens" in vars(p) or "char_bounds" in vars(p) for p in paragraphs)
+
+    query = embed_question(index, "w001 w002")
+    results = run_search(index, query, SearchConfig(strategy="exact", top_k=3)).results
+    result_paras = {(r.span.doc_id, r.span.para_idx) for r in results}
+    assert sorted(tokenized) == sorted(
+        index.corpus.doc(d).paragraphs[p].raw_text for d, p in result_paras
+    )
+    assert not any("tokens" in vars(p) for p in paragraphs)
+    for r in results:
+        para = index.corpus.doc(r.span.doc_id).paragraphs[r.span.para_idx]
+        tokens = tokenize_orig(para.raw_text)
+        assert r.text == para.raw_text[tokens[r.span.i].char_start : tokens[r.span.j].char_end]

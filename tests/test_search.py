@@ -1,12 +1,15 @@
 """Search strategies: exact oracle behavior, SFS/DFS/hybrid, k-means IVF."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import phraseindex.search as search_module
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
-from phraseindex.corpus import CorpusStore, Document, Paragraph
+from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef
+from phraseindex.dense import QueryDenseVector
 from phraseindex.search import (
     STRATEGIES,
     QueryVector,
@@ -554,3 +557,103 @@ def test_search_config_validation():
         SearchConfig(top_k=0)
     with pytest.raises(ValueError):
         SearchConfig(sparse_scale=-0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), True])
+def test_search_config_rejects_a_non_finite_sparse_scale(bad):
+    # NaN fails every comparison with the floor and inf * 0 is NaN, so either
+    # used to return no results at all, silently.
+    with pytest.raises(ValueError, match="sparse_scale"):
+        SearchConfig(sparse_scale=bad)
+
+
+@pytest.mark.parametrize("field", ["top_k", "sparse_top_docs", "dense_top_starts", "nprobe"])
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+def test_search_config_rejects_bool_and_non_integer_counts(field, bad):
+    with pytest.raises(ValueError, match="integers"):
+        SearchConfig(**{field: bad})
+    assert getattr(SearchConfig(**{field: np.int64(3)}), field) == 3
+
+
+def _brute_force(index, query, config, docs):
+    """The top config.top_k (span, score) pairs over every phrase of the
+    documents `docs`, one phrase at a time. The per-row logits and paragraph
+    sparse scores come from the primitives tested above; the bound, the floor,
+    the blocks and the rectangles are not involved."""
+    q = query.dense
+    start = _code_logits(index.start_codes, np.arange(index.n_start_rows),
+                         _fold(index.start_quant, q.start))
+    end = _code_logits(index.end_codes, np.arange(index.n_end_rows), _fold(index.end_quant, q.end))
+    sparse = _para_sparse(index, query.sparse, np.arange(len(index.para_table)))
+    ranked = []
+    for r in range(index.n_start_rows):
+        para = int(index.rec_para[r])
+        doc = int(index.para_table["doc"][para])
+        if doc not in docs:
+            continue
+        for t in range(int(index.rec_n_ends[r])):
+            phrase, row = int(index.rec_ends_begin[r]) + t, int(index.rec_end_row[r]) + t
+            dense = start[r] + end[row] + np.float64(index.coherency[phrase]) * q.coherency
+            score = float(dense + config.sparse_scale * sparse[para])
+            span = SpanRef(index.doc_id(doc), int(index.para_table["para"][para]),
+                           int(index.rec_tok[r]), int(index.end_tok[row]))
+            ranked.append((-score, phrase, span, score))  # phrase ids ascend in (doc, para, i, j)
+    ranked.sort()
+    return [(span, score) for _, _, span, score in ranked[: config.top_k]]
+
+
+def _zero_dense():
+    b = SMALL_CONFIG.boundary_dim
+    return QueryDenseVector(np.zeros(b), np.zeros(b), 0.0)
+
+
+# Each case: fixture, question, how to change the embedded query, config changes.
+BOUND_CASES = {
+    "ties_at_the_kth_score": (
+        "random_index", "w001", lambda q: QueryVector(_zero_dense(), SparseVector.empty()), {}),
+    "ties_with_sparse_scale_0": (
+        "random_index", "w001 w002", lambda q: QueryVector(_zero_dense(), q.sparse),
+        {"sparse_scale": 0.0}),
+    "negative_coherency_weight": (
+        "random_index", "w003 w004 w005",
+        lambda q: QueryVector(QueryDenseVector(q.dense.start, q.dense.end, -40.0), q.sparse), {}),
+    "sparse_scale_0": ("random_index", "w010 w011", lambda q: q, {"sparse_scale": 0.0}),
+    "sparse_term_dominates": ("random_index", "w012 w013", lambda q: q, {"sparse_scale": 50.0}),
+    "top_k_above_n_phrases": ("random_index", "w020 w021", lambda q: q, {"top_k": 10 ** 6}),
+    "records_without_ends": ("filtered_index", "w030 w031", lambda q: q, {"top_k": 25}),
+    "top_k_1": ("filtered_index", "w040 w041 w042", lambda q: q, {"top_k": 1}),
+}
+
+
+@pytest.mark.parametrize("block", [7, 40, _BLOCK])
+@pytest.mark.parametrize("case", list(BOUND_CASES))
+def test_bound_keeps_the_brute_force_top_k(case, block, request, monkeypatch):
+    # 7-record blocks are too small to seed the floor: it comes from the
+    # first blocks' own k-th best. 40-record blocks seed it in the first
+    # block and carry it over several; with _BLOCK every fixture is one block.
+    fixture, text, edit, changes = BOUND_CASES[case]
+    index = request.getfixturevalue(fixture)
+    monkeypatch.setattr(search_module, "_BLOCK", block)
+    query = edit(embed_question(index, text))
+    assert (index.rec_n_ends == 0).any() == (fixture == "filtered_index")
+    for strategy in STRATEGIES:
+        # Full budgets: SFS scores every record of its documents, and DFS every record.
+        cfg = replace(SearchConfig(strategy=strategy, top_k=10, sparse_top_docs=index.n_docs,
+                                   dense_top_starts=index.n_start_rows,
+                                   nprobe=len(index.ivf.lists)), **changes)
+        out = run_search(index, query, cfg)
+        want = _brute_force(index, query, cfg, out.visited_doc_ordinals)
+        assert [(r.span, r.score) for r in out.results] == want, (case, strategy)
+        assert out.phrases_expanded <= out.phrases_scored
+        if strategy != "sfs" or not query.sparse.is_empty:
+            assert out.results
+    if case.startswith("ties"):
+        assert all(score == 0.0 for _, score in want)
+        assert out.phrases_expanded == out.phrases_scored  # every record reaches the tie
+
+
+def test_bound_expands_few_phrases_on_exact(random_index):
+    q = embed_question(random_index, "w001 w002 w003")
+    out = run_search(random_index, q, SearchConfig(strategy="exact"))
+    assert out.phrases_scored == random_index.n_phrases
+    assert 0 < out.phrases_expanded < out.phrases_scored / 2

@@ -13,7 +13,7 @@ import pytest
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex import service
 from phraseindex.dense import PrecomputedEncoder, write_embedding_file
-from phraseindex.search import SearchConfig
+from phraseindex.search import SearchConfig, embed_question, run_search
 from phraseindex.service import (
     benchmark,
     em_f1,
@@ -136,6 +136,17 @@ class TestHttpService:
         assert status == 200
         assert body["start_rows_scored"] == index.n_start_rows
         assert body["phrases_scored"] == index.n_phrases
+
+    def test_body_reports_the_phrases_expanded(self, served_index):
+        # The bound expands only some of the phrases it scores.
+        index, base = served_index
+        payload = {"question": "where is w001", "strategy": "exact"}
+        status, body = post(base + "/query", payload)
+        assert status == 200
+        out = run_search(index, embed_question(index, payload["question"]),
+                         SearchConfig(strategy="exact"))
+        assert body["phrases_expanded"] == out.phrases_expanded
+        assert 0 < body["phrases_expanded"] < body["phrases_scored"]
 
     def test_empty_question_is_400(self, served_index):
         _, base = served_index
