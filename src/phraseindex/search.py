@@ -451,12 +451,14 @@ class IvfIndex:
 
 
 _ASSIGN_BLOCK = 1024  # rows per distance block, to bound the (rows x cells) scratch
+_TRAIN_PER_CELL = 64  # Lloyd trains on at most this many sampled rows per cell
 
 
 def _assign(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid of each row, a block of rows at a time. The squared
-    Euclidean distance drops the ||row||^2 term, constant per row; scaling the
-    rows by -2 is exact, so this matches -2 * (rows @ centroids.T) + ||c||^2."""
+    """Nearest centroid of each row, a block of rows at a time, in the dtype
+    of the inputs. The squared Euclidean distance drops the ||row||^2 term,
+    constant per row; scaling the rows by -2 is exact, so this matches
+    -2 * (rows @ centroids.T) + ||c||^2."""
     c2 = (centroids * centroids).sum(axis=1)
     out = np.empty(rows.shape[0], dtype=np.int64)
     for b in range(0, rows.shape[0], _ASSIGN_BLOCK):
@@ -473,6 +475,33 @@ def _cells(assign: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]
     return order, np.cumsum(np.bincount(assign, minlength=n_clusters))[:-1]
 
 
+def _kmeanspp(rows: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+    """Row ids of the k-means++ seeds. Each step draws from the squared distance
+    to the nearest seed so far by the inverse CDF that
+    `rng.choice(n, p=d2 / total)` uses, so it consumes the same random stream;
+    a distance is one matvec against the precomputed row norms."""
+    n = rows.shape[0]
+    r2 = np.einsum("ij,ij->i", rows, rows)
+
+    def dist2(i: int) -> np.ndarray:
+        c = rows[i]
+        return np.maximum(r2 - 2.0 * (rows @ c) + c @ c, 0.0)
+
+    picks = np.empty(n_clusters, dtype=np.int64)
+    picks[0] = rng.integers(n)
+    d2 = dist2(picks[0])
+    for t in range(1, n_clusters):
+        total = float(d2.sum())
+        if total <= 0.0:
+            picks[t] = np.argmax(d2)
+        else:
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            picks[t] = cdf.searchsorted(rng.random(), side="right")
+        np.minimum(d2, dist2(picks[t]), out=d2)
+    return picks
+
+
 def kmeans_train(
     rows: np.ndarray,
     n_clusters: int,
@@ -480,37 +509,35 @@ def kmeans_train(
     max_iter: int = 25,
     tol: float = 1e-4,
 ) -> IvfIndex:
-    """Seeded k-means++ init, then Lloyd iterations until the maximum centroid
-    shift drops below tol or the iteration cap is reached."""
+    """Train the IVF on a seeded sample of at most `_TRAIN_PER_CELL` rows per
+    cell (all rows when there are no more): k-means++ seeds from the sample,
+    then Lloyd iterations until the maximum centroid shift drops below tol or
+    the iteration cap is reached. Lloyd assigns the sample in float32 and
+    updates the float64 centroids from float64 sums; a cell left empty keeps
+    its centroid. The lists come from one float64 assignment of every row."""
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n_clusters > n:
         raise ValueError(f"n_clusters {n_clusters} exceeds row count {n}")
     rng = np.random.default_rng(seed)
+    cap = _TRAIN_PER_CELL * n_clusters
+    sample = rows[np.sort(rng.choice(n, cap, replace=False))] if n > cap else rows
 
     if n_clusters == n:
         centroids = rows.copy()
     else:
-        centroids = np.empty((n_clusters, rows.shape[1]), dtype=np.float64)
-        centroids[0] = rows[int(rng.integers(n))]
-        d2 = ((rows - centroids[0]) ** 2).sum(axis=1)
-        for t in range(1, n_clusters):
-            total = float(d2.sum())
-            if total <= 0.0:
-                idx = int(np.argmax(d2))
-            else:
-                idx = int(rng.choice(n, p=d2 / total))
-            centroids[t] = rows[idx]
-            d2 = np.minimum(d2, ((rows - centroids[t]) ** 2).sum(axis=1))
+        centroids = sample[_kmeanspp(sample, n_clusters, rng)]
 
+    sample32 = sample.astype(np.float32)
     for _ in range(max_iter):
-        order, bounds = _cells(_assign(rows, centroids), n_clusters)
+        assign = _assign(sample32, centroids.astype(np.float32))
+        counts = np.bincount(assign, minlength=n_clusters)
+        sums = np.stack(
+            [np.bincount(assign, weights=col, minlength=n_clusters) for col in sample.T], axis=1
+        )
         new_centroids = centroids.copy()
-        # A cell holds its rows in ascending order, as rows[assign == c] would,
-        # so each mean has the same bits.
-        for c, members in enumerate(np.split(rows[order], bounds)):
-            if members.shape[0]:
-                new_centroids[c] = members.mean(axis=0)
+        filled = counts > 0
+        new_centroids[filled] = sums[filled] / counts[filled, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < tol:

@@ -18,6 +18,7 @@ from .search import STRATEGIES, SearchConfig, embed_question, run_search
 
 REQUEST_TIMEOUT_S = 30.0  # a connection that sends nothing for this long is closed
 MAX_BODY_BYTES = 1 << 20  # a longer Content-Length gets 413, and the body is not read
+MAX_TOP_K = 1000  # a larger requested top_k gets 400: the kernel materialises top_k results
 
 _log = logging.getLogger(__name__)
 _ARTICLES = {"a", "an", "the"}
@@ -230,6 +231,8 @@ def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -
     top_k = payload.get("top_k", base_config.top_k)
     if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
         raise ValueError("top_k must be a positive integer")
+    if top_k > MAX_TOP_K:
+        raise ValueError(f"top_k must be at most {MAX_TOP_K}")
     strategy = payload.get("strategy", base_config.strategy)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")

@@ -123,6 +123,54 @@ class TestKmeans:
             assert members.dtype == np.int64
             assert np.array_equal(members, np.flatnonzero(assign == c))
 
+    def test_seeding_picks_match_rng_choice(self):
+        # Rows on a coarse grid: squared distances are small integers, exact in
+        # either form, so no draw can fall on a rounding difference.
+        rng = np.random.default_rng(6)
+        rows = rng.integers(-20, 21, size=(300, 3)).astype(np.float64)
+        k = 12
+
+        def reference_picks(seed):
+            ref = np.random.default_rng(seed)
+            n = rows.shape[0]
+            picks = [int(ref.integers(n))]
+            d2 = ((rows - rows[picks[0]]) ** 2).sum(axis=1)
+            for _ in range(1, k):
+                total = float(d2.sum())
+                idx = int(np.argmax(d2)) if total <= 0.0 else int(ref.choice(n, p=d2 / total))
+                picks.append(idx)
+                d2 = np.minimum(d2, ((rows - rows[idx]) ** 2).sum(axis=1))
+            return picks
+
+        for seed in range(5):
+            ivf = kmeans_train(rows, k, seed=seed, max_iter=0)
+            np.testing.assert_array_equal(ivf.centroids, rows[reference_picks(seed)])
+
+    def test_training_sample_is_capped_per_cell(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        k = 5
+        n = 3 * search_module._TRAIN_PER_CELL * k + 11
+        rows = rng.normal(size=(n, 4))
+        seen = []
+
+        def recording_assign(x, centroids):
+            seen.append((x.shape[0], x.dtype))
+            return _assign(x, centroids)
+
+        monkeypatch.setattr(search_module, "_assign", recording_assign)
+        a = kmeans_train(rows, k, seed=4)
+        assert len(seen) >= 2
+        for count, dtype in seen[:-1]:
+            assert count <= search_module._TRAIN_PER_CELL * k
+            assert dtype == np.float32
+        assert seen[-1] == (n, np.float64)
+        assert sorted(np.concatenate(a.lists).tolist()) == list(range(n))
+
+        b = kmeans_train(rows, k, seed=4)
+        np.testing.assert_array_equal(a.centroids, b.centroids)
+        for la, lb in zip(a.lists, b.lists):
+            np.testing.assert_array_equal(la, lb)
+
 
 class TestExactSearch:
     def test_single_phrase_index(self, tmp_path):

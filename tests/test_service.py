@@ -177,6 +177,16 @@ class TestHttpService:
                 post(base + "/query", {"question": "where is w001", "top_k": flag})
             assert err.value.code == 400
 
+    def test_top_k_above_the_bound_is_400(self, served_index):
+        _, base = served_index
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(base + "/query", {"question": "where is w001", "top_k": service.MAX_TOP_K + 1})
+        with err.value as resp:
+            assert resp.code == 400
+            assert str(service.MAX_TOP_K) in json.loads(resp.read())["error"]
+        status, body = post(base + "/query", {"question": "where is w001", "top_k": service.MAX_TOP_K})
+        assert status == 200 and body["results"]
+
     def test_negative_content_length_is_400(self, served_index):
         _, base = served_index
         host, port = base.removeprefix("http://").split(":")
