@@ -11,6 +11,20 @@ the PARA_DTYPE paragraph table, then the start and the end survival masks,
 each as np.packbits of one bit per token over the whole corpus in token
 order. Nothing per start or per phrase is stored: PhraseIndex derives the
 phrase table from the masks at open.
+
+coherency.bin holds, after its header, (n_start_rows, n_end_rows) as two
+u64, coherency_dim as a u32 and the least and greatest phrase coherency as
+two f32, then two float32 matrices: one coherency-head row per start row,
+aligned with starts.bin, and one coherency-tail row per end row, aligned with
+ends.bin. A phrase's coherency is search.phrase_coherency of its start's head
+and its end's tail, computed when it is scored. The two matrices cost
+4 * coherency_dim bytes per stored row against 4 bytes per phrase for a
+stored scalar, so they are smaller when there are more than 2 *
+coherency_dim phrases per token: at keep-all, about max_span of them.
+
+sparse_docs.bin holds the tf-idf model and the combined paragraph vectors.
+The document vectors are the transpose of postings.bin, and
+PhraseIndex.doc_vectors derives them from it.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ import numpy as np
 
 from .corpus import CorpusStore, SpanRef, load_corpus
 from .dense import Encoder, EncoderConfig, ToyEncoder
+from .search import phrase_coherency
 from .sparse import (
     NGRAM_BINS,
     InvertedIndex,
@@ -42,9 +57,10 @@ from .sparse import (
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
+_COHERENCY_HEAD = struct.Struct("<QQIff")  # head rows, tail rows, width, least, greatest
 
 PARA_DTYPE = np.dtype(
     [("doc", "<u4"), ("para", "<u4"), ("rec_begin", "<u8"), ("n_recs", "<u4"), ("n_tokens", "<u4")]
@@ -137,7 +153,11 @@ def estimate_index_size(
     pointer = 2 * n_tokens * boundary_dim * bytes_per_value
     filtered = pointer * survival_rate
     quantized = filtered / 4.0
-    phrase_table = n_phrases * (2 * 4 + 4)  # two 4-byte pointers + float32 coherency
+    # A naive phrase table: two 4-byte pointers and a float32 coherency per
+    # phrase. The index stores none of it; it derives the phrases from the
+    # survival masks and stores a float32 coherency head per start row and a
+    # tail per end row, 4 * coherency_dim bytes each.
+    phrase_table = n_phrases * (2 * 4 + 4)
     return IndexSizeEstimate(naive, pointer, filtered, quantized, phrase_table)
 
 
@@ -337,8 +357,9 @@ def build_index(
     """Encode each paragraph once, then write a new index directory.
 
     One pass over the corpus encodes each paragraph and keeps its survival
-    masks, its surviving start/end rows and the coherency value of each of
-    its phrases, and fills the quantization reservoirs. The kept rows are
+    masks, its surviving start/end rows and their float32 coherency heads
+    and tails, takes the least and greatest coherency of its phrases, and
+    fills the quantization reservoirs. The kept rows are
     quantized once the reservoirs are fitted, and each section is written
     from arrays concatenated once. phrases.bin stores the paragraph table and
     the two masks, bit-packed; the phrases themselves are derived at open.
@@ -364,7 +385,9 @@ def build_index(
     para_rows: list[tuple] = []
     start_masks: list[np.ndarray] = []
     end_masks: list[np.ndarray] = []
-    coherency: list[np.ndarray] = []
+    heads: list[np.ndarray] = []  # float32 coherency heads of the start rows, tails of the end rows
+    tails: list[np.ndarray] = []
+    coh_lo, coh_hi = np.float32(np.inf), np.float32(-np.inf)
     doc_vectors = [tfidf.embed(doc) for doc in corpus]
     para_vectors: list[SparseVector] = []
     n_tokens = n_recs = n_phrases = n_end_rows = 0
@@ -379,10 +402,15 @@ def build_index(
         start_res.add(start_rows[-1])
         end_res.add(end_rows[-1])
 
-        coh = H.coh_head_cols @ H.coh_tail_cols.T
+        head = H.coh_head_cols.astype("<f4")
+        tail = H.coh_tail_cols.astype("<f4")
+        heads.append(head[smask])
+        tails.append(tail[emask])
+        if jj.size:
+            coh = phrase_coherency(head[ii], tail[jj])
+            coh_lo, coh_hi = min(coh_lo, coh.min()), max(coh_hi, coh.max())
         start_masks.append(smask)
         end_masks.append(emask)
-        coherency.append(coh[ii, jj].astype("<f4"))
         n_starts = start_rows[-1].shape[0]
         para_rows.append((ord_, pidx, n_recs, n_starts, para.n_tokens))
         para_vectors.append(combine_doc_para(doc_vectors[ord_], tfidf.embed(para)))
@@ -421,8 +449,11 @@ def build_index(
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         with open(tmp / "coherency.bin", "wb") as fh:
             _write_header(fh, b"COHR")
-            fh.write(struct.pack("<Q", n_phrases))
-            fh.write(np.concatenate(coherency).tobytes())
+            fh.write(
+                _COHERENCY_HEAD.pack(n_start_rows, n_end_rows, cfg.coherency_dim, coh_lo, coh_hi)
+            )
+            fh.write(np.concatenate(heads).tobytes())
+            fh.write(np.concatenate(tails).tobytes())
         with open(tmp / "phrases.bin", "wb") as fh:
             _write_header(fh, b"PHRS")
             fh.write(struct.pack("<QQ", len(para_rows), n_tokens))
@@ -436,7 +467,6 @@ def build_index(
             fh.write(struct.pack("<Q", tfidf.doc_count))
             _write_sized(fh, df_bins)
             _write_sized(fh, df_counts)
-            _write_sparse_list(fh, doc_vectors)
             _write_sparse_list(fh, para_vectors)
         with open(tmp / "postings.bin", "wb") as fh:
             _write_header(fh, b"PSTG")
@@ -538,14 +568,17 @@ class PhraseIndex:
       rec_end_row    end_rank[g], the first end row of its phrases
       rec_n_ends     end_rank[min(g + max_span, B + n)] - end_rank[g]
       rec_ends_begin the exclusive cumsum of rec_n_ends: the record's first
-                     phrase id, which is also its first coherency value
+                     phrase id, its first entry of end_entries and coherency
     Its phrases end at end rows rec_end_row .. + rec_n_ends - 1, in order, and
     end_tok[e] is the paragraph-local token of end row e. end_rank never
     decreases, so neither does rec_end_row, records without ends included.
     Document d owns paragraph rows [doc_para_begin[d], doc_para_begin[d + 1])
     and start records [doc_rec_begin[d], doc_rec_begin[d + 1]). These arrays
-    are O(tokens); nothing per phrase is built unless start_records or
-    end_entries is read.
+    are O(tokens); nothing per phrase is built unless start_records,
+    end_entries or coherency is read. Search reads the coherency heads and
+    tails, one float32 row per start row and per end row, and
+    coherency_range, the least and greatest phrase coherency, from the
+    header of coherency.bin.
     """
 
     def __init__(self, path: str | Path):
@@ -598,14 +631,8 @@ class PhraseIndex:
         masks = np.frombuffer(body, np.uint8, 2 * mask_bytes, table_bytes)
         start_mask = np.unpackbits(masks[:mask_bytes], count=n_tokens)
         end_mask = np.unpackbits(masks[mask_bytes:], count=n_tokens)
-        with open(self.path / "coherency.bin", "rb") as fh:
-            _check_header(fh, b"COHR", "coherency.bin")
-            (n_coh,) = struct.unpack("<Q", fh.read(8))
-            coh_off = fh.tell()
-        self.coherency = np.memmap(
-            self.path / "coherency.bin", dtype="<f4", mode="r", offset=coh_off, shape=(n_coh,)
-        )
-        self._derive_phrase_table(start_mask, end_mask, int(n_coh))
+        self._derive_phrase_table(start_mask, end_mask)
+        self._map_coherency()
 
         with open(self.path / "sparse_docs.bin", "rb") as fh:
             _check_header(fh, b"SPRS", "sparse_docs.bin")
@@ -616,10 +643,6 @@ class PhraseIndex:
                 doc_count=doc_count,
                 doc_freq={int(b): int(c) for b, c in zip(df_bins, df_counts)},
             )
-            offsets, bins, weights = _read_sparse_csr(fh, "sparse_docs.bin")
-            self.doc_vectors = [
-                SparseVector(bins[lo:hi], weights[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
             self.para_offsets, self.para_bins, self.para_weights = _read_sparse_csr(
                 fh, "sparse_docs.bin"
             )
@@ -672,7 +695,7 @@ class PhraseIndex:
             ]
             self.ivf = IvfIndex(centroids=centroids, lists=lists)
 
-    def _derive_phrase_table(self, start_mask: np.ndarray, end_mask: np.ndarray, n_coh: int) -> None:
+    def _derive_phrase_table(self, start_mask: np.ndarray, end_mask: np.ndarray) -> None:
         """Per-record and per-end-row arrays from the paragraph table and the
         two survival masks, in O(tokens), checked against the other sections."""
 
@@ -712,11 +735,42 @@ class PhraseIndex:
         window_stop = np.minimum(starts + self.max_span, para_stop[self.rec_para])
         self.rec_n_ends = end_rank[window_stop] - self.rec_end_row
         self.rec_ends_begin = np.cumsum(self.rec_n_ends) - self.rec_n_ends
-        if int(self.rec_n_ends.sum()) != n_coh:
-            raise bad(f"masks give {int(self.rec_n_ends.sum())} phrases, coherency.bin holds {n_coh}")
         ends = np.flatnonzero(end_mask)
         self.end_tok = ends - para_base[np.searchsorted(para_stop, ends, side="right")]
         self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
+
+    def _map_coherency(self) -> None:
+        """Map the coherency heads and tails after checking that coherency.bin
+        holds one row per start row and per end row, coherency_dim wide, and
+        nothing else; read the coherency range from its header."""
+        path = self.path / "coherency.bin"
+        with open(path, "rb") as fh:
+            _check_header(fh, b"COHR", "coherency.bin")
+            head = fh.read(_COHERENCY_HEAD.size)
+        if len(head) < _COHERENCY_HEAD.size:
+            raise ValueError("section coherency.bin: truncated header")
+        n_heads, n_tails, width, lo, hi = _COHERENCY_HEAD.unpack(head)
+        if (n_heads, n_tails) != (self.n_start_rows, self.n_end_rows):
+            raise ValueError(
+                f"section coherency.bin: {n_heads} head and {n_tails} tail rows for "
+                f"{self.n_start_rows} start rows and {self.n_end_rows} end rows"
+            )
+        if width != self.config.coherency_dim:
+            raise ValueError(
+                f"section coherency.bin: rows {width} wide, "
+                f"coherency_dim is {self.config.coherency_dim}"
+            )
+        offset = _HEADER_LEN + _COHERENCY_HEAD.size
+        expected = offset + 4 * width * (n_heads + n_tails)
+        if path.stat().st_size != expected:
+            raise ValueError(
+                f"section coherency.bin: {path.stat().st_size} bytes, expected {expected}"
+            )
+        rows = np.memmap(
+            path, dtype="<f4", mode="r", offset=offset, shape=(n_heads + n_tails, width)
+        )
+        self.coherency_heads, self.coherency_tails = rows[:n_heads], rows[n_heads:]
+        self.coherency_range = (float(lo), float(hi))
 
     def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
         with open(self.path / name, "rb") as fh:
@@ -755,11 +809,14 @@ class PhraseIndex:
     def dequant_end_rows(self, rows: np.ndarray | slice) -> np.ndarray:
         return dequantize(np.asarray(self.end_codes[rows]), self.end_quant)
 
-    def code_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The start codes, end codes and coherency values as plain ndarray
-        views of their memory maps: nothing is copied, and indexing a view
-        skips the per-call overhead of memmap.__getitem__."""
-        return np.asarray(self.start_codes), np.asarray(self.end_codes), np.asarray(self.coherency)
+    def code_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The start codes, end codes, coherency heads and coherency tails as
+        plain ndarray views of their memory maps: nothing is copied, and
+        indexing a view skips the per-call overhead of memmap.__getitem__."""
+        return tuple(
+            np.asarray(m)
+            for m in (self.start_codes, self.end_codes, self.coherency_heads, self.coherency_tails)
+        )
 
     def doc_id(self, ordinal: int) -> str:
         return self.corpus.doc_by_ordinal(ordinal).id
@@ -794,16 +851,29 @@ class PhraseIndex:
         keys += self.para_bins
         return keys
 
-    @cached_property
-    def coherency_range(self) -> tuple[float, float]:
-        """Least and greatest stored coherency value, (0, 0) for an index
-        without phrases. Taken on first use, one pass over coherency.bin."""
-        coh = np.asarray(self.coherency)
-        return (float(coh.min()), float(coh.max())) if coh.size else (0.0, 0.0)
-
-    # -- per-record and per-phrase tables, built on first use ---------------
+    # -- per-record, per-phrase and per-document tables, built on first use -
     # Search never reads these: they exist for callers that want the phrase
-    # table as records, and they cost memory per phrase.
+    # table as records, and they cost memory per phrase or per posting.
+
+    @cached_property
+    def doc_vectors(self) -> list[SparseVector]:
+        """Each document's tf-idf vector, with the float32 weights of
+        postings.bin, of which it is the transpose."""
+        return self.postings.reconstruct_doc_vectors()
+
+    def _phrase_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The start row and the end row of every phrase, by phrase id."""
+        owner = np.repeat(np.arange(self.n_start_rows), self.rec_n_ends)
+        return owner, self.rec_end_row[owner] + np.arange(owner.size) - self.rec_ends_begin[owner]
+
+    @cached_property
+    def coherency(self) -> np.ndarray:
+        """One read-only float32 coherency value per phrase, by phrase id."""
+        starts, ends = self._phrase_rows()
+        _, _, heads, tails = self.code_arrays()
+        coh = phrase_coherency(heads[starts], tails[ends])
+        coh.flags.writeable = False
+        return coh
 
     @cached_property
     def start_records(self) -> np.ndarray:
@@ -820,8 +890,7 @@ class PhraseIndex:
     @cached_property
     def end_entries(self) -> np.ndarray:
         """One read-only END_DTYPE (end token, end row) entry per phrase."""
-        owner = np.repeat(np.arange(self.n_start_rows), self.rec_n_ends)
-        rows = self.rec_end_row[owner] + np.arange(owner.size) - self.rec_ends_begin[owner]
+        _, rows = self._phrase_rows()
         entries = np.empty(rows.size, dtype=END_DTYPE)
         entries["tok"] = self.end_tok[rows]
         entries["row"] = rows

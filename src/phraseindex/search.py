@@ -13,10 +13,13 @@ folded into the query, so no float copy of a stored vector is kept. Each
 record gets an upper bound on its phrases' scores from its start logit, the
 block's best end logit and the largest coherency term, and only the records
 whose bound reaches the running k-th best score (the floor) are expanded:
-their phrases form a rectangle of records by window offsets, scored in
-float64 and cut to the block's best before the next block, so the scratch per
-query does not grow with the number of records. The output counts the start
-rows and phrases scored, and the phrases expanded.
+their phrases form a rectangle of records by window offsets, each cell bounded
+the same way with its own end logit, and only the cells whose bound reaches
+the floor get their coherency (phrase_coherency, from the stored head and
+tail rows) and a score in float64. The rectangle is cut to the block's best
+before the next block, so the scratch per query does not grow with the number
+of records. The output counts the start rows and phrases scored, and the
+phrases expanded.
 """
 
 from __future__ import annotations
@@ -158,6 +161,21 @@ def _code_logits(
     return out
 
 
+def phrase_coherency(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Coherency of each phrase whose float32 head and tail rows pair up along
+    the last axis, the other axes broadcasting: float32 of the float64 sum,
+    over the columns c in ascending order, of float64(head[..., c]) *
+    float64(tail[..., c]). A product of two float32 values is exact in
+    float64, and the column loop fixes the order of the sum, so a phrase gets
+    the same bits in any batch. The build, the kernel, result materialization
+    and PhraseIndex.coherency all take coherency from here."""
+    products = np.multiply(head, tail, dtype=np.float64)
+    total = products[..., 0].copy()
+    for c in range(1, products.shape[-1]):
+        total += products[..., c]
+    return total.astype(np.float32)
+
+
 def _ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Concatenation of arange(b, b + c) over the (begin, count) pairs, as one
     running sum of steps: 1 within a range, a jump at each range's head. It
@@ -226,34 +244,38 @@ def _score_starts(
     The records are scored _BLOCK at a time. A block's phrases form a
     rectangle of records by window offsets t below the largest rec_n_ends,
     stored offset-major so that per-record terms broadcast along long rows.
-    Cell (r, t) is phrase rec_ends_begin[r] + t, ending at end row
-    rec_end_row[r] + t, and is valid when t < rec_n_ends[r]. Its total is
-    ((start + end) + coherency * q_c) + sparse_scale * sparse, in float64;
-    invalid cells score -inf. Start and end logits come straight from the
-    int8 codes, once per row of the block.
+    Cell (r, t) is the phrase from start row r to end row rec_end_row[r] + t,
+    and is valid when t < rec_n_ends[r]. Its total is
+    ((start + end) + coherency * q_c) + sparse_scale * sparse, in float64,
+    with coherency = phrase_coherency(head row r, tail row of its end). Start
+    and end logits come straight from the int8 codes, once per row of the
+    block.
 
     The floor is a score that at least k cells already reach, so no cell
-    below it can be in the top k. Record r's bound sums the same terms in the
-    same order, with the block's largest end logit and the larger of
-    float64(coherency) * q_c at the least and greatest stored coherency.
-    Rounding to nearest is monotone, so no cell of r scores above its bound,
-    and only the records whose bound reaches the floor are expanded into a
-    rectangle. Until a floor exists, a block of more than k records whose k
-    records of largest bound have k cells seeds it from their real scores;
-    a smaller block is expanded whole. A block keeps every expanded
-    score at or above both the floor and its own k-th best, ties included,
-    and raises the floor to the larger of the two, so the overall top k is
-    among the kept cells. Record r is start row r and phrase ids ascend in
-    (doc, para, i, j) order, as do the kept cells, block after block; ranking
-    them on (-score, position) gives the documented tie-break. Every term is
-    computed per row, per phrase or per paragraph, so a phrase scores the
-    same bits in any set of records. The scratch is O(_BLOCK x max_span),
-    whatever the number of records.
+    below it can be in the top k. A bound sums the same terms in the same
+    order with c_top, the larger of float64(coherency) * q_c at the least and
+    greatest coherency of the index, in place of the coherency term. Rounding
+    to nearest is monotone, so no cell scores above its bound. Record r's
+    bound takes the block's largest end logit, and only the records whose
+    bound reaches the floor are expanded into a rectangle; there each cell's
+    bound takes its own end logit, and only the valid cells whose bound
+    reaches the floor get their coherency and a score. Until a floor exists,
+    a block of more than k records whose k records of largest bound have k
+    cells seeds it from the real scores of all their cells; a smaller block
+    is expanded whole. A block keeps every score at or above both the floor
+    and its own k-th best, ties included, and raises the floor to the larger
+    of the two, so the overall top k is among the kept cells. Record r is
+    start row r and phrases ascend in (doc, para, i, j) order with (r, t), as
+    do the kept cells, block after block; ranking them on (-score, position)
+    gives the documented tie-break. Every term is computed per row, per
+    phrase or per paragraph, so a phrase scores the same bits in any set of
+    records. The scratch is O(_BLOCK x max_span), whatever the number of
+    records.
     """
     q = query.dense
     start_fold = _fold(index.start_quant, q.start)
     end_fold = _fold(index.end_quant, q.end)
-    start_codes, end_codes, coherency = index.code_arrays()
+    start_codes, end_codes, heads, tails = index.code_arrays()
     coh_lo, coh_hi = index.coherency_range
     coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
     k, scale = config.top_k, config.sparse_scale
@@ -281,52 +303,61 @@ def _score_starts(
         bound += scale * sparse
         bound[n_ends == 0] = -np.inf
 
-        def cells(sel: np.ndarray) -> np.ndarray:
-            """The (offset, record) rectangle of the block's records `sel`."""
-            offsets = np.arange(int(n_ends[sel].max()))[:, None]
-            total = np.take(end, end_first[sel] + offsets, mode="clip")
-            total += start[sel]
-            coh = np.take(coherency, index.rec_ends_begin[blk[sel]] + offsets, mode="clip")
-            total += np.multiply(coh, q.coherency, dtype=np.float64)
-            total += scale * sparse[sel]
-            total[offsets >= n_ends[sel]] = -np.inf
-            return total
+        def cells(sel: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """The valid cells of the block's records `sel` whose bound reaches
+            `floor`, in (record, offset) order, that is by ascending phrase
+            id: their positions in `sel`, their offsets and their scores."""
+            sel_ends = n_ends[sel]
+            offsets = np.arange(int(sel_ends.max()))[:, None]
+            at = end_first[sel] + offsets
+            start_end = np.take(end, at, mode="clip")
+            start_end += start[sel]
+            cell_sparse = scale * sparse[sel]
+            reach = start_end + coh_top
+            reach += cell_sparse
+            reach = reach >= floor
+            reach &= offsets < sel_ends
+            col, t = np.nonzero(reach.T)
+            coh = phrase_coherency(heads[blk[sel[col]]], tails[end_rows[at[t, col]]])
+            total = start_end[t, col] + np.multiply(coh, q.coherency, dtype=np.float64)
+            total += cell_sparse[col]
+            return col, t, total
 
         if floor == unset and bound.size > k:
             seed = np.argpartition(bound, -k)[-k:]
             if int(n_ends[seed].sum()) >= k:
-                floor = float(np.partition(cells(seed), -k, axis=None)[-k])
+                floor = float(np.partition(cells(seed, floor)[2], -k)[-k])
         live = np.flatnonzero(bound >= floor)
         if live.size == 0:
             continue
         n_expanded += int(n_ends[live].sum())
-        total = cells(live)
+        col, t, total = cells(live, floor)
         above = total[total >= floor]
         if above.size > k:
             above.partition(above.size - k)  # in place: the k-th best of the block is at size - k
             floor = max(floor, float(above[above.size - k]))
-        del above
-        # Cells in (record, offset) order, that is by ascending phrase id.
-        col, t = np.divmod(np.flatnonzero((total >= floor).T), total.shape[0])
-        row = live[col]
-        kept.append((total[t, col], start[row], end[end_first[row] + t], sparse[row], b + row, t))
+        keep = total >= floor
+        row, t = live[col[keep]], t[keep]
+        kept.append((total[keep], start[row], end[end_first[row] + t], sparse[row], b + row, t))
 
     results = []
     if kept:
         score, start_logit, end_logit, para_score, pos, offset = (
             np.concatenate(c) for c in zip(*kept)
         )
-        for c in _top_k(score, k):
-            r, t = int(recs[pos[c]]), int(offset[c])
+        top = _top_k(score, k)
+        rec = np.array([recs[p] for p in pos[top].tolist()], dtype=np.int64)
+        end_row = index.rec_end_row[rec] + offset[top]
+        coherency = phrase_coherency(heads[rec], tails[end_row]).astype(np.float64)
+        for c, r, row, coh in zip(top, rec.tolist(), end_row.tolist(), coherency):
             para = index.para_table[index.rec_para[r]]
             doc_ord = int(para["doc"])
             ref = SpanRef(
                 doc_id=index.doc_id(doc_ord),
                 para_idx=int(para["para"]),
                 i=int(index.rec_tok[r]),
-                j=int(index.end_tok[index.rec_end_row[r] + t]),
+                j=int(index.end_tok[row]),
             )
-            coh = np.float64(coherency[index.rec_ends_begin[r] + t])
             results.append(
                 SearchResult(
                     text=index.span_text(ref),

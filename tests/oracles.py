@@ -62,11 +62,16 @@ def _read_quant_section(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return tuple(arrays)  # start_min, start_scale, end_min, end_scale
 
 
-def _read_coherency_section(path: Path) -> np.ndarray:
+def _read_coherency_section(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The coherency head rows (one per start row) and tail rows (one per end
+    row), as float32 matrices."""
     raw = path.read_bytes()
     assert raw[:4] == b"PIDX"
-    (n,) = struct.unpack("<Q", raw[12:20])
-    return np.frombuffer(raw[20:], dtype="<f4").astype(np.float64)
+    n_heads, n_tails, width = struct.unpack("<QQI", raw[12:32])
+    body = np.frombuffer(raw[40:], dtype="<f4")
+    assert body.size == (n_heads + n_tails) * width
+    heads = body[: n_heads * width].reshape(n_heads, width)
+    return heads, body[n_heads * width :].reshape(n_tails, width)
 
 
 def enumerate_all_scores(
@@ -87,7 +92,7 @@ def enumerate_all_scores(
     start_codes, dim = _read_code_section(index_dir / "starts.bin")
     end_codes, _ = _read_code_section(index_dir / "ends.bin")
     s_min, s_scale, e_min, e_scale = _read_quant_section(index_dir / "quant.bin")
-    coherency = _read_coherency_section(index_dir / "coherency.bin")
+    heads, tails = _read_coherency_section(index_dir / "coherency.bin")
     starts = s_min + (start_codes.astype(np.float64) + 128.0) * s_scale
     ends = e_min + (end_codes.astype(np.float64) + 128.0) * e_scale
 
@@ -96,7 +101,6 @@ def enumerate_all_scores(
 
     scored = []
     row_base = 0  # keep-all: one start row and one end row per token, in order
-    coh_cursor = 0
     for doc_ord, doc, para_idx, para in corpus.iter_paragraphs():
         combined = combine_doc_para(doc_vecs[doc_ord], tfidf.embed(para))
         # Match the on-disk float32 weights the search path consumes.
@@ -109,15 +113,17 @@ def enumerate_all_scores(
         n = para.n_tokens
         for i in range(n):
             for j in range(i, min(i + max_span, n)):
+                coherency = 0.0  # head_i . tail_j, summed in float64 over ascending columns
+                for h, t in zip(heads[row_base + i], tails[row_base + j]):
+                    coherency += float(h) * float(t)
                 dense = (
                     float(starts[row_base + i] @ q_start)
                     + float(ends[row_base + j] @ q_end)
-                    + q_coherency * float(coherency[coh_cursor])
+                    + q_coherency * float(np.float32(coherency))
                 )
                 scored.append(
                     (dense + sparse_scale * sparse_raw, doc_ord, para_idx, i, j)
                 )
-                coh_cursor += 1
         row_base += n
     scored.sort(key=lambda t: (-t[0], t[1], t[2], t[3], t[4]))
     return scored

@@ -430,6 +430,63 @@ class TestPhrasesSection:
             load_index(index_dir)
 
 
+class TestCoherencySection:
+    @pytest.fixture
+    def index_dir(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(20), n_docs=5)
+        build_small_index(corpus, tmp_path / "idx")
+        return tmp_path / "idx"
+
+    def _rewrite(self, index_dir, edit):
+        raw = bytearray((index_dir / "coherency.bin").read_bytes())
+        edit(raw)
+        _rewrite_section(index_dir, "coherency.bin", bytes(raw))
+
+    @pytest.mark.parametrize("cut", [4, 1, "header"])
+    def test_truncated_section(self, index_dir, cut):
+        def edit(raw):
+            del raw[12 + 10 if cut == "header" else -cut :]
+
+        self._rewrite(index_dir, edit)
+        with pytest.raises(ValueError, match="coherency.bin.*(truncated|expected)"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("field", [0, 8])  # head rows, tail rows
+    def test_wrong_row_count(self, index_dir, field):
+        def edit(raw):
+            at = 12 + field
+            (n,) = struct.unpack("<Q", raw[at : at + 8])
+            raw[at : at + 8] = struct.pack("<Q", n - 1)
+
+        self._rewrite(index_dir, edit)
+        with pytest.raises(ValueError, match="coherency.bin.*start rows"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_width(self, index_dir, width):
+        def edit(raw):
+            assert struct.unpack("<I", raw[28:32]) == (SMALL_CONFIG.coherency_dim,)
+            raw[28:32] = struct.pack("<I", width)
+
+        self._rewrite(index_dir, edit)
+        with pytest.raises(ValueError, match="coherency.bin.*coherency_dim"):
+            load_index(index_dir)
+
+
+def test_doc_vectors_are_the_tfidf_vectors_of_the_documents(tmp_path):
+    # Derived from postings.bin; the weights are stored as float32.
+    rng = np.random.default_rng(21)
+    corpus = make_random_corpus(rng, n_docs=30, vocab=40)
+    index = build_small_index(corpus, tmp_path / "idx")
+    tfidf = fit_tfidf(corpus)
+    assert len(index.doc_vectors) == corpus.n_docs
+    for doc, got in zip(corpus, index.doc_vectors):
+        want = tfidf.embed(doc)
+        assert got.bins.dtype == np.int64 and got.weights.dtype == np.float64
+        assert np.array_equal(got.bins, want.bins)
+        assert np.array_equal(got.weights, want.weights.astype(np.float32).astype(np.float64))
+
+
 class TestSparseBinsAtOpen:
     @pytest.fixture
     def index_dir(self, tmp_path):

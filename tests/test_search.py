@@ -10,6 +10,7 @@ import phraseindex.search as search_module
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef
 from phraseindex.dense import QueryDenseVector
+from phraseindex.index import load_index
 from phraseindex.search import (
     STRATEGIES,
     QueryVector,
@@ -27,6 +28,7 @@ from phraseindex.search import (
     exact_search,
     hybrid_search,
     kmeans_train,
+    phrase_coherency,
     run_search,
     sfs_search,
 )
@@ -502,6 +504,46 @@ def test_work_counters(fixture, request):
     ])
     assert sfs.start_rows_scored == recs.size
     assert sfs.phrases_scored == int(index.rec_n_ends[recs].sum())
+
+
+def test_phrase_coherency_sums_the_columns_in_order():
+    # float32 of a float64 sum over ascending columns, whatever the batch shape.
+    rng = np.random.default_rng(19)
+    heads, tails = (
+        (rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-3, 4, size=(n, 5))).astype(np.float32)
+        for n in (30, 7)
+    )
+    grid = phrase_coherency(heads[None, :, :], tails[:, None, :])
+    assert grid.dtype == np.float32 and grid.shape == (7, 30)
+    for e in range(7):
+        for s in range(30):
+            total = 0.0
+            for h, t in zip(heads[s].tolist(), tails[e].tolist()):
+                total += h * t
+            assert grid[e, s] == np.float32(total)
+            assert phrase_coherency(heads[s], tails[e]) == grid[e, s]
+    # Cancelling columns show the order: 1 + 2^60 rounds to 2^60, so only the
+    # ascending sum gives 0 for both rows.
+    head = np.array([[1.0, 2.0**60, -(2.0**60)], [2.0**60, 1.0, -(2.0**60)]], dtype=np.float32)
+    assert phrase_coherency(head, np.ones(3, dtype=np.float32)).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_search_builds_no_per_phrase_table(fixture, request):
+    # Search reads the coherency heads and tails and the per-record arrays;
+    # the per-phrase accessors are for callers, and cost memory per phrase.
+    index = load_index(request.getfixturevalue(fixture).path)
+    q = embed_question(index, "w001 w002 w003")
+    for strategy in STRATEGIES:
+        assert run_search(index, q, SearchConfig(strategy=strategy, nprobe=2)).results
+    assert not {"coherency", "start_records", "end_entries"} & set(vars(index))
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_coherency_range_is_the_least_and_greatest_phrase_coherency(fixture, request):
+    index = load_index(request.getfixturevalue(fixture).path)
+    assert index.coherency.size == index.n_phrases
+    assert index.coherency_range == (float(index.coherency.min()), float(index.coherency.max()))
 
 
 def test_exact_scratch_does_not_grow_with_the_records(tmp_path):
