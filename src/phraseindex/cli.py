@@ -202,7 +202,12 @@ def main(argv: list[str] | None = None) -> int:
             args.search = _search_config(args)
         except ValueError as exc:
             parser.error(str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    # Bad input, one line each; UnicodeDecodeError is a ValueError. Bugs still traceback.
+    except (ValueError, FileNotFoundError, FileExistsError) as exc:
+        print(f"phraseindex: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

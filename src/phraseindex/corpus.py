@@ -10,10 +10,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 _CHUNK_RE = re.compile(r"\S+")
 _PUNCT = frozenset(string.punctuation)
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,19 +183,44 @@ class CorpusStore:
         return "\n".join(lines) + "\n"
 
 
-def _parse_doc_record(rec: dict, line_no: int) -> Document:
+def _read_jsonl(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
+    """parse(record) for the JSON object on each non-blank line of a
+    JSON-lines file. Any fault of a line (not UTF-8, not JSON, not an object,
+    or refused by parse with a ValueError) raises a ValueError that names the
+    file and the line."""
+    out: list[_T] = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+                out.append(parse(rec))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from exc
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    return out
+
+
+def _parse_doc_record(rec: dict) -> Document:
     try:
         doc_id = rec["id"]
         title = rec["title"]
         paragraphs = rec["paragraphs"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"line {line_no}: missing field {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from exc
     if not isinstance(doc_id, str) or not isinstance(title, str):
-        raise ValueError(f"line {line_no}: id and title must be strings")
+        raise ValueError("id and title must be strings")
     if not isinstance(paragraphs, list) or not paragraphs:
-        raise ValueError(f"line {line_no}: paragraphs must be a non-empty list")
+        raise ValueError("paragraphs must be a non-empty list")
     if not all(isinstance(p, str) for p in paragraphs):
-        raise ValueError(f"line {line_no}: paragraphs must be strings")
+        raise ValueError("paragraphs must be strings")
     return Document(
         id=doc_id, title=title, paragraphs=[Paragraph.from_text(p) for p in paragraphs]
     )
@@ -204,16 +230,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> CorpusStore:
     """Load a JSON-lines corpus: one {"id", "title", "paragraphs"} object per line."""
     if format != "jsonl":
         raise ValueError(f"unknown corpus format {format!r}")
-    docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            docs.append(_parse_doc_record(rec, line_no))
+    docs = _read_jsonl(path, _parse_doc_record)
     if not docs:
         raise ValueError("empty corpus")
     return CorpusStore(docs)
@@ -229,29 +246,25 @@ class QaRecord:
     answer_span: tuple[int, int, int] | None = None  # (para_idx, char_start, char_end)
 
 
+def _parse_qa_record(rec: dict) -> QaRecord:
+    try:
+        question = rec["question"]
+        answers = rec["answers"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from exc
+    if not isinstance(question, str):
+        raise ValueError("question must be a string")
+    if not isinstance(answers, list) or not answers or not all(isinstance(a, str) for a in answers):
+        raise ValueError("answers must be a non-empty list of strings")
+    span = rec.get("answer_span")
+    return QaRecord(
+        question=question,
+        answers=answers,
+        doc_id=rec.get("doc_id"),
+        answer_span=tuple(span) if span is not None else None,
+    )
+
+
 def load_qa(path: str | Path) -> list[QaRecord]:
     """Load a JSON-lines QA set: {"question", "answers", "doc_id"?, "answer_span"?}."""
-    records: list[QaRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            try:
-                question = rec["question"]
-                answers = rec["answers"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"line {line_no}: missing field {exc}") from exc
-            span = rec.get("answer_span")
-            records.append(
-                QaRecord(
-                    question=question,
-                    answers=list(answers),
-                    doc_id=rec.get("doc_id"),
-                    answer_span=tuple(span) if span is not None else None,
-                )
-            )
-    return records
+    return _read_jsonl(path, _parse_qa_record)

@@ -22,9 +22,15 @@ and its end's tail, computed when it is scored. The two matrices cost
 stored scalar, so they are smaller when there are more than 2 *
 coherency_dim phrases per token: at keep-all, about max_span of them.
 
-sparse_docs.bin holds the tf-idf model and the combined paragraph vectors.
-The document vectors are the transpose of postings.bin, and
-PhraseIndex.doc_vectors derives them from it.
+sparse_docs.bin holds only what postings.bin cannot give. After its header:
+the bins whose idf is 0, which have no postings, and their dfs, as two sized
+u32 arrays; a sized float32 array of 1 / ||doc + para|| per paragraph (0 for
+an empty sum); and each paragraph's own tf-idf vector as a sparse list (count,
+u64 offsets, u32 bins, float32 weights), empty for a document's only
+paragraph, whose paragraph vector is its document vector. The document
+vectors are the transpose of postings.bin (PhraseIndex.doc_vectors), and
+every other bin's df is the length of its posting list, so the tf-idf model is
+derived at open. A paragraph's combined vector is (doc + para) * inv_norm.
 """
 
 from __future__ import annotations
@@ -52,12 +58,12 @@ from .sparse import (
     PostingLists,
     SparseVector,
     TfIdfModel,
+    add_vectors,
     build_inverted_index,
-    combine_doc_para,
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
 _COHERENCY_HEAD = struct.Struct("<QQIff")  # head rows, tail rows, width, least, greatest
@@ -251,6 +257,21 @@ def _read_sparse_csr(fh, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return offsets, bins, weights
 
 
+def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, int]:
+    """The (bin, df) pairs of the bins whose idf is 0, which have no postings.
+    Every other bin's df is the length of its posting list, as long as the
+    model was fit on the indexed documents, so these pairs and postings.bin
+    give the whole df table."""
+    zero = {b: df for b, df in tfidf.doc_freq.items() if tfidf.idf(b) == 0.0}
+    if (
+        tfidf.doc_count != inverted.n_docs
+        or len(zero) + len(inverted.postings) != len(tfidf.doc_freq)
+        or any(tfidf.doc_freq.get(b) != docs.size for b, (docs, _) in inverted.postings.items())
+    ):
+        raise ValueError("the tf-idf model was not fit on the indexed corpus")
+    return zero
+
+
 # ---------------------------------------------------------------------------
 # Reservoir sampling for quantization fitting
 # ---------------------------------------------------------------------------
@@ -330,6 +351,28 @@ def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
     return np.broadcast_to(starts[:, None], window.shape)[ok], window[ok]
 
 
+def _write_sparse_sections(
+    out: Path,
+    tfidf: TfIdfModel,
+    doc_vectors: list[SparseVector],
+    own_vectors: list[SparseVector],
+    inv_norms: list[float],
+) -> None:
+    """postings.bin from the document vectors, then sparse_docs.bin."""
+    inverted = build_inverted_index(doc_vectors)
+    with open(out / "postings.bin", "wb") as fh:
+        _write_header(fh, b"PSTG")
+        _write_postings(fh, inverted)
+    idf_zero = _idf_zero_doc_freq(tfidf, inverted)
+    with open(out / "sparse_docs.bin", "wb") as fh:
+        _write_header(fh, b"SPRS")
+        zero_bins = sorted(idf_zero)
+        _write_sized(fh, np.array(zero_bins, dtype="<u4"))
+        _write_sized(fh, np.array([idf_zero[b] for b in zero_bins], dtype="<u4"))
+        _write_sized(fh, np.array(inv_norms, dtype="<f4"))
+        _write_sparse_list(fh, own_vectors)
+
+
 def _fsync_tree(path: Path) -> None:
     """Flush every file directly under path, then the directory entry list."""
     for f in path.iterdir():
@@ -389,7 +432,8 @@ def build_index(
     tails: list[np.ndarray] = []
     coh_lo, coh_hi = np.float32(np.inf), np.float32(-np.inf)
     doc_vectors = [tfidf.embed(doc) for doc in corpus]
-    para_vectors: list[SparseVector] = []
+    own_vectors: list[SparseVector] = []  # paragraph-only, empty for a document's only paragraph
+    inv_norms: list[float] = []  # 1 / ||doc + paragraph||
     n_tokens = n_recs = n_phrases = n_end_rows = 0
     for ord_, doc, pidx, para in corpus.iter_paragraphs():
         H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
@@ -413,11 +457,18 @@ def build_index(
         end_masks.append(emask)
         n_starts = start_rows[-1].shape[0]
         para_rows.append((ord_, pidx, n_recs, n_starts, para.n_tokens))
-        para_vectors.append(combine_doc_para(doc_vectors[ord_], tfidf.embed(para)))
+        doc_vec = doc_vectors[ord_]
+        sole = len(doc.paragraphs) == 1
+        para_vec = doc_vec if sole else tfidf.embed(para)
+        own_vectors.append(SparseVector.empty() if sole else para_vec)
+        norm = add_vectors(doc_vec, para_vec).norm()
+        inv_norms.append(1.0 / norm if norm else 0.0)
         n_tokens += para.n_tokens
         n_recs += n_starts
         n_phrases += jj.size
         n_end_rows += end_rows[-1].shape[0]
+    if n_tokens == 0:
+        raise ValueError("empty index: no tokens in any paragraph")
     if n_phrases == 0:
         raise ValueError("empty index: filter discarded every candidate phrase")
 
@@ -460,17 +511,7 @@ def build_index(
             fh.write(np.array(para_rows, dtype=PARA_DTYPE).tobytes())
             fh.write(np.packbits(np.concatenate(start_masks)).tobytes())
             fh.write(np.packbits(np.concatenate(end_masks)).tobytes())
-        with open(tmp / "sparse_docs.bin", "wb") as fh:
-            _write_header(fh, b"SPRS")
-            df_bins = np.array(sorted(tfidf.doc_freq), dtype="<u4")
-            df_counts = np.array([tfidf.doc_freq[int(b)] for b in df_bins], dtype="<u4")
-            fh.write(struct.pack("<Q", tfidf.doc_count))
-            _write_sized(fh, df_bins)
-            _write_sized(fh, df_counts)
-            _write_sparse_list(fh, para_vectors)
-        with open(tmp / "postings.bin", "wb") as fh:
-            _write_header(fh, b"PSTG")
-            _write_postings(fh, build_inverted_index(doc_vectors))
+        _write_sparse_sections(tmp, tfidf, doc_vectors, own_vectors, inv_norms)
         with open(tmp / "filter.bin", "wb") as fh:
             _write_header(fh, b"FLTR")
             fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
@@ -589,7 +630,8 @@ class PhraseIndex:
         self.manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if self.manifest.get("format_version") != FORMAT_VERSION:
             raise ValueError(
-                f"index format version mismatch: {self.manifest.get('format_version')}"
+                f"index format version {self.manifest.get('format_version')} under {self.path}: "
+                f"this phraseindex reads format version {FORMAT_VERSION}, so rebuild the index"
             )
         for name, meta in sorted(self.manifest["sections"].items()):
             fpath = self.path / name
@@ -634,19 +676,6 @@ class PhraseIndex:
         self._derive_phrase_table(start_mask, end_mask)
         self._map_coherency()
 
-        with open(self.path / "sparse_docs.bin", "rb") as fh:
-            _check_header(fh, b"SPRS", "sparse_docs.bin")
-            (doc_count,) = struct.unpack("<Q", fh.read(8))
-            df_bins = _read_sized(fh, "<u4")
-            df_counts = _read_sized(fh, "<u4")
-            self.tfidf = TfIdfModel(
-                doc_count=doc_count,
-                doc_freq={int(b): int(c) for b, c in zip(df_bins, df_counts)},
-            )
-            self.para_offsets, self.para_bins, self.para_weights = _read_sparse_csr(
-                fh, "sparse_docs.bin"
-            )
-
         with open(self.path / "postings.bin", "rb") as fh:
             _check_header(fh, b"PSTG", "postings.bin")
             fh.read(8)  # bin count, implied by the offsets
@@ -666,6 +695,7 @@ class PhraseIndex:
                 bins.astype(np.int64), offsets, docs, weights.astype(np.float64)
             ),
         )
+        self._read_sparse_docs()
 
         with open(self.path / "filter.bin", "rb") as fh:
             _check_header(fh, b"FLTR", "filter.bin")
@@ -738,6 +768,38 @@ class PhraseIndex:
         ends = np.flatnonzero(end_mask)
         self.end_tok = ends - para_base[np.searchsorted(para_stop, ends, side="right")]
         self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
+
+    def _read_sparse_docs(self) -> None:
+        """The paragraph-only vectors and 1 / ||doc + paragraph|| of every
+        paragraph, and the tf-idf model: the df of a bin is the length of its
+        posting list, or its entry in the list of idf-0 bins."""
+        with open(self.path / "sparse_docs.bin", "rb") as fh:
+            _check_header(fh, b"SPRS", "sparse_docs.bin")
+            zero_bins = _read_sized(fh, "<u4").astype(np.int64)
+            zero_counts = _read_sized(fh, "<u4")
+            inv_norm = _read_sized(fh, "<f4")
+            self.own_offsets, self.own_bins, self.own_weights = _read_sparse_csr(
+                fh, "sparse_docs.bin"
+            )
+        n_para = len(self.para_table)
+        self.para_doc = self.para_table["doc"].astype(np.int64)
+        self.para_sole = (np.diff(self.doc_para_begin) == 1)[self.para_doc]
+        if inv_norm.size != n_para or self.own_offsets.size != n_para + 1:
+            raise ValueError(f"section sparse_docs.bin: expected {n_para} paragraphs")
+        if np.diff(self.own_offsets)[self.para_sole].any():
+            raise ValueError(
+                "section sparse_docs.bin: a document's only paragraph has a vector of its own"
+            )
+        self.para_inv_norm = inv_norm.astype(np.float64)
+        _check_bins(zero_bins, np.array([0, zero_bins.size]), "sparse_docs.bin")
+        postings = self.postings.postings
+        doc_freq = dict(zip(map(int, postings.bins), map(int, np.diff(postings.offsets))))
+        doc_freq.update(zip(map(int, zero_bins), map(int, zero_counts)))
+        if zero_counts.size != zero_bins.size or len(doc_freq) != postings.bins.size + zero_bins.size:
+            raise ValueError(
+                "section sparse_docs.bin: the idf-0 bins need one df each and no postings"
+            )
+        self.tfidf = TfIdfModel(doc_count=self.n_docs, doc_freq=doc_freq)
 
     def _map_coherency(self) -> None:
         """Map the coherency heads and tails after checking that coherency.bin
@@ -832,23 +894,17 @@ class PhraseIndex:
                 return int(begin) + para_idx
         raise KeyError((doc_ordinal, para_idx))
 
-    def para_vector(self, para_row: int) -> SparseVector:
-        """Combined document + paragraph sparse vector for a para_table row,
-        as views into the CSR arrays para_offsets/para_bins/para_weights."""
-        lo, hi = self.para_offsets[para_row], self.para_offsets[para_row + 1]
-        return SparseVector(self.para_bins[lo:hi], self.para_weights[lo:hi])
-
     def span_text(self, ref: SpanRef) -> str:
         return self.corpus.span_text(ref)
 
     @cached_property
     def para_keys(self) -> np.ndarray:
-        """para_row * NGRAM_BINS + bin for each entry of the paragraph CSR:
-        ascending over the whole array, so one searchsorted finds any
-        (paragraph, bin) pair. Built on first use, O(paragraph entries)."""
-        rows = np.arange(self.para_offsets.size - 1)
-        keys = np.repeat(rows * NGRAM_BINS, np.diff(self.para_offsets))
-        keys += self.para_bins
+        """para_row * NGRAM_BINS + bin for each entry of the paragraph-only
+        CSR: ascending over the whole array, so one searchsorted finds any
+        (paragraph, bin) pair. Built on first use, O(paragraph-only entries)."""
+        rows = np.arange(self.own_offsets.size - 1)
+        keys = np.repeat(rows * NGRAM_BINS, np.diff(self.own_offsets))
+        keys += self.own_bins
         return keys
 
     # -- per-record, per-phrase and per-document tables, built on first use -
@@ -860,6 +916,42 @@ class PhraseIndex:
         """Each document's tf-idf vector, with the float32 weights of
         postings.bin, of which it is the transpose."""
         return self.postings.reconstruct_doc_vectors()
+
+    @cached_property
+    def _combined_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each paragraph's combined vector, (doc + paragraph) * inv_norm, as
+        CSR arrays; a document's only paragraph has the document vector as its
+        paragraph vector."""
+        vectors = []
+        for p, d in enumerate(self.para_doc.tolist()):
+            doc = self.doc_vectors[d]
+            lo, hi = self.own_offsets[p : p + 2]
+            own = SparseVector(self.own_bins[lo:hi], self.own_weights[lo:hi])
+            total = add_vectors(doc, doc if self.para_sole[p] else own)
+            vectors.append(SparseVector(total.bins, total.weights * self.para_inv_norm[p]))
+        offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([v.bins.size for v in vectors])
+        bins = np.concatenate([v.bins for v in vectors]) if vectors else np.empty(0, np.int64)
+        weights = np.concatenate([v.weights for v in vectors]) if vectors else np.empty(0)
+        return offsets, bins, weights
+
+    @property
+    def para_offsets(self) -> np.ndarray:
+        return self._combined_csr[0]
+
+    @property
+    def para_bins(self) -> np.ndarray:
+        return self._combined_csr[1]
+
+    @property
+    def para_weights(self) -> np.ndarray:
+        return self._combined_csr[2]
+
+    def para_vector(self, para_row: int) -> SparseVector:
+        """Combined document + paragraph sparse vector for a para_table row,
+        as views into the CSR arrays para_offsets/para_bins/para_weights."""
+        lo, hi = self.para_offsets[para_row], self.para_offsets[para_row + 1]
+        return SparseVector(self.para_bins[lo:hi], self.para_weights[lo:hi])
 
     def _phrase_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The start row and the end row of every phrase, by phrase id."""

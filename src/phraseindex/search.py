@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import SpanRef, tokenize
 from .dense import QueryDenseVector, question_dense
-from .sparse import NGRAM_BINS, SparseVector, _top_k, retrieve_top_docs
+from .sparse import NGRAM_BINS, SparseVector, _top_k, retrieve_top_docs, score_docs
 from .sparse import sparse_score  # noqa: F401  (callers import it from here)
 
 if TYPE_CHECKING:
@@ -209,22 +209,32 @@ def _end_ranges(begin: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.nd
     return _ranges(lo, fresh), first
 
 
-def _para_sparse(index: "PhraseIndex", q: SparseVector, paras: np.ndarray) -> np.ndarray:
-    """Sparse score of q against each paragraph vector in `paras`: one
-    searchsorted of every (paragraph, query bin) pair in index.para_keys.
-    Each paragraph sums its matches in bin order, so it gets the same bits
-    whichever other paragraphs are scored with it."""
+def _para_sparse(
+    index: "PhraseIndex", q: SparseVector, paras: np.ndarray, doc_scores: np.ndarray | None = None
+) -> np.ndarray:
+    """Sparse score of q against the combined vector of each paragraph in
+    `paras`: (q.doc + q.para) * inv_norm. q.doc is read from `doc_scores`,
+    score_docs' pass over the postings (made here when not given). q.para is
+    one searchsorted of every (paragraph, query bin) pair in index.para_keys,
+    the paragraph-only vectors; a document's only paragraph has none, and
+    takes q.doc. Each dot product sums its terms in bin order, so a paragraph
+    gets the same bits whichever other paragraphs are scored with it."""
+    if doc_scores is None:
+        doc_scores = score_docs(q, index.postings)
+    from_doc = doc_scores[index.para_doc[paras]]
     keys = index.para_keys
-    if q.is_empty or keys.size == 0:
-        return np.zeros(paras.size)
-    want = ((paras * NGRAM_BINS)[:, None] + q.bins).ravel()
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    hit = np.flatnonzero(keys[pos] == want)
-    return np.bincount(
-        hit // q.bins.size,
-        weights=q.weights[hit % q.bins.size] * index.para_weights[pos[hit]],
-        minlength=paras.size,
-    )
+    from_para = np.zeros(paras.size)
+    if not q.is_empty and keys.size:
+        want = ((paras * NGRAM_BINS)[:, None] + q.bins).ravel()
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        hit = np.flatnonzero(keys[pos] == want)
+        from_para = np.bincount(
+            hit // q.bins.size,
+            weights=q.weights[hit % q.bins.size] * index.own_weights[pos[hit]],
+            minlength=paras.size,
+        )
+    from_para = np.where(index.para_sole[paras], from_doc, from_para)
+    return (from_doc + from_para) * index.para_inv_norm[paras]
 
 
 def _score_starts(
@@ -279,6 +289,7 @@ def _score_starts(
     coh_lo, coh_hi = index.coherency_range
     coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
     k, scale = config.top_k, config.sparse_scale
+    doc_scores = score_docs(query.sparse, index.postings)
     unset = floor = -np.finfo(np.float64).max
     kept = []  # per block: score, start logit, end logit, sparse, position in recs, offset
     n_scored = n_expanded = 0
@@ -297,7 +308,8 @@ def _score_starts(
         paras = index.rec_para[blk]
         para_begins = np.ones(blk.size, dtype=bool)  # paras is nondecreasing
         np.not_equal(paras[1:], paras[:-1], out=para_begins[1:])
-        sparse = _para_sparse(index, query.sparse, paras[para_begins])[np.cumsum(para_begins) - 1]
+        sparse = _para_sparse(index, query.sparse, paras[para_begins], doc_scores)
+        sparse = sparse[np.cumsum(para_begins) - 1]
         bound = start + end.max()
         bound += coh_top
         bound += scale * sparse

@@ -73,17 +73,18 @@ def sparse_score(q: SparseVector, v: SparseVector) -> float:
     return q.dot(v)
 
 
+def add_vectors(a: SparseVector, b: SparseVector) -> SparseVector:
+    """Bin-wise sum of the two vectors, not renormalized."""
+    bins = np.union1d(a.bins, b.bins)
+    weights = np.zeros(bins.size, dtype=np.float64)
+    weights[np.searchsorted(bins, a.bins)] += a.weights
+    weights[np.searchsorted(bins, b.bins)] += b.weights
+    return SparseVector(bins, weights)
+
+
 def combine_doc_para(doc_vec: SparseVector, para_vec: SparseVector) -> SparseVector:
     """Bin-wise sum of the two vectors, renormalized to unit norm."""
-    if doc_vec.is_empty:
-        return para_vec.normalized()
-    if para_vec.is_empty:
-        return doc_vec.normalized()
-    bins = np.union1d(doc_vec.bins, para_vec.bins)
-    weights = np.zeros(bins.size, dtype=np.float64)
-    weights[np.searchsorted(bins, doc_vec.bins)] += doc_vec.weights
-    weights[np.searchsorted(bins, para_vec.bins)] += para_vec.weights
-    return SparseVector(bins, weights).normalized()
+    return add_vectors(doc_vec, para_vec).normalized()
 
 
 def ngram_counts(words: Sequence[str]) -> Counter[int]:
@@ -232,13 +233,21 @@ def retrieve_top_docs(
         raise ValueError(f"k must be >= 1, got {k}")
     if q.is_empty:
         return []
+    scores = score_docs(q, index)
+    return [(int(d), float(scores[d])) for d in _top_k(scores, k)]
+
+
+def score_docs(q: SparseVector, index: InvertedIndex) -> np.ndarray:
+    """q . d for every document d, in one pass over the posting lists of the
+    query's bins. Each document sums its terms in query-bin order, so it gets
+    the same bits whichever other documents share its posting lists."""
     scores = np.zeros(index.n_docs, dtype=np.float64)
     for b, w in zip(q.bins, q.weights):
         posting = index.postings.get(int(b))
         if posting is not None:
             docs, weights = posting
             scores[docs] += w * weights
-    return [(int(d), float(scores[d])) for d in _top_k(scores, k)]
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -166,3 +166,42 @@ def test_bad_search_settings_are_refused_before_the_index_is_read(tmp_path, caps
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert ("sparse_scale" in err) if "--sparse-scale" in flags else (">= 1" in err)
+
+
+def test_query_of_a_missing_index_is_one_line_and_exit_status_1(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    assert main(["query", "--index", str(missing), "--question", "w001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phraseindex: error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("bad, why", [
+    (b"[1, 2]", "expected a JSON object, got list"),
+    (b'{"id": ', "invalid JSON"),
+    (b"\xff\xfe", "not UTF-8"),
+], ids=["array", "truncated", "latin1"])
+def test_build_of_a_bad_corpus_line_is_one_line_and_exit_status_1(
+    tmp_path, corpus_file, capsys, bad, why
+):
+    path, corpus = corpus_file
+    path.write_bytes(path.read_bytes() + bad + b"\n")
+    rc = main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"), *DIMS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"phraseindex: error: {path}: line {corpus.n_docs + 1}: {why}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "idx").exists()
+
+
+def test_eval_of_an_empty_answer_list_is_one_line_and_exit_status_1(tmp_path, corpus_file, capsys):
+    path, _ = corpus_file
+    assert main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"),
+                 "--max-span", "3", "--clusters", "4", *DIMS]) == 0
+    capsys.readouterr()
+    qa_path = tmp_path / "qa.jsonl"
+    qa_path.write_text(json.dumps({"question": "w001", "answers": []}) + "\n")
+    assert main(["eval", "--index", str(tmp_path / "idx"), "--qa", str(qa_path)]) == 1
+    err = capsys.readouterr().err
+    why = "answers must be a non-empty list of strings"
+    assert err == f"phraseindex: error: {qa_path}: line 1: {why}\n"

@@ -172,3 +172,12 @@ def test_paragraph_tokens_are_taken_on_first_use(tmp_path):
         assert store.span_text(span) == text[want[span.i].char_start : want[span.j].char_end]
     assert "tokens" not in vars(para)
     assert para.tokens == tokenize(text) and para.n_tokens == len(tokenize(text))
+
+
+def test_load_qa_refuses_an_empty_answer_list(tmp_path):
+    # eval would otherwise end in a traceback from em_f1.
+    path = tmp_path / "qa.jsonl"
+    lines = [{"question": "q1", "answers": ["a"]}, {"question": "q2", "answers": []}]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(ValueError, match="qa.jsonl: line 2: answers must be a non-empty list"):
+        load_qa(path)

@@ -29,7 +29,7 @@ from phraseindex.index import (
     load_index,
     quantize,
 )
-from phraseindex.sparse import NGRAM_BINS, build_inverted_index, fit_tfidf
+from phraseindex.sparse import NGRAM_BINS, build_inverted_index, combine_doc_para, fit_tfidf
 from phraseindex.training import FilterModel
 
 
@@ -150,6 +150,29 @@ class TestBuildIndex:
         )
         with pytest.raises(ValueError, match="empty index"):
             build_index(corpus, enc, fit_tfidf(corpus), discard_all, tmp_path / "idx2")
+
+    def test_corpus_without_tokens_is_an_error(self, tmp_path):
+        # Not "filter discarded every candidate phrase": there was none to discard.
+        paragraphs = [Paragraph.from_text(" "), Paragraph.from_text("")]
+        corpus = CorpusStore([Document("d1", "T", paragraphs)])
+        with pytest.raises(ValueError, match="no tokens"):
+            build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx")
+
+    @pytest.mark.parametrize("model", ["other documents", "one df off"])
+    def test_tfidf_model_of_other_documents_is_refused(self, tmp_path, model):
+        # sparse_docs.bin stores only what the postings cannot give, which
+        # holds only for a model fit on the indexed documents.
+        corpus = make_random_corpus(np.random.default_rng(25), n_docs=12)
+        if model == "other documents":
+            tfidf = fit_tfidf(make_random_corpus(np.random.default_rng(26), n_docs=12))
+        else:
+            tfidf = fit_tfidf(corpus)
+            rare = min(tfidf.doc_freq, key=tfidf.doc_freq.get)
+            tfidf.doc_freq[rare] += 1
+            assert tfidf.idf(rare) > 0.0  # still a bin with postings
+        with pytest.raises(ValueError, match="not fit on the indexed corpus"):
+            build_index(corpus, ToyEncoder(SMALL_CONFIG), tfidf, None, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
 
     def test_existing_directory_rejected(self, tmp_path):
         corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text("a b")])])
@@ -492,7 +515,7 @@ class TestSparseBinsAtOpen:
     def index_dir(self, tmp_path):
         corpus = make_random_corpus(np.random.default_rng(18), n_docs=5)
         index = build_small_index(corpus, tmp_path / "idx")
-        return tmp_path / "idx", index.para_bins.size
+        return tmp_path / "idx", index.own_bins.size
 
     @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
     def test_paragraph_bins_must_ascend_below_the_bin_space(self, index_dir, value):
@@ -500,6 +523,19 @@ class TestSparseBinsAtOpen:
         index_dir, n_entries = index_dir
         raw = bytearray((index_dir / "sparse_docs.bin").read_bytes())
         last_bin_at = len(raw) - 8 - 4 * n_entries - 4
+        raw[last_bin_at : last_bin_at + 4] = struct.pack("<I", value)
+        _rewrite_section(index_dir, "sparse_docs.bin", bytes(raw))
+        with pytest.raises(ValueError, match="sparse_docs.bin.*bins"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
+    def test_idf_zero_bins_must_ascend_below_the_bin_space(self, index_dir, value):
+        # Header, then the size and data of the idf-0 bins.
+        index_dir, _ = index_dir
+        raw = bytearray((index_dir / "sparse_docs.bin").read_bytes())
+        (size,) = struct.unpack("<Q", raw[12:20])
+        assert size >= 8  # at least two bins, so that 0 in the last one is out of order
+        last_bin_at = 12 + 8 + size - 4
         raw[last_bin_at : last_bin_at + 4] = struct.pack("<I", value)
         _rewrite_section(index_dir, "sparse_docs.bin", bytes(raw))
         with pytest.raises(ValueError, match="sparse_docs.bin.*bins"):
@@ -513,6 +549,45 @@ class TestSparseBinsAtOpen:
         _rewrite_section(index_dir, "postings.bin", bytes(raw))
         with pytest.raises(ValueError, match="postings.bin.*bins"):
             load_index(index_dir)
+
+
+def test_df_table_and_digest_are_those_of_the_fitted_model(tmp_path):
+    # The df of a bin whose idf is 0 (df >= N/2) comes from sparse_docs.bin,
+    # every other one from the length of its posting list.
+    corpus = make_random_corpus(np.random.default_rng(22), n_docs=12, vocab=20)
+    index = build_small_index(corpus, tmp_path / "idx")
+    want = fit_tfidf(corpus)
+    assert any(2 * df >= corpus.n_docs for df in want.doc_freq.values())
+    assert index.tfidf.doc_count == want.doc_count
+    assert index.tfidf.doc_freq == want.doc_freq
+    assert index.tfidf.digest() == want.digest() == index.manifest["sparse_model_digest"]
+
+
+def test_derived_para_vectors_are_the_combined_vectors(tmp_path):
+    # sparse_docs.bin holds paragraph-only vectors and 1 / ||doc + para||; the
+    # combined vector derived from them is combine_doc_para's to float32 rounding.
+    corpus = make_random_corpus(np.random.default_rng(23), n_docs=12, paras_per_doc=(1, 3))
+    index = build_small_index(corpus, tmp_path / "idx")
+    tfidf = fit_tfidf(corpus)
+    n_paras = []
+    for row, (d, p) in enumerate(zip(index.para_table["doc"], index.para_table["para"])):
+        doc = corpus.doc_by_ordinal(int(d))
+        n_paras.append(len(doc.paragraphs))
+        want = combine_doc_para(tfidf.embed(doc), tfidf.embed(doc.paragraphs[int(p)]))
+        got = index.para_vector(row)
+        assert np.array_equal(got.bins, want.bins)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=4 * np.finfo(np.float32).eps)
+    assert min(n_paras) == 1 and max(n_paras) > 1
+
+
+def test_open_refuses_a_version_3_index(tmp_path):
+    build_small_index(make_random_corpus(np.random.default_rng(24), n_docs=4), tmp_path / "idx")
+    manifest_path = tmp_path / "idx" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 3
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="format version 3 .*reads format version 4"):
+        load_index(tmp_path / "idx")
 
 
 def test_para_row_round_trips_and_rejects_missing_paragraphs(tmp_path):
