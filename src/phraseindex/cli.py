@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,30 +13,25 @@ import numpy as np
 from .corpus import load_corpus, load_qa
 from .dense import EncoderConfig, ToyEncoder
 from .index import BuildConfig, PhraseIndex, build_index
-from .search import SearchConfig, embed_question, run_search
+from .search import STRATEGIES, SearchConfig, embed_question, run_search
 from .service import benchmark, eval_em_f1, serve
 from .sparse import fit_tfidf
 from .training import TrainingConfig, train_encoder
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        strategy=args.strategy,
-        top_k=args.top_k,
-        sparse_top_docs=args.k_s,
-        dense_top_starts=args.k_d,
-        nprobe=args.nprobe,
-        sparse_scale=args.sparse_scale,
-    )
+    return SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", default="hybrid", choices=["sfs", "dfs", "hybrid", "exact"])
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--k-s", type=int, default=5, help="sparse-first top documents")
-    p.add_argument("--k-d", type=int, default=1000, help="dense-first top start vectors")
-    p.add_argument("--nprobe", type=int, default=64)
-    p.add_argument("--sparse-scale", type=float, default=0.05)
+    """Search flags stored under SearchConfig's field names, with its defaults."""
+    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--k-s", dest="sparse_top_docs", type=int, help="sparse-first top documents")
+    p.add_argument("--k-d", dest="dense_top_starts", type=int, help="dense-first top start vectors")
+    p.add_argument("--nprobe", type=int)
+    p.add_argument("--sparse-scale", type=float)
+    p.set_defaults(**asdict(SearchConfig()))
 
 
 def _encoder_from_args(args) -> ToyEncoder:

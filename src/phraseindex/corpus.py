@@ -183,9 +183,9 @@ class CorpusStore:
         return "\n".join(lines) + "\n"
 
 
-def _read_jsonl(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
-    """parse(record) for the JSON object on each non-blank line of a
-    JSON-lines file. Any fault of a line (not UTF-8, not JSON, not an object,
+def _read_jsonl(path: str | Path, parse: Callable[[dict, int], _T]) -> list[_T]:
+    """parse(record, line number) for the JSON object on each non-blank line
+    of a JSON-lines file. Any fault of a line (not UTF-8, not JSON, not an object,
     or refused by parse with a ValueError) raises a ValueError that names the
     file and the line."""
     out: list[_T] = []
@@ -198,7 +198,7 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], _T]) -> list[_T]:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-                out.append(parse(rec))
+                out.append(parse(rec, line_no))
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from exc
             except json.JSONDecodeError as exc:
@@ -226,11 +226,17 @@ def _parse_doc_record(rec: dict) -> Document:
     )
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> CorpusStore:
+def load_corpus(path: str | Path) -> CorpusStore:
     """Load a JSON-lines corpus: one {"id", "title", "paragraphs"} object per line."""
-    if format != "jsonl":
-        raise ValueError(f"unknown corpus format {format!r}")
-    docs = _read_jsonl(path, _parse_doc_record)
+    seen: dict[str, int] = {}  # document id -> the line it is first on
+
+    def parse(rec: dict, line_no: int) -> Document:
+        doc = _parse_doc_record(rec)
+        if seen.setdefault(doc.id, line_no) != line_no:
+            raise ValueError(f"duplicate document id {doc.id!r} (first on line {seen[doc.id]})")
+        return doc
+
+    docs = _read_jsonl(path, parse)
     if not docs:
         raise ValueError("empty corpus")
     return CorpusStore(docs)
@@ -267,4 +273,4 @@ def _parse_qa_record(rec: dict) -> QaRecord:
 
 def load_qa(path: str | Path) -> list[QaRecord]:
     """Load a JSON-lines QA set: {"question", "answers", "doc_id"?, "answer_span"?}."""
-    return _read_jsonl(path, _parse_qa_record)
+    return _read_jsonl(path, lambda rec, _line_no: _parse_qa_record(rec))

@@ -207,10 +207,8 @@ def _sha256(path: Path) -> str:
 def _write_sparse_list(fh, vectors: list[SparseVector]) -> None:
     offsets = np.zeros(len(vectors) + 1, dtype="<u8")
     offsets[1:] = np.cumsum([v.bins.size for v in vectors])
-    bins = np.concatenate([v.bins for v in vectors]) if vectors else np.empty(0, np.int64)
-    weights = (
-        np.concatenate([v.weights for v in vectors]) if vectors else np.empty(0, np.float64)
-    )
+    bins = np.concatenate([np.empty(0, np.int64), *(v.bins for v in vectors)])
+    weights = np.concatenate([np.empty(0), *(v.weights for v in vectors)])
     fh.write(struct.pack("<Q", len(vectors)))
     _write_sized(fh, offsets)
     _write_sized(fh, bins.astype("<u4"))
@@ -218,21 +216,17 @@ def _write_sparse_list(fh, vectors: list[SparseVector]) -> None:
 
 
 def _write_postings(fh, inv: InvertedIndex) -> None:
-    """Bins ascending, then per-bin offsets, doc deltas and weights. A bin's
-    first delta is its first doc ordinal, so decoding restarts at each bin."""
-    bins = sorted(inv.postings)
-    offsets = np.zeros(len(bins) + 1, dtype="<u8")
-    offsets[1:] = np.cumsum([inv.postings[b][0].size for b in bins])
-    docs = np.concatenate([inv.postings[b][0] for b in bins]) if bins else np.empty(0, np.int64)
-    weights = np.concatenate([inv.postings[b][1] for b in bins]) if bins else np.empty(0)
-    deltas = np.diff(docs, prepend=0)
-    heads = offsets[:-1].astype(np.int64)
-    deltas[heads] = docs[heads]
-    fh.write(struct.pack("<Q", len(bins)))
-    _write_sized(fh, np.array(bins, dtype="<u4"))
-    _write_sized(fh, offsets)
+    """The posting lists' CSR arrays: bins, offsets, doc deltas and weights. A
+    bin's first delta is its first doc ordinal, so decoding restarts at each bin."""
+    p = inv.postings
+    deltas = np.diff(p.docs, prepend=0)
+    heads = p.offsets[:-1]
+    deltas[heads] = p.docs[heads]
+    fh.write(struct.pack("<Q", p.bins.size))
+    _write_sized(fh, p.bins.astype("<u4"))
+    _write_sized(fh, p.offsets.astype("<u8"))
     _write_sized(fh, deltas.astype("<u4"))
-    _write_sized(fh, weights.astype("<f4"))
+    _write_sized(fh, p.weights.astype("<f4"))
 
 
 def _check_bins(bins: np.ndarray, offsets: np.ndarray, name: str) -> None:
@@ -258,15 +252,21 @@ def _read_sparse_csr(fh, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, int]:
-    """The (bin, df) pairs of the bins whose idf is 0, which have no postings.
-    Every other bin's df is the length of its posting list, as long as the
-    model was fit on the indexed documents, so these pairs and postings.bin
-    give the whole df table."""
-    zero = {b: df for b, df in tfidf.doc_freq.items() if tfidf.idf(b) == 0.0}
+    """The (bin, df) pairs of the bins with no postings, which must be the
+    bins whose idf is 0. Every other bin's df is the length of its posting
+    list, as long as the model was fit on the indexed documents, so these
+    pairs and postings.bin give the whole df table."""
+    n = len(tfidf.doc_freq)
+    bins = np.fromiter(tfidf.doc_freq, np.int64, n)
+    table = np.column_stack([bins, np.fromiter(tfidf.doc_freq.values(), np.int64, n)])
+    table = table[np.argsort(bins)]
+    p = inverted.postings
+    posted = np.isin(table[:, 0], p.bins)
+    zero = dict(table[~posted].tolist())
     if (
         tfidf.doc_count != inverted.n_docs
-        or len(zero) + len(inverted.postings) != len(tfidf.doc_freq)
-        or any(tfidf.doc_freq.get(b) != docs.size for b, (docs, _) in inverted.postings.items())
+        or not np.array_equal(table[posted], np.column_stack([p.bins, np.diff(p.offsets)]))
+        or any(map(tfidf.idf, zero))
     ):
         raise ValueError("the tf-idf model was not fit on the indexed corpus")
     return zero
@@ -689,12 +689,8 @@ class PhraseIndex:
         offsets = offsets.astype(np.int64)
         heads = offsets[:-1]
         docs -= np.repeat(docs[heads] - deltas[heads], np.diff(offsets))
-        self.postings = InvertedIndex(
-            n_docs=counts["docs"],
-            postings=PostingLists(
-                bins.astype(np.int64), offsets, docs, weights.astype(np.float64)
-            ),
-        )
+        postings = PostingLists(bins.astype(np.int64), offsets, docs, weights.astype(np.float64))
+        self.postings = InvertedIndex(counts["docs"], postings)
         self._read_sparse_docs()
 
         with open(self.path / "filter.bin", "rb") as fh:

@@ -1,4 +1,6 @@
-"""Hashed 2-gram tf-idf vectors, inverted-index retrieval, and learned sparse encoding."""
+"""Hashed 2-gram tf-idf vectors, inverted-index retrieval, and learned sparse encoding.
+
+PostingLists is the one posting type: built, written, opened and scored as the same CSR arrays."""
 
 from __future__ import annotations
 
@@ -35,11 +37,8 @@ class SparseVector:
 
     @classmethod
     def from_pairs(cls, pairs: dict[int, float]) -> "SparseVector":
-        if not pairs:
-            return cls.empty()
-        bins = np.array(sorted(pairs), dtype=np.int64)
-        weights = np.array([pairs[int(b)] for b in bins], dtype=np.float64)
-        return cls(bins, weights)
+        bins = sorted(pairs)
+        return cls(np.array(bins, dtype=np.int64), np.array([pairs[b] for b in bins], dtype=float))
 
     @property
     def is_empty(self) -> bool:
@@ -151,26 +150,11 @@ def embed_text_sparse(
     return model.embed(unit)
 
 
-@dataclass
-class InvertedIndex:
-    """bin -> (doc ordinals ascending, weights); weights match the doc vectors exactly."""
-
-    n_docs: int
-    postings: Mapping[int, tuple[np.ndarray, np.ndarray]]
-
-    def reconstruct_doc_vectors(self) -> list[SparseVector]:
-        pairs: list[dict[int, float]] = [{} for _ in range(self.n_docs)]
-        for b in sorted(self.postings):
-            docs, weights = self.postings[b]
-            for d, w in zip(docs, weights):
-                pairs[int(d)][b] = float(w)
-        return [SparseVector.from_pairs(p) for p in pairs]
-
-
 class PostingLists(Mapping):
-    """Read-only bin -> (doc ordinals, weights) over CSR arrays: bins
-    ascending, and bin bins[k]'s postings at offsets[k]:offsets[k + 1]. A
-    lookup is one searchsorted and two views; nothing is held per bin."""
+    """Read-only bin -> (doc ordinals, weights) over CSR arrays: int64 bins
+    (ascending), offsets and docs (ascending per bin), and float64 weights;
+    bin bins[k]'s postings are at offsets[k]:offsets[k + 1]. A lookup is one
+    searchsorted and two views; nothing is held per bin."""
 
     def __init__(
         self, bins: np.ndarray, offsets: np.ndarray, docs: np.ndarray, weights: np.ndarray
@@ -191,24 +175,36 @@ class PostingLists(Mapping):
         return self.bins.size
 
 
+@dataclass
+class InvertedIndex:
+    """Posting lists over n_docs documents; a posting's weight is the
+    document vector's weight for that bin, bit for bit."""
+
+    n_docs: int
+    postings: PostingLists
+
+    def reconstruct_doc_vectors(self) -> list[SparseVector]:
+        """The document vectors, bins ascending: a stable sort of the entries by doc."""
+        p = self.postings
+        order = np.argsort(p.docs, kind="stable")
+        bins = np.repeat(p.bins, np.diff(p.offsets))[order]
+        weights = p.weights[order]
+        bounds = np.append(0, np.cumsum(np.bincount(p.docs, minlength=self.n_docs))).tolist()
+        return [SparseVector(bins[lo:hi], weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def build_inverted_index(doc_vectors: list[SparseVector]) -> InvertedIndex:
     """One stable sort of every (bin, doc, weight) entry by bin: each bin's
     postings come out in ascending doc order."""
-    sizes = [v.bins.size for v in doc_vectors]
-    if not sum(sizes):
-        return InvertedIndex(n_docs=len(doc_vectors), postings={})
-    bins = np.concatenate([v.bins for v in doc_vectors], dtype=np.int64)
+    bins = np.concatenate([np.empty(0, np.int64), *(v.bins for v in doc_vectors)], dtype=np.int64)
+    weights = np.concatenate([np.empty(0), *(v.weights for v in doc_vectors)], dtype=np.float64)
     order = np.argsort(bins, kind="stable")
     bins = bins[order]
+    sizes = [v.bins.size for v in doc_vectors]
     docs = np.repeat(np.arange(len(doc_vectors), dtype=np.int64), sizes)[order]
-    weights = np.concatenate([v.weights for v in doc_vectors], dtype=np.float64)[order]
     heads = np.flatnonzero(np.diff(bins, prepend=-1))
-    bounds = [*heads.tolist(), bins.size]
-    postings = {
-        b: (docs[lo:hi], weights[lo:hi])
-        for b, lo, hi in zip(bins[heads].tolist(), bounds[:-1], bounds[1:])
-    }
-    return InvertedIndex(n_docs=len(doc_vectors), postings=postings)
+    offsets = np.append(heads, bins.size)
+    return InvertedIndex(len(doc_vectors), PostingLists(bins[heads], offsets, docs, weights[order]))
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -238,16 +234,21 @@ def retrieve_top_docs(
 
 
 def score_docs(q: SparseVector, index: InvertedIndex) -> np.ndarray:
-    """q . d for every document d, in one pass over the posting lists of the
-    query's bins. Each document sums its terms in query-bin order, so it gets
+    """q . d for every document d: one searchsorted of the query bins, one
+    gather of their posting ranges and one bincount. The entries stay in
+    query-bin order, so each document sums its terms in that order and gets
     the same bits whichever other documents share its posting lists."""
-    scores = np.zeros(index.n_docs, dtype=np.float64)
-    for b, w in zip(q.bins, q.weights):
-        posting = index.postings.get(int(b))
-        if posting is not None:
-            docs, weights = posting
-            scores[docs] += w * weights
-    return scores
+    p = index.postings
+    k = np.searchsorted(p.bins, q.bins)
+    hit = k < p.bins.size
+    hit[hit] = p.bins[k[hit]] == q.bins[hit]
+    k = k[hit]
+    lo, sizes = p.offsets[k], p.offsets[k + 1] - p.offsets[k]
+    # Each entry's place: its range's start plus its rank within the range.
+    entries = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    terms = np.repeat(q.weights[hit], sizes) * p.weights[entries]
+    scores = np.bincount(p.docs[entries], terms, minlength=index.n_docs)
+    return scores.astype(np.float64, copy=False)  # bincount of nothing gives int64 zeros
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import phraseindex
 from conftest import make_random_corpus, write_corpus_jsonl
 from phraseindex.cli import main
 from phraseindex.index import load_index
+from phraseindex.search import SearchConfig
 
 
 @pytest.fixture()
@@ -205,3 +206,37 @@ def test_eval_of_an_empty_answer_list_is_one_line_and_exit_status_1(tmp_path, co
     err = capsys.readouterr().err
     why = "answers must be a non-empty list of strings"
     assert err == f"phraseindex: error: {qa_path}: line 1: {why}\n"
+
+
+def test_build_of_a_duplicate_document_id_names_the_file_and_both_lines(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    records = [{"id": "a", "title": "T", "paragraphs": [text]} for text in ("x y", "y z")]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    rc = main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"), *DIMS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"phraseindex: error: {path}: line 2: duplicate document id 'a' (first on line 1)\n"
+    assert not (tmp_path / "idx").exists()
+
+
+def test_build_of_a_corpus_without_tokens_is_one_line_and_exit_status_1(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "a", "title": "T", "paragraphs": [" ", ""]}) + "\n")
+    rc = main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"), *DIMS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phraseindex: error: ") and "no tokens" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "idx").exists()
+
+
+@pytest.mark.parametrize("command", ["query", "serve", "eval", "bench"])
+def test_search_flags_default_to_the_search_config_defaults(monkeypatch, command):
+    import phraseindex.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+    extra = {"query": ["--question", "w001"], "eval": ["--qa", "qa.jsonl"],
+             "bench": ["--qa", "qa.jsonl"], "serve": []}[command]
+    assert main([command, "--index", "idx", *extra]) == 0
+    assert seen[0].search == SearchConfig()

@@ -123,10 +123,6 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="line 2"):
             load_corpus(path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            load_corpus(tmp_path / "c.jsonl", format="xml")
-
     def test_span_text_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

@@ -7,6 +7,7 @@ from oracles import brute_force_tfidf_weights as brute_force_tfidf
 from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.sparse import (
     LinearMap,
+    PostingLists,
     SparseVector,
     TwoLayerMap,
     build_inverted_index,
@@ -16,6 +17,7 @@ from phraseindex.sparse import (
     learned_sparse_encode,
     ngram_bin,
     retrieve_top_docs,
+    score_docs,
     sparse_score,
 )
 
@@ -243,6 +245,70 @@ def test_inverted_index_matches_per_entry_reference():
     empty = build_inverted_index([SparseVector.empty(), SparseVector.empty()])
     assert empty.n_docs == 2 and empty.postings == {}
     assert build_inverted_index([]).postings == {}
+
+
+def _per_bin_score_docs(q: SparseVector, index) -> np.ndarray:
+    """The per-bin loop score_docs replaced, kept as the reference."""
+    scores = np.zeros(index.n_docs, dtype=np.float64)
+    for b, w in zip(q.bins, q.weights):
+        posting = index.postings.get(int(b))
+        if posting is not None:
+            docs, weights = posting
+            scores[docs] += w * weights
+    return scores
+
+
+def test_score_docs_matches_the_per_bin_loop():
+    rng = np.random.default_rng(8)
+    # Documents 0, 7 and the trailing 18-19 have no postings at all.
+    doc_vecs = [
+        SparseVector.empty() if d in (0, 7, 18, 19) else
+        SparseVector(np.sort(rng.choice(30, size=8, replace=False)), rng.normal(size=8))
+        for d in range(20)
+    ]
+    index = build_inverted_index(doc_vecs)
+    no_postings = build_inverted_index([SparseVector.empty()] * 3)
+    queries = [
+        SparseVector.empty(),
+        SparseVector(np.array([3]), np.array([1.0])),
+        SparseVector(np.arange(0, 40, 3), rng.normal(size=14)),  # bins 30-39 have no postings
+        SparseVector(np.array([35, 60]), np.array([0.5, 0.5])),  # no bin has postings
+        SparseVector(np.arange(30), rng.normal(size=30)),
+    ]
+    for q in queries:
+        for inv in (index, no_postings, build_inverted_index([])):
+            got = score_docs(q, inv)
+            assert got.dtype == np.float64 and got.shape == (inv.n_docs,)
+            assert np.array_equal(got, _per_bin_score_docs(q, inv))
+    assert not score_docs(queries[-1], index)[[0, 7, 18, 19]].any()
+
+
+def test_build_inverted_index_returns_csr_posting_lists():
+    rng = np.random.default_rng(9)
+    doc_vecs = [SparseVector(np.sort(rng.choice(20, size=5, replace=False)), rng.normal(size=5))
+                for _ in range(6)]
+    for vectors in (doc_vecs, [SparseVector.empty()], []):
+        postings = build_inverted_index(vectors).postings
+        assert isinstance(postings, PostingLists)
+        for name in ("bins", "offsets", "docs"):
+            assert getattr(postings, name).dtype == np.int64
+        assert postings.weights.dtype == np.float64
+        assert postings.offsets.size == postings.bins.size + 1 and postings.offsets[0] == 0
+        assert postings.offsets[-1] == postings.docs.size == postings.weights.size
+
+
+@pytest.mark.parametrize("n_empty_tail", [0, 1, 3])
+def test_reconstruct_doc_vectors_keeps_empty_and_trailing_documents(n_empty_tail):
+    head = [SparseVector(np.array([2, 5]), np.array([0.6, 0.8])), SparseVector.empty(),
+            SparseVector(np.array([1, 5, 9]), np.array([0.2, -0.3, 0.9]))]
+    vectors = head + [SparseVector.empty()] * n_empty_tail
+    rebuilt = build_inverted_index(vectors).reconstruct_doc_vectors()
+    assert len(rebuilt) == len(vectors)
+    for want, got in zip(vectors, rebuilt):
+        assert got.bins.dtype == np.int64 and got.weights.dtype == np.float64
+        assert np.array_equal(got.bins, want.bins) and np.array_equal(got.weights, want.weights)
+    assert build_inverted_index([]).reconstruct_doc_vectors() == []
+    assert len(build_inverted_index([SparseVector.empty()] * 2).reconstruct_doc_vectors()) == 2
 
 
 class TestLearnedSparse:
