@@ -262,11 +262,24 @@ def _parse_qa_record(rec: dict) -> QaRecord:
         raise ValueError("question must be a string")
     if not isinstance(answers, list) or not answers or not all(isinstance(a, str) for a in answers):
         raise ValueError("answers must be a non-empty list of strings")
-    span = rec.get("answer_span")
+    doc_id, span = rec.get("doc_id"), rec.get("answer_span")
+    if doc_id is not None and not isinstance(doc_id, str):
+        raise ValueError("doc_id must be a string")
+    if span is not None and not (
+        isinstance(span, list)
+        and len(span) == 3
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in span)
+        and span[0] >= 0
+        and 0 <= span[1] < span[2]
+    ):
+        raise ValueError(
+            "answer_span must be [para_idx, char_start, char_end]: "
+            "integers with para_idx >= 0 and 0 <= char_start < char_end"
+        )
     return QaRecord(
         question=question,
         answers=answers,
-        doc_id=rec.get("doc_id"),
+        doc_id=doc_id,
         answer_span=tuple(span) if span is not None else None,
     )
 

@@ -16,10 +16,16 @@ whose bound reaches the running k-th best score (the floor) are expanded:
 their phrases form a rectangle of records by window offsets, each cell bounded
 the same way with its own end logit, and only the cells whose bound reaches
 the floor get their coherency (phrase_coherency, from the stored head and
-tail rows) and a score in float64. The rectangle is cut to the block's best
-before the next block, so the scratch per query does not grow with the number
-of records. The output counts the start rows and phrases scored, and the
-phrases expanded.
+tail rows) and a score in float64. The first block, while there is no floor,
+takes float64 logits of all its rows. Every later block bounds its records
+and cells from float32 logits (a BLAS matrix-vector product over the codes)
+plus a rounding margin proven once per query, and takes float64 logits only
+for the cells whose bound reaches the floor. Those logits are the only
+source of a score's bits, so the results are the same bits as with float64
+bounds throughout. The rectangle is cut to the block's best before the next
+block, so the scratch per query does not grow with the number of records.
+The output counts the start rows and phrases scored, and the phrases
+expanded.
 """
 
 from __future__ import annotations
@@ -136,7 +142,8 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
 
 
 _BLOCK = 2048  # start records scored at a time; bounds the kernel's scratch
-_LOGIT_BLOCK = 1024  # code rows converted to float64 at a time
+_LOGIT_BLOCK = 1024  # code rows converted to float at a time
+_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
 
 
 def _fold(quant: "QuantizationParams", q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -145,19 +152,100 @@ def _fold(quant: "QuantizationParams", q: np.ndarray) -> tuple[float, np.ndarray
     return float(np.dot(q, quant.minimums + 128.0 * quant.scales)), q * quant.scales
 
 
+def _take(values: np.ndarray, rows: np.ndarray | range) -> np.ndarray:
+    """values[rows], through a slice when `rows` is a range of step 1."""
+    if isinstance(rows, range):
+        return values[rows.start : rows.stop]
+    return values.take(rows, axis=0)
+
+
+def _as_run(rows: np.ndarray) -> np.ndarray | range:
+    """Ascending distinct rows as a range when they are one run, so that their
+    codes are read through a slice."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return range(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 def _code_logits(
-    codes: np.ndarray, rows: np.ndarray, fold: tuple[float, np.ndarray]
+    codes: np.ndarray, rows: np.ndarray | range, fold: tuple[float, np.ndarray]
 ) -> np.ndarray:
     """Inner product of the query folded into `fold` with each int8 code row in
-    `rows`, converted to float64 a block of rows at a time. A per-row
-    reduction, unlike a BLAS matmul, gives a row the same bits whichever other
-    rows share its block."""
+    `rows` (an array of row ids, or a range read through a slice), in float64,
+    converted a _LOGIT_BLOCK of rows at a time. A per-row reduction, unlike a
+    BLAS matmul, gives a row the same bits whichever other rows share its
+    block."""
     c0, w = fold
-    out = np.empty(rows.size, dtype=np.float64)
-    for b in range(0, rows.size, _LOGIT_BLOCK):
-        block = np.take(codes, rows[b : b + _LOGIT_BLOCK], axis=0).astype(np.float64)
+    out = np.empty(len(rows), dtype=np.float64)
+    for b in range(0, len(rows), _LOGIT_BLOCK):
+        block = _take(codes, rows[b : b + _LOGIT_BLOCK]).astype(np.float64)
         out[b : b + _LOGIT_BLOCK] = np.einsum("ij,j->i", block, w)
     out += c0
+    return out
+
+
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u / (1 - n u): the relative error bound of a dot product
+    of length n in unit roundoff u, whatever the order of its sum."""
+    return n * u / (1.0 - n * u)
+
+
+def _bound_margin(c0: float, w: np.ndarray) -> float:
+    """The margin M of _code_bounds for the fold (c0, w) of a query: on every
+    code row the float32 logit float64(float32 dot) + c0 is within M / 2 of
+    _code_logits' float64 logit.
+
+    Let A = 128 ||w||_1 and d = w.size; |codes| <= 128, so every partial sum
+    of codes . w is at most A in size, and so is the exact S = codes . w.
+    - float64 (_code_logits): einsum sums d products in some order, so
+      |S64 - S| <= gamma_d(u64) A; then adding c0 rounds once, by at most
+      u64 (|c0| + 2A).
+    - float32 (_code_bounds): float32(w) is w to a relative u32, which moves
+      the sum by at most u32 A. The float32 dot product of codes, exact in
+      float32, with float32(w) is within gamma_d(u32) (1 + u32) A of its exact
+      value, for any order of the sum (a BLAS sgemv with or without FMA). It
+      is widened to float64 exactly, and adding c0 rounds once, by at most
+      u64 (|c0| + 2A).
+    - Products or weights that fall below float32's normal range lose at most
+      2^-150 each in absolute terms (sums of subnormals are exact): 129 d
+      2^-150 over w and the d products.
+    The sum of these bounds the distance between the two logits. A and M are
+    themselves computed in float64, to a relative error below 1e-14, which
+    the factor 2 covers many times over. Where float32 could overflow
+    (A >= 2^120, or A is NaN) the margin is inf and no record is ruled out."""
+    d = w.size
+    a = 128.0 * float(np.abs(w).sum())
+    if not a < 2.0**120:
+        return math.inf
+    err = a * (_gamma(d, _U32) * (1.0 + _U32) + _U32 + _gamma(d, _U64))
+    err += 2.0 * _U64 * (abs(c0) + 2.0 * a) + 129 * d * 2.0**-150
+    return 2.0 * err
+
+
+def _fold32(fold: tuple[float, np.ndarray]) -> tuple[float, np.ndarray, float]:
+    """(c0, float32(w), margin) for _code_bounds. An infinite margin comes
+    with zero weights, so no bound is inf - inf or 0 * inf."""
+    c0, w = fold
+    margin = _bound_margin(c0, w)
+    w32 = w.astype(np.float32) if math.isfinite(margin) else np.zeros(w.size, np.float32)
+    return c0, w32, margin
+
+
+def _code_bounds(
+    codes: np.ndarray, rows: np.ndarray | range, fold32: tuple[float, np.ndarray, float]
+) -> np.ndarray:
+    """An upper bound on _code_logits(codes, rows, fold) for each row, from a
+    float32 matrix-vector product over the codes (BLAS sgemv): (float64(dot)
+    + c0) + margin, each add in float64. The margin is twice the largest gap
+    between the two values (_bound_margin), so the bound is at least the
+    float64 logit on every row."""
+    c0, w32, margin = fold32
+    out = np.empty(len(rows), dtype=np.float64)
+    for b in range(0, len(rows), _LOGIT_BLOCK):
+        block = _take(codes, rows[b : b + _LOGIT_BLOCK]).astype(np.float32)
+        out[b : b + _LOGIT_BLOCK] = block @ w32
+    out += c0
+    out += margin
     return out
 
 
@@ -196,11 +284,23 @@ def _end_ranges(begin: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns the distinct rows, ascending, and for each interval the position
     of its row `begin` among them; row begin + t sits at that position + t.
-    The begins must be nondecreasing. Then each interval adds only its rows
-    past the largest end before it, and its rows below that end are already
-    in, because the interval with that end began no later.
+    The begins must be nondecreasing. When each interval begins no later
+    than the one before it stops, as those of consecutive records of an
+    unfiltered index do, the union is the one run begin[0] .. max(stop) - 1
+    and the positions are begin - begin[0]; otherwise see _merge_ranges.
     """
     stop = begin + count
+    if begin.size and (begin[1:] <= stop[:-1]).all():
+        lo = int(begin[0])
+        return np.arange(lo, max(lo, int(stop.max()))), begin - lo
+    return _merge_ranges(begin, stop)
+
+
+def _merge_ranges(begin: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_end_ranges of the intervals [begin, stop) when they may leave gaps:
+    each interval adds only its rows past the largest stop before it, and its
+    rows below that stop are already in, because the interval with that stop
+    began no later."""
     covered = np.zeros_like(stop)
     np.maximum.accumulate(stop[:-1], out=covered[1:])
     lo = np.maximum(begin, covered)
@@ -257,68 +357,103 @@ def _score_starts(
     Cell (r, t) is the phrase from start row r to end row rec_end_row[r] + t,
     and is valid when t < rec_n_ends[r]. Its total is
     ((start + end) + coherency * q_c) + sparse_scale * sparse, in float64,
-    with coherency = phrase_coherency(head row r, tail row of its end). Start
-    and end logits come straight from the int8 codes, once per row of the
-    block.
+    with coherency = phrase_coherency(head row r, tail row of its end) and
+    start and end the float64 logits of _code_logits. Those are the only
+    source of a score's bits.
 
     The floor is a score that at least k cells already reach, so no cell
     below it can be in the top k. A bound sums the same terms in the same
     order with c_top, the larger of float64(coherency) * q_c at the least and
     greatest coherency of the index, in place of the coherency term. Rounding
-    to nearest is monotone, so no cell scores above its bound. Record r's
-    bound takes the block's largest end logit, and only the records whose
-    bound reaches the floor are expanded into a rectangle; there each cell's
-    bound takes its own end logit, and only the valid cells whose bound
-    reaches the floor get their coherency and a score. Until a floor exists,
-    a block of more than k records whose k records of largest bound have k
-    cells seeds it from the real scores of all their cells; a smaller block
-    is expanded whole. A block keeps every score at or above both the floor
-    and its own k-th best, ties included, and raises the floor to the larger
-    of the two, so the overall top k is among the kept cells. Record r is
-    start row r and phrases ascend in (doc, para, i, j) order with (r, t), as
-    do the kept cells, block after block; ranking them on (-score, position)
-    gives the documented tie-break. Every term is computed per row, per
-    phrase or per paragraph, so a phrase scores the same bits in any set of
-    records. The scratch is O(_BLOCK x max_span), whatever the number of
-    records.
+    to nearest is monotone, so no cell scores above its bound, and a bound
+    built from upper bounds on the start and end logits is no lower than one
+    built from the logits themselves. Record r's bound takes the block's
+    largest end logit; only the records whose bound reaches the floor are
+    expanded into a rectangle, where each cell's bound takes its own end
+    logit, and only the valid cells whose bound reaches the floor get their
+    coherency and a score.
+
+    While no floor exists, start and end hold the float64 logits of all the
+    block's start and end rows, and the bounds are built from them. Then a
+    block of more than k records whose k records of largest bound have k
+    cells seeds the floor from the real scores of all their cells; a smaller
+    block is expanded whole. Once a floor exists, start and end hold
+    _code_bounds instead: float32 logits plus a proven rounding margin, at
+    least the float64 logits on every row. Record and cell bounds are built
+    from them the same way, and only the cells whose bound reaches the floor
+    get float64 logits of their own start and end rows. The bounds can only
+    be higher, so those cells include every cell that float64 bounds would
+    let through; any other cell is below the floor on its float64 bound, so
+    its score neither raises the floor nor is kept. The floor, the kept cells
+    and the results are therefore the same bits either way, and only
+    phrases_expanded may be larger.
+
+    A block keeps every score at or above both the floor and its own k-th
+    best, ties included, and raises the floor to the larger of the two, so
+    the overall top k is among the kept cells. Record r is start row r and
+    phrases ascend in (doc, para, i, j) order with (r, t), as do the kept
+    cells, block after block; ranking them on (-score, position) gives the
+    documented tie-break. Every term is computed per row, per phrase or per
+    paragraph, so a phrase scores the same bits in any set of records, and
+    when `recs` is a range the sparse score of every paragraph is taken once
+    for the query. The scratch is O(_BLOCK x max_span), whatever the number
+    of records.
     """
     q = query.dense
     start_fold = _fold(index.start_quant, q.start)
     end_fold = _fold(index.end_quant, q.end)
+    fold32 = None  # the float32 folds, taken at the first block after a floor: never for one block
     start_codes, end_codes, heads, tails = index.code_arrays()
     coh_lo, coh_hi = index.coherency_range
     coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
     k, scale = config.top_k, config.sparse_scale
     doc_scores = score_docs(query.sparse, index.postings)
+    every_para = None
+    if isinstance(recs, range):
+        every_para = _para_sparse(
+            index, query.sparse, np.arange(index.para_inv_norm.size), doc_scores
+        )
     unset = floor = -np.finfo(np.float64).max
-    kept = []  # per block: score, start logit, end logit, sparse, position in recs, offset
+    kept = []  # per block: score, start logit, end logit, sparse, start record, offset
     n_scored = n_expanded = 0
     for b in range(0, len(recs), _BLOCK):
         blk = recs[b : b + _BLOCK]
-        if isinstance(blk, range):
-            blk = np.arange(blk.start, blk.stop)
-        n_ends = index.rec_n_ends[blk]
+        n_ends = _take(index.rec_n_ends, blk)
         n_valid = int(n_ends.sum())
         if n_valid == 0:
             continue
         n_scored += n_valid
-        end_rows, end_first = _end_ranges(index.rec_end_row[blk], n_ends)
-        start = _code_logits(start_codes, blk, start_fold)
-        end = _code_logits(end_codes, end_rows, end_fold)
-        paras = index.rec_para[blk]
-        para_begins = np.ones(blk.size, dtype=bool)  # paras is nondecreasing
-        np.not_equal(paras[1:], paras[:-1], out=para_begins[1:])
-        sparse = _para_sparse(index, query.sparse, paras[para_begins], doc_scores)
-        sparse = sparse[np.cumsum(para_begins) - 1]
+        paras = _take(index.rec_para, blk)
+        if every_para is not None:
+            sparse = every_para[paras]
+        else:
+            para_begins = np.ones(paras.size, dtype=bool)  # paras is nondecreasing
+            np.not_equal(paras[1:], paras[:-1], out=para_begins[1:])
+            sparse = _para_sparse(index, query.sparse, paras[para_begins], doc_scores)
+            sparse = sparse[np.cumsum(para_begins) - 1]
+        end_rows, end_first = _end_ranges(_take(index.rec_end_row, blk), n_ends)
+        end_rows = _as_run(end_rows)
+        bounded = floor != unset  # start and end hold upper bounds, not logits
+        if bounded:
+            fold32 = fold32 or (_fold32(start_fold), _fold32(end_fold))
+            start = _code_bounds(start_codes, blk, fold32[0])
+            end = _code_bounds(end_codes, end_rows, fold32[1])
+        else:
+            start = _code_logits(start_codes, blk, start_fold)
+            end = _code_logits(end_codes, end_rows, end_fold)
         bound = start + end.max()
         bound += coh_top
         bound += scale * sparse
         bound[n_ends == 0] = -np.inf
+        if isinstance(blk, range):
+            blk = np.arange(blk.start, blk.stop)
 
-        def cells(sel: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """The valid cells of the block's records `sel` whose bound reaches
+        def cells(sel: np.ndarray, floor: float) -> tuple:
+            """The valid cells of the records blk[sel] whose bound reaches
             `floor`, in (record, offset) order, that is by ascending phrase
-            id: their positions in `sel`, their offsets and their scores."""
+            id: their positions in `sel`, their offsets, their scores and,
+            when start and end hold bounds, their float64 start and end
+            logits (else None: start and end hold them)."""
             sel_ends = n_ends[sel]
             offsets = np.arange(int(sel_ends.max()))[:, None]
             at = end_first[sel] + offsets
@@ -330,10 +465,21 @@ def _score_starts(
             reach = reach >= floor
             reach &= offsets < sel_ends
             col, t = np.nonzero(reach.T)
-            coh = phrase_coherency(heads[blk[sel[col]]], tails[end_rows[at[t, col]]])
-            total = start_end[t, col] + np.multiply(coh, q.coherency, dtype=np.float64)
+            rec = blk[sel[col]]
+            end_row = index.rec_end_row[rec] + t
+            logits = None
+            if bounded:  # the cells' own float64 logits; end + start as in start_end
+                logits = (
+                    _code_logits(start_codes, rec, start_fold),
+                    _code_logits(end_codes, end_row, end_fold),
+                )
+                total = logits[1] + logits[0]
+            else:
+                total = start_end[t, col]
+            coh = phrase_coherency(heads[rec], tails[end_row])
+            total += np.multiply(coh, q.coherency, dtype=np.float64)
             total += cell_sparse[col]
-            return col, t, total
+            return col, t, total, logits
 
         if floor == unset and bound.size > k:
             seed = np.argpartition(bound, -k)[-k:]
@@ -343,22 +489,26 @@ def _score_starts(
         if live.size == 0:
             continue
         n_expanded += int(n_ends[live].sum())
-        col, t, total = cells(live, floor)
+        col, t, total, logits = cells(live, floor)
         above = total[total >= floor]
         if above.size > k:
             above.partition(above.size - k)  # in place: the k-th best of the block is at size - k
             floor = max(floor, float(above[above.size - k]))
         keep = total >= floor
         row, t = live[col[keep]], t[keep]
-        kept.append((total[keep], start[row], end[end_first[row] + t], sparse[row], b + row, t))
+        if logits is None:
+            start_logit, end_logit = start[row], end[end_first[row] + t]
+        else:
+            start_logit, end_logit = logits[0][keep], logits[1][keep]
+        kept.append((total[keep], start_logit, end_logit, sparse[row], blk[row], t))
 
     results = []
     if kept:
-        score, start_logit, end_logit, para_score, pos, offset = (
+        score, start_logit, end_logit, para_score, rec, offset = (
             np.concatenate(c) for c in zip(*kept)
         )
         top = _top_k(score, k)
-        rec = np.array([recs[p] for p in pos[top].tolist()], dtype=np.int64)
+        rec = rec[top]
         end_row = index.rec_end_row[rec] + offset[top]
         coherency = phrase_coherency(heads[rec], tails[end_row]).astype(np.float64)
         for c, r, row, coh in zip(top, rec.tolist(), end_row.tolist(), coherency):

@@ -460,15 +460,30 @@ def build_training_examples(
     encoder: ToyEncoder,
     config: TrainingConfig,
 ) -> list[TrainExample]:
-    """Positive examples from the QA set plus mined no-answer negatives."""
+    """Positive examples from the QA set plus mined no-answer negatives. A
+    record whose answer_span names an unknown document or paragraph, or
+    covers no token, is refused with a ValueError that names its question."""
     examples: list[TrainExample] = []
     pool: list[PoolQuestion] = []
     for rec in qa:
         if rec.doc_id is None or rec.answer_span is None:
             continue
         para_idx, c0, c1 = rec.answer_span
-        para = corpus.doc(rec.doc_id).paragraphs[para_idx]
-        answer = span_from_chars(para, c0, c1)
+        try:
+            paragraphs = corpus.doc(rec.doc_id).paragraphs
+        except KeyError:
+            raise ValueError(
+                f"question {rec.question!r}: unknown document {rec.doc_id!r}"
+            ) from None
+        if not 0 <= para_idx < len(paragraphs):
+            raise ValueError(
+                f"question {rec.question!r}: document {rec.doc_id!r} has no paragraph "
+                f"{para_idx} (it has {len(paragraphs)})"
+            )
+        try:
+            answer = span_from_chars(paragraphs[para_idx], c0, c1)
+        except ValueError as exc:
+            raise ValueError(f"question {rec.question!r}: {exc}") from None
         examples.append(TrainExample(rec.doc_id, para_idx, rec.question, answer))
         pool.append(PoolQuestion(rec.question, rec.doc_id, para_idx))
 

@@ -240,3 +240,45 @@ def test_search_flags_default_to_the_search_config_defaults(monkeypatch, command
              "bench": ["--qa", "qa.jsonl"], "serve": []}[command]
     assert main([command, "--index", "idx", *extra]) == 0
     assert seen[0].search == SearchConfig()
+
+
+def _qa_line(**fields) -> str:
+    rec = {"question": "where is w001", "answers": ["w001"], "doc_id": "doc000"}
+    rec.update(fields)
+    return json.dumps(rec) + "\n"
+
+
+@pytest.mark.parametrize("span", [
+    [0, 0], [0, 0, 2, 3], "abc", [-1, 0, 2], [0, 2, 2], [0, -1, 2], [0, 0, 2.0], [True, 0, 2],
+], ids=["short", "long", "string", "negative-para", "empty", "negative-char", "float", "bool"])
+def test_train_refuses_a_malformed_answer_span_in_one_line(tmp_path, corpus_file, capsys, span):
+    path, _ = corpus_file
+    qa_path = tmp_path / "qa.jsonl"
+    qa_path.write_text(_qa_line(answer_span=span))
+    rc = main(["train", "--corpus", str(path), "--qa", str(qa_path),
+               "--out", str(tmp_path / "run"), "--epochs", "1", *DIMS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"phraseindex: error: {qa_path}: line 1: answer_span must be")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fields, why", [
+    ({"doc_id": "nope", "answer_span": [0, 0, 2]}, "unknown document 'nope'"),
+    ({"answer_span": [1, 0, 2]}, "document 'doc000' has no paragraph 1 (it has 1)"),
+    ({"answer_span": [0, 10_000, 10_002]}, "character range (10000, 10002) covers no token"),
+], ids=["unknown-doc", "paragraph-past-the-end", "past-the-text"])
+def test_train_refuses_an_answer_outside_the_corpus_in_one_line(
+    tmp_path, corpus_file, capsys, fields, why
+):
+    path, corpus = corpus_file
+    assert len(corpus.doc("doc000").paragraphs) == 1
+    qa_path = tmp_path / "qa.jsonl"
+    qa_path.write_text(_qa_line(**fields))
+    rc = main(["train", "--corpus", str(path), "--qa", str(qa_path),
+               "--out", str(tmp_path / "run"), "--epochs", "1", *DIMS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"phraseindex: error: question 'where is w001': {why}\n"
+    assert not (tmp_path / "run").exists()

@@ -18,9 +18,12 @@ from phraseindex.search import (
     _ASSIGN_BLOCK,
     _BLOCK,
     _assign,
+    _code_bounds,
     _code_logits,
     _end_ranges,
     _fold,
+    _fold32,
+    _merge_ranges,
     _para_sparse,
     _ranges,
     dfs_search,
@@ -454,6 +457,102 @@ def test_code_logits_same_bits_in_any_subset(random_index):
         for n in [1, 1, 2, 3, *rng.integers(1, n_rows, size=40)]:
             subset = np.sort(rng.choice(n_rows, size=int(n), replace=False))
             assert np.array_equal(_code_logits(codes, subset, fold), full[subset])
+
+
+def test_float32_bound_is_at_least_the_float64_logit_on_every_row():
+    # _code_bounds must never fall below _code_logits, or the kernel could
+    # rule out a record that float64 bounds keep. Adversarial rows hold only
+    # extreme codes, all of one sign or following the weights' signs, and the
+    # weights mix signs over six decades.
+    rng = np.random.default_rng(11)
+    d = SMALL_CONFIG.boundary_dim
+    random_codes = rng.integers(-128, 128, size=(3000, d), dtype=np.int8)
+    for trial in range(60):
+        w = rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(-3, 3, size=d)
+        if trial % 3 == 0:
+            w = rng.normal(size=d)
+        signs = np.where(w > 0, 127, -128).astype(np.int8)
+        extreme = np.stack([np.full(d, -128), np.full(d, 127), signs, -1 - signs,
+                            np.where(np.arange(d) % 2, 127, -128)]).astype(np.int8)
+        codes = np.concatenate([extreme, random_codes])
+        c0 = float(rng.choice([0.0, 1e-3, -7.5, 1e4, -1e6])) * rng.uniform(0.5, 2)
+        fold = (c0, w)
+        fold32 = _fold32(fold)
+        margin = fold32[2]
+        assert 0 < margin < 1e-5 * (128 * np.abs(w).sum() + abs(c0))  # small, so it prunes
+        for rows in (np.arange(codes.shape[0]), range(0, codes.shape[0]),
+                     np.sort(rng.choice(codes.shape[0], size=200, replace=False))):
+            logits = _code_logits(codes, rows, fold)
+            bounds = _code_bounds(codes, rows, fold32)
+            assert (bounds >= logits).all(), trial
+            assert (bounds - logits <= 1.5 * margin).all(), trial
+        # A range of rows is read through a slice, with the bits of an array of them.
+        assert np.array_equal(_code_logits(codes, range(5, 905), fold),
+                              _code_logits(codes, np.arange(5, 905), fold))
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_float32_pruning_changes_no_result(fixture, request, monkeypatch):
+    # With an infinite margin every record of every block after the first
+    # reaches the floor, so nothing is ruled out by a float32 bound. The
+    # results must be the same bits as with the proven margin; small blocks
+    # put most records in blocks that are bounded in float32.
+    index = request.getfixturevalue(fixture)
+    monkeypatch.setattr(search_module, "_BLOCK", 16)
+    queries = [embed_question(index, text) for text in ("w001 w002", "w010 w011 w012", "w030")]
+
+    def run_all():
+        out = []
+        for q in queries:
+            for strategy in STRATEGIES:
+                for k in (1, 10):
+                    cfg = SearchConfig(strategy=strategy, top_k=k, dense_top_starts=200)
+                    o = run_search(index, q, cfg)
+                    bits = [(r.span, r.score.hex(), r.dense_score.hex(), r.sparse_score.hex(),
+                             r.strategy) for r in o.results]
+                    out.append((bits, o.docs_visited, o.start_rows_scored, o.phrases_scored,
+                                o.phrases_expanded))
+        return out
+
+    proven = run_all()
+    monkeypatch.setattr(search_module, "_bound_margin", lambda c0, w: float("inf"))
+    unpruned = run_all()
+    assert [p[:4] for p in proven] == [u[:4] for u in unpruned]
+    assert all(p[4] <= u[4] for p, u in zip(proven, unpruned))
+    assert sum(p[4] for p in proven) < sum(u[4] for u in unpruned)  # the float32 bound prunes
+
+
+def test_contiguous_end_ranges_equal_the_merge(monkeypatch):
+    # When each interval begins no later than the one before it stops, the
+    # union is one run and _end_ranges answers without merging.
+    rng = np.random.default_rng(12)
+
+    def no_merge(begin, stop):
+        raise AssertionError("merged a single run")
+
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        count = rng.integers(0, 6, size=n)
+        begin = np.zeros(n, dtype=np.int64)
+        begin[0] = rng.integers(0, 50)
+        for i in range(1, n):
+            begin[i] = begin[i - 1] + rng.integers(0, count[i - 1] + 1)
+        want_rows, want_first = _merge_ranges(begin, begin + count)
+        with monkeypatch.context() as m:
+            m.setattr(search_module, "_merge_ranges", no_merge)
+            rows, first = _end_ranges(begin, count)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(first, want_first)
+    # Any nondecreasing begins, runs or not, agree with the merge.
+    for _ in range(300):
+        n = int(rng.integers(1, 20))
+        begin = np.sort(rng.integers(0, 30, size=n))
+        count = rng.integers(0, 6, size=n)
+        rows, first = _end_ranges(begin, count)
+        want_rows, want_first = _merge_ranges(begin, begin + count)
+        assert np.array_equal(rows, want_rows)
+        live = count > 0
+        assert np.array_equal(first[live], want_first[live])
 
 
 def _phrase_of(index, span):

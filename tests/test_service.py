@@ -55,6 +55,15 @@ def post(url, payload):
         return resp.status, json.loads(resp.read())
 
 
+def error_status(call, *args) -> int:
+    """The status of the HTTPError that call(*args) raises. The error holds
+    the response, so it is closed here rather than left to the collector."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        call(*args)
+    with err.value:
+        return err.value.code
+
+
 class TestNormalization:
     def test_strips_case_punctuation_articles(self):
         assert normalize_answer("The Cat.") == "cat"
@@ -150,32 +159,25 @@ class TestHttpService:
 
     def test_empty_question_is_400(self, served_index):
         _, base = served_index
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post(base + "/query", {"question": "   "})
-        assert err.value.code == 400
+        assert error_status(post, base + "/query", {"question": "   "}) == 400
 
     def test_malformed_json_is_400(self, served_index):
         _, base = served_index
         req = urllib.request.Request(
             base + "/query", data=b"{nope", method="POST"
         )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req)
-        assert err.value.code == 400
+        assert error_status(urllib.request.urlopen, req) == 400
 
     def test_non_object_json_body_is_400(self, served_index):
         _, base = served_index
         for body in (["where is w001"], "where is w001", 3, None):
-            with pytest.raises(urllib.error.HTTPError) as err:
-                post(base + "/query", body)
-            assert err.value.code == 400
+            assert error_status(post, base + "/query", body) == 400
 
     def test_bool_top_k_is_400(self, served_index):
         _, base = served_index
         for flag in (True, False):
-            with pytest.raises(urllib.error.HTTPError) as err:
-                post(base + "/query", {"question": "where is w001", "top_k": flag})
-            assert err.value.code == 400
+            payload = {"question": "where is w001", "top_k": flag}
+            assert error_status(post, base + "/query", payload) == 400
 
     def test_top_k_above_the_bound_is_400(self, served_index):
         _, base = served_index
@@ -261,15 +263,12 @@ class TestHttpService:
 
     def test_bad_strategy_is_400(self, served_index):
         _, base = served_index
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post(base + "/query", {"question": "x", "strategy": "psychic"})
-        assert err.value.code == 400
+        payload = {"question": "x", "strategy": "psychic"}
+        assert error_status(post, base + "/query", payload) == 400
 
     def test_unknown_path_is_404(self, served_index):
         _, base = served_index
-        with pytest.raises(urllib.error.HTTPError) as err:
-            get(base + "/nope")
-        assert err.value.code == 404
+        assert error_status(get, base + "/nope") == 404
 
     def test_503_while_index_not_ready(self):
         from http.server import ThreadingHTTPServer
@@ -282,9 +281,8 @@ class TestHttpService:
         raw.search_config = SearchConfig()
         start_server_thread(raw)
         try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                get(f"http://127.0.0.1:{raw.server_address[1]}/health")
-            assert err.value.code == 503
+            url = f"http://127.0.0.1:{raw.server_address[1]}/health"
+            assert error_status(get, url) == 503
         finally:
             raw.shutdown()
             raw.server_close()
