@@ -11,21 +11,21 @@ The kernel takes the records in fixed-size blocks. A block's start and end
 logits are inner products with the int8 codes, the quantizer's affine map
 folded into the query, so no float copy of a stored vector is kept. Each
 record gets an upper bound on its phrases' scores from its start logit, the
-block's best end logit and the largest coherency term, and only the records
-whose bound reaches the running k-th best score (the floor) are expanded:
-their phrases form a rectangle of records by window offsets, each cell bounded
-the same way with its own end logit, and only the cells whose bound reaches
-the floor get their coherency (phrase_coherency, from the stored head and
-tail rows) and a score in float64. The first block, while there is no floor,
-takes float64 logits of all its rows. Every later block bounds its records
-and cells from float32 logits (a BLAS matrix-vector product over the codes)
-plus a rounding margin proven once per query, and takes float64 logits only
-for the cells whose bound reaches the floor. Those logits are the only
-source of a score's bits, so the results are the same bits as with float64
-bounds throughout. The rectangle is cut to the block's best before the next
-block, so the scratch per query does not grow with the number of records.
-The output counts the start rows and phrases scored, and the phrases
-expanded.
+best end logit in its own window of end rows and the largest coherency term,
+and only the records whose bound reaches the running k-th best score (the
+floor) are expanded: their phrases form a rectangle of records by window
+offsets, each cell bounded the same way with its own end logit, and only the
+cells whose bound reaches the floor get their coherency (phrase_coherency,
+from the stored head and tail rows) and a score in float64. Every bound is
+built from float32 logits (a BLAS matrix-vector product over the codes) plus
+a rounding margin proven once per query, and only the cells whose bound
+reaches the floor get float64 logits of their own rows. Those logits are the
+only source of a score's bits, so the results are the same bits as with
+float64 bounds. The first block seeds the floor from the cells of its
+records of largest bound. The rectangle is cut to the block's best before
+the next block, so the scratch per query does not grow with the number of
+records. The output counts the start rows and phrases scored, and the
+phrases expanded.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 2048  # start records scored at a time; bounds the kernel's scratch
+_BLOCK = 8192  # start records scored at a time; bounds the kernel's scratch
 _LOGIT_BLOCK = 1024  # code rows converted to float at a time
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
 
@@ -249,6 +249,47 @@ def _code_bounds(
     return out
 
 
+def _window_max(values: np.ndarray, width: int) -> np.ndarray:
+    """out[i] = max(values[i : i + width]) for each i, a window that runs past
+    the end cut short there. Each pass takes the maximum of the running
+    result and itself shifted by a shift s, which widens every window by s:
+    doubling passes, then one shift of width minus the last power of two, so
+    about log2(width) passes. A pass writes to a second buffer, since numpy
+    would copy an input that overlaps its output."""
+    out, spare = values.copy(), np.empty_like(values)
+    have = 1
+    while have < width:
+        s = min(have, width - have)
+        np.maximum(out[:-s], out[s:], out=spare[:-s])
+        spare[-s:] = out[-s:]  # windows already past the end
+        out, spare = spare, out
+        have += s
+    return out
+
+
+def _record_bounds(
+    start: np.ndarray,
+    end: np.ndarray,
+    end_first: np.ndarray,
+    n_ends: np.ndarray,
+    coh_top: float,
+    sparse_term: np.ndarray,
+) -> np.ndarray:
+    """Each record's bound: ((the largest of `end` in its window + its
+    `start`) + coh_top) + its `sparse_term`, or -inf for a record without
+    ends. Record r's ends sit at end[end_first[r] : end_first[r] + n_ends[r]],
+    so a window as wide as the widest record's from its own first end covers
+    them. A record without ends reads some other record's window, a real end
+    value rather than -inf, and is masked once the sums are done, so no
+    inf + -inf arises even where the bounds are inf."""
+    bound = _window_max(end, int(n_ends.max())).take(end_first, mode="clip")
+    bound += start
+    bound += coh_top
+    bound += sparse_term
+    bound[n_ends == 0] = -np.inf
+    return bound
+
+
 def phrase_coherency(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Coherency of each phrase whose float32 head and tail rows pair up along
     the last axis, the other axes broadcasting: float32 of the float64 sum,
@@ -265,17 +306,13 @@ def phrase_coherency(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 def _ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(b, b + c) over the (begin, count) pairs, as one
-    running sum of steps: 1 within a range, a jump at each range's head. It
-    allocates only the output, since each fresh page of a large array costs
-    a page fault."""
-    some = count > 0
-    begin, count = begin[some], count[some]
-    out = np.ones(int(count.sum()), dtype=np.int64)
-    if out.size:
-        out[0] = begin[0]
-        out[np.cumsum(count[:-1])] = begin[1:] - (begin[:-1] + count[:-1]) + 1
-        np.cumsum(out, out=out)
+    """Concatenation of arange(b, b + c) over the (begin, count) pairs: each
+    range's begin less its place in the output, repeated over the range,
+    plus the place of each element."""
+    place = np.cumsum(count)
+    place -= count
+    out = np.repeat(begin - place, count)
+    out += np.arange(out.size)
     return out
 
 
@@ -345,11 +382,14 @@ def _score_starts(
     visited: frozenset[int],
     strategy: str,
     label: Callable[[int], str] | None = None,
+    doc_scores: np.ndarray | None = None,
 ) -> SearchOutput:
     """Score every stored phrase that starts at one of the ascending start
     records `recs` (an array, or a range for all of them), keep the best
     config.top_k and count the work done. A result is labelled label(start
-    record), or `strategy` without a label.
+    record), or `strategy` without a label. `doc_scores` holds q . d for at
+    least the documents of `recs`, as score_docs computes it for all of them
+    when it is not given.
 
     The records are scored _BLOCK at a time. A block's phrases form a
     rectangle of records by window offsets t below the largest rec_n_ends,
@@ -364,29 +404,25 @@ def _score_starts(
     The floor is a score that at least k cells already reach, so no cell
     below it can be in the top k. A bound sums the same terms in the same
     order with c_top, the larger of float64(coherency) * q_c at the least and
-    greatest coherency of the index, in place of the coherency term. Rounding
-    to nearest is monotone, so no cell scores above its bound, and a bound
-    built from upper bounds on the start and end logits is no lower than one
-    built from the logits themselves. Record r's bound takes the block's
-    largest end logit; only the records whose bound reaches the floor are
-    expanded into a rectangle, where each cell's bound takes its own end
-    logit, and only the valid cells whose bound reaches the floor get their
-    coherency and a score.
+    greatest coherency of the index, in place of the coherency term, and
+    with upper bounds on the start and end logits in place of the logits:
+    _code_bounds, float32 logits (a BLAS matrix-vector product over the
+    codes) plus a rounding margin proven once per query. Rounding to nearest
+    is monotone, so no cell scores above its bound. Record r's bound takes
+    the largest end bound in a window as wide as the block's widest record
+    from its own first end (_window_max), which covers its own ends; only
+    the records whose bound reaches the floor are expanded into a rectangle,
+    where each cell's bound takes its own end bound, and only the valid
+    cells whose bound reaches the floor get float64 logits of their own
+    start and end rows, their coherency and a score. A cell let through only
+    because a float32 bound is looser than a float64 one is below the floor
+    on its float64 bound, so its score neither raises the floor nor is kept.
 
-    While no floor exists, start and end hold the float64 logits of all the
-    block's start and end rows, and the bounds are built from them. Then a
-    block of more than k records whose k records of largest bound have k
-    cells seeds the floor from the real scores of all their cells; a smaller
-    block is expanded whole. Once a floor exists, start and end hold
-    _code_bounds instead: float32 logits plus a proven rounding margin, at
-    least the float64 logits on every row. Record and cell bounds are built
-    from them the same way, and only the cells whose bound reaches the floor
-    get float64 logits of their own start and end rows. The bounds can only
-    be higher, so those cells include every cell that float64 bounds would
-    let through; any other cell is below the floor on its float64 bound, so
-    its score neither raises the floor nor is kept. The floor, the kept cells
-    and the results are therefore the same bits either way, and only
-    phrases_expanded may be larger.
+    While no floor exists, a block of more than k records seeds it from the
+    real scores of all the cells of its 2k records of largest bound, when
+    they have at least k cells; when no other record reaches that floor,
+    those cells are the block's expansion. A block of at most k records is
+    expanded whole.
 
     A block keeps every score at or above both the floor and its own k-th
     best, ties included, and raises the floor to the larger of the two, so
@@ -402,12 +438,13 @@ def _score_starts(
     q = query.dense
     start_fold = _fold(index.start_quant, q.start)
     end_fold = _fold(index.end_quant, q.end)
-    fold32 = None  # the float32 folds, taken at the first block after a floor: never for one block
+    start_fold32, end_fold32 = _fold32(start_fold), _fold32(end_fold)
     start_codes, end_codes, heads, tails = index.code_arrays()
     coh_lo, coh_hi = index.coherency_range
     coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
     k, scale = config.top_k, config.sparse_scale
-    doc_scores = score_docs(query.sparse, index.postings)
+    if doc_scores is None:
+        doc_scores = score_docs(query.sparse, index.postings)
     every_para = None
     if isinstance(recs, range):
         every_para = _para_sparse(
@@ -432,28 +469,17 @@ def _score_starts(
             sparse = _para_sparse(index, query.sparse, paras[para_begins], doc_scores)
             sparse = sparse[np.cumsum(para_begins) - 1]
         end_rows, end_first = _end_ranges(_take(index.rec_end_row, blk), n_ends)
-        end_rows = _as_run(end_rows)
-        bounded = floor != unset  # start and end hold upper bounds, not logits
-        if bounded:
-            fold32 = fold32 or (_fold32(start_fold), _fold32(end_fold))
-            start = _code_bounds(start_codes, blk, fold32[0])
-            end = _code_bounds(end_codes, end_rows, fold32[1])
-        else:
-            start = _code_logits(start_codes, blk, start_fold)
-            end = _code_logits(end_codes, end_rows, end_fold)
-        bound = start + end.max()
-        bound += coh_top
-        bound += scale * sparse
-        bound[n_ends == 0] = -np.inf
+        start = _code_bounds(start_codes, blk, start_fold32)
+        end = _code_bounds(end_codes, _as_run(end_rows), end_fold32)
+        bound = _record_bounds(start, end, end_first, n_ends, coh_top, scale * sparse)
         if isinstance(blk, range):
             blk = np.arange(blk.start, blk.stop)
 
         def cells(sel: np.ndarray, floor: float) -> tuple:
             """The valid cells of the records blk[sel] whose bound reaches
             `floor`, in (record, offset) order, that is by ascending phrase
-            id: their positions in `sel`, their offsets, their scores and,
-            when start and end hold bounds, their float64 start and end
-            logits (else None: start and end hold them)."""
+            id: their positions in `sel`, their offsets, their scores and
+            their float64 start and end logits."""
             sel_ends = n_ends[sel]
             offsets = np.arange(int(sel_ends.max()))[:, None]
             at = end_first[sel] + offsets
@@ -467,40 +493,38 @@ def _score_starts(
             col, t = np.nonzero(reach.T)
             rec = blk[sel[col]]
             end_row = index.rec_end_row[rec] + t
-            logits = None
-            if bounded:  # the cells' own float64 logits; end + start as in start_end
-                logits = (
-                    _code_logits(start_codes, rec, start_fold),
-                    _code_logits(end_codes, end_row, end_fold),
-                )
-                total = logits[1] + logits[0]
-            else:
-                total = start_end[t, col]
+            start_logit = _code_logits(start_codes, rec, start_fold)
+            end_logit = _code_logits(end_codes, end_row, end_fold)
+            total = end_logit + start_logit
             coh = phrase_coherency(heads[rec], tails[end_row])
             total += np.multiply(coh, q.coherency, dtype=np.float64)
             total += cell_sparse[col]
-            return col, t, total, logits
+            return col, t, total, start_logit, end_logit
 
+        seeded = None
         if floor == unset and bound.size > k:
-            seed = np.argpartition(bound, -k)[-k:]
+            seed = np.sort(np.argpartition(bound, -min(2 * k, bound.size))[-2 * k :])
             if int(n_ends[seed].sum()) >= k:
-                floor = float(np.partition(cells(seed, floor)[2], -k)[-k])
+                seeded = cells(seed, floor)
+                floor = float(np.partition(seeded[2], -k)[-k])
         live = np.flatnonzero(bound >= floor)
         if live.size == 0:
             continue
         n_expanded += int(n_ends[live].sum())
-        col, t, total, logits = cells(live, floor)
+        if seeded is not None and live.size <= seed.size:
+            # No record outside the seed has a larger bound than one inside,
+            # so the seed holds every live record, and its cells every cell
+            # that reaches the floor.
+            live, (col, t, total, start_logit, end_logit) = seed, seeded
+        else:
+            col, t, total, start_logit, end_logit = cells(live, floor)
         above = total[total >= floor]
         if above.size > k:
             above.partition(above.size - k)  # in place: the k-th best of the block is at size - k
             floor = max(floor, float(above[above.size - k]))
         keep = total >= floor
-        row, t = live[col[keep]], t[keep]
-        if logits is None:
-            start_logit, end_logit = start[row], end[end_first[row] + t]
-        else:
-            start_logit, end_logit = logits[0][keep], logits[1][keep]
-        kept.append((total[keep], start_logit, end_logit, sparse[row], blk[row], t))
+        row = live[col[keep]]
+        kept.append((total[keep], start_logit[keep], end_logit[keep], sparse[row], blk[row], t[keep]))
 
     results = []
     if kept:
@@ -541,12 +565,18 @@ def _score_starts(
 
 def _sfs_starts(
     index: "PhraseIndex", query: QueryVector, config: SearchConfig
-) -> tuple[np.ndarray, frozenset[int]]:
-    """Start records of the top sparse documents, and those documents."""
+) -> tuple[np.ndarray, frozenset[int], np.ndarray]:
+    """Start records of the top sparse documents, those documents, and the
+    sparse score of each document: retrieve_top_docs' own value at those
+    documents, the only ones the records lie in, and 0 elsewhere."""
     ranked = retrieve_top_docs(query.sparse, index.postings, config.sparse_top_docs)
-    docs = np.sort(np.array([d for d, _ in ranked], dtype=np.int64))
+    docs = np.array([d for d, _ in ranked], dtype=np.int64)
+    doc_scores = np.zeros(index.n_docs)
+    doc_scores[docs] = [score for _, score in ranked]
+    docs.sort()
     begin = index.doc_rec_begin[docs]
-    return _ranges(begin, index.doc_rec_begin[docs + 1] - begin), frozenset(docs.tolist())
+    recs = _ranges(begin, index.doc_rec_begin[docs + 1] - begin)
+    return recs, frozenset(docs.tolist()), doc_scores
 
 
 def _dfs_starts(
@@ -582,8 +612,8 @@ def sfs_search(
     index: "PhraseIndex", query: QueryVector, config: SearchConfig
 ) -> SearchOutput:
     """Sparse-first: exact scoring restricted to the top sparse documents."""
-    recs, docs = _sfs_starts(index, query, config)
-    return _score_starts(index, query, recs, config, docs, "sfs")
+    recs, docs, doc_scores = _sfs_starts(index, query, config)
+    return _score_starts(index, query, recs, config, docs, "sfs", doc_scores=doc_scores)
 
 
 def dfs_search(
@@ -606,7 +636,7 @@ def hybrid_search(
 ) -> SearchOutput:
     """The union of the SFS and DFS start records, scored once. A result is
     labelled "sfs", "dfs" or "sfs+dfs" by the set(s) its start record is in."""
-    sfs_recs, sfs_docs = _sfs_starts(index, query, config)
+    sfs_recs, sfs_docs, _ = _sfs_starts(index, query, config)
     dfs_recs = _dfs_starts(index, ivf, query, config)
     in_sfs, in_dfs = set(sfs_recs.tolist()), set(dfs_recs.tolist())
     names = {(True, True): "sfs+dfs", (True, False): "sfs", (False, True): "dfs"}

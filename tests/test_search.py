@@ -10,7 +10,7 @@ import phraseindex.search as search_module
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef
 from phraseindex.dense import QueryDenseVector
-from phraseindex.index import load_index
+from phraseindex.index import BuildConfig, load_index
 from phraseindex.search import (
     STRATEGIES,
     QueryVector,
@@ -26,6 +26,8 @@ from phraseindex.search import (
     _merge_ranges,
     _para_sparse,
     _ranges,
+    _record_bounds,
+    _window_max,
     dfs_search,
     embed_question,
     exact_search,
@@ -493,10 +495,10 @@ def test_float32_bound_is_at_least_the_float64_logit_on_every_row():
 
 @pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
 def test_float32_pruning_changes_no_result(fixture, request, monkeypatch):
-    # With an infinite margin every record of every block after the first
-    # reaches the floor, so nothing is ruled out by a float32 bound. The
-    # results must be the same bits as with the proven margin; small blocks
-    # put most records in blocks that are bounded in float32.
+    # With an infinite margin every record reaches the floor, so nothing is
+    # ruled out by a float32 bound. The results must be the same bits as with
+    # the proven margin, over many small blocks. The filtered index has
+    # records without ends, whose window reads must not meet an inf bound.
     index = request.getfixturevalue(fixture)
     monkeypatch.setattr(search_module, "_BLOCK", 16)
     queries = [embed_question(index, text) for text in ("w001 w002", "w010 w011 w012", "w030")]
@@ -520,6 +522,60 @@ def test_float32_pruning_changes_no_result(fixture, request, monkeypatch):
     assert [p[:4] for p in proven] == [u[:4] for u in unpruned]
     assert all(p[4] <= u[4] for p, u in zip(proven, unpruned))
     assert sum(p[4] for p in proven) < sum(u[4] for u in unpruned)  # the float32 bound prunes
+
+
+def test_window_max_equals_the_brute_force_maximum():
+    # Widths 1..max_span, powers of two or not, and windows that run past the
+    # last end row (cut short there), up to arrays shorter than the window.
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 3, 7, 16, 19, 20, 21, 33, 100]:
+        values = rng.normal(size=n)
+        values[rng.integers(0, n)] = np.inf
+        for width in range(1, BuildConfig().max_span + 1):
+            got = _window_max(values, width)
+            want = np.array([values[i : i + width].max() for i in range(n)])
+            assert np.array_equal(got, want), (n, width)
+        assert np.array_equal(_window_max(values, 1), values)
+        assert not np.shares_memory(_window_max(values, 5), values)
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_record_bound_covers_its_cells_and_is_at_most_the_block_max_bound(fixture, request):
+    # Each record's bound must be at least the score of every one of its
+    # cells, or the kernel could rule out a result, and at most the bound
+    # that takes the block's largest end bound instead of its own window's.
+    # Records of all documents, and of every other one, so the end rows are
+    # one run or merged from gaps.
+    index = request.getfixturevalue(fixture)
+    doc_of_rec = index.para_table["doc"][index.rec_para]
+    for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043"]:
+        query = embed_question(index, text)
+        q = query.dense
+        start_fold, end_fold = _fold(index.start_quant, q.start), _fold(index.end_quant, q.end)
+        start_logits_all = _code_logits(index.start_codes, np.arange(index.n_start_rows), start_fold)
+        end_logits_all = _code_logits(index.end_codes, np.arange(index.n_end_rows), end_fold)
+        coh_lo, coh_hi = index.coherency_range
+        coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
+        para_sparse = _para_sparse(index, query.sparse, np.arange(len(index.para_table)))
+        for recs in (np.arange(index.n_start_rows), np.flatnonzero(doc_of_rec % 2 == 0)):
+            n_ends = index.rec_n_ends[recs]
+            rows, first = _end_ranges(index.rec_end_row[recs], n_ends)
+            start = _code_bounds(index.start_codes, recs, _fold32(start_fold))
+            end = _code_bounds(index.end_codes, rows, _fold32(end_fold))
+            sparse_term = 0.05 * para_sparse[index.rec_para[recs]]
+            bound = _record_bounds(start, end, first, n_ends, coh_top, sparse_term)
+            block_max = ((start + end.max()) + coh_top) + sparse_term
+            assert np.isneginf(bound[n_ends == 0]).all()
+            has = n_ends > 0
+            assert (bound[has] <= block_max[has]).all()
+            assert (bound[has] < block_max[has]).any()  # the own window is tighter
+            for i, r in enumerate(recs.tolist()):
+                for t in range(int(n_ends[i])):
+                    phrase = int(index.rec_ends_begin[r]) + t
+                    row = int(index.rec_end_row[r]) + t
+                    coh = np.float64(index.coherency[phrase]) * q.coherency
+                    score = ((start_logits_all[r] + end_logits_all[row]) + coh) + sparse_term[i]
+                    assert score <= bound[i], (text, r, t)
 
 
 def test_contiguous_end_ranges_equal_the_merge(monkeypatch):
@@ -650,7 +706,7 @@ def test_exact_scratch_does_not_grow_with_the_records(tmp_path):
     # peak must stay flat on a 4x larger index; phrase-sized scratch would
     # grow it about 4x.
     records, peaks = [], []
-    for n_docs in (25, 100):
+    for n_docs in (100, 400):
         corpus = make_random_corpus(np.random.default_rng(n_docs), n_docs=n_docs,
                                     tokens_per_para=(100, 100), paras_per_doc=(1, 1))
         index = build_small_index(corpus, tmp_path / f"idx{n_docs}", max_span=8, ivf_clusters=2)
@@ -719,7 +775,7 @@ def test_para_sparse_same_bits_in_any_subset(random_index):
 
 
 def test_search_and_service_never_build_the_per_phrase_tables(random_index):
-    from phraseindex.index import load_index
+    from phraseindex.index import BuildConfig, load_index
     from phraseindex.service import handle_query
 
     index = load_index(random_index.path)
@@ -814,12 +870,13 @@ BOUND_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [7, 40, _BLOCK])
+@pytest.mark.parametrize("block", [7, 40, 2048])
 @pytest.mark.parametrize("case", list(BOUND_CASES))
 def test_bound_keeps_the_brute_force_top_k(case, block, request, monkeypatch):
     # 7-record blocks are too small to seed the floor: it comes from the
     # first blocks' own k-th best. 40-record blocks seed it in the first
-    # block and carry it over several; with _BLOCK every fixture is one block.
+    # block and carry it over several; 2048 records, like the default _BLOCK,
+    # make every fixture one block.
     fixture, text, edit, changes = BOUND_CASES[case]
     index = request.getfixturevalue(fixture)
     monkeypatch.setattr(search_module, "_BLOCK", block)
@@ -839,6 +896,21 @@ def test_bound_keeps_the_brute_force_top_k(case, block, request, monkeypatch):
     if case.startswith("ties"):
         assert all(score == 0.0 for _, score in want)
         assert out.phrases_expanded == out.phrases_scored  # every record reaches the tie
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_seed_keeps_the_brute_force_top_k_for_every_k(fixture, request):
+    # The first block takes the seed's cells as its expansion only when no
+    # record outside the seed reaches the seed's floor; sweeping k moves the
+    # number of records that reach it across the seed's size.
+    index = request.getfixturevalue(fixture)
+    for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043", "w007", "w020 w055"]:
+        query = embed_question(index, text)
+        for k in range(1, 16):
+            cfg = SearchConfig(strategy="exact", top_k=k)
+            out = run_search(index, query, cfg)
+            want = _brute_force(index, query, cfg, out.visited_doc_ordinals)
+            assert [(r.span, r.score) for r in out.results] == want, (text, k)
 
 
 def test_bound_expands_few_phrases_on_exact(random_index):
