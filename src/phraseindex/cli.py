@@ -48,14 +48,7 @@ def cmd_build(args) -> int:
         state = json.loads(Path(args.encoder_state).read_text())
         encoder.linear = np.asarray(state["linear"], dtype=float)
     tfidf = fit_tfidf(corpus)
-    out = build_index(
-        corpus,
-        encoder,
-        tfidf,
-        None,
-        args.out,
-        BuildConfig(max_span=args.max_span, seed=args.seed, ivf_clusters=args.clusters),
-    )
+    out = build_index(corpus, encoder, tfidf, None, args.out, args.build)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     print(json.dumps({"index": str(out), "counts": manifest["counts"]}))
     return 0
@@ -192,11 +185,15 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    if "sparse_scale" in args:  # a command that searches: check its settings up front
-        try:
+    try:  # check a command's settings before it reads any input
+        if "sparse_scale" in args:  # a command that searches
             args.search = _search_config(args)
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.func is cmd_build:
+            args.build = BuildConfig(
+                max_span=args.max_span, seed=args.seed, ivf_clusters=args.clusters
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     # Bad input, one line each; UnicodeDecodeError is a ValueError. Bugs still traceback.

@@ -38,10 +38,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import shutil
 import struct
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -273,31 +275,91 @@ def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, 
 
 
 # ---------------------------------------------------------------------------
-# Reservoir sampling for quantization fitting
+# Row spills and reservoir sampling for quantization fitting
 # ---------------------------------------------------------------------------
+
+_SPILL_CHUNK = 8192  # rows per read of a spill
+
+
+class _Spill:
+    """Rows of one dtype and width appended to an open unnamed temporary file,
+    then read back in order a bounded chunk at a time."""
+
+    def __init__(self, file, dtype, width: int):
+        self.file = file
+        self.dtype = np.dtype(dtype)
+        self.width = width
+        self.rows = 0
+
+    def append(self, rows: np.ndarray) -> None:
+        self.file.write(np.asarray(rows, dtype=self.dtype).tobytes())
+        self.rows += rows.shape[0]
+
+    def chunks(self):
+        """(first row id, rows) for consecutive chunks covering every row."""
+        self.file.seek(0)
+        for first in range(0, self.rows, _SPILL_CHUNK):
+            n = min(_SPILL_CHUNK, self.rows - first)
+            raw = self.file.read(n * self.width * self.dtype.itemsize)
+            yield first, np.frombuffer(raw, self.dtype).reshape(n, self.width)
+
+    def copy_to(self, fh) -> None:
+        self.file.seek(0)
+        shutil.copyfileobj(self.file, fh)
 
 
 class _Reservoir:
-    def __init__(self, capacity: int, dim: int, rng: np.random.Generator):
+    """A uniform sample of at most `capacity` of the row ids offered so far
+    (Algorithm R): row id i >= capacity replaces the slot drawn from
+    [0, i + 1) if that slot exists. Until the first such row the sample is
+    every id, so no slot array is held before then."""
+
+    def __init__(self, capacity: int, rng: np.random.Generator):
         self.capacity = capacity
-        self.buffer = np.empty((capacity, dim), dtype=np.float64)
         self.rng = rng
         self.seen = 0
-        self.size = 0
+        self.slots: np.ndarray | None = None
 
-    def add(self, rows: np.ndarray) -> None:
-        fill = min(self.capacity - self.size, rows.shape[0])  # copied while there is room
-        self.buffer[self.size : self.size + fill] = rows[:fill]
-        self.size += fill
-        self.seen += fill
-        for row in rows[fill:]:
-            self.seen += 1
-            k = int(self.rng.integers(self.seen))
-            if k < self.capacity:
-                self.buffer[k] = row
+    def add(self, n: int) -> None:
+        """Offer the next n row ids. The ids that find the reservoir full draw
+        in one call, which consumes the stream of one scalar call per id."""
+        ids = np.arange(max(self.seen, self.capacity), self.seen + n)
+        self.seen += n
+        if ids.size == 0:
+            return
+        if self.slots is None:
+            self.slots = np.arange(self.capacity)
+        drawn = self.rng.integers(ids + 1)
+        hit = drawn < self.capacity
+        # Applied in id order, a later id wins a slot: keep each slot's last draw.
+        slots, last = np.unique(drawn[hit][::-1], return_index=True)
+        self.slots[slots] = ids[hit][::-1][last]
 
     def sample(self) -> np.ndarray:
-        return self.buffer[: self.size]
+        """The sampled row ids, ascending."""
+        return np.arange(self.seen) if self.slots is None else np.sort(self.slots)
+
+
+def _fit_spilled_sample(spill: _Spill, ids: np.ndarray) -> QuantizationParams:
+    """fit_quantization of the spilled rows with the given ascending ids. It
+    reads only the sample's per-dimension min and max, so the two-row stack
+    [min; max] gives the same params as the sample itself."""
+    lo = np.full(spill.width, np.inf)
+    hi = np.full(spill.width, -np.inf)
+    for first, rows in spill.chunks():
+        a, b = np.searchsorted(ids, [first, first + rows.shape[0]])
+        if b > a:
+            picked = rows[ids[a:b] - first]
+            np.minimum(lo, picked.min(axis=0), out=lo)
+            np.maximum(hi, picked.max(axis=0), out=hi)
+    return fit_quantization(np.stack([lo, hi]))
+
+
+def _quantize_spill(spill: _Spill, params: QuantizationParams) -> np.ndarray:
+    codes = np.empty((spill.rows, spill.width), dtype=np.int8)
+    for first, rows in spill.chunks():
+        codes[first : first + rows.shape[0]] = quantize(rows, params)
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +374,16 @@ class BuildConfig:
     quant_sample_size: int = 100_000
     ivf_clusters: int | None = None  # None: ceil(4 * sqrt(start rows)); capped at the start rows
     build_ivf: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("max_span", "quant_sample_size", "ivf_clusters"):
+            value = getattr(self, name)
+            if name == "ivf_clusters" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _encoder_section_bytes(encoder: Encoder) -> bytes:
@@ -399,13 +471,16 @@ def build_index(
 ) -> Path:
     """Encode each paragraph once, then write a new index directory.
 
-    One pass over the corpus encodes each paragraph and keeps its survival
-    masks, its surviving start/end rows and their float32 coherency heads
-    and tails, takes the least and greatest coherency of its phrases, and
-    fills the quantization reservoirs. The kept rows are
-    quantized once the reservoirs are fitted, and each section is written
-    from arrays concatenated once. phrases.bin stores the paragraph table and
-    the two masks, bit-packed; the phrases themselves are derived at open.
+    One pass over the corpus encodes each paragraph, keeps its survival masks,
+    takes the least and greatest coherency of its phrases, and appends its
+    surviving start/end rows (float64) and their float32 coherency heads and
+    tails to four unnamed temporary files beside out_dir, which need no
+    cleanup. The quantization reservoirs sample row ids, not rows. Each side's
+    params are then fitted from its sampled rows and its codes quantized,
+    reading its spill a bounded chunk at a time, and k-means dequantizes the
+    start codes a block at a time; so no float array of every row is held.
+    phrases.bin stores the paragraph table and the two masks, bit-packed; the
+    phrases themselves are derived at open.
     The build is atomic: everything lands in a fresh temp directory beside
     out_dir, which is fsynced and renamed at the end and removed if the build
     fails, so a partial build is never visible and never blocks the next one.
@@ -420,31 +495,56 @@ def build_index(
     if filter_model.start_weights.shape[0] != cfg.boundary_dim:
         raise ValueError("filter width does not match encoder boundary width")
 
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as spills:
+        _build(corpus, encoder, tfidf, filter_model, out_dir, config, spills)
+    _fsync_dir(out_dir.parent)
+    return out_dir
+
+
+def _build(
+    corpus: CorpusStore,
+    encoder: Encoder,
+    tfidf: TfIdfModel,
+    filter_model: FilterModel,
+    out_dir: Path,
+    config: BuildConfig,
+    spills: ExitStack,
+) -> None:
+    """build_index's encode pass and section writes. Its spill files are
+    entered on spills, which the caller closes."""
+
+    def spill(dtype, width: int) -> _Spill:
+        return _Spill(spills.enter_context(tempfile.TemporaryFile(dir=out_dir.parent)), dtype, width)
+
+    cfg = encoder.config
     rng = np.random.default_rng(config.seed)
-    start_res = _Reservoir(config.quant_sample_size, cfg.boundary_dim, rng)
-    end_res = _Reservoir(config.quant_sample_size, cfg.boundary_dim, rng)
-    start_rows: list[np.ndarray] = []  # surviving start/end columns, float64
-    end_rows: list[np.ndarray] = []
+    start_res = _Reservoir(config.quant_sample_size, rng)
+    end_res = _Reservoir(config.quant_sample_size, rng)
+    start_rows = spill(np.float64, cfg.boundary_dim)  # surviving start/end columns
+    end_rows = spill(np.float64, cfg.boundary_dim)
+    heads = spill("<f4", cfg.coherency_dim)  # coherency heads of the start rows, tails of the end rows
+    tails = spill("<f4", cfg.coherency_dim)
     para_rows: list[tuple] = []
     start_masks: list[np.ndarray] = []
     end_masks: list[np.ndarray] = []
-    heads: list[np.ndarray] = []  # float32 coherency heads of the start rows, tails of the end rows
-    tails: list[np.ndarray] = []
     coh_lo, coh_hi = np.float32(np.inf), np.float32(-np.inf)
     doc_vectors = [tfidf.embed(doc) for doc in corpus]
     own_vectors: list[SparseVector] = []  # paragraph-only, empty for a document's only paragraph
     inv_norms: list[float] = []  # 1 / ||doc + paragraph||
-    n_tokens = n_recs = n_phrases = n_end_rows = 0
+    n_tokens = n_phrases = 0
     for ord_, doc, pidx, para in corpus.iter_paragraphs():
         H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
         if H.n_tokens != para.n_tokens:
             raise ValueError(f"encoder returned {H.n_tokens} rows for {para.n_tokens} tokens")
         smask, emask = apply_filter(H, filter_model)
         ii, jj = _phrase_table(smask, emask, config.max_span)
+        n_starts = int(smask.sum())
+        para_rows.append((ord_, pidx, start_rows.rows, n_starts, para.n_tokens))
         start_rows.append(H.start_cols[smask])
         end_rows.append(H.end_cols[emask])
-        start_res.add(start_rows[-1])
-        end_res.add(end_rows[-1])
+        start_res.add(n_starts)
+        end_res.add(int(emask.sum()))
 
         head = H.coh_head_cols.astype("<f4")
         tail = H.coh_tail_cols.astype("<f4")
@@ -455,8 +555,6 @@ def build_index(
             coh_lo, coh_hi = min(coh_lo, coh.min()), max(coh_hi, coh.max())
         start_masks.append(smask)
         end_masks.append(emask)
-        n_starts = start_rows[-1].shape[0]
-        para_rows.append((ord_, pidx, n_recs, n_starts, para.n_tokens))
         doc_vec = doc_vectors[ord_]
         sole = len(doc.paragraphs) == 1
         para_vec = doc_vec if sole else tfidf.embed(para)
@@ -464,21 +562,18 @@ def build_index(
         norm = add_vectors(doc_vec, para_vec).norm()
         inv_norms.append(1.0 / norm if norm else 0.0)
         n_tokens += para.n_tokens
-        n_recs += n_starts
         n_phrases += jj.size
-        n_end_rows += end_rows[-1].shape[0]
     if n_tokens == 0:
         raise ValueError("empty index: no tokens in any paragraph")
     if n_phrases == 0:
         raise ValueError("empty index: filter discarded every candidate phrase")
 
-    start_quant = fit_quantization(start_res.sample())
-    end_quant = fit_quantization(end_res.sample())
-    start_codes = np.concatenate([quantize(rows, start_quant) for rows in start_rows])
-    end_codes = np.concatenate([quantize(rows, end_quant) for rows in end_rows])
-    n_start_rows = start_codes.shape[0]
+    start_quant = _fit_spilled_sample(start_rows, start_res.sample())
+    end_quant = _fit_spilled_sample(end_rows, end_res.sample())
+    start_codes = _quantize_spill(start_rows, start_quant)
+    end_codes = _quantize_spill(end_rows, end_quant)
+    n_start_rows, n_end_rows = start_rows.rows, end_rows.rows
 
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", suffix=".tmp", dir=out_dir.parent))
     try:
         # mkdtemp makes the directory private; give it the mode mkdir would.
@@ -503,8 +598,8 @@ def build_index(
             fh.write(
                 _COHERENCY_HEAD.pack(n_start_rows, n_end_rows, cfg.coherency_dim, coh_lo, coh_hi)
             )
-            fh.write(np.concatenate(heads).tobytes())
-            fh.write(np.concatenate(tails).tobytes())
+            heads.copy_to(fh)
+            tails.copy_to(fh)
         with open(tmp / "phrases.bin", "wb") as fh:
             _write_header(fh, b"PHRS")
             fh.write(struct.pack("<QQ", len(para_rows), n_tokens))
@@ -530,7 +625,7 @@ def build_index(
             if n_clusters is None:
                 n_clusters = math.ceil(4 * math.sqrt(n_start_rows))
             ivf = kmeans_train(
-                dequantize(start_codes, start_quant), min(n_clusters, n_start_rows), seed=config.seed
+                start_codes, min(n_clusters, n_start_rows), seed=config.seed, quant=start_quant
             )
             with open(tmp / "ivf.bin", "wb") as fh:
                 _write_header(fh, b"IVFC")
@@ -583,8 +678,6 @@ def build_index(
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    _fsync_dir(out_dir.parent)
-    return out_dir
 
 
 # ---------------------------------------------------------------------------

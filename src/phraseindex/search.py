@@ -677,15 +677,23 @@ _ASSIGN_BLOCK = 1024  # rows per distance block, to bound the (rows x cells) scr
 _TRAIN_PER_CELL = 64  # Lloyd trains on at most this many sampled rows per cell
 
 
-def _assign(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _assign(
+    rows: np.ndarray, centroids: np.ndarray, quant: QuantizationParams | None = None
+) -> np.ndarray:
     """Nearest centroid of each row, a block of rows at a time, in the dtype
-    of the inputs. The squared Euclidean distance drops the ||row||^2 term,
+    of the inputs; with quant, rows are int8 codes and each block is
+    dequantized first. The squared Euclidean distance drops the ||row||^2 term,
     constant per row; scaling the rows by -2 is exact, so this matches
     -2 * (rows @ centroids.T) + ||c||^2."""
+    from .index import dequantize  # deferred: index imports this module
+
     c2 = (centroids * centroids).sum(axis=1)
     out = np.empty(rows.shape[0], dtype=np.int64)
     for b in range(0, rows.shape[0], _ASSIGN_BLOCK):
-        d2 = (-2.0 * rows[b : b + _ASSIGN_BLOCK]) @ centroids.T
+        block = rows[b : b + _ASSIGN_BLOCK]
+        if quant is not None:
+            block = dequantize(block, quant)
+        d2 = (-2.0 * block) @ centroids.T
         d2 += c2
         out[b : b + _ASSIGN_BLOCK] = np.argmin(d2, axis=1)
     return out
@@ -731,23 +739,33 @@ def kmeans_train(
     seed: int = 0,
     max_iter: int = 25,
     tol: float = 1e-4,
+    quant: QuantizationParams | None = None,
 ) -> IvfIndex:
     """Train the IVF on a seeded sample of at most `_TRAIN_PER_CELL` rows per
     cell (all rows when there are no more): k-means++ seeds from the sample,
     then Lloyd iterations until the maximum centroid shift drops below tol or
     the iteration cap is reached. Lloyd assigns the sample in float32 and
     updates the float64 centroids from float64 sums; a cell left empty keeps
-    its centroid. The lists come from one float64 assignment of every row."""
-    rows = np.asarray(rows, dtype=np.float64)
+    its centroid. The lists come from one float64 assignment of every row.
+
+    With quant, rows are int8 codes under those params. Only the sample is
+    dequantized whole; the final assignment dequantizes a block at a time.
+    The result is that of kmeans_train(dequantize(rows, quant), ...)."""
+    from .index import dequantize  # deferred: index imports this module
+
+    if quant is None:
+        rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n_clusters > n:
         raise ValueError(f"n_clusters {n_clusters} exceeds row count {n}")
     rng = np.random.default_rng(seed)
     cap = _TRAIN_PER_CELL * n_clusters
     sample = rows[np.sort(rng.choice(n, cap, replace=False))] if n > cap else rows
+    if quant is not None:
+        sample = dequantize(sample, quant)
 
-    if n_clusters == n:
-        centroids = rows.copy()
+    if n_clusters == n:  # then n <= cap, so the sample is every row
+        centroids = sample.copy()
     else:
         centroids = sample[_kmeanspp(sample, n_clusters, rng)]
 
@@ -766,5 +784,5 @@ def kmeans_train(
         if shift < tol:
             break
 
-    order, bounds = _cells(_assign(rows, centroids), n_clusters)
+    order, bounds = _cells(_assign(rows, centroids, quant), n_clusters)
     return IvfIndex(centroids=centroids, lists=np.split(order, bounds))

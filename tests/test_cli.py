@@ -116,7 +116,7 @@ def test_bench_command(tmp_path, corpus_file, capsys):
         assert rep["words_per_second"] > 0
 
 
-DEFAULT_BUILD_RSS_MB = 200  # measured ~105 MB; one IVF cell per start row took ~420 MB
+DEFAULT_BUILD_RSS_MB = 200  # measured ~69 MB; one IVF cell per start row took ~420 MB
 
 
 def test_default_build_of_20k_tokens_stays_under_rss_bound(tmp_path):
@@ -167,6 +167,23 @@ def test_bad_search_settings_are_refused_before_the_index_is_read(tmp_path, caps
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert ("sparse_scale" in err) if "--sparse-scale" in flags else (">= 1" in err)
+
+
+@pytest.mark.parametrize("flags, why", [
+    (["--max-span", "0"], "max_span must be >= 1, got 0"),
+    (["--max-span", "-3"], "max_span must be >= 1, got -3"),
+    (["--clusters", "0"], "ivf_clusters must be >= 1, got 0"),
+    (["--clusters", "-4"], "ivf_clusters must be >= 1, got -4"),
+], ids=["max_span_0", "max_span_negative", "clusters_0", "clusters_negative"])
+def test_bad_build_settings_are_refused_before_the_corpus_is_read(tmp_path, capsys, flags, why):
+    # The corpus does not exist: a setting that slipped through would fail on
+    # the missing file instead, with exit status 1.
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "idx"),
+              *flags])
+    assert exc.value.code == 2
+    assert why in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_query_of_a_missing_index_is_one_line_and_exit_status_1(tmp_path, capsys):

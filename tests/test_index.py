@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phraseindex.dense import (
     write_embedding_file,
 )
 from phraseindex.index import (
+    FORMAT_VERSION,
     BuildConfig,
     apply_filter,
     build_index,
@@ -29,6 +31,7 @@ from phraseindex.index import (
     load_index,
     quantize,
 )
+from phraseindex.search import _TRAIN_PER_CELL, kmeans_train
 from phraseindex.sparse import NGRAM_BINS, build_inverted_index, combine_doc_para, fit_tfidf
 from phraseindex.training import FilterModel
 
@@ -605,7 +608,20 @@ def test_para_row_round_trips_and_rejects_missing_paragraphs(tmp_path):
 
 
 class TestCrashSafeBuild:
-    def test_failed_build_leaves_nothing_behind(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def spill_files(self, monkeypatch):
+        """Every file the build opens with tempfile.TemporaryFile: its row spills."""
+        opened = []
+        make = tempfile.TemporaryFile
+
+        def recording(*args, **kwargs):
+            opened.append(make(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+        return opened
+
+    def test_failed_build_leaves_nothing_behind(self, tmp_path, monkeypatch, spill_files):
         from phraseindex import search
 
         rng = np.random.default_rng(13)
@@ -619,6 +635,7 @@ class TestCrashSafeBuild:
         with pytest.raises(RuntimeError, match="k-means failed"):
             build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=3))
         assert list(tmp_path.iterdir()) == []
+        assert spill_files and all(f.closed for f in spill_files)
 
         monkeypatch.undo()
         build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=3))
@@ -627,6 +644,118 @@ class TestCrashSafeBuild:
         umask = os.umask(0)
         os.umask(umask)
         assert stat.S_IMODE((tmp_path / "idx").stat().st_mode) == 0o777 & ~umask
+
+    def test_spills_of_a_successful_build_are_closed_and_unnamed(self, tmp_path, spill_files):
+        corpus = make_random_corpus(np.random.default_rng(17), n_docs=4)
+        build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx")
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+        assert len(spill_files) == 4 and all(f.closed for f in spill_files)
+        index = load_index(tmp_path / "idx")
+        assert sorted(index.manifest["sections"]) == sorted(
+            p.name for p in (tmp_path / "idx").iterdir() if p.name != "manifest.json"
+        )
+
+    @pytest.mark.parametrize("case", ["no tokens", "filter discarded"])
+    def test_spills_of_an_empty_build_are_closed(self, tmp_path, spill_files, case):
+        if case == "no tokens":
+            corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text(" ")])])
+            filter_model = None
+        else:
+            corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text("a b c")])])
+            filter_model = FilterModel(
+                np.zeros(SMALL_CONFIG.boundary_dim), -50.0,
+                np.zeros(SMALL_CONFIG.boundary_dim), -50.0, threshold=0.5,
+            )
+        with pytest.raises(ValueError, match=case):
+            build_index(
+                corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), filter_model, tmp_path / "idx"
+            )
+        assert list(tmp_path.iterdir()) == []
+        assert spill_files and all(f.closed for f in spill_files)
+
+
+class _RowReservoir:
+    """The sampling the build must reproduce: Algorithm R over the rows
+    themselves, copying each kept row, one scalar draw per row past capacity."""
+
+    def __init__(self, capacity, dim, rng):
+        self.buffer = np.empty((capacity, dim))
+        self.rng = rng
+        self.seen = 0
+
+    def add(self, rows):
+        for row in rows:
+            if self.seen < len(self.buffer):
+                self.buffer[self.seen] = row
+            else:
+                k = int(self.rng.integers(self.seen + 1))
+                if k < len(self.buffer):
+                    self.buffer[k] = row
+            self.seen += 1
+
+    def sample(self):
+        return self.buffer[: self.seen]
+
+
+def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[str, bytes]:
+    """quant.bin, starts.bin, ends.bin and ivf.bin of a keep-all build whose
+    reservoirs copy rows, from every row held as float64."""
+    dim = encoder.config.boundary_dim
+    rng = np.random.default_rng(config.seed)
+    reservoirs = [_RowReservoir(config.quant_sample_size, dim, rng) for _ in range(2)]
+    rows = ([], [])
+    for _, doc, pidx, para in corpus.iter_paragraphs():
+        H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
+        for side, cols in enumerate((H.start_cols, H.end_cols)):
+            reservoirs[side].add(cols)
+            rows[side].append(cols)
+    quants = [fit_quantization(r.sample()) for r in reservoirs]
+    codes = [quantize(np.concatenate(r), q) for r, q in zip(rows, quants)]
+    ivf = kmeans_train(dequantize(codes[0], quants[0]), config.ivf_clusters, seed=config.seed)
+
+    def section(tag, *parts):
+        return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
+
+    def sized(arr):
+        return struct.pack("<Q", arr.nbytes) + arr.tobytes()
+
+    offsets = np.cumsum([0] + [lst.size for lst in ivf.lists]).astype("<u8")
+    return {
+        "quant.bin": section(
+            b"QNTZ", struct.pack("<I", dim),
+            *(a.astype("<f8").tobytes() for q in quants for a in (q.minimums, q.scales)),
+        ),
+        "starts.bin": section(b"STRT", struct.pack("<QI", len(codes[0]), dim), codes[0].tobytes()),
+        "ends.bin": section(b"ENDS", struct.pack("<QI", len(codes[1]), dim), codes[1].tobytes()),
+        "ivf.bin": section(
+            b"IVFC", struct.pack("<II", config.ivf_clusters, dim),
+            ivf.centroids.astype("<f4").tobytes(), sized(offsets),
+            sized(np.concatenate(ivf.lists).astype("<u4")),
+        ),
+    }
+
+
+@pytest.mark.parametrize("sample", [1, 99, -1, 0], ids=["1", "99", "rows_less_1", "rows"])
+def test_overflowing_reservoir_gives_the_bytes_of_a_row_reservoir(tmp_path, sample):
+    # The build samples row ids and draws the replacements of a paragraph in
+    # one call; its sections must equal those of a reservoir of rows.
+    corpus = make_random_corpus(np.random.default_rng(18), n_docs=24)
+    rows = corpus.total_tokens()
+    assert rows > _TRAIN_PER_CELL * 4  # the Lloyd sample is drawn, too
+    config = BuildConfig(max_span=3, seed=5, quant_sample_size=sample % rows or rows, ivf_clusters=4)
+    encoder = ToyEncoder(SMALL_CONFIG, seed=2)
+    build_index(corpus, encoder, fit_tfidf(corpus), None, tmp_path / "idx", config)
+    for name, want in _reference_quantized_sections(corpus, encoder, config).items():
+        assert (tmp_path / "idx" / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_span", 0), ("max_span", True), ("quant_sample_size", 0), ("quant_sample_size", 2.0),
+    ("ivf_clusters", 0), ("ivf_clusters", False),
+])
+def test_build_config_refuses_bad_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        BuildConfig(**{field: value})
 
 
 class TestDefaultCellCount:

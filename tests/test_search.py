@@ -10,7 +10,7 @@ import phraseindex.search as search_module
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef
 from phraseindex.dense import QueryDenseVector
-from phraseindex.index import BuildConfig, load_index
+from phraseindex.index import BuildConfig, dequantize, fit_quantization, load_index, quantize
 from phraseindex.search import (
     STRATEGIES,
     QueryVector,
@@ -160,9 +160,9 @@ class TestKmeans:
         rows = rng.normal(size=(n, 4))
         seen = []
 
-        def recording_assign(x, centroids):
+        def recording_assign(x, centroids, quant=None):
             seen.append((x.shape[0], x.dtype))
-            return _assign(x, centroids)
+            return _assign(x, centroids, quant)
 
         monkeypatch.setattr(search_module, "_assign", recording_assign)
         a = kmeans_train(rows, k, seed=4)
@@ -177,6 +177,24 @@ class TestKmeans:
         np.testing.assert_array_equal(a.centroids, b.centroids)
         for la, lb in zip(a.lists, b.lists):
             np.testing.assert_array_equal(la, lb)
+
+    @pytest.mark.parametrize("k", [3, 7], ids=["sampled", "one_cell_per_row"])
+    def test_codes_train_as_their_dequantized_rows(self, k):
+        # With quant, kmeans_train dequantizes the sample whole and the final
+        # assignment a block at a time; both must give the bits of the float64
+        # rows. "sampled" has more rows than the Lloyd sample and than one block.
+        rng = np.random.default_rng(8)
+        n = 2 * _ASSIGN_BLOCK + 5 if k == 3 else k
+        assert n > search_module._TRAIN_PER_CELL * k or n == k
+        rows = rng.normal(size=(n, 5))
+        quant = fit_quantization(rows)
+        codes = quantize(rows, quant)
+        got = kmeans_train(codes, k, seed=6, quant=quant)
+        want = kmeans_train(dequantize(codes, quant), k, seed=6)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert len(got.lists) == len(want.lists) == k
+        for lg, lw in zip(got.lists, want.lists):
+            assert np.array_equal(lg, lw)
 
 
 class TestExactSearch:
@@ -775,7 +793,7 @@ def test_para_sparse_same_bits_in_any_subset(random_index):
 
 
 def test_search_and_service_never_build_the_per_phrase_tables(random_index):
-    from phraseindex.index import BuildConfig, load_index
+    from phraseindex.index import BuildConfig, dequantize, fit_quantization, load_index, quantize
     from phraseindex.service import handle_query
 
     index = load_index(random_index.path)
