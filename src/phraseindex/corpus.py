@@ -6,14 +6,15 @@ import json
 import re
 import string
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
-_CHUNK_RE = re.compile(r"\S+")
-_PUNCT = frozenset(string.punctuation)
+_P = re.escape(string.punctuation)
+# A token is one punctuation character, or a run of non-whitespace that begins
+# and ends with a character that is neither whitespace nor punctuation.
+_TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 _T = TypeVar("_T")
 
 
@@ -28,8 +29,10 @@ class Token:
 
 @dataclass
 class Paragraph:
-    """A paragraph's raw text. Its tokens are taken on first use and kept, so
-    loading a corpus tokenizes nothing; span_text needs only char_bounds."""
+    """A paragraph's raw text. Loading a corpus tokenizes nothing, and the
+    tokens are taken afresh on every use and never kept, so a build holds the
+    tokens of one document at a time. Only char_bounds, which span_text reads,
+    is kept once taken."""
 
     raw_text: str
 
@@ -37,7 +40,7 @@ class Paragraph:
     def from_text(cls, text: str) -> "Paragraph":
         return cls(raw_text=text)
 
-    @cached_property
+    @property
     def tokens(self) -> list[Token]:
         return tokenize(self.raw_text)
 
@@ -49,19 +52,11 @@ class Paragraph:
 
     @property
     def n_tokens(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces())
 
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    @cached_property
-    def ngram_counts(self) -> Counter[int]:
-        """How often each hashed unigram/bigram bin of the lowercased tokens occurs,
-        taken on first use and kept: a build's tf-idf fit and its document and
-        paragraph embeds all read them. The tokens must not change after."""
-        from .sparse import ngram_counts  # deferred: sparse imports this module
-
-        return ngram_counts([t.surface.lower() for t in self.tokens])
+        """The tokens' surfaces, without building a Token each."""
+        return _TOKEN_RE.findall(self.raw_text)
 
 
 @dataclass
@@ -82,28 +77,14 @@ class SpanRef:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split on whitespace and detach leading/trailing punctuation characters.
+    """Split on whitespace and detach leading/trailing punctuation characters,
+    one token each: the matches of _TOKEN_RE.
 
     Deterministic, and every token's surface equals the raw-text slice
     [char_start, char_end). Lowercasing happens downstream, for sparse
     features only.
     """
-    out: list[Token] = []
-    for m in _CHUNK_RE.finditer(text):
-        chunk = m.group()
-        base = m.start()
-        lo, hi = 0, len(chunk)
-        while lo < hi and chunk[lo] in _PUNCT:
-            out.append(Token(chunk[lo], base + lo, base + lo + 1))
-            lo += 1
-        trailing: list[Token] = []
-        while hi > lo and chunk[hi - 1] in _PUNCT:
-            trailing.append(Token(chunk[hi - 1], base + hi - 1, base + hi))
-            hi -= 1
-        if lo < hi:
-            out.append(Token(chunk[lo:hi], base + lo, base + hi))
-        out.extend(reversed(trailing))
-    return out
+    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def enumerate_spans(

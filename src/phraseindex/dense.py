@@ -129,13 +129,18 @@ def dense_score(q: QueryDenseVector, p: DensePhraseVector) -> float:
 
 
 class Encoder(Protocol):
-    """Deterministic token-sequence encoders with a query-marker question mode."""
+    """Deterministic token-sequence encoders with a query-marker question mode.
+    A token is a Token or its surface string; build_index passes surfaces."""
 
     config: EncoderConfig
 
-    def encode_document(self, tokens: Sequence[Token], key: str = "") -> TokenEncodingMatrix: ...
+    def encode_document(
+        self, tokens: Sequence[Token | str], key: str = ""
+    ) -> TokenEncodingMatrix: ...
 
-    def encode_question(self, tokens: Sequence[Token], key: str = "") -> TokenEncodingMatrix: ...
+    def encode_question(
+        self, tokens: Sequence[Token | str], key: str = ""
+    ) -> TokenEncodingMatrix: ...
 
 
 def _feature_hash(text: str, n_features: int) -> int:
@@ -260,7 +265,7 @@ class PrecomputedEncoder:
         except KeyError:
             raise KeyError(f"no precomputed embedding for key {key!r}") from None
 
-    def encode_document(self, tokens: Sequence[Token], key: str = "") -> TokenEncodingMatrix:
+    def encode_document(self, tokens: Sequence[Token | str], key: str = "") -> TokenEncodingMatrix:
         rows = self._lookup(key)
         if rows.shape[0] != len(tokens):
             raise ValueError(
@@ -268,5 +273,5 @@ class PrecomputedEncoder:
             )
         return TokenEncodingMatrix(rows, self.config)
 
-    def encode_question(self, tokens: Sequence[Token], key: str = "") -> TokenEncodingMatrix:
+    def encode_question(self, tokens: Sequence[Token | str], key: str = "") -> TokenEncodingMatrix:
         return TokenEncodingMatrix(self._lookup(key), self.config)

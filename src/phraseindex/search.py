@@ -748,10 +748,13 @@ def kmeans_train(
     updates the float64 centroids from float64 sums; a cell left empty keeps
     its centroid. The lists come from one float64 assignment of every row.
 
-    With quant, rows are int8 codes under those params. Only the sample is
-    dequantized whole; the final assignment dequantizes a block at a time.
-    The result is that of kmeans_train(dequantize(rows, quant), ...)."""
-    from .index import dequantize  # deferred: index imports this module
+    With quant, rows are int8 codes under those params, and the result is that
+    of kmeans_train(dequantize(rows, quant), ...). The sample is dequantized
+    whole only for the seeding. Lloyd then holds the sample's codes and a
+    float32 copy filled a block at a time, and dequantizes one column at a
+    time for the float64 sums (the same values in the same order, so the
+    same bits); the final assignment dequantizes a block at a time."""
+    from .index import QuantizationParams, dequantize  # deferred: index imports this module
 
     if quant is None:
         rows = np.asarray(rows, dtype=np.float64)
@@ -761,20 +764,35 @@ def kmeans_train(
     rng = np.random.default_rng(seed)
     cap = _TRAIN_PER_CELL * n_clusters
     sample = rows[np.sort(rng.choice(n, cap, replace=False))] if n > cap else rows
-    if quant is not None:
-        sample = dequantize(sample, quant)
 
+    points = sample if quant is None else dequantize(sample, quant)
     if n_clusters == n:  # then n <= cap, so the sample is every row
-        centroids = sample.copy()
+        centroids = points.copy()
     else:
-        centroids = sample[_kmeanspp(sample, n_clusters, rng)]
+        centroids = points[_kmeanspp(points, n_clusters, rng)]
+    if quant is None:
+        sample32 = sample.astype(np.float32)
+    else:
+        del points  # the float64 sample serves only the seeding
+        sample32 = np.empty(sample.shape, dtype=np.float32)
+        for b in range(0, sample.shape[0], _ASSIGN_BLOCK):
+            sample32[b : b + _ASSIGN_BLOCK] = dequantize(sample[b : b + _ASSIGN_BLOCK], quant)
 
-    sample32 = sample.astype(np.float32)
+    def column(j: int) -> np.ndarray:
+        if quant is None:
+            return sample[:, j]
+        one = QuantizationParams(quant.minimums[j : j + 1], quant.scales[j : j + 1])
+        return dequantize(sample[:, j], one)
+
     for _ in range(max_iter):
         assign = _assign(sample32, centroids.astype(np.float32))
         counts = np.bincount(assign, minlength=n_clusters)
         sums = np.stack(
-            [np.bincount(assign, weights=col, minlength=n_clusters) for col in sample.T], axis=1
+            [
+                np.bincount(assign, weights=column(j), minlength=n_clusters)
+                for j in range(sample.shape[1])
+            ],
+            axis=1,
         )
         new_centroids = centroids.copy()
         filled = counts > 0

@@ -9,7 +9,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,13 +93,23 @@ def ngram_counts(words: Sequence[str]) -> Counter[int]:
     return Counter(map(ngram_bin, [*words, *bigrams]))
 
 
+def token_counts(tokens: Sequence[Token] | Sequence[str]) -> Counter[int]:
+    """ngram_counts of the lowercased tokens or surfaces: one paragraph's counts."""
+    return ngram_counts([(t.surface if isinstance(t, Token) else t).lower() for t in tokens])
+
+
+def summed_counts(parts: Iterable[Counter[int]]) -> Counter[int]:
+    """The bin-wise sum of paragraphs' counts: their document's counts, since
+    bigrams never cross paragraphs."""
+    total: Counter[int] = Counter()
+    for part in parts:
+        total.update(part)
+    return total
+
+
 def _doc_counts(doc: Document) -> Counter[int]:
-    """A document's bin counts: the sum of its paragraphs' (Paragraph.ngram_counts,
-    taken once per paragraph), since bigrams never cross paragraphs."""
-    counts: Counter[int] = Counter()
-    for para in doc.paragraphs:
-        counts.update(para.ngram_counts)
-    return counts
+    """A document's bin counts, tokenizing and hashing each paragraph afresh."""
+    return summed_counts(token_counts(para.surfaces()) for para in doc.paragraphs)
 
 
 @dataclass
@@ -114,13 +124,20 @@ class TfIdfModel:
         df = self.doc_freq.get(bin_, 0)
         return max(0.0, math.log((self.doc_count - df + 0.5) / (df + 0.5)))
 
-    def embed(self, unit: Paragraph | Document | Sequence[Token] | Sequence[str]) -> SparseVector:
-        if isinstance(unit, Paragraph):
-            counts = unit.ngram_counts
+    def embed(
+        self, unit: Paragraph | Document | Sequence[Token] | Sequence[str] | Counter[int]
+    ) -> SparseVector:
+        """tf * idf per bin, unit-normalized. A Counter is taken as bin counts
+        already hashed (token_counts, summed_counts), so a caller that has them
+        does not hash the text again."""
+        if isinstance(unit, Counter):
+            counts = unit
+        elif isinstance(unit, Paragraph):
+            counts = token_counts(unit.surfaces())
         elif isinstance(unit, Document):
             counts = _doc_counts(unit)
         else:
-            counts = ngram_counts([(t.surface if isinstance(t, Token) else t).lower() for t in unit])
+            counts = token_counts(unit)
         pairs = {b: tf * self.idf(b) for b, tf in counts.items()}
         return SparseVector.from_pairs(pairs).normalized()
 
@@ -134,7 +151,8 @@ class TfIdfModel:
 
 
 def fit_tfidf(corpus: CorpusStore) -> TfIdfModel:
-    """Count, per hashed unigram/bigram bin, the number of documents containing it."""
+    """Count, per hashed unigram/bigram bin, the number of documents containing it.
+    Each paragraph is tokenized and hashed once, and neither result is kept."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     df: Counter[int] = Counter()

@@ -186,6 +186,19 @@ def test_bad_build_settings_are_refused_before_the_corpus_is_read(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_build_refuses_a_negative_seed_before_the_corpus_is_read(tmp_path, capsys):
+    # The seed is checked with the other build settings, as a usage error
+    # that names it, not by the encoder after the corpus has been read.
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "idx"),
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "phraseindex: error: seed must be >= 0, got -1"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_query_of_a_missing_index_is_one_line_and_exit_status_1(tmp_path, capsys):
     missing = tmp_path / "nonexistent"
     assert main(["query", "--index", str(missing), "--question", "w001"]) == 1

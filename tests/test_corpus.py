@@ -1,6 +1,8 @@
 """Corpus loading, tokenization, and span enumeration."""
 
 import json
+import re
+import string
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from phraseindex.corpus import (
     CorpusStore,
     Paragraph,
+    Token,
     enumerate_spans,
     load_corpus,
     load_qa,
@@ -177,3 +180,45 @@ def test_load_qa_refuses_an_empty_answer_list(tmp_path):
     path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
     with pytest.raises(ValueError, match="qa.jsonl: line 2: answers must be a non-empty list"):
         load_qa(path)
+
+
+def _chunk_and_strip_tokenize(text: str) -> list[Token]:
+    """The tokenizer as it was before the single regex: split on whitespace,
+    then detach leading and trailing punctuation characters one at a time."""
+    out: list[Token] = []
+    for m in re.finditer(r"\S+", text):
+        chunk, base = m.group(), m.start()
+        lo, hi = 0, len(chunk)
+        while lo < hi and chunk[lo] in string.punctuation:
+            out.append(Token(chunk[lo], base + lo, base + lo + 1))
+            lo += 1
+        trailing: list[Token] = []
+        while hi > lo and chunk[hi - 1] in string.punctuation:
+            trailing.append(Token(chunk[hi - 1], base + hi - 1, base + hi))
+            hi -= 1
+        if lo < hi:
+            out.append(Token(chunk[lo:hi], base + lo, base + hi))
+        out.extend(reversed(trailing))
+    return out
+
+
+# Every text the tests above tokenize, directly or through a paragraph.
+_TEST_INPUTS = [
+    "Barack Obama.", "", "a  b", '("don\'t")', "The U.S. economy grew 3.2% (roughly).",
+    "alpha beta! ¿que? x -- t.v.", "a b c d e", "a b c", "a", "one two three four",
+    "alpha beta gamma", 'He said: "the U.S. grew 3.2%" (roughly).',
+]
+
+
+def test_regex_tokenize_equals_the_chunk_and_strip_loop():
+    rng = np.random.default_rng(12)
+    alphabet = list(string.ascii_letters + string.punctuation + "\t\n é\u00a0\u3000“”‘’«»")
+    texts = _TEST_INPUTS + [
+        "".join(rng.choice(alphabet, size=int(rng.integers(0, 40)))) for _ in range(20_000)
+    ]
+    for text in texts:
+        tokens = tokenize(text)
+        assert tokens == _chunk_and_strip_tokenize(text), text
+        para = Paragraph.from_text(text)
+        assert para.surfaces() == [t.surface for t in tokens], text
+        assert list(para.char_bounds) == [c for t in tokens for c in (t.char_start, t.char_end)], text

@@ -751,7 +751,7 @@ def test_overflowing_reservoir_gives_the_bytes_of_a_row_reservoir(tmp_path, samp
 
 @pytest.mark.parametrize("field, value", [
     ("max_span", 0), ("max_span", True), ("quant_sample_size", 0), ("quant_sample_size", 2.0),
-    ("ivf_clusters", 0), ("ivf_clusters", False),
+    ("ivf_clusters", 0), ("ivf_clusters", False), ("seed", -1), ("seed", True),
 ])
 def test_build_config_refuses_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):

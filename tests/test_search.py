@@ -197,6 +197,51 @@ class TestKmeans:
             assert np.array_equal(lg, lw)
 
 
+    def test_quantized_lloyd_holds_no_float64_sample(self, monkeypatch):
+        # With quant, dequantize sees the whole sample in one call once, for
+        # the seeding. Lloyd then holds the sample's codes and a float32 copy,
+        # and dequantizes a column or a block at a time: no iteration holds or
+        # allocates a float64 array the size of the sample.
+        import phraseindex.index as index_module
+
+        rng = np.random.default_rng(9)
+        k, d = 20, 32
+        m = search_module._TRAIN_PER_CELL * k  # the Lloyd sample's rows
+        assert m > _ASSIGN_BLOCK  # so the sample's blocks are smaller than the sample
+        rows = rng.normal(size=(3 * m, d))
+        quant = fit_quantization(rows)
+        codes = quantize(rows, quant)
+        want = kmeans_train(dequantize(codes, quant), k, seed=3)
+        shapes = []
+
+        def recording_dequantize(x, params):
+            shapes.append(x.shape)
+            return dequantize(x, params)
+
+        lloyd = []  # (traced bytes, traced peak since the previous Lloyd assignment)
+
+        def recording_assign(x, centroids, quant=None):
+            if quant is None:
+                lloyd.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            return _assign(x, centroids, quant)
+
+        monkeypatch.setattr(index_module, "dequantize", recording_dequantize)
+        monkeypatch.setattr(search_module, "_assign", recording_assign)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = kmeans_train(codes, k, seed=3, quant=quant)
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.centroids, want.centroids)
+        assert shapes.count((m, d)) == 1
+        assert all(s == (m, d) or s == (m,) or s[0] <= _ASSIGN_BLOCK for s in shapes)
+        sample64 = m * d * 8
+        assert len(lloyd) >= 2
+        assert all(now - base < sample64 for now, _ in lloyd)
+        assert all(peak - before < sample64 for (before, _), (_, peak) in zip(lloyd, lloyd[1:]))
+
 class TestExactSearch:
     def test_single_phrase_index(self, tmp_path):
         corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text("only")])])

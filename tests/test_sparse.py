@@ -361,9 +361,10 @@ class TestLearnedSparse:
             learned_sparse_encode(dense, np.arange(4), 10, LinearMap(np.eye(4)), LinearMap(np.eye(4)))
 
 
-def test_a_build_hashes_each_ngram_occurrence_once(tmp_path, monkeypatch):
-    # The tf-idf fit, the document embeds and the paragraph embeds of a build
-    # share one set of per-paragraph bin counts.
+def test_a_build_hashes_each_ngram_occurrence_once_per_pass(tmp_path, monkeypatch):
+    # Nothing is cached on the paragraphs, so the tf-idf fit and the build
+    # each hash every n-gram occurrence once: the build takes each paragraph's
+    # counts once and serves its document's embed and its own from them.
     import phraseindex.sparse as sparse_module
     from conftest import SMALL_CONFIG, make_random_corpus
     from phraseindex.dense import ToyEncoder
@@ -372,10 +373,13 @@ def test_a_build_hashes_each_ngram_occurrence_once(tmp_path, monkeypatch):
     corpus = make_random_corpus(np.random.default_rng(5), n_docs=8, paras_per_doc=(1, 3))
     calls = []
     monkeypatch.setattr(sparse_module, "ngram_bin", lambda s: calls.append(s) or ngram_bin(s))
-    build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx",
-                BuildConfig(max_span=3, build_ivf=False))
     lengths = [p.n_tokens for _, _, _, p in corpus.iter_paragraphs()]
-    assert len(calls) == sum(2 * n - 1 for n in lengths)
+    occurrences = sum(2 * n - 1 for n in lengths)
+    tfidf = fit_tfidf(corpus)
+    assert len(calls) == occurrences
+    build_index(corpus, ToyEncoder(SMALL_CONFIG), tfidf, None, tmp_path / "idx",
+                BuildConfig(max_span=3, build_ivf=False))
+    assert len(calls) == 2 * occurrences
     # The counts match hashing each document afresh, bigrams kept inside paragraphs.
     for doc in corpus:
         words = [[t.surface.lower() for t in p.tokens] for p in doc.paragraphs]
@@ -384,3 +388,48 @@ def test_a_build_hashes_each_ngram_occurrence_once(tmp_path, monkeypatch):
             for g in w + [f"{a} {b}" for a, b in zip(w, w[1:])]:
                 want[ngram_bin(g)] = want.get(ngram_bin(g), 0) + 1
         assert sparse_module._doc_counts(doc) == want
+
+
+def test_build_keeps_no_tokens_or_counts(tmp_path):
+    from conftest import SMALL_CONFIG, make_random_corpus
+    from phraseindex.dense import ToyEncoder
+    from phraseindex.index import BuildConfig, build_index
+
+    corpus = make_random_corpus(np.random.default_rng(6), n_docs=12, paras_per_doc=(1, 3))
+    build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx",
+                BuildConfig(max_span=3, ivf_clusters=4))
+    for _, _, _, para in corpus.iter_paragraphs():
+        assert not {"tokens", "ngram_counts"} & vars(para).keys()
+
+
+def test_build_memory_does_not_grow_by_a_token_object_per_token(tmp_path):
+    # The traced peak of fit_tfidf + build_index, 2k against 20k tokens. A
+    # vocabulary of 60 words bounds the distinct n-grams (at most 3,660), so
+    # the tf-idf table stops growing. What the build holds per token (masks,
+    # codes, the documents' sparse vectors) reads ~77 B; keeping every
+    # paragraph's Tokens and n-gram counts for the whole build read ~330 B.
+    import tracemalloc
+
+    from conftest import SMALL_CONFIG, make_random_corpus
+    from phraseindex.dense import ToyEncoder
+    from phraseindex.index import BuildConfig, build_index
+
+    def traced_peak(n_docs: int, run: str) -> tuple[int, int]:
+        corpus = make_random_corpus(
+            np.random.default_rng(7), n_docs=n_docs, tokens_per_para=(100, 100), paras_per_doc=(2, 2)
+        )
+        encoder = ToyEncoder(SMALL_CONFIG)
+        tracemalloc.start()
+        try:
+            build_index(corpus, encoder, fit_tfidf(corpus), None, tmp_path / run,
+                        BuildConfig(build_ivf=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return corpus.total_tokens(), peak
+
+    traced_peak(1, "warm")  # first-call allocations (imports, caches) are not the build's
+    small_tokens, small_peak = traced_peak(10, "small")
+    large_tokens, large_peak = traced_peak(100, "large")
+    assert (small_tokens, large_tokens) == (2_000, 20_000)
+    assert (large_peak - small_peak) / (large_tokens - small_tokens) < 100
