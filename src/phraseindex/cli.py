@@ -41,12 +41,39 @@ def _encoder_from_args(args) -> ToyEncoder:
     return ToyEncoder(config, seed=args.seed, n_features=args.n_features)
 
 
+def _encoder_state_linear(path: str, dim: int) -> np.ndarray:
+    """The "linear" matrix of a training run's encoder_state.json, which must
+    be a JSON object whose "linear" is a dim x dim matrix of finite numbers."""
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"--encoder-state {path}: {why}")
+
+    try:
+        state = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise bad(exc.strerror or str(exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        raise bad("not a JSON file") from exc
+    rows = state.get("linear") if isinstance(state, dict) else None
+    shape_ok = isinstance(rows, list) and len(rows) == dim and all(
+        isinstance(row, list) and len(row) == dim
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+        for row in rows
+    )
+    try:
+        linear = np.array(rows, dtype=float) if shape_ok else None
+    except OverflowError:  # an integer beyond float range
+        linear = None
+    if linear is None or not np.isfinite(linear).all():
+        raise bad(f'"linear" must be a {dim} x {dim} matrix of finite numbers')
+    return linear
+
+
 def cmd_build(args) -> int:
-    corpus = load_corpus(args.corpus)
     encoder = _encoder_from_args(args)
     if args.encoder_state:
-        state = json.loads(Path(args.encoder_state).read_text())
-        encoder.linear = np.asarray(state["linear"], dtype=float)
+        encoder.linear = _encoder_state_linear(args.encoder_state, args.dim)
+    corpus = load_corpus(args.corpus)
     tfidf = fit_tfidf(corpus)
     out = build_index(corpus, encoder, tfidf, None, args.out, args.build)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))

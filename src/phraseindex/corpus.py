@@ -46,9 +46,10 @@ class Paragraph:
 
     @cached_property
     def char_bounds(self) -> array:
-        """char_start, char_end of each token in turn, as compact integers:
-        what span_text reads, without keeping a Token per token."""
-        return array("q", [c for t in tokenize(self.raw_text) for c in (t.char_start, t.char_end)])
+        """char_start, char_end of each token in turn, as compact integers
+        read from the matches of _TOKEN_RE: what span_text reads, with no
+        Token built."""
+        return array("q", [c for m in _TOKEN_RE.finditer(self.raw_text) for c in m.span()])
 
     @property
     def n_tokens(self) -> int:
@@ -184,6 +185,9 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict, int], _T]) -> list[_T]:
                 raise ValueError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from exc
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                why = "invalid JSON (nested too deeply)"
+                raise ValueError(f"{path}: line {line_no}: {why}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return out

@@ -28,9 +28,9 @@ u32 arrays; a sized float32 array of 1 / ||doc + para|| per paragraph (0 for
 an empty sum); and each paragraph's own tf-idf vector as a sparse list (count,
 u64 offsets, u32 bins, float32 weights), empty for a document's only
 paragraph, whose paragraph vector is its document vector. The document
-vectors are the transpose of postings.bin (PhraseIndex.doc_vectors), and
-every other bin's df is the length of its posting list, so the tf-idf model is
-derived at open. A paragraph's combined vector is (doc + para) * inv_norm.
+vectors are the transpose of postings.bin, and every other bin's df is the
+length of its posting list, so the tf-idf model is derived at open. A
+paragraph's combined vector is (doc + para) * inv_norm.
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ _COHERENCY_HEAD = struct.Struct("<QQIff")  # head rows, tail rows, width, least,
 PARA_DTYPE = np.dtype(
     [("doc", "<u4"), ("para", "<u4"), ("rec_begin", "<u8"), ("n_recs", "<u4"), ("n_tokens", "<u4")]
 )
-# Layouts of PhraseIndex.start_records and .end_entries, derived at open.
-REC_DTYPE = np.dtype(
-    [("doc", "<u4"), ("para", "<u4"), ("tok", "<u4"), ("ends_begin", "<u8"), ("n_ends", "<u4")]
-)
-END_DTYPE = np.dtype([("tok", "<u4"), ("row", "<u4")])
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +426,12 @@ def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
 def _write_sparse_sections(
     out: Path,
     tfidf: TfIdfModel,
-    doc_vectors: list[SparseVector],
+    doc_vecs: list[SparseVector],
     own_vectors: list[SparseVector],
     inv_norms: list[float],
 ) -> None:
     """postings.bin from the document vectors, then sparse_docs.bin."""
-    inverted = build_inverted_index(doc_vectors)
+    inverted = build_inverted_index(doc_vecs)
     with open(out / "postings.bin", "wb") as fh:
         _write_header(fh, b"PSTG")
         _write_postings(fh, inverted)
@@ -707,31 +702,30 @@ def _build(
 class PhraseIndex:
     """Read-only handle over a built index directory.
 
-    Large vector sections stay on disk as memory maps and are dequantized per
-    accessed row range; small sections are parsed once at load. Any number of
-    concurrent readers may share a directory; each handle is independent.
+    The code and coherency sections stay on disk as memory maps: search folds
+    the quantization into the query and scores the int8 codes as stored.
+    Small sections are parsed once at load. Any number of concurrent readers
+    may share a directory; each handle is independent.
 
     The phrase table is derived at open from the paragraph table and the two
     survival masks. Start record r is the r-th surviving start token and
     owns start row r; end row e is the e-th surviving end token. For a start
     record at global token g, in a paragraph of n tokens beginning at global
     token B, with end_rank[g] the number of surviving end tokens before g:
-      rec_para       the paragraph holding g
-      rec_tok        g - B
-      rec_end_row    end_rank[g], the first end row of its phrases
-      rec_n_ends     end_rank[min(g + max_span, B + n)] - end_rank[g]
-      rec_ends_begin the exclusive cumsum of rec_n_ends: the record's first
-                     phrase id, its first entry of end_entries and coherency
-    Its phrases end at end rows rec_end_row .. + rec_n_ends - 1, in order, and
-    end_tok[e] is the paragraph-local token of end row e. end_rank never
-    decreases, so neither does rec_end_row, records without ends included.
-    Document d owns paragraph rows [doc_para_begin[d], doc_para_begin[d + 1])
-    and start records [doc_rec_begin[d], doc_rec_begin[d + 1]). These arrays
-    are O(tokens); nothing per phrase is built unless start_records,
-    end_entries or coherency is read. Search reads the coherency heads and
-    tails, one float32 row per start row and per end row, and
-    coherency_range, the least and greatest phrase coherency, from the
-    header of coherency.bin.
+      rec_para     the paragraph holding g
+      rec_tok      g - B
+      rec_end_row  end_rank[g], the first end row of its phrases
+      rec_n_ends   end_rank[min(g + max_span, B + n)] - end_rank[g]
+    Phrase (r, t), for t < rec_n_ends[r], ends at end row rec_end_row[r] + t;
+    end_tok[e] is the paragraph-local token of end row e, and the phrase's
+    coherency is phrase_coherency of head row r and that end row's tail.
+    end_rank never decreases, so neither does rec_end_row, records without
+    ends included. Document d owns paragraph rows [doc_para_begin[d],
+    doc_para_begin[d + 1]) and start records [doc_rec_begin[d],
+    doc_rec_begin[d + 1]). These arrays are O(tokens), and nothing is held
+    per phrase. Search reads the coherency heads and tails, one float32 row
+    per start row and per end row, and coherency_range, the least and
+    greatest phrase coherency, from the header of coherency.bin.
     """
 
     def __init__(self, path: str | Path):
@@ -872,7 +866,6 @@ class PhraseIndex:
         self.rec_end_row = end_rank[starts]
         window_stop = np.minimum(starts + self.max_span, para_stop[self.rec_para])
         self.rec_n_ends = end_rank[window_stop] - self.rec_end_row
-        self.rec_ends_begin = np.cumsum(self.rec_n_ends) - self.rec_n_ends
         ends = np.flatnonzero(end_mask)
         self.end_tok = ends - para_base[np.searchsorted(para_stop, ends, side="right")]
         self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
@@ -1014,88 +1007,6 @@ class PhraseIndex:
         keys = np.repeat(rows * NGRAM_BINS, np.diff(self.own_offsets))
         keys += self.own_bins
         return keys
-
-    # -- per-record, per-phrase and per-document tables, built on first use -
-    # Search never reads these: they exist for callers that want the phrase
-    # table as records, and they cost memory per phrase or per posting.
-
-    @cached_property
-    def doc_vectors(self) -> list[SparseVector]:
-        """Each document's tf-idf vector, with the float32 weights of
-        postings.bin, of which it is the transpose."""
-        return self.postings.reconstruct_doc_vectors()
-
-    @cached_property
-    def _combined_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each paragraph's combined vector, (doc + paragraph) * inv_norm, as
-        CSR arrays; a document's only paragraph has the document vector as its
-        paragraph vector."""
-        vectors = []
-        for p, d in enumerate(self.para_doc.tolist()):
-            doc = self.doc_vectors[d]
-            lo, hi = self.own_offsets[p : p + 2]
-            own = SparseVector(self.own_bins[lo:hi], self.own_weights[lo:hi])
-            total = add_vectors(doc, doc if self.para_sole[p] else own)
-            vectors.append(SparseVector(total.bins, total.weights * self.para_inv_norm[p]))
-        offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([v.bins.size for v in vectors])
-        bins = np.concatenate([v.bins for v in vectors]) if vectors else np.empty(0, np.int64)
-        weights = np.concatenate([v.weights for v in vectors]) if vectors else np.empty(0)
-        return offsets, bins, weights
-
-    @property
-    def para_offsets(self) -> np.ndarray:
-        return self._combined_csr[0]
-
-    @property
-    def para_bins(self) -> np.ndarray:
-        return self._combined_csr[1]
-
-    @property
-    def para_weights(self) -> np.ndarray:
-        return self._combined_csr[2]
-
-    def para_vector(self, para_row: int) -> SparseVector:
-        """Combined document + paragraph sparse vector for a para_table row,
-        as views into the CSR arrays para_offsets/para_bins/para_weights."""
-        lo, hi = self.para_offsets[para_row], self.para_offsets[para_row + 1]
-        return SparseVector(self.para_bins[lo:hi], self.para_weights[lo:hi])
-
-    def _phrase_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The start row and the end row of every phrase, by phrase id."""
-        owner = np.repeat(np.arange(self.n_start_rows), self.rec_n_ends)
-        return owner, self.rec_end_row[owner] + np.arange(owner.size) - self.rec_ends_begin[owner]
-
-    @cached_property
-    def coherency(self) -> np.ndarray:
-        """One read-only float32 coherency value per phrase, by phrase id."""
-        starts, ends = self._phrase_rows()
-        _, _, heads, tails = self.code_arrays()
-        coh = phrase_coherency(heads[starts], tails[ends])
-        coh.flags.writeable = False
-        return coh
-
-    @cached_property
-    def start_records(self) -> np.ndarray:
-        """One read-only REC_DTYPE record per stored start row."""
-        recs = np.empty(self.n_start_rows, dtype=REC_DTYPE)
-        recs["doc"] = self.para_table["doc"][self.rec_para]
-        recs["para"] = self.para_table["para"][self.rec_para]
-        recs["tok"] = self.rec_tok
-        recs["ends_begin"] = self.rec_ends_begin
-        recs["n_ends"] = self.rec_n_ends
-        recs.flags.writeable = False
-        return recs
-
-    @cached_property
-    def end_entries(self) -> np.ndarray:
-        """One read-only END_DTYPE (end token, end row) entry per phrase."""
-        _, rows = self._phrase_rows()
-        entries = np.empty(rows.size, dtype=END_DTYPE)
-        entries["tok"] = self.end_tok[rows]
-        entries["row"] = rows
-        entries.flags.writeable = False
-        return entries
 
 
 def load_index(path: str | Path) -> PhraseIndex:

@@ -296,8 +296,8 @@ def phrase_coherency(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     over the columns c in ascending order, of float64(head[..., c]) *
     float64(tail[..., c]). A product of two float32 values is exact in
     float64, and the column loop fixes the order of the sum, so a phrase gets
-    the same bits in any batch. The build, the kernel, result materialization
-    and PhraseIndex.coherency all take coherency from here."""
+    the same bits in any batch. The build, the kernel and result
+    materialization all take coherency from here."""
     products = np.multiply(head, tail, dtype=np.float64)
     total = products[..., 0].copy()
     for c in range(1, products.shape[-1]):

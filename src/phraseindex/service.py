@@ -206,7 +206,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(body or b"{}")
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deeply
             self._send_json(400, {"error": "malformed JSON body"})
             return
         try:

@@ -201,28 +201,20 @@ class InvertedIndex:
     n_docs: int
     postings: PostingLists
 
-    def reconstruct_doc_vectors(self) -> list[SparseVector]:
-        """The document vectors, bins ascending: a stable sort of the entries by doc."""
-        p = self.postings
-        order = np.argsort(p.docs, kind="stable")
-        bins = np.repeat(p.bins, np.diff(p.offsets))[order]
-        weights = p.weights[order]
-        bounds = np.append(0, np.cumsum(np.bincount(p.docs, minlength=self.n_docs))).tolist()
-        return [SparseVector(bins[lo:hi], weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
-
-def build_inverted_index(doc_vectors: list[SparseVector]) -> InvertedIndex:
-    """One stable sort of every (bin, doc, weight) entry by bin: each bin's
+def build_inverted_index(vectors: list[SparseVector]) -> InvertedIndex:
+    """The postings of the document vectors, document d being vectors[d]: one
+    stable sort of every (bin, doc, weight) entry by bin, so each bin's
     postings come out in ascending doc order."""
-    bins = np.concatenate([np.empty(0, np.int64), *(v.bins for v in doc_vectors)], dtype=np.int64)
-    weights = np.concatenate([np.empty(0), *(v.weights for v in doc_vectors)], dtype=np.float64)
+    bins = np.concatenate([np.empty(0, np.int64), *(v.bins for v in vectors)], dtype=np.int64)
+    weights = np.concatenate([np.empty(0), *(v.weights for v in vectors)], dtype=np.float64)
     order = np.argsort(bins, kind="stable")
     bins = bins[order]
-    sizes = [v.bins.size for v in doc_vectors]
-    docs = np.repeat(np.arange(len(doc_vectors), dtype=np.int64), sizes)[order]
+    sizes = [v.bins.size for v in vectors]
+    docs = np.repeat(np.arange(len(vectors), dtype=np.int64), sizes)[order]
     heads = np.flatnonzero(np.diff(bins, prepend=-1))
     offsets = np.append(heads, bins.size)
-    return InvertedIndex(len(doc_vectors), PostingLists(bins[heads], offsets, docs, weights[order]))
+    return InvertedIndex(len(vectors), PostingLists(bins[heads], offsets, docs, weights[order]))
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from phraseindex.dense import (
     write_embedding_file,
 )
 from phraseindex.index import BuildConfig, PhraseIndex, build_index, load_index
-from phraseindex.search import QueryVector, SearchConfig, sparse_score
+from phraseindex.search import QueryVector, SearchConfig, _para_sparse
 from phraseindex.sparse import fit_tfidf
 
 SMALL_CONFIG = EncoderConfig(dim=16, boundary_dim=6, coherency_dim=2)
@@ -193,12 +193,11 @@ def build_planted_suite(base_dir: Path) -> PlantedSuite:
         j = i + 1
         para_row = index.para_row(g, 0)
         rec = int(index.para_table[para_row]["rec_begin"]) + i  # keep-all: record per token
-        assert int(index.start_records[rec]["tok"]) == i
+        assert int(index.rec_tok[rec]) == i
         a_hat = index.dequant_start_rows(np.array([rec]))[0]
-        entries_lo = int(index.start_records[rec]["ends_begin"])
-        ends = index.end_entries[entries_lo : entries_lo + int(index.start_records[rec]["n_ends"])]
-        pos = int(np.flatnonzero(ends["tok"] == j)[0])
-        b_hat = index.dequant_end_rows(np.array([int(ends[pos]["row"])]))[0]
+        end_row = int(index.rec_end_row[rec]) + j - i  # keep-all: phrase (rec, t) ends at i + t
+        assert j - i < int(index.rec_n_ends[rec]) and int(index.end_tok[end_row]) == j
+        b_hat = index.dequant_end_rows(np.array([end_row]))[0]
 
         row = np.zeros(PLANTED_CONFIG.dim)
         row[:b] = 12.0 * a_hat
@@ -219,11 +218,9 @@ def build_planted_suite(base_dir: Path) -> PlantedSuite:
         decoy = _decoy_for(q)
         if decoy is not None:
             # The question's sparse vector must strictly prefer the gold doc.
-            gold_row = index.para_row(gold_doc[q], 0)
-            decoy_row = index.para_row(decoy, 0)
-            margin = sparse_score(sparse_vec, index.para_vector(gold_row)) - sparse_score(
-                sparse_vec, index.para_vector(decoy_row)
-            )
+            rows = np.array([index.para_row(gold_doc[q], 0), index.para_row(decoy, 0)])
+            gold, decoy_score = _para_sparse(index, sparse_vec, rows)
+            margin = gold - decoy_score
             assert margin > 1e-6, f"question {q} lacks a sparse margin"
         questions.append(
             PlantedQuestion(

@@ -33,6 +33,7 @@ from phraseindex.search import (
     embed_question,
     exact_search,
     hybrid_search,
+    phrase_coherency,
     sfs_search,
 )
 from phraseindex.service import benchmark, em_f1
@@ -228,6 +229,7 @@ def test_criterion_6_quantization_bounds(tmp_path):
     encoder = ToyEncoder(SMALL_CONFIG, seed=60)
     index = build_small_index(corpus, tmp_path / "idx", max_span=4, encoder=encoder)
     paras = list(corpus.iter_paragraphs())
+    _, _, heads, tails = index.code_arrays()
     worst_slack = -1.0
     for _ in range(1000):
         doc_ord, doc, para_idx, para = paras[int(rng.integers(len(paras)))]
@@ -242,14 +244,14 @@ def test_criterion_6_quantization_bounds(tmp_path):
         para_row = index.para_row(doc_ord, para_idx)
         rec = int(index.para_table[para_row]["rec_begin"]) + i
         a_hat = index.dequant_start_rows(np.array([rec]))[0]
-        lo = int(index.start_records[rec]["ends_begin"])
-        ends = index.end_entries[lo : lo + int(index.start_records[rec]["n_ends"])]
-        pos = int(np.flatnonzero(ends["tok"] == j)[0])
-        b_hat = index.dequant_end_rows(np.array([int(ends[pos]["row"])]))[0]
+        first = int(index.rec_end_row[rec])
+        ends = index.end_tok[first : first + int(index.rec_n_ends[rec])]
+        row = first + int(np.flatnonzero(ends == j)[0])
+        b_hat = index.dequant_end_rows(np.array([row]))[0]
         indexed = (
             float(a_hat @ q.start)
             + float(b_hat @ q.end)
-            + q.coherency * float(index.coherency[lo + pos])
+            + q.coherency * float(phrase_coherency(heads[rec], tails[row]))
         )
         bound = (
             float(np.abs(q.start) @ (index.start_quant.scales / 2))

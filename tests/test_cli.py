@@ -211,7 +211,8 @@ def test_query_of_a_missing_index_is_one_line_and_exit_status_1(tmp_path, capsys
     (b"[1, 2]", "expected a JSON object, got list"),
     (b'{"id": ', "invalid JSON"),
     (b"\xff\xfe", "not UTF-8"),
-], ids=["array", "truncated", "latin1"])
+    (b"[" * 100_000, "invalid JSON (nested too deeply)"),
+], ids=["array", "truncated", "latin1", "nested"])
 def test_build_of_a_bad_corpus_line_is_one_line_and_exit_status_1(
     tmp_path, corpus_file, capsys, bad, why
 ):
@@ -222,6 +223,28 @@ def test_build_of_a_bad_corpus_line_is_one_line_and_exit_status_1(
     err = capsys.readouterr().err
     assert err.startswith(f"phraseindex: error: {path}: line {corpus.n_docs + 1}: {why}")
     assert err.count("\n") == 1
+    assert not (tmp_path / "idx").exists()
+
+
+@pytest.mark.parametrize("state, why", [
+    ({}, '"linear" must be a 16 x 16 matrix of finite numbers'),
+    ({"linear": [[1.0, 0.0], [0.0, 1.0]]}, '"linear" must be a 16 x 16 matrix of finite numbers'),
+    ({"linear": [[float("nan")] * 16] * 16}, '"linear" must be a 16 x 16 matrix of finite numbers'),
+    ({"linear": [["1"] * 16] * 16}, '"linear" must be a 16 x 16 matrix of finite numbers'),
+    ({"linear": [[10**400] * 16] * 16}, '"linear" must be a 16 x 16 matrix of finite numbers'),
+    ([[1.0]], '"linear" must be a 16 x 16 matrix of finite numbers'),
+    ("{", "not a JSON file"),
+], ids=["missing_key", "wrong_shape", "nan", "strings", "beyond_float", "not_an_object",
+        "truncated"])
+def test_build_refuses_a_bad_encoder_state_before_the_corpus_is_read(tmp_path, capsys, state, why):
+    # The corpus does not exist: a state that slipped through would fail on
+    # the missing file instead, or deep in the encoder after reading it.
+    path = tmp_path / "encoder_state.json"
+    path.write_text(state if isinstance(state, str) else json.dumps(state))
+    rc = main(["build", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "idx"),
+               "--encoder-state", str(path), *DIMS])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phraseindex: error: --encoder-state {path}: {why}\n"
     assert not (tmp_path / "idx").exists()
 
 

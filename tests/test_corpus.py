@@ -126,6 +126,14 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="line 2"):
             load_corpus(path)
 
+    def test_deeply_nested_line_reports_its_line(self, tmp_path):
+        # Past its depth limit json.loads raises RecursionError, not ValueError.
+        path = tmp_path / "c.jsonl"
+        good = json.dumps({"id": "d1", "title": "T", "paragraphs": ["a"]})
+        path.write_text(good + "\n" + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
+            load_corpus(path)
+
     def test_span_text_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

@@ -31,8 +31,14 @@ from phraseindex.index import (
     load_index,
     quantize,
 )
-from phraseindex.search import _TRAIN_PER_CELL, kmeans_train
-from phraseindex.sparse import NGRAM_BINS, build_inverted_index, combine_doc_para, fit_tfidf
+from phraseindex.search import _TRAIN_PER_CELL, _para_sparse, kmeans_train, phrase_coherency
+from phraseindex.sparse import (
+    NGRAM_BINS,
+    SparseVector,
+    build_inverted_index,
+    combine_doc_para,
+    fit_tfidf,
+)
 from phraseindex.training import FilterModel
 
 
@@ -190,6 +196,7 @@ class TestBuildIndex:
         index = build_small_index(corpus, tmp_path / "idx", max_span=3, encoder=enc)
         q = question_dense(enc.encode_question([f"q{k}" for k in range(4)]))
 
+        _, _, heads, tails = index.code_arrays()
         checked = 0
         for para_row in range(len(index.para_table)):
             row = index.para_table[para_row]
@@ -198,19 +205,17 @@ class TestBuildIndex:
             H = enc.encode_document(para.tokens)
             rec_lo = int(row["rec_begin"])
             for r in range(rec_lo, rec_lo + int(row["n_recs"])):
-                rec = index.start_records[r]
                 a_hat = index.dequant_start_rows(np.array([r]))[0]
-                lo = int(rec["ends_begin"])
-                for e in range(lo, lo + int(rec["n_ends"])):
-                    entry = index.end_entries[e]
-                    b_hat = index.dequant_end_rows(np.array([int(entry["row"])]))[0]
+                first = int(index.rec_end_row[r])
+                for e in range(first, first + int(index.rec_n_ends[r])):
+                    b_hat = index.dequant_end_rows(np.array([e]))[0]
                     indexed = (
                         float(a_hat @ q.start)
                         + float(b_hat @ q.end)
-                        + q.coherency * float(index.coherency[e])
+                        + q.coherency * float(phrase_coherency(heads[r], tails[e]))
                     )
                     exact = dense_score(
-                        q, phrase_dense(H, int(rec["tok"]), int(entry["tok"]))
+                        q, phrase_dense(H, int(index.rec_tok[r]), int(index.end_tok[e]))
                     )
                     bound = (
                         float(np.abs(q.start) @ (index.start_quant.scales / 2))
@@ -298,8 +303,8 @@ class TestDedupAccounting:
         assert index.n_start_rows == counts["surviving_start_tokens"]
         assert index.n_end_rows == counts["surviving_end_tokens"]
         # Every stored phrase's boundary tokens must have survived.
-        for rec in index.start_records:
-            assert int(rec["n_ends"]) >= 0
+        assert (index.rec_n_ends >= 0).all()
+        assert int(index.rec_n_ends.sum()) == index.n_phrases
 
 
 class TestDeterminism:
@@ -320,9 +325,9 @@ class TestDeterminism:
 
 
 def _reference_phrase_table(corpus, encoder, filter_model, max_span):
-    """Paragraph rows, start records, end entries and coherency values,
-    enumerated one phrase at a time."""
-    paras, recs, ends, coh = [], [], [], []
+    """Paragraph rows, start records and, per record, its phrases' (end
+    token, end row, coherency), enumerated one phrase at a time."""
+    paras, recs, phrases = [], [], []
     next_end_row = 0
     for ord_, doc, pidx, para in corpus.iter_paragraphs():
         H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
@@ -337,14 +342,15 @@ def _reference_phrase_table(corpus, encoder, filter_model, max_span):
         for i in range(para.n_tokens):
             if not smask[i]:
                 continue
-            ends_begin = len(ends)
-            for j in range(i, min(i + max_span, para.n_tokens)):
-                if emask[j]:
-                    ends.append((j, end_row[j]))
-                    coh.append(np.float32(pair[i, j]))
-            recs.append((ord_, pidx, i, ends_begin, len(ends) - ends_begin))
+            ends = [
+                (j, end_row[j], np.float32(pair[i, j]))
+                for j in range(i, min(i + max_span, para.n_tokens))
+                if emask[j]
+            ]
+            recs.append((ord_, pidx, i, len(ends)))
+            phrases.append(ends)
         paras.append((ord_, pidx, rec_begin, len(recs) - rec_begin, para.n_tokens))
-    return paras, recs, ends, coh
+    return paras, recs, phrases
 
 
 class TestPhraseTable:
@@ -386,20 +392,29 @@ class TestPhraseTable:
 
     def test_matches_one_phrase_at_a_time_enumeration(self, tmp_path):
         corpus, encoder, model, index = self._filtered_build(tmp_path)
-        paras, recs, ends, coh = _reference_phrase_table(corpus, encoder, model, self.MAX_SPAN)
+        paras, recs, phrases = _reference_phrase_table(corpus, encoder, model, self.MAX_SPAN)
         assert index.para_table.tolist() == paras
-        assert index.start_records.tolist() == recs
-        assert index.end_entries.tolist() == ends
-        assert np.array_equal(index.coherency, np.array(coh, dtype="<f4"))
-        assert index.n_phrases == len(ends) > 0
-        # The corpus reaches every edge it was written for.
         table = index.para_table
+        rec_para = index.rec_para
+        assert list(zip(table["doc"][rec_para].tolist(), table["para"][rec_para].tolist(),
+                        index.rec_tok.tolist(), index.rec_n_ends.tolist())) == recs
+        # Phrase (r, t) ends at end row rec_end_row[r] + t.
+        _, _, heads, tails = index.code_arrays()
+        for r, ends in enumerate(phrases):
+            rows = int(index.rec_end_row[r]) + np.arange(len(ends))
+            assert [(j, row) for j, row, _ in ends] == list(
+                zip(index.end_tok[rows].tolist(), rows.tolist())
+            )
+            got = phrase_coherency(heads[r], tails[rows])
+            assert np.array_equal(got, np.array([c for _, _, c in ends], dtype="<f4"))
+        assert index.n_phrases == sum(map(len, phrases)) > 0
+        # The corpus reaches every edge it was written for.
         assert ((table["n_tokens"] < self.MAX_SPAN) & (table["n_tokens"] > 1)).any()
         assert (table["n_tokens"] == 1).any()
         assert ((table["n_recs"] == 0) & (table["n_tokens"] > 1)).any()
         d2 = int(np.flatnonzero(table["doc"] == 2)[0])
         lo, n = int(table[d2]["rec_begin"]), int(table[d2]["n_recs"])
-        assert n > 0 and (index.start_records["n_ends"][lo : lo + n] == 0).all()
+        assert n > 0 and (index.rec_n_ends[lo : lo + n] == 0).all()
 
 
 def _rewrite_section(index_dir, name, data):
@@ -499,20 +514,6 @@ class TestCoherencySection:
             load_index(index_dir)
 
 
-def test_doc_vectors_are_the_tfidf_vectors_of_the_documents(tmp_path):
-    # Derived from postings.bin; the weights are stored as float32.
-    rng = np.random.default_rng(21)
-    corpus = make_random_corpus(rng, n_docs=30, vocab=40)
-    index = build_small_index(corpus, tmp_path / "idx")
-    tfidf = fit_tfidf(corpus)
-    assert len(index.doc_vectors) == corpus.n_docs
-    for doc, got in zip(corpus, index.doc_vectors):
-        want = tfidf.embed(doc)
-        assert got.bins.dtype == np.int64 and got.weights.dtype == np.float64
-        assert np.array_equal(got.bins, want.bins)
-        assert np.array_equal(got.weights, want.weights.astype(np.float32).astype(np.float64))
-
-
 class TestSparseBinsAtOpen:
     @pytest.fixture
     def index_dir(self, tmp_path):
@@ -568,19 +569,27 @@ def test_df_table_and_digest_are_those_of_the_fitted_model(tmp_path):
 
 def test_derived_para_vectors_are_the_combined_vectors(tmp_path):
     # sparse_docs.bin holds paragraph-only vectors and 1 / ||doc + para||; the
-    # combined vector derived from them is combine_doc_para's to float32 rounding.
+    # combined vector that search derives from them is combine_doc_para's to
+    # float32 rounding. A query of one bin reads each paragraph's weight for
+    # that bin, so one query per bin reads every combined vector whole.
     corpus = make_random_corpus(np.random.default_rng(23), n_docs=12, paras_per_doc=(1, 3))
     index = build_small_index(corpus, tmp_path / "idx")
     tfidf = fit_tfidf(corpus)
+    want = {}  # bin -> its combined weight in each paragraph
     n_paras = []
     for row, (d, p) in enumerate(zip(index.para_table["doc"], index.para_table["para"])):
         doc = corpus.doc_by_ordinal(int(d))
         n_paras.append(len(doc.paragraphs))
-        want = combine_doc_para(tfidf.embed(doc), tfidf.embed(doc.paragraphs[int(p)]))
-        got = index.para_vector(row)
-        assert np.array_equal(got.bins, want.bins)
-        np.testing.assert_allclose(got.weights, want.weights, rtol=4 * np.finfo(np.float32).eps)
+        vec = combine_doc_para(tfidf.embed(doc), tfidf.embed(doc.paragraphs[int(p)]))
+        for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
+            want.setdefault(b, np.zeros(len(index.para_table)))[row] = w
     assert min(n_paras) == 1 and max(n_paras) > 1
+    rows = np.arange(len(index.para_table))
+    for b in [*want, max(want) + 1, min(tfidf.doc_freq, key=tfidf.idf)]:
+        got = _para_sparse(index, SparseVector(np.array([b]), np.ones(1)), rows)
+        expected = want.get(b, np.zeros(rows.size))
+        assert np.array_equal(got != 0, expected != 0), b
+        np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(np.float32).eps)
 
 
 def test_open_refuses_a_version_3_index(tmp_path):
@@ -769,11 +778,19 @@ class TestDefaultCellCount:
         assert load_index(tmp_path / "idx").ivf.centroids.shape[0] == cells
 
 
+def _float32_doc_vectors(corpus):
+    """The corpus's tf-idf document vectors with their weights rounded to
+    float32, as postings.bin stores them."""
+    tfidf = fit_tfidf(corpus)
+    vectors = [tfidf.embed(doc) for doc in corpus]
+    return [SparseVector(v.bins, v.weights.astype(np.float32).astype(np.float64)) for v in vectors]
+
+
 def test_postings_decode_to_the_inverted_index_of_the_doc_vectors(tmp_path):
     rng = np.random.default_rng(14)
     corpus = make_random_corpus(rng, n_docs=30, vocab=40)
     index = build_small_index(corpus, tmp_path / "idx")
-    want = build_inverted_index(index.doc_vectors).postings
+    want = build_inverted_index(_float32_doc_vectors(corpus)).postings
     got = index.postings.postings
     assert sorted(got) == sorted(want) and len(got) > 50
     for b, (docs, weights) in want.items():
@@ -789,48 +806,52 @@ def test_open_postings_answer_like_the_built_inverted_index(tmp_path):
     from phraseindex.sparse import PostingLists, retrieve_top_docs
 
     rng = np.random.default_rng(15)
-    index = build_small_index(make_random_corpus(rng, n_docs=30, vocab=40), tmp_path / "idx")
+    corpus = make_random_corpus(rng, n_docs=30, vocab=40)
+    index = build_small_index(corpus, tmp_path / "idx")
     postings = index.postings.postings
     assert isinstance(postings, PostingLists)
     missing = max(postings) + 1
     assert postings.get(missing) is None and missing not in postings
     with pytest.raises(KeyError):
         postings[missing]
-    built = build_inverted_index(index.doc_vectors)
+    built = build_inverted_index(_float32_doc_vectors(corpus))
     for text in ["w001 w002", "w010 w011 w012", "w030", "w039 w000 w017"]:
         q = embed_question(index, text).sparse
         assert retrieve_top_docs(q, index.postings, 7) == retrieve_top_docs(q, built, 7)
 
 
 def test_open_tokenizes_no_paragraph(tmp_path, monkeypatch):
-    # Open keeps paragraph text raw; a result's text tokenizes only its own
-    # paragraph, and keeps char bounds rather than Token objects.
+    # Open keeps paragraph text raw; a result's text reads the token bounds
+    # of its own paragraph from the token regex's matches, keeps them, and
+    # builds no Token.
     import phraseindex.corpus as corpus_module
     from phraseindex.search import SearchConfig, embed_question, run_search
 
     rng = np.random.default_rng(16)
     build_small_index(make_random_corpus(rng, n_docs=20), tmp_path / "idx")
-    tokenized = []
-    tokenize_orig = corpus_module.tokenize
+    built = []
+    token_orig = corpus_module.Token
 
-    def counting_tokenize(text):
-        tokenized.append(text)
-        return tokenize_orig(text)
+    def counting_token(*args):
+        built.append(args)
+        return token_orig(*args)
 
-    monkeypatch.setattr(corpus_module, "tokenize", counting_tokenize)
+    monkeypatch.setattr(corpus_module, "Token", counting_token)
     index = load_index(tmp_path / "idx")
-    assert tokenized == []
+    assert built == []
     paragraphs = [p for doc in index.corpus for p in doc.paragraphs]
     assert not any("tokens" in vars(p) or "char_bounds" in vars(p) for p in paragraphs)
 
     query = embed_question(index, "w001 w002")
+    built.clear()  # the question's own Tokens
     results = run_search(index, query, SearchConfig(strategy="exact", top_k=3)).results
+    assert results and built == []
     result_paras = {(r.span.doc_id, r.span.para_idx) for r in results}
-    assert sorted(tokenized) == sorted(
-        index.corpus.doc(d).paragraphs[p].raw_text for d, p in result_paras
+    assert sorted(id(p) for p in paragraphs if "char_bounds" in vars(p)) == sorted(
+        id(index.corpus.doc(d).paragraphs[p]) for d, p in result_paras
     )
     assert not any("tokens" in vars(p) for p in paragraphs)
     for r in results:
         para = index.corpus.doc(r.span.doc_id).paragraphs[r.span.para_idx]
-        tokens = tokenize_orig(para.raw_text)
+        tokens = corpus_module.tokenize(para.raw_text)
         assert r.text == para.raw_text[tokens[r.span.i].char_start : tokens[r.span.j].char_end]

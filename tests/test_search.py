@@ -37,7 +37,7 @@ from phraseindex.search import (
     run_search,
     sfs_search,
 )
-from phraseindex.sparse import SparseVector, sparse_score
+from phraseindex.sparse import SparseVector, fit_tfidf, sparse_score
 from phraseindex.training import FilterModel
 
 
@@ -273,18 +273,19 @@ class TestExactSearch:
                                   ivf_clusters=4)
 
         rec_id = 7
-        rec = index.start_records[rec_id]
-        entry = index.end_entries[int(rec["ends_begin"])]
+        end_row = int(index.rec_end_row[rec_id])  # the record's first phrase
         a_hat = index.dequant_start_rows(np.array([rec_id]))[0]
-        b_hat = index.dequant_end_rows(np.array([int(entry["row"])]))[0]
+        b_hat = index.dequant_end_rows(np.array([end_row]))[0]
         q = QueryVector(
             dense=QueryDenseVector(start=20 * a_hat, end=20 * b_hat, coherency=0.0),
             sparse=SparseVector.empty(),
         )
         out = exact_search(index, q, SearchConfig(strategy="exact", top_k=1))
         top = out.results[0]
-        assert index.corpus.ordinal(top.span.doc_id) == int(rec["doc"])
-        assert top.span.i == int(rec["tok"]) and top.span.j == int(entry["tok"])
+        doc = int(index.para_table["doc"][index.rec_para[rec_id]])
+        assert index.corpus.ordinal(top.span.doc_id) == doc
+        assert top.span.i == int(index.rec_tok[rec_id])
+        assert top.span.j == int(index.end_tok[end_row])
 
     def test_visits_every_document(self, random_index):
         q = embed_question(random_index, "w001 w002 w003")
@@ -382,9 +383,9 @@ class TestDfsSearch:
             SearchConfig(strategy="dfs", top_k=5, nprobe=index.ivf.centroids.shape[0],
                          dense_top_starts=1),
         )
-        rec = index.start_records[rec_id]
+        doc = int(index.para_table["doc"][index.rec_para[rec_id]])
         assert any(
-            index.corpus.ordinal(r.span.doc_id) == int(rec["doc"]) and r.span.i == int(rec["tok"])
+            index.corpus.ordinal(r.span.doc_id) == doc and r.span.i == int(index.rec_tok[rec_id])
             for r in out.results
         )
 
@@ -611,6 +612,7 @@ def test_record_bound_covers_its_cells_and_is_at_most_the_block_max_bound(fixtur
     # one run or merged from gaps.
     index = request.getfixturevalue(fixture)
     doc_of_rec = index.para_table["doc"][index.rec_para]
+    _, _, heads, tails = index.code_arrays()
     for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043"]:
         query = embed_question(index, text)
         q = query.dense
@@ -634,9 +636,8 @@ def test_record_bound_covers_its_cells_and_is_at_most_the_block_max_bound(fixtur
             assert (bound[has] < block_max[has]).any()  # the own window is tighter
             for i, r in enumerate(recs.tolist()):
                 for t in range(int(n_ends[i])):
-                    phrase = int(index.rec_ends_begin[r]) + t
                     row = int(index.rec_end_row[r]) + t
-                    coh = np.float64(index.coherency[phrase]) * q.coherency
+                    coh = np.float64(phrase_coherency(heads[r], tails[row])) * q.coherency
                     score = ((start_logits_all[r] + end_logits_all[row]) + coh) + sparse_term[i]
                     assert score <= bound[i], (text, r, t)
 
@@ -675,12 +676,11 @@ def test_contiguous_end_ranges_equal_the_merge(monkeypatch):
 
 
 def _phrase_of(index, span):
-    """(start record, end row, phrase id) of a result's span."""
+    """(start record, end row) of a result's span."""
     prow = index.para_row(index.corpus.ordinal(span.doc_id), span.para_idx)
     r = int(np.flatnonzero((index.rec_para == prow) & (index.rec_tok == span.i))[0])
     ends = index.end_tok[index.rec_end_row[r] : index.rec_end_row[r] + index.rec_n_ends[r]]
-    t = int(np.flatnonzero(ends == span.j)[0])
-    return r, int(index.rec_end_row[r]) + t, int(index.rec_ends_begin[r]) + t
+    return r, int(index.rec_end_row[r]) + int(np.flatnonzero(ends == span.j)[0])
 
 
 @pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
@@ -689,6 +689,7 @@ def test_scores_add_up_bit_for_bit(fixture, request):
     # logit, the end logit and float64(coherency) * q_c, in that order. A
     # coherency product taken in float32 loses bits and fails here.
     index = request.getfixturevalue(fixture)
+    _, _, heads, tails = index.code_arrays()
     checked = 0
     for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043", "w007"]:
         q = embed_question(index, text)
@@ -698,10 +699,10 @@ def test_scores_add_up_bit_for_bit(fixture, request):
             cfg = SearchConfig(strategy=strategy, top_k=20, sparse_top_docs=4,
                                dense_top_starts=40, nprobe=3)
             for res in run_search(index, q, cfg).results:
-                r, row, phrase = _phrase_of(index, res.span)
+                r, row = _phrase_of(index, res.span)
                 start = _code_logits(index.start_codes, np.array([r]), start_fold)[0]
                 end = _code_logits(index.end_codes, np.array([row]), end_fold)[0]
-                coh = np.float64(index.coherency[phrase]) * q.dense.coherency
+                coh = np.float64(phrase_coherency(heads[r], tails[row])) * q.dense.coherency
                 assert res.dense_score == start + end + coh
                 assert res.score == res.dense_score + cfg.sparse_scale * res.sparse_score
                 checked += 1
@@ -749,19 +750,31 @@ def test_phrase_coherency_sums_the_columns_in_order():
 @pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
 def test_search_builds_no_per_phrase_table(fixture, request):
     # Search reads the coherency heads and tails and the per-record arrays;
-    # the per-phrase accessors are for callers, and cost memory per phrase.
+    # it keeps nothing with an entry per phrase.
     index = load_index(request.getfixturevalue(fixture).path)
     q = embed_question(index, "w001 w002 w003")
     for strategy in STRATEGIES:
         assert run_search(index, q, SearchConfig(strategy=strategy, nprobe=2)).results
-    assert not {"coherency", "start_records", "end_entries"} & set(vars(index))
+    assert not _per_phrase_arrays(index)
+
+
+def _per_phrase_arrays(index) -> list[str]:
+    """The index's attributes that hold an array with a row per phrase."""
+    return [name for name, value in vars(index).items()
+            if isinstance(value, np.ndarray) and value.shape[:1] == (index.n_phrases,)]
 
 
 @pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
 def test_coherency_range_is_the_least_and_greatest_phrase_coherency(fixture, request):
     index = load_index(request.getfixturevalue(fixture).path)
-    assert index.coherency.size == index.n_phrases
-    assert index.coherency_range == (float(index.coherency.min()), float(index.coherency.max()))
+    _, _, heads, tails = index.code_arrays()
+    coherency = [  # each record's phrases, ending at its end rows in turn
+        phrase_coherency(heads[r], tails[first : first + n])
+        for r, (first, n) in enumerate(zip(index.rec_end_row, index.rec_n_ends))
+    ]
+    coherency = np.concatenate(coherency)
+    assert coherency.size == index.n_phrases
+    assert index.coherency_range == (float(coherency.min()), float(coherency.max()))
 
 
 def test_exact_scratch_does_not_grow_with_the_records(tmp_path):
@@ -791,16 +804,17 @@ def test_record_end_rows_match_end_entries(random_index, filtered_index):
     assert (filtered_index.rec_n_ends == 0).any()
     rng = np.random.default_rng(3)
     for index in (random_index, filtered_index):
-        n_ends, ends_begin = index.rec_n_ends, index.rec_ends_begin
-        # Per phrase: its record's first end row plus its place among the record's ends.
-        owner = np.repeat(np.arange(index.n_start_rows), n_ends)
-        place = np.arange(index.n_phrases) - ends_begin[owner]
-        assert np.array_equal(index.rec_end_row[owner] + place, index.end_entries["row"])
+        n_ends, end_row = index.rec_n_ends, index.rec_end_row
+        # Phrase (r, t) ends at end row end_row[r] + t: the record's end
+        # tokens ascend within max_span of its own.
+        assert int(n_ends.sum()) == index.n_phrases
+        for r in range(index.n_start_rows):
+            tok = index.end_tok[end_row[r] : end_row[r] + n_ends[r]] - index.rec_tok[r]
+            assert (tok >= 0).all() and (tok < index.max_span).all() and (np.diff(tok) > 0).all()
         # Per query: the merged ranges of any ascending set of records.
         for n in [1, 2, index.n_start_rows, *rng.integers(1, index.n_start_rows, size=30)]:
             recs = np.sort(rng.choice(index.n_start_rows, size=int(n), replace=False))
-            phrase = np.concatenate([np.arange(ends_begin[r], ends_begin[r] + n_ends[r]) for r in recs])
-            want = index.end_entries["row"][phrase]
+            want = np.concatenate([np.arange(end_row[r], end_row[r] + n_ends[r]) for r in recs])
             rows, first = _end_ranges(index.rec_end_row[recs], n_ends[recs])
             assert np.array_equal(rows, np.unique(want))
             assert np.array_equal(rows[_ranges(first, n_ends[recs])], want)
@@ -821,17 +835,31 @@ def test_end_ranges_merge_any_nondecreasing_begins():
 
 def test_para_sparse_same_bits_in_any_subset(random_index):
     # The CSR pass must give a paragraph the same bits whatever else is
-    # scored with it, and agree with the per-vector reference.
+    # scored with it, and agree with the per-vector reference: the re-fitted
+    # document and paragraph vectors with their float32 stored weights,
+    # summed and scaled by the stored 1 / ||doc + para||.
     index = random_index
     n_paras = len(index.para_table)
-    assert np.shares_memory(index.para_vector(1).bins, index.para_bins)
+    tfidf = fit_tfidf(index.corpus)
+
+    def stored(vec):
+        return SparseVector(vec.bins, vec.weights.astype(np.float32).astype(np.float64))
+
+    parts = []  # (document vector, paragraph vector) per paragraph row
+    for d, p in zip(index.para_table["doc"].tolist(), index.para_table["para"].tolist()):
+        doc = index.corpus.doc_by_ordinal(d)
+        doc_vec = stored(tfidf.embed(doc))
+        sole = len(doc.paragraphs) == 1
+        parts.append((doc_vec, doc_vec if sole else stored(tfidf.embed(doc.paragraphs[p]))))
+    assert any(doc_vec is para_vec for doc_vec, para_vec in parts)
     rng = np.random.default_rng(11)
     for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043"]:
         q = embed_question(index, text).sparse
         full = _para_sparse(index, q, np.arange(n_paras))
         assert full.any()
-        for p in range(n_paras):
-            assert abs(full[p] - sparse_score(q, index.para_vector(p))) <= 1e-12
+        for p, (doc_vec, para_vec) in enumerate(parts):
+            want = (sparse_score(q, doc_vec) + sparse_score(q, para_vec)) * index.para_inv_norm[p]
+            assert abs(full[p] - want) <= 1e-12
         for n in [1, 2, 3, *rng.integers(1, n_paras, size=20)]:
             subset = np.sort(rng.choice(n_paras, size=int(n), replace=False))
             assert np.array_equal(_para_sparse(index, q, subset), full[subset])
@@ -846,9 +874,7 @@ def test_search_and_service_never_build_the_per_phrase_tables(random_index):
     for strategy in ("exact", "sfs", "dfs", "hybrid"):
         assert run_search(index, q, SearchConfig(strategy=strategy, top_k=5)).results
     assert handle_query(index, {"question": "w001 w002"}, SearchConfig())["results"]
-    assert "start_records" not in vars(index) and "end_entries" not in vars(index)
-    assert index.start_records.tolist() == random_index.start_records.tolist()
-    assert not index.end_entries.flags.writeable
+    assert not _per_phrase_arrays(index)
 
 
 def test_run_search_dispatch(random_index):
@@ -893,6 +919,7 @@ def _brute_force(index, query, config, docs):
                          _fold(index.start_quant, q.start))
     end = _code_logits(index.end_codes, np.arange(index.n_end_rows), _fold(index.end_quant, q.end))
     sparse = _para_sparse(index, query.sparse, np.arange(len(index.para_table)))
+    _, _, heads, tails = index.code_arrays()
     ranked = []
     for r in range(index.n_start_rows):
         para = int(index.rec_para[r])
@@ -900,14 +927,15 @@ def _brute_force(index, query, config, docs):
         if doc not in docs:
             continue
         for t in range(int(index.rec_n_ends[r])):
-            phrase, row = int(index.rec_ends_begin[r]) + t, int(index.rec_end_row[r]) + t
-            dense = start[r] + end[row] + np.float64(index.coherency[phrase]) * q.coherency
+            row = int(index.rec_end_row[r]) + t
+            coh = np.float64(phrase_coherency(heads[r], tails[row]))
+            dense = start[r] + end[row] + coh * q.coherency
             score = float(dense + config.sparse_scale * sparse[para])
             span = SpanRef(index.doc_id(doc), int(index.para_table["para"][para]),
                            int(index.rec_tok[r]), int(index.end_tok[row]))
-            ranked.append((-score, phrase, span, score))  # phrase ids ascend in (doc, para, i, j)
+            ranked.append((-score, r, t, span, score))  # (r, t) ascends in (doc, para, i, j)
     ranked.sort()
-    return [(span, score) for _, _, span, score in ranked[: config.top_k]]
+    return [(span, score) for *_, span, score in ranked[: config.top_k]]
 
 
 def _zero_dense():

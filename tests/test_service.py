@@ -168,6 +168,24 @@ class TestHttpService:
         )
         assert error_status(urllib.request.urlopen, req) == 400
 
+    def test_deeply_nested_json_is_400_and_the_connection_serves_on(self, served_index):
+        # Past its depth limit json.loads raises RecursionError, not ValueError.
+        _, base = served_index
+        host, port = base.removeprefix("http://").split(":")
+        nested = b"[" * 100_000
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            for body in (nested, b'{"question": ' + nested + b"]" * 100_000 + b"}"):
+                conn.request("POST", "/query", body=body)
+                resp = conn.getresponse()
+                assert resp.status == 400
+                assert json.loads(resp.read()) == {"error": "malformed JSON body"}
+            conn.request("POST", "/query", body=json.dumps({"question": "where is w001"}))
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["results"]
+        finally:
+            conn.close()
+
     def test_non_object_json_body_is_400(self, served_index):
         _, base = served_index
         for body in (["where is w001"], "where is w001", 3, None):

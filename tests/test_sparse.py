@@ -217,10 +217,15 @@ def test_inverted_index_reconstruction_is_bit_exact():
     corpus = make_corpus(texts)
     model = fit_tfidf(corpus)
     doc_vecs = [embed_text_sparse(doc, model) for doc in corpus]
-    rebuilt = build_inverted_index(doc_vecs).reconstruct_doc_vectors()
-    for orig, back in zip(doc_vecs, rebuilt):
-        np.testing.assert_array_equal(orig.bins, back.bins)
-        np.testing.assert_array_equal(orig.weights, back.weights)
+    postings = build_inverted_index(doc_vecs).postings
+    # Every entry of every document vector is posted with its own bits, and
+    # nothing else is.
+    assert postings.docs.size == sum(v.bins.size for v in doc_vecs)
+    for d, vec in enumerate(doc_vecs):
+        for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
+            docs, weights = postings[b]
+            k = int(np.searchsorted(docs, d))
+            assert docs[k] == d and weights[k] == w
 
 
 def test_inverted_index_matches_per_entry_reference():
@@ -295,20 +300,6 @@ def test_build_inverted_index_returns_csr_posting_lists():
         assert postings.weights.dtype == np.float64
         assert postings.offsets.size == postings.bins.size + 1 and postings.offsets[0] == 0
         assert postings.offsets[-1] == postings.docs.size == postings.weights.size
-
-
-@pytest.mark.parametrize("n_empty_tail", [0, 1, 3])
-def test_reconstruct_doc_vectors_keeps_empty_and_trailing_documents(n_empty_tail):
-    head = [SparseVector(np.array([2, 5]), np.array([0.6, 0.8])), SparseVector.empty(),
-            SparseVector(np.array([1, 5, 9]), np.array([0.2, -0.3, 0.9]))]
-    vectors = head + [SparseVector.empty()] * n_empty_tail
-    rebuilt = build_inverted_index(vectors).reconstruct_doc_vectors()
-    assert len(rebuilt) == len(vectors)
-    for want, got in zip(vectors, rebuilt):
-        assert got.bins.dtype == np.int64 and got.weights.dtype == np.float64
-        assert np.array_equal(got.bins, want.bins) and np.array_equal(got.weights, want.weights)
-    assert build_inverted_index([]).reconstruct_doc_vectors() == []
-    assert len(build_inverted_index([SparseVector.empty()] * 2).reconstruct_doc_vectors()) == 2
 
 
 class TestLearnedSparse:
