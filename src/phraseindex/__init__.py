@@ -54,6 +54,7 @@ from .search import (
 from .service import EvalReport, benchmark, em_f1, eval_em_f1, normalize_answer, serve
 from .sparse import (
     InvertedIndex,
+    SparseRows,
     SparseVector,
     TfIdfModel,
     build_inverted_index,

@@ -41,19 +41,23 @@ def _encoder_from_args(args) -> ToyEncoder:
     return ToyEncoder(config, seed=args.seed, n_features=args.n_features)
 
 
+def _read_json(flag: str, path: str):
+    """The JSON value in the file a flag names; a file that cannot be read or
+    is not JSON raises a ValueError naming the flag and the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{flag} {path}: not a JSON file (nested too deeply)") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{flag} {path}: not a JSON file") from exc
+
+
 def _encoder_state_linear(path: str, dim: int) -> np.ndarray:
     """The "linear" matrix of a training run's encoder_state.json, which must
     be a JSON object whose "linear" is a dim x dim matrix of finite numbers."""
-
-    def bad(why: str) -> ValueError:
-        return ValueError(f"--encoder-state {path}: {why}")
-
-    try:
-        state = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise bad(exc.strerror or str(exc)) from exc
-    except (ValueError, RecursionError) as exc:
-        raise bad("not a JSON file") from exc
+    state = _read_json("--encoder-state", path)
     rows = state.get("linear") if isinstance(state, dict) else None
     shape_ok = isinstance(rows, list) and len(rows) == dim and all(
         isinstance(row, list) and len(row) == dim
@@ -65,8 +69,24 @@ def _encoder_state_linear(path: str, dim: int) -> np.ndarray:
     except OverflowError:  # an integer beyond float range
         linear = None
     if linear is None or not np.isfinite(linear).all():
-        raise bad(f'"linear" must be a {dim} x {dim} matrix of finite numbers')
+        raise ValueError(
+            f'--encoder-state {path}: "linear" must be a {dim} x {dim} matrix of finite numbers'
+        )
     return linear
+
+
+def _peak_rss_mb(status: Path = Path("/proc/self/status")) -> float | None:
+    """This process's peak resident set (VmHWM) in MB, or None where the
+    system does not report it. Unlike ru_maxrss, it does not start from the
+    resident set of the process that started this one."""
+    try:
+        lines = status.read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        if line.startswith("VmHWM:"):
+            return round(int(line.split()[1]) / 1024, 2)  # reported in kB
+    return None
 
 
 def cmd_build(args) -> int:
@@ -77,15 +97,18 @@ def cmd_build(args) -> int:
     tfidf = fit_tfidf(corpus)
     out = build_index(corpus, encoder, tfidf, None, args.out, args.build)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    print(json.dumps({"index": str(out), "counts": manifest["counts"]}))
+    report = {"index": str(out), "counts": manifest["counts"], "peak_rss_mb": _peak_rss_mb()}
+    print(json.dumps(report))
     return 0
 
 
 def cmd_train(args) -> int:
+    file_cfg = _read_json("--config", args.config) if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"--config {args.config}: not a JSON object")
     corpus = load_corpus(args.corpus)
     qa = load_qa(args.qa)
     # Precedence: explicit flag > config file > built-in default.
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
 
     def setting(flag_value, key, default):
         if flag_value is not None:

@@ -9,7 +9,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
 _P = re.escape(string.punctuation)
 # A token is one punctuation character, or a run of non-whitespace that begins
@@ -152,17 +152,16 @@ class CorpusStore:
         bounds = para.char_bounds
         return para.raw_text[bounds[2 * ref.i] : bounds[2 * ref.j + 1]]
 
-    def to_jsonl(self) -> str:
-        """Canonical one-document-per-line serialization (deterministic bytes)."""
-        lines = []
+    def write_jsonl(self, fh: TextIO) -> None:
+        """Canonical one-document-per-line serialization (deterministic bytes),
+        written a line at a time."""
         for doc in self.documents:
             rec = {
                 "id": doc.id,
                 "title": doc.title,
                 "paragraphs": [p.raw_text for p in doc.paragraphs],
             }
-            lines.append(json.dumps(rec, ensure_ascii=False, sort_keys=True))
-        return "\n".join(lines) + "\n"
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def _read_jsonl(path: str | Path, parse: Callable[[dict, int], _T]) -> list[_T]:

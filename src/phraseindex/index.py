@@ -43,6 +43,7 @@ import os
 import shutil
 import struct
 import tempfile
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -58,6 +59,7 @@ from .sparse import (
     NGRAM_BINS,
     InvertedIndex,
     PostingLists,
+    SparseRows,
     SparseVector,
     TfIdfModel,
     add_vectors,
@@ -203,15 +205,11 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_sparse_list(fh, vectors: list[SparseVector]) -> None:
-    offsets = np.zeros(len(vectors) + 1, dtype="<u8")
-    offsets[1:] = np.cumsum([v.bins.size for v in vectors])
-    bins = np.concatenate([np.empty(0, np.int64), *(v.bins for v in vectors)])
-    weights = np.concatenate([np.empty(0), *(v.weights for v in vectors)])
+def _write_sparse_list(fh, vectors: SparseRows) -> None:
     fh.write(struct.pack("<Q", len(vectors)))
-    _write_sized(fh, offsets)
-    _write_sized(fh, bins.astype("<u4"))
-    _write_sized(fh, weights.astype("<f4"))
+    _write_sized(fh, vectors.offsets.astype("<u8"))
+    _write_sized(fh, vectors.bins.astype("<u4"))
+    _write_sized(fh, vectors.weights.astype("<f4"))
 
 
 def _write_postings(fh, inv: InvertedIndex) -> None:
@@ -426,9 +424,9 @@ def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
 def _write_sparse_sections(
     out: Path,
     tfidf: TfIdfModel,
-    doc_vecs: list[SparseVector],
-    own_vectors: list[SparseVector],
-    inv_norms: list[float],
+    doc_vecs: SparseRows,
+    own_vectors: SparseRows,
+    inv_norms: array,
 ) -> None:
     """postings.bin from the document vectors, then sparse_docs.bin."""
     inverted = build_inverted_index(doc_vecs)
@@ -474,15 +472,17 @@ def build_index(
     One pass walks the corpus a document at a time. It tokenizes each of the
     document's paragraphs and takes their n-gram counts once, and keeps
     neither past the document: the document vector is embedded from the sum
-    of the counts and each paragraph vector from its own. The pass encodes
-    each paragraph, keeps its survival masks, takes the least and greatest
-    coherency of its phrases, and appends its surviving start/end rows
-    (float64) and their float32 coherency heads and tails to four unnamed
-    temporary files beside out_dir, which need no cleanup. The quantization
-    reservoirs sample row ids, not rows. Each side's params are then fitted
-    from its sampled rows and its codes quantized, reading its spill a
-    bounded chunk at a time, and k-means works from the start codes; so no
-    float array of every row and no object per token is held.
+    of the counts and each paragraph vector from its own, and both are
+    appended to flat buffers (SparseRows), not kept as objects. The pass
+    encodes each paragraph, keeps its survival masks, takes the least and
+    greatest coherency of its phrases, and appends its surviving start/end
+    rows (float64) and their float32 coherency heads and tails to four
+    unnamed temporary files beside out_dir, which need no cleanup. The
+    quantization reservoirs sample row ids, not rows. Each side's params are
+    then fitted from its sampled rows and its codes quantized, reading its
+    spill a bounded chunk at a time, and k-means works from the start codes;
+    so no float array of every row and no object per token is held, and
+    what a written section needed is dropped before k-means.
     phrases.bin stores the paragraph table and the two masks, bit-packed; the
     phrases themselves are derived at open.
     The build is atomic: everything lands in a fresh temp directory beside
@@ -533,10 +533,9 @@ def _build(
     start_masks: list[np.ndarray] = []
     end_masks: list[np.ndarray] = []
     coh_lo, coh_hi = np.float32(np.inf), np.float32(-np.inf)
-    doc_vectors: list[SparseVector] = []
-    own_vectors: list[SparseVector] = []  # paragraph-only, empty for a document's only paragraph
-    no_vector = SparseVector.empty()  # shared by every document's only paragraph
-    inv_norms: list[float] = []  # 1 / ||doc + paragraph||
+    doc_vectors = SparseRows()
+    own_vectors = SparseRows()  # paragraph-only, empty for a document's only paragraph
+    inv_norms = array("d")  # 1 / ||doc + paragraph||
     n_tokens = n_phrases = 0
     for ord_, doc in enumerate(corpus):
         # One document's tokens and bin counts at a time, each taken once.
@@ -568,7 +567,7 @@ def _build(
             start_masks.append(smask)
             end_masks.append(emask)
             if sole:  # doc + doc is 2 * doc exactly, and so is its norm
-                own_vectors.append(no_vector)
+                own_vectors.append(SparseVector.empty())
                 norm = 2.0 * doc_vec.norm()
             else:
                 para_vec = tfidf.embed(counts)
@@ -602,6 +601,9 @@ def _build(
             _write_header(fh, b"ENDS")
             fh.write(struct.pack("<QI", n_end_rows, cfg.boundary_dim))
             fh.write(end_codes.tobytes())
+        # Each input below is dropped once its section is written, so none is
+        # held through k-means.
+        del end_codes
         with open(tmp / "quant.bin", "wb") as fh:
             _write_header(fh, b"QNTZ")
             fh.write(struct.pack("<I", cfg.boundary_dim))
@@ -620,7 +622,10 @@ def _build(
             fh.write(np.array(para_rows, dtype=PARA_DTYPE).tobytes())
             fh.write(np.packbits(np.concatenate(start_masks)).tobytes())
             fh.write(np.packbits(np.concatenate(end_masks)).tobytes())
+        n_paragraphs = len(para_rows)
+        del para_rows, start_masks, end_masks
         _write_sparse_sections(tmp, tfidf, doc_vectors, own_vectors, inv_norms)
+        del doc_vectors, own_vectors, inv_norms
         with open(tmp / "filter.bin", "wb") as fh:
             _write_header(fh, b"FLTR")
             fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
@@ -653,7 +658,8 @@ def _build(
                     np.concatenate(ivf.lists).astype("<u4") if ivf.lists else np.empty(0, "<u4"),
                 )
             ivf_written = True
-        (tmp / "corpus.jsonl").write_text(corpus.to_jsonl(), encoding="utf-8")
+        with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
+            corpus.write_jsonl(fh)
 
         sections = sorted(p.name for p in tmp.iterdir())
         manifest = {
@@ -670,7 +676,7 @@ def _build(
             "sparse_model_digest": tfidf.digest(),
             "counts": {
                 "docs": corpus.n_docs,
-                "paragraphs": len(para_rows),
+                "paragraphs": n_paragraphs,
                 "tokens": n_tokens,
                 "surviving_start_tokens": n_start_rows,
                 "surviving_end_tokens": n_end_rows,

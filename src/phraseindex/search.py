@@ -635,16 +635,25 @@ def hybrid_search(
     config: SearchConfig,
 ) -> SearchOutput:
     """The union of the SFS and DFS start records, scored once. A result is
-    labelled "sfs", "dfs" or "sfs+dfs" by the set(s) its start record is in."""
+    labelled "sfs", "dfs" or "sfs+dfs" by the set(s) its start record is in.
+    Both record arrays ascend without repeats, so the union is one merge and
+    a membership test one searchsorted."""
     sfs_recs, sfs_docs, _ = _sfs_starts(index, query, config)
     dfs_recs = _dfs_starts(index, ivf, query, config)
-    in_sfs, in_dfs = set(sfs_recs.tolist()), set(dfs_recs.tolist())
+    recs = np.concatenate([sfs_recs, dfs_recs])
+    recs.sort(kind="stable")
+    recs = recs[np.diff(recs, prepend=-1) != 0]
     names = {(True, True): "sfs+dfs", (True, False): "sfs", (False, True): "dfs"}
     return _score_starts(
-        index, query, np.union1d(sfs_recs, dfs_recs), config,
-        sfs_docs | _docs_of(index, dfs_recs), "hybrid",
-        lambda r: names[r in in_sfs, r in in_dfs],
+        index, query, recs, config, sfs_docs | _docs_of(index, dfs_recs), "hybrid",
+        lambda r: names[_holds(sfs_recs, r), _holds(dfs_recs, r)],
     )
+
+
+def _holds(recs: np.ndarray, r: int) -> bool:
+    """Whether ascending recs holds r."""
+    k = int(recs.searchsorted(r))
+    return k < recs.size and int(recs[k]) == r
 
 
 def run_search(
@@ -673,7 +682,8 @@ class IvfIndex:
     lists: list[np.ndarray]  # row ids, ascending, one array per cluster
 
 
-_ASSIGN_BLOCK = 1024  # rows per distance block, to bound the (rows x cells) scratch
+_ASSIGN_BLOCK = 1024  # most rows per distance block
+_ASSIGN_BYTES = 4 << 20  # most bytes of an assignment's one (rows x cells) distance buffer
 _TRAIN_PER_CELL = 64  # Lloyd trains on at most this many sampled rows per cell
 
 
@@ -682,20 +692,26 @@ def _assign(
 ) -> np.ndarray:
     """Nearest centroid of each row, a block of rows at a time, in the dtype
     of the inputs; with quant, rows are int8 codes and each block is
-    dequantized first. The squared Euclidean distance drops the ||row||^2 term,
-    constant per row; scaling the rows by -2 is exact, so this matches
-    -2 * (rows @ centroids.T) + ||c||^2."""
+    dequantized first. Every block's distances go into one buffer allocated
+    once per call, of at most _ASSIGN_BLOCK rows and _ASSIGN_BYTES, so the
+    scratch does not grow with the cell count. The squared Euclidean distance
+    drops the ||row||^2 term, constant per row; scaling the centroids by -2
+    is exact, so this matches -2 * (rows @ centroids.T) + ||c||^2."""
     from .index import dequantize  # deferred: index imports this module
 
     c2 = (centroids * centroids).sum(axis=1)
+    scaled = -2.0 * centroids
+    dtype = np.result_type(rows.dtype if quant is None else np.float64, centroids.dtype)
+    step = max(1, min(_ASSIGN_BLOCK, _ASSIGN_BYTES // (centroids.shape[0] * dtype.itemsize)))
+    d2 = np.empty((min(step, rows.shape[0]), centroids.shape[0]), dtype)
     out = np.empty(rows.shape[0], dtype=np.int64)
-    for b in range(0, rows.shape[0], _ASSIGN_BLOCK):
-        block = rows[b : b + _ASSIGN_BLOCK]
-        if quant is not None:
-            block = dequantize(block, quant)
-        d2 = (-2.0 * block) @ centroids.T
-        d2 += c2
-        out[b : b + _ASSIGN_BLOCK] = np.argmin(d2, axis=1)
+    for b in range(0, rows.shape[0], step):
+        block = rows[b : b + step]
+        dist = np.matmul(
+            block if quant is None else dequantize(block, quant), scaled.T, out=d2[: block.shape[0]]
+        )
+        dist += c2
+        np.argmin(dist, axis=1, out=out[b : b + step])
     return out
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -202,19 +203,50 @@ class InvertedIndex:
     postings: PostingLists
 
 
-def build_inverted_index(vectors: list[SparseVector]) -> InvertedIndex:
-    """The postings of the document vectors, document d being vectors[d]: one
+class SparseRows:
+    """Sparse vectors appended one at a time to three flat growing buffers, so
+    no object is kept per vector: vector i is bins[offsets[i]:offsets[i + 1]]
+    with the weights at the same places. The arrays are views of the buffers,
+    read once the last vector is in."""
+
+    def __init__(self, vectors: Iterable[SparseVector] = ()):
+        self._offsets = array("q", [0])
+        self._bins = array("q")
+        self._weights = array("d")
+        for v in vectors:
+            self.append(v)
+
+    def append(self, v: SparseVector) -> None:
+        self._bins.frombytes(np.asarray(v.bins, np.int64).tobytes())
+        self._weights.frombytes(np.asarray(v.weights, np.float64).tobytes())
+        self._offsets.append(len(self._bins))
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.frombuffer(self._offsets, np.int64)
+
+    @property
+    def bins(self) -> np.ndarray:
+        return np.frombuffer(self._bins, np.int64)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.frombuffer(self._weights, np.float64)
+
+
+def build_inverted_index(vectors: SparseRows) -> InvertedIndex:
+    """The postings of the document vectors, document d being vector d: one
     stable sort of every (bin, doc, weight) entry by bin, so each bin's
     postings come out in ascending doc order."""
-    bins = np.concatenate([np.empty(0, np.int64), *(v.bins for v in vectors)], dtype=np.int64)
-    weights = np.concatenate([np.empty(0), *(v.weights for v in vectors)], dtype=np.float64)
-    order = np.argsort(bins, kind="stable")
-    bins = bins[order]
-    sizes = [v.bins.size for v in vectors]
-    docs = np.repeat(np.arange(len(vectors), dtype=np.int64), sizes)[order]
+    order = np.argsort(vectors.bins, kind="stable")
+    bins = vectors.bins[order]
+    docs = np.repeat(np.arange(len(vectors), dtype=np.int64), np.diff(vectors.offsets))[order]
     heads = np.flatnonzero(np.diff(bins, prepend=-1))
     offsets = np.append(heads, bins.size)
-    return InvertedIndex(len(vectors), PostingLists(bins[heads], offsets, docs, weights[order]))
+    return InvertedIndex(len(vectors), PostingLists(bins[heads], offsets, docs, vectors.weights[order]))
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

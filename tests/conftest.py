@@ -64,7 +64,8 @@ def build_small_index(
 
 
 def write_corpus_jsonl(corpus: CorpusStore, path: Path) -> Path:
-    path.write_text(corpus.to_jsonl(), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        corpus.write_jsonl(fh)
     return path
 
 

@@ -39,6 +39,7 @@ from phraseindex.search import (
 from phraseindex.service import benchmark, em_f1
 from phraseindex.sparse import (
     LinearMap,
+    SparseRows,
     TwoLayerMap,
     build_inverted_index,
     embed_text_sparse,
@@ -373,7 +374,7 @@ def test_criterion_11_tfidf_oracle():
     )
     model = fit_tfidf(corpus)
     doc_vecs = [embed_text_sparse(doc, model) for doc in corpus]
-    inv = build_inverted_index(doc_vecs)
+    inv = build_inverted_index(SparseRows(doc_vecs))
     for probe in range(0, 1000, 199):
         query = doc_vecs[probe]
         got = retrieve_top_docs(query, inv, 10)

@@ -13,7 +13,7 @@ import pytest
 
 import phraseindex
 from conftest import make_random_corpus, write_corpus_jsonl
-from phraseindex.cli import main
+from phraseindex.cli import _peak_rss_mb, main
 from phraseindex.index import load_index
 from phraseindex.search import SearchConfig
 
@@ -116,7 +116,7 @@ def test_bench_command(tmp_path, corpus_file, capsys):
         assert rep["words_per_second"] > 0
 
 
-DEFAULT_BUILD_RSS_MB = 200  # measured ~69 MB; one IVF cell per start row took ~420 MB
+DEFAULT_BUILD_RSS_MB = 200  # measured ~53 MB; one IVF cell per start row took ~420 MB
 
 
 def test_default_build_of_20k_tokens_stays_under_rss_bound(tmp_path):
@@ -150,9 +150,13 @@ def test_default_build_of_20k_tokens_stays_under_rss_bound(tmp_path):
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
-    counts = json.loads(out)["counts"]
+    report = json.loads(out)
+    counts = report["counts"]
     assert counts["tokens"] == corpus.total_tokens()
     assert usage.ru_maxrss / 1024 < DEFAULT_BUILD_RSS_MB
+    # The build reports its own peak, on stdout and never in the manifest.
+    assert 0 < report["peak_rss_mb"] < DEFAULT_BUILD_RSS_MB
+    assert "peak_rss_mb" not in (tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8")
     cells = load_index(tmp_path / "idx").ivf.centroids.shape[0]
     assert cells == math.ceil(4 * math.sqrt(counts["start_rows"]))
 
@@ -335,3 +339,31 @@ def test_train_refuses_an_answer_outside_the_corpus_in_one_line(
     err = capsys.readouterr().err
     assert err == f"phraseindex: error: question 'where is w001': {why}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, why", [
+    ("{", "not a JSON file"),
+    ("[" * 100_000, "not a JSON file (nested too deeply)"),
+    ("[1]", "not a JSON object"),
+    (None, "No such file or directory"),
+], ids=["truncated", "nested", "not_an_object", "missing"])
+def test_train_refuses_a_bad_config_before_the_corpus_is_read(tmp_path, capsys, text, why):
+    # The corpus and QA set do not exist: a config that slipped through would
+    # fail on the missing files instead, or with a traceback once read.
+    path = tmp_path / "train.json"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["train", "--corpus", str(tmp_path / "missing.jsonl"), "--qa",
+               str(tmp_path / "missing_qa.jsonl"), "--out", str(tmp_path / "run"),
+               "--config", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phraseindex: error: --config {path}: {why}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_peak_rss_is_null_where_the_system_does_not_report_it(tmp_path):
+    (tmp_path / "status").write_text("Name:\tpython3\nVmRSS:\t  2048 kB\n")
+    assert _peak_rss_mb(tmp_path / "missing") is None
+    assert _peak_rss_mb(tmp_path / "status") is None
+    (tmp_path / "status").write_text("Name:\tpython3\nVmHWM:\t  51712 kB\n")
+    assert _peak_rss_mb(tmp_path / "status") == 50.5

@@ -34,7 +34,9 @@ from phraseindex.index import (
 from phraseindex.search import _TRAIN_PER_CELL, _para_sparse, kmeans_train, phrase_coherency
 from phraseindex.sparse import (
     NGRAM_BINS,
+    SparseRows,
     SparseVector,
+    add_vectors,
     build_inverted_index,
     combine_doc_para,
     fit_tfidf,
@@ -758,6 +760,62 @@ def test_overflowing_reservoir_gives_the_bytes_of_a_row_reservoir(tmp_path, samp
         assert (tmp_path / "idx" / name).read_bytes() == want, name
 
 
+def _reference_sparse_sections(corpus, tfidf) -> dict[str, bytes]:
+    """postings.bin and sparse_docs.bin from a SparseVector per document and
+    per paragraph, every posting gathered one entry at a time."""
+    doc_vecs = [tfidf.embed(doc) for doc in corpus]
+    own, inv_norms = [], []
+    for doc, doc_vec in zip(corpus, doc_vecs):
+        for para in doc.paragraphs:
+            sole = len(doc.paragraphs) == 1
+            para_vec = doc_vec if sole else tfidf.embed(para)
+            own.append(SparseVector.empty() if sole else para_vec)
+            norm = add_vectors(doc_vec, para_vec).norm()
+            inv_norms.append(1.0 / norm if norm else 0.0)
+    postings: dict[int, list[tuple[int, float]]] = {}
+    for d, vec in enumerate(doc_vecs):
+        for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
+            postings.setdefault(b, []).append((d, w))
+    bins = sorted(postings)
+    docs = [[d for d, _ in postings[b]] for b in bins]
+    zero = sorted(set(tfidf.doc_freq) - set(bins))
+    assert zero and len(own) > len(doc_vecs)  # idf-0 bins and multi-paragraph docs occur
+
+    def section(tag, *parts):
+        return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
+
+    def sized(values, dtype):
+        arr = np.array(values, dtype=dtype)
+        return struct.pack("<Q", arr.nbytes) + arr.tobytes()
+
+    return {
+        "postings.bin": section(
+            b"PSTG", struct.pack("<Q", len(bins)), sized(bins, "<u4"),
+            sized(np.cumsum([0] + [len(p) for p in docs]), "<u8"),
+            sized([x for p in docs for x in np.diff(p, prepend=0)], "<u4"),
+            sized([w for b in bins for _, w in postings[b]], "<f4"),
+        ),
+        "sparse_docs.bin": section(
+            b"SPRS", sized(zero, "<u4"), sized([tfidf.doc_freq[b] for b in zero], "<u4"),
+            sized(inv_norms, "<f4"), struct.pack("<Q", len(own)),
+            sized(np.cumsum([0] + [v.bins.size for v in own]), "<u8"),
+            sized(np.concatenate([v.bins for v in own]), "<u4"),
+            sized(np.concatenate([v.weights for v in own]), "<f4"),
+        ),
+    }
+
+
+def test_sparse_sections_are_the_bytes_of_a_vector_per_document_and_paragraph(tmp_path):
+    # The build appends its tf-idf vectors to flat buffers and keeps no
+    # SparseVector; its sections must equal those written from the vectors.
+    corpus = make_random_corpus(np.random.default_rng(19), n_docs=30, paras_per_doc=(1, 3), vocab=40)
+    tfidf = fit_tfidf(corpus)
+    build_index(corpus, ToyEncoder(SMALL_CONFIG, seed=2), tfidf, None, tmp_path / "idx",
+                BuildConfig(max_span=3, ivf_clusters=4))
+    for name, want in _reference_sparse_sections(corpus, tfidf).items():
+        assert (tmp_path / "idx" / name).read_bytes() == want, name
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_span", 0), ("max_span", True), ("quant_sample_size", 0), ("quant_sample_size", 2.0),
     ("ivf_clusters", 0), ("ivf_clusters", False), ("seed", -1), ("seed", True),
@@ -790,7 +848,7 @@ def test_postings_decode_to_the_inverted_index_of_the_doc_vectors(tmp_path):
     rng = np.random.default_rng(14)
     corpus = make_random_corpus(rng, n_docs=30, vocab=40)
     index = build_small_index(corpus, tmp_path / "idx")
-    want = build_inverted_index(_float32_doc_vectors(corpus)).postings
+    want = build_inverted_index(SparseRows(_float32_doc_vectors(corpus))).postings
     got = index.postings.postings
     assert sorted(got) == sorted(want) and len(got) > 50
     for b, (docs, weights) in want.items():
@@ -814,7 +872,7 @@ def test_open_postings_answer_like_the_built_inverted_index(tmp_path):
     assert postings.get(missing) is None and missing not in postings
     with pytest.raises(KeyError):
         postings[missing]
-    built = build_inverted_index(_float32_doc_vectors(corpus))
+    built = build_inverted_index(SparseRows(_float32_doc_vectors(corpus)))
     for text in ["w001 w002", "w010 w011 w012", "w030", "w039 w000 w017"]:
         q = embed_question(index, text).sparse
         assert retrieve_top_docs(q, index.postings, 7) == retrieve_top_docs(q, built, 7)

@@ -120,6 +120,60 @@ class TestKmeans:
         d2 = -2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
         assert np.array_equal(_assign(rows, centroids), np.argmin(d2, axis=1))
 
+    @pytest.mark.parametrize("kind", ["float64", "float32", "codes"])
+    def test_assign_holds_one_distance_block(self, kind):
+        # Every block's distances go into one buffer allocated once per call,
+        # so a multi-block assignment's traced peak is one distance block, one
+        # row block and the result, plus small transients (numpy's 8192-item
+        # ufunc buffer, the scaled centroids): never two distance blocks.
+        rng = np.random.default_rng(10)
+        cells, d = 512, 4  # 512 float64 cells: the byte budget holds 1024 rows
+        rows = rng.normal(size=(3 * _ASSIGN_BLOCK + 5, d))
+        centroids = rng.normal(size=(cells, d))
+        quant = None
+        if kind == "float32":
+            rows, centroids = rows.astype(np.float32), centroids.astype(np.float32)
+        elif kind == "codes":
+            quant = fit_quantization(rows)
+            rows = quantize(rows, quant)
+        floats = rows if quant is None else dequantize(rows, quant)
+        c2 = (centroids * centroids).sum(axis=1)
+        want = np.argmin((-2.0 * floats) @ centroids.T + c2, axis=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = _assign(rows, centroids, quant)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        item = np.dtype(np.float32 if kind == "float32" else np.float64).itemsize
+        distances = _ASSIGN_BLOCK * cells * item
+        row_block = _ASSIGN_BLOCK * d * max(item, rows.itemsize)
+        assert peak <= distances + row_block + got.nbytes + (128 << 10)
+
+    @pytest.mark.parametrize("kind", ["float64", "float32", "codes"])
+    def test_byte_budget_blocks_assign_as_1024_row_blocks(self, kind):
+        # 2000 cells: 4 MB of distances holds 262 float64 rows (524 float32).
+        rng = np.random.default_rng(11)
+        cells = 2000
+        rows = rng.normal(size=(2 * _ASSIGN_BLOCK + 37, 5))
+        centroids = rng.normal(size=(cells, 5))
+        quant = None
+        if kind == "float32":
+            rows, centroids = rows.astype(np.float32), centroids.astype(np.float32)
+        elif kind == "codes":
+            quant = fit_quantization(rows)
+            rows = quantize(rows, quant)
+        assert search_module._ASSIGN_BYTES // (cells * centroids.itemsize) < _ASSIGN_BLOCK
+        c2 = (centroids * centroids).sum(axis=1)
+        want = []
+        for b in range(0, rows.shape[0], _ASSIGN_BLOCK):
+            block = rows[b : b + _ASSIGN_BLOCK]
+            block = block if quant is None else dequantize(block, quant)
+            want.append(np.argmin((-2.0 * block) @ centroids.T + c2, axis=1))
+        assert np.array_equal(_assign(rows, centroids, quant), np.concatenate(want))
+
     def test_lists_are_the_cells_of_the_final_assignment(self):
         rng = np.random.default_rng(5)
         rows = np.vstack([rng.normal(size=(1500, 4)), np.zeros((3, 4))])  # a few duplicate rows

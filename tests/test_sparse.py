@@ -8,6 +8,7 @@ from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.sparse import (
     LinearMap,
     PostingLists,
+    SparseRows,
     SparseVector,
     TwoLayerMap,
     build_inverted_index,
@@ -168,7 +169,7 @@ class TestRetrieveTopDocs:
     def test_k_at_least_corpus_returns_full_ordering(self):
         rng = np.random.default_rng(3)
         model, doc_vecs = self._random_setup(rng, 10)
-        index = build_inverted_index(doc_vecs)
+        index = build_inverted_index(SparseRows(doc_vecs))
         query = doc_vecs[4]
         ranked = retrieve_top_docs(query, index, 50)
         assert len(ranked) == 10
@@ -176,13 +177,13 @@ class TestRetrieveTopDocs:
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_query_returns_nothing(self):
-        index = build_inverted_index([SparseVector(np.array([1]), np.array([1.0]))])
+        index = build_inverted_index(SparseRows([SparseVector(np.array([1]), np.array([1.0]))]))
         assert retrieve_top_docs(SparseVector.empty(), index, 3) == []
 
     def test_matches_brute_force_top5(self):
         rng = np.random.default_rng(4)
         model, doc_vecs = self._random_setup(rng, 100)
-        index = build_inverted_index(doc_vecs)
+        index = build_inverted_index(SparseRows(doc_vecs))
         for probe in range(0, 100, 17):
             query = doc_vecs[probe]
             got = retrieve_top_docs(query, index, 5)
@@ -197,14 +198,14 @@ class TestRetrieveTopDocs:
     def test_topk_is_prefix_of_full_ranking(self):
         rng = np.random.default_rng(5)
         model, doc_vecs = self._random_setup(rng, 60)
-        index = build_inverted_index(doc_vecs)
+        index = build_inverted_index(SparseRows(doc_vecs))
         query = embed_text_sparse(Paragraph.from_text("w1 w2 w3 w4"), model)
         full = retrieve_top_docs(query, index, 60)
         for k in (1, 5, 20, 59):
             assert retrieve_top_docs(query, index, k) == full[:k]
 
     def test_rejects_bad_k(self):
-        index = build_inverted_index([SparseVector(np.array([1]), np.array([1.0]))])
+        index = build_inverted_index(SparseRows([SparseVector(np.array([1]), np.array([1.0]))]))
         with pytest.raises(ValueError):
             retrieve_top_docs(SparseVector.empty(), index, 0)
 
@@ -217,7 +218,7 @@ def test_inverted_index_reconstruction_is_bit_exact():
     corpus = make_corpus(texts)
     model = fit_tfidf(corpus)
     doc_vecs = [embed_text_sparse(doc, model) for doc in corpus]
-    postings = build_inverted_index(doc_vecs).postings
+    postings = build_inverted_index(SparseRows(doc_vecs)).postings
     # Every entry of every document vector is posted with its own bits, and
     # nothing else is.
     assert postings.docs.size == sum(v.bins.size for v in doc_vecs)
@@ -240,16 +241,16 @@ def test_inverted_index_matches_per_entry_reference():
         for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
             want.setdefault(b, ([], []))[0].append(d)
             want[b][1].append(w)
-    index = build_inverted_index(doc_vecs)
+    index = build_inverted_index(SparseRows(doc_vecs))
     assert index.n_docs == 25
     assert sorted(index.postings) == sorted(want)
     for b, (docs, weights) in want.items():
         got_docs, got_weights = index.postings[b]
         assert got_docs.dtype == np.int64 and got_weights.dtype == np.float64
         assert got_docs.tolist() == docs and got_weights.tolist() == weights
-    empty = build_inverted_index([SparseVector.empty(), SparseVector.empty()])
+    empty = build_inverted_index(SparseRows([SparseVector.empty(), SparseVector.empty()]))
     assert empty.n_docs == 2 and empty.postings == {}
-    assert build_inverted_index([]).postings == {}
+    assert build_inverted_index(SparseRows([])).postings == {}
 
 
 def _per_bin_score_docs(q: SparseVector, index) -> np.ndarray:
@@ -271,8 +272,8 @@ def test_score_docs_matches_the_per_bin_loop():
         SparseVector(np.sort(rng.choice(30, size=8, replace=False)), rng.normal(size=8))
         for d in range(20)
     ]
-    index = build_inverted_index(doc_vecs)
-    no_postings = build_inverted_index([SparseVector.empty()] * 3)
+    index = build_inverted_index(SparseRows(doc_vecs))
+    no_postings = build_inverted_index(SparseRows([SparseVector.empty()] * 3))
     queries = [
         SparseVector.empty(),
         SparseVector(np.array([3]), np.array([1.0])),
@@ -281,7 +282,7 @@ def test_score_docs_matches_the_per_bin_loop():
         SparseVector(np.arange(30), rng.normal(size=30)),
     ]
     for q in queries:
-        for inv in (index, no_postings, build_inverted_index([])):
+        for inv in (index, no_postings, build_inverted_index(SparseRows([]))):
             got = score_docs(q, inv)
             assert got.dtype == np.float64 and got.shape == (inv.n_docs,)
             assert np.array_equal(got, _per_bin_score_docs(q, inv))
@@ -293,7 +294,7 @@ def test_build_inverted_index_returns_csr_posting_lists():
     doc_vecs = [SparseVector(np.sort(rng.choice(20, size=5, replace=False)), rng.normal(size=5))
                 for _ in range(6)]
     for vectors in (doc_vecs, [SparseVector.empty()], []):
-        postings = build_inverted_index(vectors).postings
+        postings = build_inverted_index(SparseRows(vectors)).postings
         assert isinstance(postings, PostingLists)
         for name in ("bins", "offsets", "docs"):
             assert getattr(postings, name).dtype == np.int64
