@@ -252,17 +252,22 @@ def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, 
     """The (bin, df) pairs of the bins with no postings, which must be the
     bins whose idf is 0. Every other bin's df is the length of its posting
     list, as long as the model was fit on the indexed documents, so these
-    pairs and postings.bin give the whole df table."""
+    pairs and postings.bin give the whole df table. The posting bins ascend
+    without repeats, so one searchsorted finds each df bin's posting list,
+    and no table is sorted."""
     n = len(tfidf.doc_freq)
     bins = np.fromiter(tfidf.doc_freq, np.int64, n)
-    table = np.column_stack([bins, np.fromiter(tfidf.doc_freq.values(), np.int64, n)])
-    table = table[np.argsort(bins)]
+    dfs = np.fromiter(tfidf.doc_freq.values(), np.int64, n)
     p = inverted.postings
-    posted = np.isin(table[:, 0], p.bins)
-    zero = dict(table[~posted].tolist())
+    at = np.searchsorted(p.bins, bins)
+    posted = at < p.bins.size
+    posted[posted] = p.bins[at[posted]] == bins[posted]
+    zero = dict(zip(bins[~posted].tolist(), dfs[~posted].tolist()))
+    # Distinct df bins hit distinct posting bins, so equal counts mean every posting bin has a df.
     if (
         tfidf.doc_count != inverted.n_docs
-        or not np.array_equal(table[posted], np.column_stack([p.bins, np.diff(p.offsets)]))
+        or int(posted.sum()) != p.bins.size
+        or not np.array_equal(dfs[posted], np.diff(p.offsets)[at[posted]])
         or any(map(tfidf.idf, zero))
     ):
         raise ValueError("the tf-idf model was not fit on the indexed corpus")

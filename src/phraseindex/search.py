@@ -26,6 +26,12 @@ records of largest bound. The rectangle is cut to the block's best before
 the next block, so the scratch per query does not grow with the number of
 records. The output counts the start rows and phrases scored, and the
 phrases expanded.
+
+A query's fixed cost stays small. embed_question encodes only the marker
+row's window, the marker and the next `window` tokens of the question, since
+the dense vector is read from that row alone. The top k are assembled in one
+pass: each field of the k winners (document, paragraph, start and end token,
+score, dense and sparse score) is gathered with one index and one tolist().
 """
 
 from __future__ import annotations
@@ -123,7 +129,15 @@ class SearchOutput:
 
 
 def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
-    """Embed question text with the index's own encoder and tf-idf model."""
+    """Embed question text with the index's own encoder and tf-idf model.
+
+    The dense vector is read from the marker row alone (question_dense), and
+    that row's features are the marker and the next `encoder.window` tokens,
+    so only those tokens are encoded: window + 1 rows instead of one per
+    token, with row 0 the same bits as in the whole question's encoding. At
+    least one token is kept, because numpy takes a one-row product through a
+    matrix-vector BLAS call that may round differently from the matrix
+    product of two rows or more. The sparse vector takes every token."""
     if index.encoder is None:
         raise RuntimeError(
             "index was built with precomputed embeddings; construct the "
@@ -132,7 +146,8 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
     tokens = tokenize(text)
     if not tokens:
         raise ValueError("empty question")
-    dense = question_dense(index.encoder.encode_question(tokens))
+    marker_window = tokens[: max(1, index.encoder.window)]
+    dense = question_dense(index.encoder.encode_question(marker_window))
     return QueryVector(dense=dense, sparse=index.tfidf.embed(tokens))
 
 
@@ -142,7 +157,8 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
 
 
 _BLOCK = 8192  # start records scored at a time; bounds the kernel's scratch
-_LOGIT_BLOCK = 1024  # code rows converted to float at a time
+_LOGIT_BLOCK = 1024  # code rows converted to float64 at a time by _code_logits
+_BOUND_BYTES = 1 << 20  # most bytes of float32 code rows converted at a time by _code_bounds
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
 
 
@@ -238,12 +254,14 @@ def _code_bounds(
     float32 matrix-vector product over the codes (BLAS sgemv): (float64(dot)
     + c0) + margin, each add in float64. The margin is twice the largest gap
     between the two values (_bound_margin), so the bound is at least the
-    float64 logit on every row."""
+    float64 logit on every row. The rows are converted to float32 in chunks
+    of at most _BOUND_BYTES, a whole _BLOCK of records at boundary_dim 28."""
     c0, w32, margin = fold32
+    step = max(1, _BOUND_BYTES // (4 * codes.shape[1]))
     out = np.empty(len(rows), dtype=np.float64)
-    for b in range(0, len(rows), _LOGIT_BLOCK):
-        block = _take(codes, rows[b : b + _LOGIT_BLOCK]).astype(np.float32)
-        out[b : b + _LOGIT_BLOCK] = block @ w32
+    for b in range(0, len(rows), step):
+        block = _take(codes, rows[b : b + step]).astype(np.float32)
+        out[b : b + step] = block @ w32
     out += c0
     out += margin
     return out
@@ -534,23 +552,28 @@ def _score_starts(
         top = _top_k(score, k)
         rec = rec[top]
         end_row = index.rec_end_row[rec] + offset[top]
+        para = index.para_table[index.rec_para[rec]]
+        dense = start_logit[top] + end_logit[top]
         coherency = phrase_coherency(heads[rec], tails[end_row]).astype(np.float64)
-        for c, r, row, coh in zip(top, rec.tolist(), end_row.tolist(), coherency):
-            para = index.para_table[index.rec_para[r]]
-            doc_ord = int(para["doc"])
-            ref = SpanRef(
-                doc_id=index.doc_id(doc_ord),
-                para_idx=int(para["para"]),
-                i=int(index.rec_tok[r]),
-                j=int(index.end_tok[row]),
-            )
+        dense += coherency * q.coherency
+        for r, doc_ord, para_idx, i, j, total, dense_score, para_sparse in zip(
+            rec.tolist(),
+            para["doc"].tolist(),
+            para["para"].tolist(),
+            index.rec_tok[rec].tolist(),
+            index.end_tok[end_row].tolist(),
+            score[top].tolist(),
+            dense.tolist(),
+            para_score[top].tolist(),
+        ):
+            ref = SpanRef(doc_id=index.doc_id(doc_ord), para_idx=para_idx, i=i, j=j)
             results.append(
                 SearchResult(
                     text=index.span_text(ref),
                     span=ref,
-                    score=float(score[c]),
-                    dense_score=float(start_logit[c] + end_logit[c] + coh * q.coherency),
-                    sparse_score=float(para_score[c]),
+                    score=total,
+                    dense_score=dense_score,
+                    sparse_score=para_sparse,
                     doc_title=index.doc_title(doc_ord),
                     strategy=label(r) if label else strategy,
                 )
@@ -567,12 +590,13 @@ def _sfs_starts(
     index: "PhraseIndex", query: QueryVector, config: SearchConfig
 ) -> tuple[np.ndarray, frozenset[int], np.ndarray]:
     """Start records of the top sparse documents, those documents, and the
-    sparse score of each document: retrieve_top_docs' own value at those
-    documents, the only ones the records lie in, and 0 elsewhere."""
-    ranked = retrieve_top_docs(query.sparse, index.postings, config.sparse_top_docs)
+    sparse score of every document (score_docs), which ranks the documents
+    and is passed on to the kernel, so no posting is read twice."""
+    doc_scores = score_docs(query.sparse, index.postings)
+    ranked = retrieve_top_docs(
+        query.sparse, index.postings, config.sparse_top_docs, scores=doc_scores
+    )
     docs = np.array([d for d, _ in ranked], dtype=np.int64)
-    doc_scores = np.zeros(index.n_docs)
-    doc_scores[docs] = [score for _, score in ranked]
     docs.sort()
     begin = index.doc_rec_begin[docs]
     recs = _ranges(begin, index.doc_rec_begin[docs + 1] - begin)
@@ -638,7 +662,7 @@ def hybrid_search(
     labelled "sfs", "dfs" or "sfs+dfs" by the set(s) its start record is in.
     Both record arrays ascend without repeats, so the union is one merge and
     a membership test one searchsorted."""
-    sfs_recs, sfs_docs, _ = _sfs_starts(index, query, config)
+    sfs_recs, sfs_docs, doc_scores = _sfs_starts(index, query, config)
     dfs_recs = _dfs_starts(index, ivf, query, config)
     recs = np.concatenate([sfs_recs, dfs_recs])
     recs.sort(kind="stable")
@@ -646,7 +670,7 @@ def hybrid_search(
     names = {(True, True): "sfs+dfs", (True, False): "sfs", (False, True): "dfs"}
     return _score_starts(
         index, query, recs, config, sfs_docs | _docs_of(index, dfs_recs), "hybrid",
-        lambda r: names[_holds(sfs_recs, r), _holds(dfs_recs, r)],
+        lambda r: names[_holds(sfs_recs, r), _holds(dfs_recs, r)], doc_scores,
     )
 
 

@@ -260,18 +260,20 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def retrieve_top_docs(
-    q: SparseVector, index: InvertedIndex, k: int
+    q: SparseVector, index: InvertedIndex, k: int, scores: np.ndarray | None = None
 ) -> list[tuple[int, float]]:
     """Top-k documents by sparse score, ties broken by ascending doc ordinal.
 
     Identical to brute-force scoring of every document; an empty query yields
-    an empty result.
+    an empty result. `scores`, when given, is score_docs(q, index), which a
+    caller that needs every document's score computes once for both.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if q.is_empty:
         return []
-    scores = score_docs(q, index)
+    if scores is None:
+        scores = score_docs(q, index)
     return [(int(d), float(scores[d])) for d in _top_k(scores, k)]
 
 

@@ -169,7 +169,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="no tokens"):
             build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx")
 
-    @pytest.mark.parametrize("model", ["other documents", "one df off"])
+    @pytest.mark.parametrize(
+        "model", ["other documents", "one df off", "an unposted bin", "a posted bin left out",
+                  "one document more"],
+    )
     def test_tfidf_model_of_other_documents_is_refused(self, tmp_path, model):
         # sparse_docs.bin stores only what the postings cannot give, which
         # holds only for a model fit on the indexed documents.
@@ -179,8 +182,16 @@ class TestBuildIndex:
         else:
             tfidf = fit_tfidf(corpus)
             rare = min(tfidf.doc_freq, key=tfidf.doc_freq.get)
-            tfidf.doc_freq[rare] += 1
-            assert tfidf.idf(rare) > 0.0  # still a bin with postings
+            if model == "one df off":
+                tfidf.doc_freq[rare] += 1
+                assert tfidf.idf(rare) > 0.0  # still a bin with postings
+            elif model == "an unposted bin":
+                unseen = next(b for b in range(NGRAM_BINS) if b not in tfidf.doc_freq)
+                tfidf.doc_freq[unseen] = 1  # no postings, yet idf above 0
+            elif model == "a posted bin left out":
+                del tfidf.doc_freq[rare]  # its postings remain, now with no df
+            else:
+                tfidf.doc_count += 1
         with pytest.raises(ValueError, match="not fit on the indexed corpus"):
             build_index(corpus, ToyEncoder(SMALL_CONFIG), tfidf, None, tmp_path / "idx")
         assert not (tmp_path / "idx").exists()

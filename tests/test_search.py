@@ -2,14 +2,16 @@
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import phraseindex.search as search_module
+import phraseindex.sparse as sparse_module
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
-from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef
-from phraseindex.dense import QueryDenseVector
+from phraseindex.corpus import CorpusStore, Document, Paragraph, SpanRef, tokenize
+from phraseindex.dense import EncoderConfig, QueryDenseVector, ToyEncoder, question_dense
 from phraseindex.index import BuildConfig, dequantize, fit_quantization, load_index, quantize
 from phraseindex.search import (
     STRATEGIES,
@@ -37,7 +39,7 @@ from phraseindex.search import (
     run_search,
     sfs_search,
 )
-from phraseindex.sparse import SparseVector, fit_tfidf, sparse_score
+from phraseindex.sparse import SparseVector, TfIdfModel, fit_tfidf, sparse_score
 from phraseindex.training import FilterModel
 
 
@@ -1063,3 +1065,149 @@ def test_bound_expands_few_phrases_on_exact(random_index):
     out = run_search(random_index, q, SearchConfig(strategy="exact"))
     assert out.phrases_scored == random_index.n_phrases
     assert 0 < out.phrases_expanded < out.phrases_scored / 2
+
+
+# ---------------------------------------------------------------------------
+# The fixed cost of a query: question embedding and result assembly
+# ---------------------------------------------------------------------------
+
+# Words, and punctuation that tokenize makes tokens of its own.
+_QUESTION_WORDS = [f"w{k:03d}" for k in range(30)] + ["?", ",", ".", "(", ")", '"', "it's"]
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 3])
+@pytest.mark.parametrize("config", [SMALL_CONFIG, EncoderConfig(dim=64, boundary_dim=28, coherency_dim=4)])
+def test_embed_question_encodes_only_the_marker_window_to_the_same_bits(window, config):
+    # The dense vector must be that of the whole question's marker row, bit
+    # for bit, with a trained (non-identity) linear layer, while only the
+    # marker and its window of tokens (at least one) are encoded.
+    rng = np.random.default_rng(window)
+    encoder = ToyEncoder(config, seed=5, window=window)
+    encoder.linear = encoder.linear + rng.normal(0.0, 0.1, encoder.linear.shape)
+    encoded = []
+
+    def encode_question(tokens, key=""):
+        encoded.append(len(tokens))
+        return ToyEncoder.encode_question(encoder, tokens, key)
+
+    index = SimpleNamespace(encoder=SimpleNamespace(window=window, encode_question=encode_question),
+                            tfidf=TfIdfModel(doc_count=1, doc_freq={}))
+    for n in [*range(1, 13), 1, 2, 12]:
+        text = " ".join(rng.choice(_QUESTION_WORDS, n))
+        tokens = tokenize(text)
+        assert len(tokens) == n
+        got = embed_question(index, text).dense
+        assert encoded.pop() == max(1, min(window, n))
+        want = question_dense(encoder.encode_question(tokens))
+        assert got.start.tobytes() == want.start.tobytes(), (text, window)
+        assert got.end.tobytes() == want.end.tobytes(), (text, window)
+        assert float(got.coherency).hex() == float(want.coherency).hex(), (text, window)
+    assert embed_question(index, "?").dense.start.tobytes() == question_dense(
+        encoder.encode_question(tokenize("?"))
+    ).start.tobytes()
+
+
+def _reference_result(index, query, config, res, label):
+    """Every field of a result rebuilt from the index for that result alone:
+    its start record and end row, the logits of those two rows, the sparse
+    score of its paragraph and the corpus text of its tokens."""
+    r, row = _phrase_of(index, res.span)
+    prow = int(index.rec_para[r])
+    doc_ord = int(index.para_table["doc"][prow])
+    doc = index.corpus.doc_by_ordinal(doc_ord)
+    para = doc.paragraphs[int(index.para_table["para"][prow])]
+    i, j = int(index.rec_tok[r]), int(index.end_tok[row])
+    _, _, heads, tails = index.code_arrays()
+    q = query.dense
+    start = _code_logits(index.start_codes, np.array([r]), _fold(index.start_quant, q.start))[0]
+    end = _code_logits(index.end_codes, np.array([row]), _fold(index.end_quant, q.end))[0]
+    coh = np.float64(phrase_coherency(heads[r], tails[row]))
+    dense = float(start + end + coh * q.coherency)
+    sparse = float(_para_sparse(index, query.sparse, np.array([prow]))[0])
+    return {
+        "text": para.raw_text[para.tokens[i].char_start : para.tokens[j].char_end],
+        "doc_id": doc.id, "doc_title": doc.title, "para_idx": int(index.para_table["para"][prow]),
+        "start_token": i, "end_token": j,
+        "score": float(dense + config.sparse_scale * sparse).hex(),
+        "dense_score": dense.hex(), "sparse_score": sparse.hex(), "strategy": label(r),
+    }
+
+
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index"])
+def test_every_result_field_equals_a_reference_built_one_result_at_a_time(fixture, request):
+    index = request.getfixturevalue(fixture)
+    labels, checked = set(), 0
+    for text in ["w001 w002 w003", "w010 w011", "w040 w041 w042 w043", "w007", "w005"]:
+        query = embed_question(index, text)
+        for strategy in STRATEGIES:
+            for top_k in (15, 10 ** 6):  # 10**6 is more than the phrases of any fixture
+                cfg = SearchConfig(strategy=strategy, top_k=top_k, sparse_top_docs=3,
+                                   dense_top_starts=15, nprobe=2)
+                out = run_search(index, query, cfg)
+                sfs_docs = sfs_search(index, query, cfg).visited_doc_ordinals
+                dfs_recs = set(search_module._dfs_starts(index, index.ivf, query, cfg).tolist())
+
+                def label(r):
+                    if strategy != "hybrid":
+                        return strategy
+                    in_sfs = int(index.para_table["doc"][index.rec_para[r]]) in sfs_docs
+                    return {(True, True): "sfs+dfs", (True, False): "sfs",
+                            (False, True): "dfs"}[in_sfs, r in dfs_recs]
+
+                for res in out.results:
+                    got = res.as_dict()
+                    assert all(type(got[f]) is int for f in ("para_idx", "start_token", "end_token"))
+                    assert all(type(got[f]) is float for f in ("score", "dense_score", "sparse_score"))
+                    for f in ("score", "dense_score", "sparse_score"):
+                        got[f] = got[f].hex()
+                    assert got == _reference_result(index, query, cfg, res, label)
+                    labels.add(res.strategy)
+                    checked += 1
+                if top_k > index.n_phrases:
+                    assert len(out.results) == out.phrases_scored
+                else:
+                    assert len(out.results) == min(top_k, out.phrases_scored)
+                positions = [_phrase_of(index, res.span) for res in out.results]
+                assert [(-res.score, pos) for res, pos in zip(out.results, positions)] == sorted(
+                    (-res.score, pos) for res, pos in zip(out.results, positions)
+                )
+    assert {"exact", "sfs", "dfs", "sfs+dfs"} <= labels
+    assert checked > 1000
+
+
+def test_hybrid_and_sfs_score_the_documents_once(random_index, monkeypatch):
+    calls = []
+    score_docs = sparse_module.score_docs
+
+    def counted(q, inverted):
+        calls.append(q)
+        return score_docs(q, inverted)
+
+    monkeypatch.setattr(sparse_module, "score_docs", counted)
+    monkeypatch.setattr(search_module, "score_docs", counted)
+    query = embed_question(random_index, "w001 w002 w003")
+    for strategy in ("sfs", "hybrid"):
+        cfg = SearchConfig(strategy=strategy, sparse_top_docs=3, dense_top_starts=15, nprobe=2)
+        calls.clear()
+        out = run_search(random_index, query, cfg)
+        assert out.results and len(calls) == 1, strategy
+
+
+def test_question_of_idf_zero_ngrams_gets_no_sfs_documents_under_hybrid(random_index):
+    # w005 occurs in at least half the documents, so its idf is 0 and the
+    # question's sparse vector is empty: SFS chooses no document, and hybrid
+    # scores only the DFS records.
+    assert random_index.tfidf.idf(sparse_module.ngram_bin("w005")) == 0.0
+    query = embed_question(random_index, "w005")
+    assert query.sparse.is_empty
+    cfg = SearchConfig(strategy="hybrid", sparse_top_docs=3, dense_top_starts=15, nprobe=2)
+    recs, docs, _ = search_module._sfs_starts(random_index, query, cfg)
+    assert recs.size == 0 and docs == frozenset()
+    dfs_recs = search_module._dfs_starts(random_index, random_index.ivf, query, cfg)
+    out = hybrid_search(random_index, random_index.ivf, query, cfg)
+    assert out.results and {r.strategy for r in out.results} == {"dfs"}
+    assert out.start_rows_scored == dfs_recs.size
+    assert out.visited_doc_ordinals == frozenset(
+        random_index.para_table["doc"][random_index.rec_para[dfs_recs]].tolist()
+    )
+    assert all(r.sparse_score == 0.0 for r in out.results)
