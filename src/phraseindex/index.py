@@ -1,10 +1,11 @@
 """Build, persist, and load the compressed on-disk phrase index.
 
-Directory layout: manifest.json plus binary sections (starts.bin, ends.bin,
-phrases.bin, coherency.bin, quant.bin, sparse_docs.bin, postings.bin,
-filter.bin, encoder.bin, optional ivf.bin) and corpus.jsonl. Every binary
-section is little-endian and begins with a magic + tag + version header; the
-manifest records a checksum for each file.
+Directory layout: manifest.json plus the SECTIONS: binary sections
+(starts.bin, ends.bin, phrases.bin, coherency.bin, quant.bin,
+sparse_docs.bin, postings.bin, filter.bin, encoder.bin, ivf.bin) and
+corpus.jsonl. Every binary section is little-endian and begins with a magic
++ tag + version header; the manifest records a checksum for each file and
+lists exactly these sections.
 
 phrases.bin holds, after its header, (n_paragraphs, n_tokens) as two u64,
 the PARA_DTYPE paragraph table, then the start and the end survival masks,
@@ -31,6 +32,11 @@ paragraph, whose paragraph vector is its document vector. The document
 vectors are the transpose of postings.bin, and every other bin's df is the
 length of its posting list, so the tf-idf model is derived at open. A
 paragraph's combined vector is (doc + para) * inv_norm.
+
+ivf.bin holds, after its header, the cell count and the width as two u32,
+the float32 centroids, then the cells as one CSR pair: a sized u8 array of
+cell offsets, one more than the cells, and a sized u4 array of every start
+row once, grouped by cell and ascending within a cell.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import numpy as np
 
 from .corpus import CorpusStore, SpanRef, load_corpus
 from .dense import Encoder, EncoderConfig, ToyEncoder
-from .search import phrase_coherency
+from .search import IvfIndex, phrase_coherency
 from .sparse import (
     NGRAM_BINS,
     InvertedIndex,
@@ -73,6 +79,11 @@ FORMAT_VERSION = 4
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
 _COHERENCY_HEAD = struct.Struct("<QQIff")  # head rows, tail rows, width, least, greatest
+
+SECTIONS = frozenset({
+    "starts.bin", "ends.bin", "phrases.bin", "coherency.bin", "quant.bin", "sparse_docs.bin",
+    "postings.bin", "filter.bin", "encoder.bin", "ivf.bin", "corpus.jsonl",
+})
 
 PARA_DTYPE = np.dtype(
     [("doc", "<u4"), ("para", "<u4"), ("rec_begin", "<u8"), ("n_recs", "<u4"), ("n_tokens", "<u4")]
@@ -275,7 +286,7 @@ def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, 
 
 
 # ---------------------------------------------------------------------------
-# Row spills and reservoir sampling for quantization fitting
+# Row spills
 # ---------------------------------------------------------------------------
 
 # Rows per read of a spill. Reads of 8192 rows raised the peak RSS of a
@@ -284,84 +295,36 @@ _SPILL_CHUNK = 1024
 
 
 class _Spill:
-    """Rows of one dtype and width appended to an open unnamed temporary file,
-    then read back in order a bounded chunk at a time."""
+    """Float64 rows appended to an open unnamed temporary file. It keeps the
+    least and greatest value of each dimension, which is all that
+    fit_quantization reads of the rows, so quantizing them reads them back
+    once, a bounded chunk at a time."""
 
-    def __init__(self, file, dtype, width: int):
+    def __init__(self, file, width: int):
         self.file = file
-        self.dtype = np.dtype(dtype)
         self.width = width
         self.rows = 0
+        self.lo = np.full(width, np.inf)
+        self.hi = np.full(width, -np.inf)
 
     def append(self, rows: np.ndarray) -> None:
-        self.file.write(np.asarray(rows, dtype=self.dtype).tobytes())
+        rows = np.asarray(rows, dtype=np.float64)
+        self.file.write(rows.tobytes())
         self.rows += rows.shape[0]
+        np.minimum(self.lo, rows.min(axis=0, initial=np.inf), out=self.lo)
+        np.maximum(self.hi, rows.max(axis=0, initial=-np.inf), out=self.hi)
 
-    def chunks(self):
-        """(first row id, rows) for consecutive chunks covering every row."""
+    def quantized(self) -> tuple[QuantizationParams, np.ndarray]:
+        """Params fitted on every row from the least and greatest values, and
+        the rows' codes under them."""
+        params = fit_quantization(np.stack([self.lo, self.hi]))
+        codes = np.empty((self.rows, self.width), dtype=np.int8)
         self.file.seek(0)
         for first in range(0, self.rows, _SPILL_CHUNK):
             n = min(_SPILL_CHUNK, self.rows - first)
-            raw = self.file.read(n * self.width * self.dtype.itemsize)
-            yield first, np.frombuffer(raw, self.dtype).reshape(n, self.width)
-
-    def copy_to(self, fh) -> None:
-        self.file.seek(0)
-        shutil.copyfileobj(self.file, fh)
-
-
-class _Reservoir:
-    """A uniform sample of at most `capacity` of the row ids offered so far
-    (Algorithm R): row id i >= capacity replaces the slot drawn from
-    [0, i + 1) if that slot exists. Until the first such row the sample is
-    every id, so no slot array is held before then."""
-
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        self.capacity = capacity
-        self.rng = rng
-        self.seen = 0
-        self.slots: np.ndarray | None = None
-
-    def add(self, n: int) -> None:
-        """Offer the next n row ids. The ids that find the reservoir full draw
-        in one call, which consumes the stream of one scalar call per id."""
-        ids = np.arange(max(self.seen, self.capacity), self.seen + n)
-        self.seen += n
-        if ids.size == 0:
-            return
-        if self.slots is None:
-            self.slots = np.arange(self.capacity)
-        drawn = self.rng.integers(ids + 1)
-        hit = drawn < self.capacity
-        # Applied in id order, a later id wins a slot: keep each slot's last draw.
-        slots, last = np.unique(drawn[hit][::-1], return_index=True)
-        self.slots[slots] = ids[hit][::-1][last]
-
-    def sample(self) -> np.ndarray:
-        """The sampled row ids, ascending."""
-        return np.arange(self.seen) if self.slots is None else np.sort(self.slots)
-
-
-def _fit_spilled_sample(spill: _Spill, ids: np.ndarray) -> QuantizationParams:
-    """fit_quantization of the spilled rows with the given ascending ids. It
-    reads only the sample's per-dimension min and max, so the two-row stack
-    [min; max] gives the same params as the sample itself."""
-    lo = np.full(spill.width, np.inf)
-    hi = np.full(spill.width, -np.inf)
-    for first, rows in spill.chunks():
-        a, b = np.searchsorted(ids, [first, first + rows.shape[0]])
-        if b > a:
-            picked = rows[ids[a:b] - first]
-            np.minimum(lo, picked.min(axis=0), out=lo)
-            np.maximum(hi, picked.max(axis=0), out=hi)
-    return fit_quantization(np.stack([lo, hi]))
-
-
-def _quantize_spill(spill: _Spill, params: QuantizationParams) -> np.ndarray:
-    codes = np.empty((spill.rows, spill.width), dtype=np.int8)
-    for first, rows in spill.chunks():
-        codes[first : first + rows.shape[0]] = quantize(rows, params)
-    return codes
+            rows = np.frombuffer(self.file.read(8 * n * self.width), np.float64).reshape(n, -1)
+            codes[first : first + n] = quantize(rows, params)
+        return params, codes
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +336,10 @@ def _quantize_spill(spill: _Spill, params: QuantizationParams) -> np.ndarray:
 class BuildConfig:
     max_span: int = 20
     seed: int = 0
-    quant_sample_size: int = 100_000
     ivf_clusters: int | None = None  # None: ceil(4 * sqrt(start rows)); capped at the start rows
-    build_ivf: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("max_span", "seed", "quant_sample_size", "ivf_clusters"):
+        for name in ("max_span", "seed", "ivf_clusters"):
             value = getattr(self, name)
             if name == "ivf_clusters" and value is None:
                 continue
@@ -482,12 +443,14 @@ def build_index(
     encodes each paragraph, keeps its survival masks, takes the least and
     greatest coherency of its phrases, and appends its surviving start/end
     rows (float64) and their float32 coherency heads and tails to four
-    unnamed temporary files beside out_dir, which need no cleanup. The
-    quantization reservoirs sample row ids, not rows. Each side's params are
-    then fitted from its sampled rows and its codes quantized, reading its
-    spill a bounded chunk at a time, and k-means works from the start codes;
-    so no float array of every row and no object per token is held, and
-    what a written section needed is dropped before k-means.
+    unnamed temporary files beside out_dir, which need no cleanup, keeping
+    each side's per-dimension least and greatest row values as it goes.
+    Each side's params are fitted on every row from those two, and its
+    codes quantized reading its spill once, a bounded chunk at a time. The
+    IVF is always built: k-means works from the start codes, and ivf.bin
+    stores the cells' CSR pair as kmeans_train returns it. So no float
+    array of every row and no object per token is held, and what a written
+    section needed is dropped before k-means.
     phrases.bin stores the paragraph table and the two masks, bit-packed; the
     phrases themselves are derived at open.
     The build is atomic: everything lands in a fresh temp directory beside
@@ -523,17 +486,13 @@ def _build(
     """build_index's encode pass and section writes. Its spill files are
     entered on spills, which the caller closes."""
 
-    def spill(dtype, width: int) -> _Spill:
-        return _Spill(spills.enter_context(tempfile.TemporaryFile(dir=out_dir.parent)), dtype, width)
+    def spill():
+        return spills.enter_context(tempfile.TemporaryFile(dir=out_dir.parent))
 
     cfg = encoder.config
-    rng = np.random.default_rng(config.seed)
-    start_res = _Reservoir(config.quant_sample_size, rng)
-    end_res = _Reservoir(config.quant_sample_size, rng)
-    start_rows = spill(np.float64, cfg.boundary_dim)  # surviving start/end columns
-    end_rows = spill(np.float64, cfg.boundary_dim)
-    heads = spill("<f4", cfg.coherency_dim)  # coherency heads of the start rows, tails of the end rows
-    tails = spill("<f4", cfg.coherency_dim)
+    start_rows = _Spill(spill(), cfg.boundary_dim)  # surviving start/end columns
+    end_rows = _Spill(spill(), cfg.boundary_dim)
+    heads, tails = spill(), spill()  # float32 coherency heads of start rows, tails of end rows
     para_rows: list[tuple] = []
     start_masks: list[np.ndarray] = []
     end_masks: list[np.ndarray] = []
@@ -559,13 +518,11 @@ def _build(
             para_rows.append((ord_, pidx, start_rows.rows, n_starts, len(tokens)))
             start_rows.append(H.start_cols[smask])
             end_rows.append(H.end_cols[emask])
-            start_res.add(n_starts)
-            end_res.add(int(emask.sum()))
 
             head = H.coh_head_cols.astype("<f4")
             tail = H.coh_tail_cols.astype("<f4")
-            heads.append(head[smask])
-            tails.append(tail[emask])
+            heads.write(head[smask].tobytes())
+            tails.write(tail[emask].tobytes())
             if jj.size:
                 coh = phrase_coherency(head[ii], tail[jj])
                 coh_lo, coh_hi = min(coh_lo, coh.min()), max(coh_hi, coh.max())
@@ -586,10 +543,8 @@ def _build(
     if n_phrases == 0:
         raise ValueError("empty index: filter discarded every candidate phrase")
 
-    start_quant = _fit_spilled_sample(start_rows, start_res.sample())
-    end_quant = _fit_spilled_sample(end_rows, end_res.sample())
-    start_codes = _quantize_spill(start_rows, start_quant)
-    end_codes = _quantize_spill(end_rows, end_quant)
+    start_quant, start_codes = start_rows.quantized()
+    end_quant, end_codes = end_rows.quantized()
     n_start_rows, n_end_rows = start_rows.rows, end_rows.rows
 
     tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", suffix=".tmp", dir=out_dir.parent))
@@ -619,8 +574,9 @@ def _build(
             fh.write(
                 _COHERENCY_HEAD.pack(n_start_rows, n_end_rows, cfg.coherency_dim, coh_lo, coh_hi)
             )
-            heads.copy_to(fh)
-            tails.copy_to(fh)
+            for spilled in (heads, tails):
+                spilled.seek(0)
+                shutil.copyfileobj(spilled, fh)
         with open(tmp / "phrases.bin", "wb") as fh:
             _write_header(fh, b"PHRS")
             fh.write(struct.pack("<QQ", len(para_rows), n_tokens))
@@ -641,32 +597,21 @@ def _build(
         with open(tmp / "encoder.bin", "wb") as fh:
             _write_header(fh, b"ENCD")
             fh.write(_encoder_section_bytes(encoder))
-        ivf_written = False
-        if config.build_ivf and n_start_rows > 0:
-            from .search import kmeans_train  # deferred: search depends on this module
+        from .search import kmeans_train  # looked up per build, so a patched one is used
 
-            n_clusters = config.ivf_clusters
-            if n_clusters is None:
-                n_clusters = math.ceil(4 * math.sqrt(n_start_rows))
-            ivf = kmeans_train(
-                start_codes, min(n_clusters, n_start_rows), seed=config.seed, quant=start_quant
-            )
-            with open(tmp / "ivf.bin", "wb") as fh:
-                _write_header(fh, b"IVFC")
-                fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
-                fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
-                offsets = np.zeros(len(ivf.lists) + 1, dtype="<u8")
-                offsets[1:] = np.cumsum([lst.size for lst in ivf.lists])
-                _write_sized(fh, offsets)
-                _write_sized(
-                    fh,
-                    np.concatenate(ivf.lists).astype("<u4") if ivf.lists else np.empty(0, "<u4"),
-                )
-            ivf_written = True
+        n_clusters = config.ivf_clusters or math.ceil(4 * math.sqrt(n_start_rows))
+        ivf = kmeans_train(
+            start_codes, min(n_clusters, n_start_rows), seed=config.seed, quant=start_quant
+        )
+        with open(tmp / "ivf.bin", "wb") as fh:
+            _write_header(fh, b"IVFC")
+            fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
+            fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
+            _write_sized(fh, ivf.offsets.astype("<u8"))
+            _write_sized(fh, ivf.rows.astype("<u4"))
         with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
             corpus.write_jsonl(fh)
 
-        sections = sorted(p.name for p in tmp.iterdir())
         manifest = {
             "format_version": FORMAT_VERSION,
             "created_at": datetime.now(timezone.utc).isoformat(),
@@ -689,10 +634,10 @@ def _build(
                 "end_rows": n_end_rows,
                 "phrases": n_phrases,
             },
-            "has_ivf": ivf_written,
+            "has_ivf": True,
             "sections": {
                 name: {"bytes": (tmp / name).stat().st_size, "sha256": _sha256(tmp / name)}
-                for name in sections
+                for name in sorted(SECTIONS)
             },
         }
         (tmp / "manifest.json").write_text(
@@ -750,7 +695,12 @@ class PhraseIndex:
                 f"index format version {self.manifest.get('format_version')} under {self.path}: "
                 f"this phraseindex reads format version {FORMAT_VERSION}, so rebuild the index"
             )
-        for name, meta in sorted(self.manifest["sections"].items()):
+        listed = self.manifest["sections"]
+        wrong = [f"missing section {n}" for n in sorted(SECTIONS - listed.keys())]
+        wrong += [f"unknown section {n}" for n in sorted(listed.keys() - SECTIONS)]
+        if wrong:
+            raise ValueError(f"manifest.json under {self.path}: " + ", ".join(wrong))
+        for name, meta in sorted(listed.items()):
             fpath = self.path / name
             if not fpath.exists():
                 raise ValueError(f"section {name}: missing file")
@@ -819,24 +769,7 @@ class PhraseIndex:
             (eb,) = struct.unpack("<d", fh.read(8))
         self.filter_model = FilterModel(sw, sb, ew, eb, threshold)
 
-        self.ivf = None
-        if self.manifest.get("has_ivf"):
-            from .search import IvfIndex
-
-            with open(self.path / "ivf.bin", "rb") as fh:
-                _check_header(fh, b"IVFC", "ivf.bin")
-                n_clusters, dim = struct.unpack("<II", fh.read(8))
-                centroids = (
-                    np.frombuffer(fh.read(n_clusters * dim * 4), dtype="<f4")
-                    .reshape(n_clusters, dim)
-                    .astype(np.float64)
-                )
-                offsets = _read_sized(fh, "<u8")
-                rows = _read_sized(fh, "<u4").astype(np.int64)
-            lists = [
-                rows[int(offsets[k]) : int(offsets[k + 1])] for k in range(n_clusters)
-            ]
-            self.ivf = IvfIndex(centroids=centroids, lists=lists)
+        self.ivf = self._read_ivf()
 
     def _derive_phrase_table(self, start_mask: np.ndarray, end_mask: np.ndarray) -> None:
         """Per-record and per-end-row arrays from the paragraph table and the
@@ -846,7 +779,7 @@ class PhraseIndex:
             return ValueError(f"section phrases.bin: {what}")
 
         table, n_docs = self.para_table, self.n_docs
-        doc = table["doc"].astype(np.int64)
+        doc = self.para_doc = table["doc"].astype(np.int64)
         para_len = table["n_tokens"].astype(np.int64)
         para_stop = np.cumsum(para_len)
         para_base = para_stop - para_len
@@ -894,7 +827,6 @@ class PhraseIndex:
                 fh, "sparse_docs.bin"
             )
         n_para = len(self.para_table)
-        self.para_doc = self.para_table["doc"].astype(np.int64)
         self.para_sole = (np.diff(self.doc_para_begin) == 1)[self.para_doc]
         if inv_norm.size != n_para or self.own_offsets.size != n_para + 1:
             raise ValueError(f"section sparse_docs.bin: expected {n_para} paragraphs")
@@ -912,6 +844,40 @@ class PhraseIndex:
                 "section sparse_docs.bin: the idf-0 bins need one df each and no postings"
             )
         self.tfidf = TfIdfModel(doc_count=self.n_docs, doc_freq=doc_freq)
+
+    def _read_ivf(self) -> IvfIndex:
+        """ivf.bin's centroids and cells, after checking that the centroids
+        are boundary_dim wide, that the n_clusters + 1 offsets run from 0 to
+        the end of the rows without decreasing, and that each start row is in
+        exactly one cell."""
+        with open(self.path / "ivf.bin", "rb") as fh:
+            _check_header(fh, b"IVFC", "ivf.bin")
+            n_clusters, dim = struct.unpack("<II", fh.read(8))
+            if dim != self.config.boundary_dim:
+                raise ValueError(
+                    f"section ivf.bin: centroids {dim} wide, "
+                    f"boundary_dim is {self.config.boundary_dim}"
+                )
+            centroids = np.frombuffer(fh.read(n_clusters * dim * 4), dtype="<f4")
+            offsets = _read_sized(fh, "<u8")
+            rows = _read_sized(fh, "<u4")
+        n = self.n_start_rows
+        if (
+            offsets.size != n_clusters + 1
+            or offsets[0] != 0
+            or (offsets[1:] < offsets[:-1]).any()
+            or offsets[-1] != rows.size
+            or not np.array_equal(np.sort(rows), np.arange(n))
+        ):
+            raise ValueError(
+                f"section ivf.bin: the {n_clusters} cells' offsets must run from 0 to the "
+                f"end of their rows without decreasing, and hold each of the {n} start rows once"
+            )
+        return IvfIndex(
+            centroids=centroids.reshape(n_clusters, dim).astype(np.float64),
+            offsets=offsets.astype(np.int64),
+            rows=rows.astype(np.int64),
+        )
 
     def _map_coherency(self) -> None:
         """Map the coherency heads and tails after checking that coherency.bin

@@ -552,14 +552,14 @@ def _score_starts(
         top = _top_k(score, k)
         rec = rec[top]
         end_row = index.rec_end_row[rec] + offset[top]
-        para = index.para_table[index.rec_para[rec]]
+        para = index.rec_para[rec]
         dense = start_logit[top] + end_logit[top]
         coherency = phrase_coherency(heads[rec], tails[end_row]).astype(np.float64)
         dense += coherency * q.coherency
         for r, doc_ord, para_idx, i, j, total, dense_score, para_sparse in zip(
             rec.tolist(),
-            para["doc"].tolist(),
-            para["para"].tolist(),
+            index.para_doc[para].tolist(),
+            index.para_table["para"][para].tolist(),
             index.rec_tok[rec].tolist(),
             index.end_tok[end_row].tolist(),
             score[top].tolist(),
@@ -609,16 +609,17 @@ def _dfs_starts(
     """Probe the IVF cells whose centroids score highest against the start
     query, and keep the best-scoring start rows found in them, ascending."""
     if ivf is None:
-        raise ValueError("missing ivf section: build the index with build_ivf=True")
+        raise ValueError("dense-first search needs an IVF, such as the index's own index.ivf")
     probe = _top_k(ivf.centroids @ query.dense.start, config.nprobe)
-    cand_rows = np.sort(np.concatenate([ivf.lists[int(c)] for c in probe]))
+    begin = ivf.offsets[probe]
+    cand_rows = np.sort(ivf.rows[_ranges(begin, ivf.offsets[probe + 1] - begin)])
     start_fold = _fold(index.start_quant, query.dense.start)
     start_logits = _code_logits(index.code_arrays()[0], cand_rows, start_fold)
     return np.sort(cand_rows[_top_k(start_logits, config.dense_top_starts)])
 
 
 def _docs_of(index: "PhraseIndex", recs: np.ndarray) -> frozenset[int]:
-    return frozenset(index.para_table["doc"][index.rec_para[recs]].tolist())
+    return frozenset(index.para_doc[index.rec_para[recs]].tolist())
 
 
 def exact_search(
@@ -700,10 +701,12 @@ def run_search(
 
 @dataclass
 class IvfIndex:
-    """K-means centroids over start rows plus per-cell posting lists."""
+    """K-means centroids over start rows, and the rows of each cell as one
+    CSR pair: cell c holds rows[offsets[c] : offsets[c + 1]], ascending."""
 
     centroids: np.ndarray  # (n_clusters, boundary_dim)
-    lists: list[np.ndarray]  # row ids, ascending, one array per cluster
+    offsets: np.ndarray  # int64 (n_clusters + 1,), from 0 to rows.size
+    rows: np.ndarray  # int64 start row ids, grouped by cell
 
 
 _ASSIGN_BLOCK = 1024  # most rows per distance block
@@ -737,13 +740,6 @@ def _assign(
         dist += c2
         np.argmin(dist, axis=1, out=out[b : b + step])
     return out
-
-
-def _cells(assign: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows grouped by cell: a stable sort of the assignment, so each cell's row
-    ids ascend, and the split points between consecutive cells."""
-    order = np.argsort(assign, kind="stable")
-    return order, np.cumsum(np.bincount(assign, minlength=n_clusters))[:-1]
 
 
 def _kmeanspp(rows: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
@@ -786,7 +782,9 @@ def kmeans_train(
     then Lloyd iterations until the maximum centroid shift drops below tol or
     the iteration cap is reached. Lloyd assigns the sample in float32 and
     updates the float64 centroids from float64 sums; a cell left empty keeps
-    its centroid. The lists come from one float64 assignment of every row.
+    its centroid. One float64 assignment of every row then gives the cells
+    as a CSR pair: the stable sort of the rows by cell, so each cell's rows
+    ascend, and the cell offsets, the running sum of the cell sizes.
 
     With quant, rows are int8 codes under those params, and the result is that
     of kmeans_train(dequantize(rows, quant), ...). The sample is dequantized
@@ -842,5 +840,6 @@ def kmeans_train(
         if shift < tol:
             break
 
-    order, bounds = _cells(_assign(rows, centroids, quant), n_clusters)
-    return IvfIndex(centroids=centroids, lists=np.split(order, bounds))
+    assign = _assign(rows, centroids, quant)
+    offsets = np.append(0, np.cumsum(np.bincount(assign, minlength=n_clusters)))
+    return IvfIndex(centroids=centroids, offsets=offsets, rows=np.argsort(assign, kind="stable"))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -22,6 +23,7 @@ from phraseindex.dense import (
 )
 from phraseindex.index import (
     FORMAT_VERSION,
+    SECTIONS,
     BuildConfig,
     apply_filter,
     build_index,
@@ -31,7 +33,13 @@ from phraseindex.index import (
     load_index,
     quantize,
 )
-from phraseindex.search import _TRAIN_PER_CELL, _para_sparse, kmeans_train, phrase_coherency
+from phraseindex.search import (
+    _TRAIN_PER_CELL,
+    _assign,
+    _para_sparse,
+    kmeans_train,
+    phrase_coherency,
+)
 from phraseindex.sparse import (
     NGRAM_BINS,
     SparseRows,
@@ -133,7 +141,7 @@ class TestBuildIndex:
         enc = ToyEncoder(SMALL_CONFIG, seed=0)
         build_index(
             corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx",
-            BuildConfig(max_span=2, build_ivf=False),
+            BuildConfig(max_span=2),
         )
         index = load_index(tmp_path / "idx")
         assert index.n_start_rows == 3
@@ -527,6 +535,92 @@ class TestCoherencySection:
             load_index(index_dir)
 
 
+class TestIvfSection:
+    @pytest.fixture
+    def index_dir(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(21), n_docs=5)
+        build_small_index(corpus, tmp_path / "idx", ivf_clusters=4)
+        return tmp_path / "idx"
+
+    def _rewrite(self, index_dir, edit):
+        """Rewrite ivf.bin with its CSR pair replaced by edit(offsets, rows)."""
+        raw = (index_dir / "ivf.bin").read_bytes()
+        n_clusters, dim = struct.unpack("<II", raw[12:20])
+        at = 20 + 4 * n_clusters * dim  # the offsets' size, then the offsets
+        (size,) = struct.unpack("<Q", raw[at : at + 8])
+        offsets = np.frombuffer(raw, "<u8", size // 8, at + 8).copy()
+        rows = np.frombuffer(raw, "<u4", offset=at + 16 + size).copy()
+
+        def pair(offsets, rows):
+            return b"".join(struct.pack("<Q", a.nbytes) + a.tobytes() for a in (offsets, rows))
+
+        assert raw[:at] + pair(offsets, rows) == raw
+        _rewrite_section(index_dir, "ivf.bin", raw[:at] + pair(*edit(offsets, rows)))
+
+    @pytest.mark.parametrize("case", ["one short", "one more", "first not 0", "decreasing",
+                                      "last short of the rows"])
+    def test_cell_offsets(self, index_dir, case):
+        def edit(offsets, rows):
+            if case == "one short":
+                return offsets[:-1], rows
+            if case == "one more":
+                return np.append(offsets, offsets[-1]), rows
+            if case == "first not 0":
+                offsets[0] = 1
+            elif case == "decreasing":
+                assert offsets[1] < offsets[2]
+                offsets[[1, 2]] = offsets[[2, 1]]
+            else:
+                offsets[-1] -= 1
+            return offsets, rows
+
+        self._rewrite(index_dir, edit)
+        with pytest.raises(ValueError, match="ivf.bin.*offsets"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("case", ["row past the start rows", "row in two cells",
+                                      "one row more"])
+    def test_each_start_row_in_one_cell(self, index_dir, case):
+        def edit(offsets, rows):
+            if case == "row past the start rows":
+                rows[0] = 10**9
+            elif case == "row in two cells":
+                rows[-1] = rows[0]
+            else:
+                rows = np.append(rows, rows[0])
+                offsets[-1] += 1
+            return offsets, rows
+
+        self._rewrite(index_dir, edit)
+        with pytest.raises(ValueError, match="ivf.bin.*start rows"):
+            load_index(index_dir)
+
+    def test_centroid_width(self, index_dir):
+        raw = bytearray((index_dir / "ivf.bin").read_bytes())
+        raw[16:20] = struct.pack("<I", SMALL_CONFIG.boundary_dim + 1)
+        _rewrite_section(index_dir, "ivf.bin", bytes(raw))
+        with pytest.raises(ValueError, match="ivf.bin.*wide"):
+            load_index(index_dir)
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS) + ["extra.bin"])
+def test_manifest_must_list_exactly_the_format_sections(tmp_path, section):
+    # Open checksums the sections the manifest lists, so a section left out
+    # of it would be read unchecked; it and a section the format does not
+    # define are refused by name.
+    build_small_index(make_random_corpus(np.random.default_rng(22), n_docs=4), tmp_path / "idx")
+    manifest_path = tmp_path / "idx" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if section in SECTIONS:
+        del manifest["sections"][section]
+    else:
+        (tmp_path / "idx" / section).write_bytes(b"")
+        manifest["sections"][section] = {"bytes": 0, "sha256": hashlib.sha256(b"").hexdigest()}
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"manifest.json.* section {re.escape(section)}"):
+        load_index(tmp_path / "idx")
+
+
 class TestSparseBinsAtOpen:
     @pytest.fixture
     def index_dir(self, tmp_path):
@@ -696,44 +790,23 @@ class TestCrashSafeBuild:
         assert spill_files and all(f.closed for f in spill_files)
 
 
-class _RowReservoir:
-    """The sampling the build must reproduce: Algorithm R over the rows
-    themselves, copying each kept row, one scalar draw per row past capacity."""
-
-    def __init__(self, capacity, dim, rng):
-        self.buffer = np.empty((capacity, dim))
-        self.rng = rng
-        self.seen = 0
-
-    def add(self, rows):
-        for row in rows:
-            if self.seen < len(self.buffer):
-                self.buffer[self.seen] = row
-            else:
-                k = int(self.rng.integers(self.seen + 1))
-                if k < len(self.buffer):
-                    self.buffer[k] = row
-            self.seen += 1
-
-    def sample(self):
-        return self.buffer[: self.seen]
-
-
 def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[str, bytes]:
-    """quant.bin, starts.bin, ends.bin and ivf.bin of a keep-all build whose
-    reservoirs copy rows, from every row held as float64."""
+    """quant.bin, starts.bin, ends.bin and ivf.bin of a keep-all build, from
+    params fitted on every row held as float64, and each cell's rows taken
+    one cell at a time from the assignment of every start row."""
     dim = encoder.config.boundary_dim
-    rng = np.random.default_rng(config.seed)
-    reservoirs = [_RowReservoir(config.quant_sample_size, dim, rng) for _ in range(2)]
     rows = ([], [])
     for _, doc, pidx, para in corpus.iter_paragraphs():
         H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
-        for side, cols in enumerate((H.start_cols, H.end_cols)):
-            reservoirs[side].add(cols)
-            rows[side].append(cols)
-    quants = [fit_quantization(r.sample()) for r in reservoirs]
-    codes = [quantize(np.concatenate(r), q) for r, q in zip(rows, quants)]
-    ivf = kmeans_train(dequantize(codes[0], quants[0]), config.ivf_clusters, seed=config.seed)
+        rows[0].append(H.start_cols)
+        rows[1].append(H.end_cols)
+    rows = [np.concatenate(r) for r in rows]
+    quants = [fit_quantization(r) for r in rows]
+    codes = [quantize(r, q) for r, q in zip(rows, quants)]
+    starts = dequantize(codes[0], quants[0])
+    ivf = kmeans_train(starts, config.ivf_clusters, seed=config.seed)
+    assign = _assign(starts, ivf.centroids)
+    cells = [np.flatnonzero(assign == c) for c in range(config.ivf_clusters)]
 
     def section(tag, *parts):
         return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
@@ -741,7 +814,6 @@ def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[
     def sized(arr):
         return struct.pack("<Q", arr.nbytes) + arr.tobytes()
 
-    offsets = np.cumsum([0] + [lst.size for lst in ivf.lists]).astype("<u8")
     return {
         "quant.bin": section(
             b"QNTZ", struct.pack("<I", dim),
@@ -751,20 +823,25 @@ def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[
         "ends.bin": section(b"ENDS", struct.pack("<QI", len(codes[1]), dim), codes[1].tobytes()),
         "ivf.bin": section(
             b"IVFC", struct.pack("<II", config.ivf_clusters, dim),
-            ivf.centroids.astype("<f4").tobytes(), sized(offsets),
-            sized(np.concatenate(ivf.lists).astype("<u4")),
+            ivf.centroids.astype("<f4").tobytes(),
+            sized(np.cumsum([0] + [c.size for c in cells]).astype("<u8")),
+            sized(np.concatenate(cells).astype("<u4")),
         ),
     }
 
 
-@pytest.mark.parametrize("sample", [1, 99, -1, 0], ids=["1", "99", "rows_less_1", "rows"])
-def test_overflowing_reservoir_gives_the_bytes_of_a_row_reservoir(tmp_path, sample):
-    # The build samples row ids and draws the replacements of a paragraph in
-    # one call; its sections must equal those of a reservoir of rows.
+@pytest.mark.parametrize("chunk", [1, 99, -1, 0], ids=["1", "99", "rows_less_1", "rows"])
+def test_quantized_sections_are_the_bytes_of_a_fit_on_every_row(tmp_path, monkeypatch, chunk):
+    # The build fits each side from the per-dimension least and greatest
+    # values it keeps as it spills the rows, quantizes the spill read back a
+    # chunk of rows at a time, and writes the IVF's cells as kmeans_train
+    # returns them; whatever the chunk, its sections must equal those of a
+    # fit on every row and of cells gathered one at a time.
     corpus = make_random_corpus(np.random.default_rng(18), n_docs=24)
     rows = corpus.total_tokens()
     assert rows > _TRAIN_PER_CELL * 4  # the Lloyd sample is drawn, too
-    config = BuildConfig(max_span=3, seed=5, quant_sample_size=sample % rows or rows, ivf_clusters=4)
+    monkeypatch.setattr("phraseindex.index._SPILL_CHUNK", chunk % rows or rows)
+    config = BuildConfig(max_span=3, seed=5, ivf_clusters=4)
     encoder = ToyEncoder(SMALL_CONFIG, seed=2)
     build_index(corpus, encoder, fit_tfidf(corpus), None, tmp_path / "idx", config)
     for name, want in _reference_quantized_sections(corpus, encoder, config).items():
@@ -828,8 +905,7 @@ def test_sparse_sections_are_the_bytes_of_a_vector_per_document_and_paragraph(tm
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_span", 0), ("max_span", True), ("quant_sample_size", 0), ("quant_sample_size", 2.0),
-    ("ivf_clusters", 0), ("ivf_clusters", False), ("seed", -1), ("seed", True),
+    ("max_span", 0), ("max_span", True), ("ivf_clusters", 0), ("ivf_clusters", False), ("seed", -1), ("seed", True),
 ])
 def test_build_config_refuses_bad_counts(field, value):
     with pytest.raises(ValueError, match=field):

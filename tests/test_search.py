@@ -71,15 +71,20 @@ def spans_and_scores(output):
     return [(r.span, round(r.score, 9)) for r in output.results]
 
 
+def cell_lists(ivf):
+    """Each cell's start rows, read from the IVF's CSR pair."""
+    return [ivf.rows[a:b] for a, b in zip(ivf.offsets[:-1], ivf.offsets[1:])]
+
+
 class TestKmeans:
     def test_each_row_its_own_centroid(self):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(7, 4))
         ivf = kmeans_train(rows, 7, seed=1)
-        assigned = np.concatenate(ivf.lists)
+        assigned = np.concatenate(cell_lists(ivf))
         assert sorted(assigned.tolist()) == list(range(7))
         inertia = 0.0
-        for c, members in enumerate(ivf.lists):
+        for c, members in enumerate(cell_lists(ivf)):
             for r in members:
                 inertia += float(((rows[r] - ivf.centroids[c]) ** 2).sum())
         assert inertia == pytest.approx(0.0, abs=1e-12)
@@ -90,7 +95,7 @@ class TestKmeans:
         blob_b = rng.normal(size=(30, 3)) - np.array([10.0, 0, 0])
         rows = np.vstack([blob_a, blob_b])
         ivf = kmeans_train(rows, 2, seed=2)
-        groups = [set(lst.tolist()) for lst in ivf.lists]
+        groups = [set(lst.tolist()) for lst in cell_lists(ivf)]
         assert {frozenset(range(30)), frozenset(range(30, 60))} == {
             frozenset(g) for g in groups
         }
@@ -101,7 +106,7 @@ class TestKmeans:
         a = kmeans_train(rows, 5, seed=9)
         b = kmeans_train(rows, 5, seed=9)
         np.testing.assert_array_equal(a.centroids, b.centroids)
-        for la, lb in zip(a.lists, b.lists):
+        for la, lb in zip(cell_lists(a), cell_lists(b)):
             np.testing.assert_array_equal(la, lb)
 
     def test_rejects_too_many_clusters(self):
@@ -112,7 +117,7 @@ class TestKmeans:
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(40, 3))
         ivf = kmeans_train(rows, 6, seed=0)
-        assigned = np.concatenate(ivf.lists)
+        assigned = np.concatenate(cell_lists(ivf))
         assert sorted(assigned.tolist()) == list(range(40))
 
     def test_blocked_assign_equals_one_matrix(self):
@@ -181,8 +186,8 @@ class TestKmeans:
         rows = np.vstack([rng.normal(size=(1500, 4)), np.zeros((3, 4))])  # a few duplicate rows
         ivf = kmeans_train(rows, 40, seed=3)
         assign = _assign(rows, ivf.centroids)
-        assert len(ivf.lists) == 40
-        for c, members in enumerate(ivf.lists):
+        assert len(cell_lists(ivf)) == 40
+        for c, members in enumerate(cell_lists(ivf)):
             assert members.dtype == np.int64
             assert np.array_equal(members, np.flatnonzero(assign == c))
 
@@ -227,11 +232,11 @@ class TestKmeans:
             assert count <= search_module._TRAIN_PER_CELL * k
             assert dtype == np.float32
         assert seen[-1] == (n, np.float64)
-        assert sorted(np.concatenate(a.lists).tolist()) == list(range(n))
+        assert sorted(np.concatenate(cell_lists(a)).tolist()) == list(range(n))
 
         b = kmeans_train(rows, k, seed=4)
         np.testing.assert_array_equal(a.centroids, b.centroids)
-        for la, lb in zip(a.lists, b.lists):
+        for la, lb in zip(cell_lists(a), cell_lists(b)):
             np.testing.assert_array_equal(la, lb)
 
     @pytest.mark.parametrize("k", [3, 7], ids=["sampled", "one_cell_per_row"])
@@ -248,8 +253,8 @@ class TestKmeans:
         got = kmeans_train(codes, k, seed=6, quant=quant)
         want = kmeans_train(dequantize(codes, quant), k, seed=6)
         assert np.array_equal(got.centroids, want.centroids)
-        assert len(got.lists) == len(want.lists) == k
-        for lg, lw in zip(got.lists, want.lists):
+        assert len(cell_lists(got)) == len(cell_lists(want)) == k
+        for lg, lw in zip(cell_lists(got), cell_lists(want)):
             assert np.array_equal(lg, lw)
 
 
@@ -1033,7 +1038,7 @@ def test_bound_keeps_the_brute_force_top_k(case, block, request, monkeypatch):
         # Full budgets: SFS scores every record of its documents, and DFS every record.
         cfg = replace(SearchConfig(strategy=strategy, top_k=10, sparse_top_docs=index.n_docs,
                                    dense_top_starts=index.n_start_rows,
-                                   nprobe=len(index.ivf.lists)), **changes)
+                                   nprobe=index.ivf.centroids.shape[0]), **changes)
         out = run_search(index, query, cfg)
         want = _brute_force(index, query, cfg, out.visited_doc_ordinals)
         assert [(r.span, r.score) for r in out.results] == want, (case, strategy)

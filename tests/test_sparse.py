@@ -370,7 +370,7 @@ def test_a_build_hashes_each_ngram_occurrence_once_per_pass(tmp_path, monkeypatc
     tfidf = fit_tfidf(corpus)
     assert len(calls) == occurrences
     build_index(corpus, ToyEncoder(SMALL_CONFIG), tfidf, None, tmp_path / "idx",
-                BuildConfig(max_span=3, build_ivf=False))
+                BuildConfig(max_span=3))
     assert len(calls) == 2 * occurrences
     # The counts match hashing each document afresh, bigrams kept inside paragraphs.
     for doc in corpus:
@@ -400,6 +400,8 @@ def test_build_memory_does_not_grow_by_a_token_object_per_token(tmp_path):
     # the tf-idf table stops growing. What the build holds per token (masks,
     # codes, the documents' sparse vectors) reads ~77 B; keeping every
     # paragraph's Tokens and n-gram counts for the whole build read ~330 B.
+    # Four IVF cells cap the k-means sample at 256 rows whatever the token
+    # count; at the default cell count it would be every row of both builds.
     import tracemalloc
 
     from conftest import SMALL_CONFIG, make_random_corpus
@@ -414,7 +416,7 @@ def test_build_memory_does_not_grow_by_a_token_object_per_token(tmp_path):
         tracemalloc.start()
         try:
             build_index(corpus, encoder, fit_tfidf(corpus), None, tmp_path / run,
-                        BuildConfig(build_ivf=False))
+                        BuildConfig(ivf_clusters=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
