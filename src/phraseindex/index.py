@@ -7,11 +7,20 @@ corpus.jsonl. Every binary section is little-endian and begins with a magic
 + tag + version header; the manifest records a checksum for each file and
 lists exactly these sections.
 
-phrases.bin holds, after its header, (n_paragraphs, n_tokens) as two u64,
-the PARA_DTYPE paragraph table, then the start and the end survival masks,
-each as np.packbits of one bit per token over the whole corpus in token
-order. Nothing per start or per phrase is stored: PhraseIndex derives the
-phrase table from the masks at open.
+Every list of ids is stored with one codec pair. A narrow array is its byte
+count as a u64, its width as one byte in {1, 2, 4, 8}, then the values as
+little-endian unsigned integers of the least width that holds the largest.
+A list set is the list lengths as a narrow array, then every list's
+ascending values as narrow d-gaps: each list's first value as is, every
+later one less the value before it. Float arrays are stored raw, their
+counts given by what precedes them.
+
+phrases.bin holds, after its header, each paragraph's document ordinal and
+its token count as two narrow arrays, then the start and the end survival
+masks, each as np.packbits of one bit per token over the whole corpus in
+token order. Nothing per start or per phrase is stored: PhraseIndex derives
+the rest of the paragraph table (PARA_DTYPE) and the phrase table from
+these at open.
 
 coherency.bin holds, after its header, (n_start_rows, n_end_rows) as two
 u64, coherency_dim as a u32 and the least and greatest phrase coherency as
@@ -23,20 +32,20 @@ and its end's tail, computed when it is scored. The two matrices cost
 stored scalar, so they are smaller when there are more than 2 *
 coherency_dim phrases per token: at keep-all, about max_span of them.
 
-sparse_docs.bin holds only what postings.bin cannot give. After its header:
-the bins whose idf is 0, which have no postings, and their dfs, as two sized
-u32 arrays; a sized float32 array of 1 / ||doc + para|| per paragraph (0 for
-an empty sum); and each paragraph's own tf-idf vector as a sparse list (count,
-u64 offsets, u32 bins, float32 weights), empty for a document's only
+postings.bin holds, after its header, the posting bins as a list set of one
+list, each bin's document ordinals as a list set, and their float32
+weights. sparse_docs.bin holds only what postings.bin cannot give. After its
+header: the bins whose idf is 0, which have no postings, as a list set of
+one list, and their dfs as a narrow array; a float32 1 / ||doc + para|| per
+paragraph (0 for an empty sum); and each paragraph's own tf-idf vector, its
+bins as a list set and its float32 weights, empty for a document's only
 paragraph, whose paragraph vector is its document vector. The document
 vectors are the transpose of postings.bin, and every other bin's df is the
 length of its posting list, so the tf-idf model is derived at open. A
 paragraph's combined vector is (doc + para) * inv_norm.
 
 ivf.bin holds, after its header, the cell count and the width as two u32,
-the float32 centroids, then the cells as one CSR pair: a sized u8 array of
-cell offsets, one more than the cells, and a sized u4 array of every start
-row once, grouped by cell and ascending within a cell.
+the float32 centroids, then each cell's ascending start rows as a list set.
 """
 
 from __future__ import annotations
@@ -75,9 +84,10 @@ from .sparse import (
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
+_WIDTHS = (1, 2, 4, 8)  # the byte widths of a narrow array
 _COHERENCY_HEAD = struct.Struct("<QQIff")  # head rows, tail rows, width, least, greatest
 
 SECTIONS = frozenset({
@@ -188,24 +198,78 @@ def _write_header(fh, tag: bytes) -> None:
     fh.write(MAGIC + tag + struct.pack("<I", FORMAT_VERSION))
 
 
-def _check_header(fh, tag: bytes, name: str) -> None:
-    head = fh.read(_HEADER_LEN)
-    if len(head) < _HEADER_LEN or head[:4] != MAGIC or head[4:8] != tag:
-        raise ValueError(f"section {name}: bad magic or tag")
-    (version,) = struct.unpack("<I", head[8:])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"section {name}: version mismatch ({version})")
+def _write_narrow(fh, values: np.ndarray) -> None:
+    """values as a narrow array, at the least width that holds the largest."""
+    top = int(np.max(values, initial=0))
+    width = next(w for w in _WIDTHS if top >> 8 * w == 0)
+    raw = np.asarray(values).astype(f"<u{width}").tobytes()
+    fh.write(struct.pack("<QB", len(raw), width) + raw)
 
 
-def _write_sized(fh, arr: np.ndarray) -> None:
-    raw = np.ascontiguousarray(arr).tobytes()
-    fh.write(struct.pack("<Q", len(raw)))
-    fh.write(raw)
+def _write_lists(fh, offsets: np.ndarray, values: np.ndarray) -> None:
+    """The CSR pair of ascending lists, list i being values[offsets[i]:
+    offsets[i + 1]], as a list set: the lengths, then the d-gaps."""
+    lengths = np.diff(offsets)
+    heads = offsets[:-1][lengths > 0]
+    gaps = np.diff(values, prepend=0)
+    gaps[heads] = values[heads]
+    _write_narrow(fh, lengths)
+    _write_narrow(fh, gaps)
 
 
-def _read_sized(fh, dtype) -> np.ndarray:
-    (nbytes,) = struct.unpack("<Q", fh.read(8))
-    return np.frombuffer(fh.read(nbytes), dtype=dtype)
+class _SectionReader:
+    """A section's bytes after its checked header, read front to back. Every
+    read checks that the bytes are there, so a section cut short is refused
+    by name, and done() refuses bytes past the last read. A limit reads only
+    that many bytes past the header."""
+
+    def __init__(self, path: Path, tag: bytes, limit: int = -1):
+        self.name, self.at = path.name, _HEADER_LEN
+        with open(path, "rb") as fh:
+            self.data = fh.read(_HEADER_LEN + limit if limit >= 0 else -1)
+        if len(self.data) < _HEADER_LEN or self.data[:8] != MAGIC + tag:
+            raise ValueError(f"section {self.name}: bad magic or tag")
+        (version,) = struct.unpack("<I", self.data[8:_HEADER_LEN])
+        if version != FORMAT_VERSION:
+            raise ValueError(f"section {self.name}: version mismatch ({version})")
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.data) - self.at:
+            raise ValueError(f"section {self.name}: truncated at byte {self.at}")
+        self.at += n
+        return memoryview(self.data)[self.at - n : self.at]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)
+
+    def narrow(self) -> np.ndarray:
+        """A narrow array, as int64."""
+        nbytes, width = self.unpack("<QB")
+        if width not in _WIDTHS or nbytes % width:
+            raise ValueError(f"section {self.name}: {nbytes} bytes of {width}-byte values")
+        return self.array(f"<u{width}", nbytes // width).astype(np.int64)
+
+    def lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """A list set, as int64 CSR arrays (offsets, values)."""
+        lengths, gaps = self.narrow(), self.narrow()
+        offsets = np.append(0, np.cumsum(lengths))
+        if offsets[-1] != gaps.size:
+            raise ValueError(
+                f"section {self.name}: list lengths add up to {offsets[-1]}, not {gaps.size}"
+            )
+        # One running sum over all gaps, less its value before each list's head.
+        values = np.cumsum(gaps)
+        full = lengths > 0
+        heads = offsets[:-1][full]
+        values -= np.repeat(values[heads] - gaps[heads], lengths[full])
+        return offsets, values
+
+    def done(self) -> None:
+        if self.at != len(self.data):
+            raise ValueError(f"section {self.name}: {len(self.data) - self.at} bytes past its end")
 
 
 def _sha256(path: Path) -> str:
@@ -214,27 +278,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_sparse_list(fh, vectors: SparseRows) -> None:
-    fh.write(struct.pack("<Q", len(vectors)))
-    _write_sized(fh, vectors.offsets.astype("<u8"))
-    _write_sized(fh, vectors.bins.astype("<u4"))
-    _write_sized(fh, vectors.weights.astype("<f4"))
-
-
-def _write_postings(fh, inv: InvertedIndex) -> None:
-    """The posting lists' CSR arrays: bins, offsets, doc deltas and weights. A
-    bin's first delta is its first doc ordinal, so decoding restarts at each bin."""
-    p = inv.postings
-    deltas = np.diff(p.docs, prepend=0)
-    heads = p.offsets[:-1]
-    deltas[heads] = p.docs[heads]
-    fh.write(struct.pack("<Q", p.bins.size))
-    _write_sized(fh, p.bins.astype("<u4"))
-    _write_sized(fh, p.offsets.astype("<u8"))
-    _write_sized(fh, deltas.astype("<u4"))
-    _write_sized(fh, p.weights.astype("<f4"))
 
 
 def _check_bins(bins: np.ndarray, offsets: np.ndarray, name: str) -> None:
@@ -246,17 +289,6 @@ def _check_bins(bins: np.ndarray, offsets: np.ndarray, name: str) -> None:
         raise ValueError(
             f"section {name}: n-gram bins must ascend within each vector and stay below {NGRAM_BINS}"
         )
-
-
-def _read_sparse_csr(fh, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A written sparse-vector list as CSR arrays (offsets, bins, weights):
-    vector i holds entries offsets[i]:offsets[i + 1]."""
-    fh.read(8)  # vector count, implied by the offsets
-    offsets = _read_sized(fh, "<u8").astype(np.int64)
-    bins = _read_sized(fh, "<u4").astype(np.int64)
-    weights = _read_sized(fh, "<f4").astype(np.float64)
-    _check_bins(bins, offsets, name)
-    return offsets, bins, weights
 
 
 def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, int]:
@@ -363,17 +395,17 @@ def _encoder_section_bytes(encoder: Encoder) -> bytes:
 
 
 def _load_encoder_section(path: Path) -> tuple[EncoderConfig, ToyEncoder | None]:
-    with open(path, "rb") as fh:
-        _check_header(fh, b"ENCD", "encoder.bin")
-        kind, dim, bdim, cdim = struct.unpack("<IIII", fh.read(16))
-        config = EncoderConfig(dim=dim, boundary_dim=bdim, coherency_dim=cdim)
-        if kind == 1:
-            return config, None
-        seed, n_features, window = struct.unpack("<QII", fh.read(16))
-        linear = np.frombuffer(fh.read(dim * dim * 8), dtype="<f8").reshape(dim, dim)
-        encoder = ToyEncoder(config, seed=seed, n_features=n_features, window=window)
-        encoder.linear = linear.copy()
-        return config, encoder
+    section = _SectionReader(path, b"ENCD")
+    kind, dim, bdim, cdim = section.unpack("<IIII")
+    config = EncoderConfig(dim=dim, boundary_dim=bdim, coherency_dim=cdim)
+    if kind == 1:
+        section.done()
+        return config, None
+    seed, n_features, window = section.unpack("<QII")
+    encoder = ToyEncoder(config, seed=seed, n_features=n_features, window=window)
+    encoder.linear = section.array("<f8", dim * dim).reshape(dim, dim).astype(np.float64)
+    section.done()
+    return config, encoder
 
 
 def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
@@ -396,17 +428,21 @@ def _write_sparse_sections(
 ) -> None:
     """postings.bin from the document vectors, then sparse_docs.bin."""
     inverted = build_inverted_index(doc_vecs)
+    p = inverted.postings
     with open(out / "postings.bin", "wb") as fh:
         _write_header(fh, b"PSTG")
-        _write_postings(fh, inverted)
+        _write_lists(fh, np.array([0, p.bins.size]), p.bins)
+        _write_lists(fh, p.offsets, p.docs)
+        fh.write(p.weights.astype("<f4").tobytes())
     idf_zero = _idf_zero_doc_freq(tfidf, inverted)
+    zero_bins = np.array(sorted(idf_zero), dtype=np.int64)
     with open(out / "sparse_docs.bin", "wb") as fh:
         _write_header(fh, b"SPRS")
-        zero_bins = sorted(idf_zero)
-        _write_sized(fh, np.array(zero_bins, dtype="<u4"))
-        _write_sized(fh, np.array([idf_zero[b] for b in zero_bins], dtype="<u4"))
-        _write_sized(fh, np.array(inv_norms, dtype="<f4"))
-        _write_sparse_list(fh, own_vectors)
+        _write_lists(fh, np.array([0, zero_bins.size]), zero_bins)
+        _write_narrow(fh, np.array([idf_zero[b] for b in zero_bins.tolist()], dtype=np.int64))
+        fh.write(np.array(inv_norms, dtype="<f4").tobytes())
+        _write_lists(fh, own_vectors.offsets, own_vectors.bins)
+        fh.write(own_vectors.weights.astype("<f4").tobytes())
 
 
 def _fsync_tree(path: Path) -> None:
@@ -448,11 +484,12 @@ def build_index(
     Each side's params are fitted on every row from those two, and its
     codes quantized reading its spill once, a bounded chunk at a time. The
     IVF is always built: k-means works from the start codes, and ivf.bin
-    stores the cells' CSR pair as kmeans_train returns it. So no float
+    stores the cells kmeans_train returns as a list set. So no float
     array of every row and no object per token is held, and what a written
     section needed is dropped before k-means.
-    phrases.bin stores the paragraph table and the two masks, bit-packed; the
-    phrases themselves are derived at open.
+    phrases.bin stores each paragraph's document and token count and the two
+    masks, bit-packed; the rest of the paragraph table and the phrases
+    themselves are derived at open.
     The build is atomic: everything lands in a fresh temp directory beside
     out_dir, which is fsynced and renamed at the end and removed if the build
     fails, so a partial build is never visible and never blocks the next one.
@@ -493,7 +530,7 @@ def _build(
     start_rows = _Spill(spill(), cfg.boundary_dim)  # surviving start/end columns
     end_rows = _Spill(spill(), cfg.boundary_dim)
     heads, tails = spill(), spill()  # float32 coherency heads of start rows, tails of end rows
-    para_rows: list[tuple] = []
+    para_rows: list[tuple[int, int]] = []  # (document ordinal, token count) per paragraph
     start_masks: list[np.ndarray] = []
     end_masks: list[np.ndarray] = []
     coh_lo, coh_hi = np.float32(np.inf), np.float32(-np.inf)
@@ -514,8 +551,7 @@ def _build(
                 raise ValueError(f"encoder returned {H.n_tokens} rows for {len(tokens)} tokens")
             smask, emask = apply_filter(H, filter_model)
             ii, jj = _phrase_table(smask, emask, config.max_span)
-            n_starts = int(smask.sum())
-            para_rows.append((ord_, pidx, start_rows.rows, n_starts, len(tokens)))
+            para_rows.append((ord_, len(tokens)))
             start_rows.append(H.start_cols[smask])
             end_rows.append(H.end_cols[emask])
 
@@ -579,8 +615,8 @@ def _build(
                 shutil.copyfileobj(spilled, fh)
         with open(tmp / "phrases.bin", "wb") as fh:
             _write_header(fh, b"PHRS")
-            fh.write(struct.pack("<QQ", len(para_rows), n_tokens))
-            fh.write(np.array(para_rows, dtype=PARA_DTYPE).tobytes())
+            for column in np.array(para_rows, dtype=np.int64).T:
+                _write_narrow(fh, column)
             fh.write(np.packbits(np.concatenate(start_masks)).tobytes())
             fh.write(np.packbits(np.concatenate(end_masks)).tobytes())
         n_paragraphs = len(para_rows)
@@ -607,8 +643,7 @@ def _build(
             _write_header(fh, b"IVFC")
             fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
             fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
-            _write_sized(fh, ivf.offsets.astype("<u8"))
-            _write_sized(fh, ivf.rows.astype("<u4"))
+            _write_lists(fh, ivf.offsets, ivf.rows)
         with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
             corpus.write_jsonl(fh)
 
@@ -663,8 +698,8 @@ class PhraseIndex:
     Small sections are parsed once at load. Any number of concurrent readers
     may share a directory; each handle is independent.
 
-    The phrase table is derived at open from the paragraph table and the two
-    survival masks. Start record r is the r-th surviving start token and
+    The paragraph table and the phrase table are derived at open from each
+    paragraph's document and token count and the two survival masks. Start record r is the r-th surviving start token and
     owns start row r; end row e is the e-th surviving end token. For a start
     record at global token g, in a paragraph of n tokens beginning at global
     token B, with end_rank[g] the number of surviving end tokens before g:
@@ -711,85 +746,68 @@ class PhraseIndex:
         self.max_span: int = self.manifest["max_span"]
         self.config, self.encoder = _load_encoder_section(self.path / "encoder.bin")
         self.corpus = load_corpus(self.path / "corpus.jsonl")
+        if self.corpus.n_docs != counts["docs"]:
+            raise ValueError(
+                f"section corpus.jsonl: {self.corpus.n_docs} documents, not {counts['docs']}"
+            )
 
         self.start_codes = self._map_code_matrix("starts.bin", b"STRT")
         self.end_codes = self._map_code_matrix("ends.bin", b"ENDS")
-        with open(self.path / "quant.bin", "rb") as fh:
-            _check_header(fh, b"QNTZ", "quant.bin")
-            (dim,) = struct.unpack("<I", fh.read(4))
-            arrs = [np.frombuffer(fh.read(dim * 8), dtype="<f8").astype(np.float64) for _ in range(4)]
+        section = _SectionReader(self.path / "quant.bin", b"QNTZ")
+        (dim,) = section.unpack("<I")
+        arrs = [section.array("<f8", dim).astype(np.float64) for _ in range(4)]
+        section.done()
         self.start_quant = QuantizationParams(arrs[0], arrs[1])
         self.end_quant = QuantizationParams(arrs[2], arrs[3])
 
-        with open(self.path / "phrases.bin", "rb") as fh:
-            _check_header(fh, b"PHRS", "phrases.bin")
-            head = fh.read(16)
-            body = fh.read()
-        if len(head) < 16:
-            raise ValueError("section phrases.bin: truncated")
-        n_para, n_tokens = struct.unpack("<QQ", head)
-        table_bytes = n_para * PARA_DTYPE.itemsize
-        mask_bytes = -(-n_tokens // 8)
-        if len(body) != table_bytes + 2 * mask_bytes:
-            raise ValueError(
-                f"section phrases.bin: {len(body)} bytes after the counts, expected "
-                f"{table_bytes + 2 * mask_bytes} for {n_para} paragraphs and {n_tokens} tokens"
-            )
-        self.para_table = np.frombuffer(body, dtype=PARA_DTYPE, count=n_para)
-        # unpackbits pads a short buffer with zeros, hence the exact size check above.
-        masks = np.frombuffer(body, np.uint8, 2 * mask_bytes, table_bytes)
-        start_mask = np.unpackbits(masks[:mask_bytes], count=n_tokens)
-        end_mask = np.unpackbits(masks[mask_bytes:], count=n_tokens)
-        self._derive_phrase_table(start_mask, end_mask)
+        section = _SectionReader(self.path / "phrases.bin", b"PHRS")
+        para_doc, para_len = section.narrow(), section.narrow()
+        n = counts["tokens"]
+        masks = [np.unpackbits(section.array("u1", -(-n // 8)), count=n) for _ in range(2)]
+        section.done()
+        self._derive_phrase_table(para_doc, para_len, *masks)
         self._map_coherency()
 
-        with open(self.path / "postings.bin", "rb") as fh:
-            _check_header(fh, b"PSTG", "postings.bin")
-            fh.read(8)  # bin count, implied by the offsets
-            bins = _read_sized(fh, "<u4")
-            offsets = _read_sized(fh, "<u8")
-            deltas = _read_sized(fh, "<u4")
-            weights = _read_sized(fh, "<f4")
+        section = _SectionReader(self.path / "postings.bin", b"PSTG")
+        _, bins = section.lists()
+        offsets, docs = section.lists()
+        weights = section.array("<f4", docs.size).astype(np.float64)
+        section.done()
         _check_bins(bins, np.array([0, bins.size]), "postings.bin")
-        # One running sum over all deltas, less its value before each bin's head.
-        docs = np.cumsum(deltas, dtype=np.int64)
-        offsets = offsets.astype(np.int64)
-        heads = offsets[:-1]
-        docs -= np.repeat(docs[heads] - deltas[heads], np.diff(offsets))
-        postings = PostingLists(bins.astype(np.int64), offsets, docs, weights.astype(np.float64))
-        self.postings = InvertedIndex(counts["docs"], postings)
+        if offsets.size != bins.size + 1:
+            raise ValueError("section postings.bin: the bins need one posting list each")
+        self.postings = InvertedIndex(counts["docs"], PostingLists(bins, offsets, docs, weights))
         self._read_sparse_docs()
 
-        with open(self.path / "filter.bin", "rb") as fh:
-            _check_header(fh, b"FLTR", "filter.bin")
-            dim, threshold = struct.unpack("<Id", fh.read(12))
-            sw = np.frombuffer(fh.read(dim * 8), dtype="<f8").astype(np.float64)
-            (sb,) = struct.unpack("<d", fh.read(8))
-            ew = np.frombuffer(fh.read(dim * 8), dtype="<f8").astype(np.float64)
-            (eb,) = struct.unpack("<d", fh.read(8))
+        section = _SectionReader(self.path / "filter.bin", b"FLTR")
+        dim, threshold = section.unpack("<Id")
+        sw = section.array("<f8", dim).astype(np.float64)
+        (sb,) = section.unpack("<d")
+        ew = section.array("<f8", dim).astype(np.float64)
+        (eb,) = section.unpack("<d")
+        section.done()
         self.filter_model = FilterModel(sw, sb, ew, eb, threshold)
 
         self.ivf = self._read_ivf()
 
-    def _derive_phrase_table(self, start_mask: np.ndarray, end_mask: np.ndarray) -> None:
-        """Per-record and per-end-row arrays from the paragraph table and the
-        two survival masks, in O(tokens), checked against the other sections."""
+    def _derive_phrase_table(
+        self, doc: np.ndarray, para_len: np.ndarray, start_mask: np.ndarray, end_mask: np.ndarray
+    ) -> None:
+        """The paragraph table, and the per-record and per-end-row arrays,
+        from each paragraph's document and token count and the two survival
+        masks, in O(tokens), checked against the other sections."""
 
         def bad(what: str) -> ValueError:
             return ValueError(f"section phrases.bin: {what}")
 
-        table, n_docs = self.para_table, self.n_docs
-        doc = self.para_doc = table["doc"].astype(np.int64)
-        para_len = table["n_tokens"].astype(np.int64)
+        self.para_doc = doc
         para_stop = np.cumsum(para_len)
         para_base = para_stop - para_len
-        self.doc_para_begin = np.searchsorted(doc, np.arange(n_docs + 1))
-        if (
-            (np.diff(doc) < 0).any()
-            or self.doc_para_begin[-1] != doc.size
-            or not np.array_equal(table["para"], np.arange(doc.size) - self.doc_para_begin[doc])
-        ):
-            raise bad("paragraph table is not in (doc, para) order")
+        self.doc_para_begin = np.searchsorted(doc, np.arange(self.n_docs + 1))
+        if doc.size != para_len.size:
+            raise bad(f"{doc.size} paragraph documents but {para_len.size} token counts")
+        if (np.diff(doc) < 0).any() or self.doc_para_begin[-1] != doc.size:
+            raise bad("paragraph table is not in document order")
         if int(para_len.sum()) != start_mask.size:
             raise bad("paragraph lengths do not add up to the token count")
         if int(start_mask.sum()) != self.n_start_rows or int(end_mask.sum()) != self.n_end_rows:
@@ -799,11 +817,9 @@ class PhraseIndex:
         self.rec_para = np.searchsorted(para_stop, starts, side="right")
         n_recs = np.bincount(self.rec_para, minlength=doc.size)
         rec_stop = np.cumsum(n_recs)
-        if not (
-            np.array_equal(table["n_recs"], n_recs)
-            and np.array_equal(table["rec_begin"], rec_stop - n_recs)
-        ):
-            raise bad("paragraph table's records disagree with the start mask")
+        table = self.para_table = np.empty(doc.size, PARA_DTYPE)
+        table["doc"], table["para"] = doc, np.arange(doc.size) - self.doc_para_begin[doc]
+        table["rec_begin"], table["n_recs"], table["n_tokens"] = rec_stop - n_recs, n_recs, para_len
         self.rec_tok = starts - para_base[self.rec_para]
         end_rank = np.zeros(end_mask.size + 1, dtype=np.int64)
         np.cumsum(end_mask, out=end_rank[1:])
@@ -818,23 +834,22 @@ class PhraseIndex:
         """The paragraph-only vectors and 1 / ||doc + paragraph|| of every
         paragraph, and the tf-idf model: the df of a bin is the length of its
         posting list, or its entry in the list of idf-0 bins."""
-        with open(self.path / "sparse_docs.bin", "rb") as fh:
-            _check_header(fh, b"SPRS", "sparse_docs.bin")
-            zero_bins = _read_sized(fh, "<u4").astype(np.int64)
-            zero_counts = _read_sized(fh, "<u4")
-            inv_norm = _read_sized(fh, "<f4")
-            self.own_offsets, self.own_bins, self.own_weights = _read_sparse_csr(
-                fh, "sparse_docs.bin"
-            )
         n_para = len(self.para_table)
+        section = _SectionReader(self.path / "sparse_docs.bin", b"SPRS")
+        _, zero_bins = section.lists()
+        zero_counts = section.narrow()
+        self.para_inv_norm = section.array("<f4", n_para).astype(np.float64)
+        self.own_offsets, self.own_bins = section.lists()
+        self.own_weights = section.array("<f4", self.own_bins.size).astype(np.float64)
+        section.done()
+        _check_bins(self.own_bins, self.own_offsets, "sparse_docs.bin")
         self.para_sole = (np.diff(self.doc_para_begin) == 1)[self.para_doc]
-        if inv_norm.size != n_para or self.own_offsets.size != n_para + 1:
+        if self.own_offsets.size != n_para + 1:
             raise ValueError(f"section sparse_docs.bin: expected {n_para} paragraphs")
         if np.diff(self.own_offsets)[self.para_sole].any():
             raise ValueError(
                 "section sparse_docs.bin: a document's only paragraph has a vector of its own"
             )
-        self.para_inv_norm = inv_norm.astype(np.float64)
         _check_bins(zero_bins, np.array([0, zero_bins.size]), "sparse_docs.bin")
         postings = self.postings.postings
         doc_freq = dict(zip(map(int, postings.bins), map(int, np.diff(postings.offsets))))
@@ -847,49 +862,32 @@ class PhraseIndex:
 
     def _read_ivf(self) -> IvfIndex:
         """ivf.bin's centroids and cells, after checking that the centroids
-        are boundary_dim wide, that the n_clusters + 1 offsets run from 0 to
-        the end of the rows without decreasing, and that each start row is in
-        exactly one cell."""
-        with open(self.path / "ivf.bin", "rb") as fh:
-            _check_header(fh, b"IVFC", "ivf.bin")
-            n_clusters, dim = struct.unpack("<II", fh.read(8))
-            if dim != self.config.boundary_dim:
-                raise ValueError(
-                    f"section ivf.bin: centroids {dim} wide, "
-                    f"boundary_dim is {self.config.boundary_dim}"
-                )
-            centroids = np.frombuffer(fh.read(n_clusters * dim * 4), dtype="<f4")
-            offsets = _read_sized(fh, "<u8")
-            rows = _read_sized(fh, "<u4")
-        n = self.n_start_rows
-        if (
-            offsets.size != n_clusters + 1
-            or offsets[0] != 0
-            or (offsets[1:] < offsets[:-1]).any()
-            or offsets[-1] != rows.size
-            or not np.array_equal(np.sort(rows), np.arange(n))
-        ):
+        are boundary_dim wide, that there are n_clusters cells, and that each
+        start row is in exactly one cell."""
+        section = _SectionReader(self.path / "ivf.bin", b"IVFC")
+        n_clusters, dim = section.unpack("<II")
+        if dim != self.config.boundary_dim:
             raise ValueError(
-                f"section ivf.bin: the {n_clusters} cells' offsets must run from 0 to the "
-                f"end of their rows without decreasing, and hold each of the {n} start rows once"
+                f"section ivf.bin: centroids {dim} wide, boundary_dim is {self.config.boundary_dim}"
             )
-        return IvfIndex(
-            centroids=centroids.reshape(n_clusters, dim).astype(np.float64),
-            offsets=offsets.astype(np.int64),
-            rows=rows.astype(np.int64),
-        )
+        centroids = section.array("<f4", n_clusters * dim).reshape(n_clusters, dim)
+        offsets, rows = section.lists()
+        section.done()
+        n = self.n_start_rows
+        if offsets.size != n_clusters + 1 or not np.array_equal(np.sort(rows), np.arange(n)):
+            raise ValueError(
+                f"section ivf.bin: {offsets.size - 1} cells of {rows.size} rows, expected "
+                f"{n_clusters} cells holding each of the {n} start rows once"
+            )
+        return IvfIndex(centroids=centroids.astype(np.float64), offsets=offsets, rows=rows)
 
     def _map_coherency(self) -> None:
         """Map the coherency heads and tails after checking that coherency.bin
         holds one row per start row and per end row, coherency_dim wide, and
         nothing else; read the coherency range from its header."""
         path = self.path / "coherency.bin"
-        with open(path, "rb") as fh:
-            _check_header(fh, b"COHR", "coherency.bin")
-            head = fh.read(_COHERENCY_HEAD.size)
-        if len(head) < _COHERENCY_HEAD.size:
-            raise ValueError("section coherency.bin: truncated header")
-        n_heads, n_tails, width, lo, hi = _COHERENCY_HEAD.unpack(head)
+        header = _SectionReader(path, b"COHR", _COHERENCY_HEAD.size)
+        n_heads, n_tails, width, lo, hi = header.unpack(_COHERENCY_HEAD.format)
         if (n_heads, n_tails) != (self.n_start_rows, self.n_end_rows):
             raise ValueError(
                 f"section coherency.bin: {n_heads} head and {n_tails} tail rows for "
@@ -913,13 +911,14 @@ class PhraseIndex:
         self.coherency_range = (float(lo), float(hi))
 
     def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
-        with open(self.path / name, "rb") as fh:
-            _check_header(fh, tag, name)
-            n_rows, dim = struct.unpack("<QI", fh.read(12))
-            offset = fh.tell()
-        return np.memmap(
-            self.path / name, dtype=np.int8, mode="r", offset=offset, shape=(n_rows, dim)
-        )
+        path = self.path / name
+        n_rows, dim = _SectionReader(path, tag, 12).unpack("<QI")
+        offset = _HEADER_LEN + 12
+        if path.stat().st_size != offset + n_rows * dim:
+            raise ValueError(
+                f"section {name}: {path.stat().st_size} bytes, expected {offset + n_rows * dim}"
+            )
+        return np.memmap(path, dtype=np.int8, mode="r", offset=offset, shape=(n_rows, dim))
 
     # -- accessors ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line entry points."""
 
+import hashlib
 import json
 import math
 import os
@@ -209,6 +210,24 @@ def test_query_of_a_missing_index_is_one_line_and_exit_status_1(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("phraseindex: error: ") and err.count("\n") == 1
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("section", ["filter.bin", "sparse_docs.bin", "ivf.bin", "quant.bin"])
+def test_query_of_an_index_with_a_cut_section_is_one_line_and_exit_status_1(
+    tmp_path, corpus_file, capsys, section
+):
+    path, _ = corpus_file
+    index = tmp_path / "idx"
+    main(["build", "--corpus", str(path), "--out", str(index), "--clusters", "4", *DIMS])
+    data = (index / section).read_bytes()[:-3]
+    (index / section).write_bytes(data)
+    manifest = json.loads((index / "manifest.json").read_text())
+    manifest["sections"][section] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    (index / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--question", "w001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"phraseindex: error: section {section}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad, why", [

@@ -1,6 +1,8 @@
 """Quantization, filter application, index build/load, and size arithmetic."""
 
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -25,6 +27,9 @@ from phraseindex.index import (
     FORMAT_VERSION,
     SECTIONS,
     BuildConfig,
+    _SectionReader,
+    _write_lists,
+    _write_narrow,
     apply_filter,
     build_index,
     dequantize,
@@ -448,6 +453,132 @@ def _rewrite_section(index_dir, name, data):
     manifest_path.write_text(json.dumps(manifest))
 
 
+def _narrow(values) -> bytes:
+    """A narrow array, packed one value at a time at the least width of
+    1, 2, 4 and 8 bytes that holds the largest."""
+    values = [int(v) for v in values]
+    width = next(w for w in (1, 2, 4, 8) if max(values, default=0) < 256**w)
+    return struct.pack("<QB", width * len(values), width) + b"".join(
+        v.to_bytes(width, "little") for v in values
+    )
+
+
+def _gaps(lists) -> list[int]:
+    """Each list's first value, then each later value less the one before it."""
+    return [v - (lst[k - 1] if k else 0) for lst in lists for k, v in enumerate(lst)]
+
+
+def _list_set(lists) -> bytes:
+    """A list set: the list lengths, then the d-gaps, each as a narrow array."""
+    return _narrow([len(lst) for lst in lists]) + _narrow(_gaps(lists))
+
+
+def _parse_narrow(raw, at) -> tuple[list[int], int]:
+    """The values of the narrow array at raw[at:], and where it ends."""
+    nbytes, width = struct.unpack_from("<QB", raw, at)
+    at += 9
+    values = [int.from_bytes(raw[i : i + width], "little") for i in range(at, at + nbytes, width)]
+    return values, at + nbytes
+
+
+def _parse_list_set(raw, at) -> tuple[list[list[int]], int]:
+    """The lists of the list set at raw[at:], and where it ends."""
+    lengths, at = _parse_narrow(raw, at)
+    gaps, at = _parse_narrow(raw, at)
+    starts = [0, *itertools.accumulate(lengths)]
+    return [list(itertools.accumulate(gaps[a:b])) for a, b in zip(starts, starts[1:])], at
+
+
+def _section_file(tmp_path, payload: bytes) -> _SectionReader:
+    """A reader over a postings.bin that holds payload after its header."""
+    path = tmp_path / "postings.bin"
+    path.write_bytes(b"PIDX" + b"PSTG" + struct.pack("<I", FORMAT_VERSION) + payload)
+    return _SectionReader(path, b"PSTG")
+
+
+class TestCodec:
+    """The narrow array and the list set, which store every list of ids."""
+
+    @pytest.mark.parametrize("top, width", [
+        (255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8),
+    ])
+    def test_the_width_is_the_least_that_holds_the_largest(self, tmp_path, top, width):
+        values = np.array([0, 7, top], dtype=np.int64)
+        out = io.BytesIO()
+        _write_narrow(out, values)
+        assert out.getvalue() == _narrow(values) and out.getvalue()[8] == width
+        got = _section_file(tmp_path, out.getvalue()).narrow()
+        assert got.dtype == np.int64 and got.tolist() == values.tolist()
+
+        lists = [[top], [0, 7, top]]  # gaps of top and of top - 7
+        out = io.BytesIO()
+        _write_lists(out, np.array([0, 1, 4]), np.array([top, 0, 7, top]))
+        assert out.getvalue() == _list_set(lists)
+        offsets, values = _section_file(tmp_path, out.getvalue()).lists()
+        assert offsets.tolist() == [0, 1, 4] and values.tolist() == [top, 0, 7, top]
+
+    @pytest.mark.parametrize("lists", [
+        [], [[]], [[2, 5, 9]], [[], [3, 5], [], [], [0, 7, 7, 9], []], [[4], [1], [0]],
+    ], ids=["no lists", "one empty list", "a single list", "empty lists among others",
+            "lists of one"])
+    def test_list_sets_round_trip(self, tmp_path, lists):
+        offsets = np.array([0, *itertools.accumulate(map(len, lists))], dtype=np.int64)
+        values = np.array([v for lst in lists for v in lst], dtype=np.int64)
+        out = io.BytesIO()
+        _write_lists(out, offsets, values)
+        assert out.getvalue() == _list_set(lists)
+        got_offsets, got_values = _section_file(tmp_path, out.getvalue()).lists()
+        assert got_offsets.tolist() == offsets.tolist() and got_values.tolist() == values.tolist()
+
+    def test_an_empty_array_is_its_count_and_width(self, tmp_path):
+        out = io.BytesIO()
+        _write_narrow(out, np.array([], dtype=np.int64))
+        assert out.getvalue() == struct.pack("<QB", 0, 1)
+        assert _section_file(tmp_path, out.getvalue()).narrow().tolist() == []
+
+    @pytest.mark.parametrize("payload, why", [
+        (struct.pack("<QB", 6, 3) + bytes(6), "6 bytes of 3-byte values"),
+        (struct.pack("<QB", 3, 2) + bytes(3), "3 bytes of 2-byte values"),
+        (_narrow([2, 1]) + _narrow([1, 2]), "lengths add up to 3, not 2"),
+        (_narrow([1]), "truncated"),
+    ], ids=["width 3", "byte count not a multiple of the width", "lengths not the value count",
+            "cut short"])
+    def test_refusals_name_the_section(self, tmp_path, payload, why):
+        with pytest.raises(ValueError, match=f"section postings.bin: .*{why}"):
+            _section_file(tmp_path, payload).lists()
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS - {"corpus.jsonl"}))
+def test_a_section_with_a_byte_past_its_end_is_refused_by_name(tmp_path, section):
+    build_small_index(make_random_corpus(np.random.default_rng(29), n_docs=4), tmp_path / "idx")
+    raw = (tmp_path / "idx" / section).read_bytes()
+    _rewrite_section(tmp_path / "idx", section, raw + b"\0")
+    with pytest.raises(ValueError, match=re.escape(section)):
+        load_index(tmp_path / "idx")
+
+
+def test_a_corpus_missing_a_document_is_refused(tmp_path):
+    # A corpus.jsonl cut at a line end is still valid JSON lines.
+    build_small_index(make_random_corpus(np.random.default_rng(28), n_docs=4), tmp_path / "idx")
+    lines = (tmp_path / "idx" / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    _rewrite_section(tmp_path / "idx", "corpus.jsonl", b"".join(lines[:-1]))
+    with pytest.raises(ValueError, match="section corpus.jsonl: 3 documents, not 4"):
+        load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("cut", ["last bytes", "half"])
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_a_section_cut_short_is_refused_by_name(tmp_path, section, cut):
+    # Every section is read through length-checked reads, so a cut one is a
+    # ValueError that names it even when the manifest has been rewritten to match.
+    corpus = make_random_corpus(np.random.default_rng(27), n_docs=4, paras_per_doc=(1, 3))
+    build_small_index(corpus, tmp_path / "idx")
+    raw = (tmp_path / "idx" / section).read_bytes()
+    _rewrite_section(tmp_path / "idx", section, raw[: -2 if cut == "last bytes" else len(raw) // 2])
+    with pytest.raises(ValueError, match=re.escape(section)):
+        load_index(tmp_path / "idx")
+
+
 class TestPhrasesSection:
     def test_size_does_not_depend_on_max_span(self, tmp_path):
         corpus = make_random_corpus(np.random.default_rng(15), n_docs=6)
@@ -462,8 +593,12 @@ class TestPhrasesSection:
     def keep_all_dir(self, tmp_path):
         corpus = make_random_corpus(np.random.default_rng(16), n_docs=5)
         index = build_small_index(corpus, tmp_path / "idx")
-        # Header, the two counts, then the paragraph table: the start mask follows.
-        return tmp_path / "idx", 12 + 16 + len(index.para_table) * 24, -(-index.counts["tokens"] // 8)
+        # Header, the paragraphs' documents and token counts: the start mask follows.
+        raw = (tmp_path / "idx" / "phrases.bin").read_bytes()
+        docs, at = _parse_narrow(raw, 12)
+        lengths, at = _parse_narrow(raw, at)
+        assert docs == index.para_table["doc"].tolist() and sum(lengths) == corpus.total_tokens()
+        return tmp_path / "idx", at, -(-index.counts["tokens"] // 8)
 
     @pytest.mark.parametrize("keep", [14, 40, -1])
     def test_cut_short_names_the_file(self, keep_all_dir, keep):
@@ -482,13 +617,30 @@ class TestPhrasesSection:
         with pytest.raises(ValueError, match="phrases.bin.*starts.bin/ends.bin"):
             load_index(index_dir)
 
-    def test_paragraph_record_counts_must_match_the_start_mask(self, keep_all_dir):
-        index_dir, _, _ = keep_all_dir
-        raw = bytearray((index_dir / "phrases.bin").read_bytes())
-        n_recs_at = 12 + 16 + 16  # paragraph 0's n_recs field
-        raw[n_recs_at] ^= 1
-        _rewrite_section(index_dir, "phrases.bin", bytes(raw))
-        with pytest.raises(ValueError, match="phrases.bin.*start mask"):
+    @pytest.mark.parametrize("case", ["document out of order", "document past the corpus",
+                                      "token count one more", "token count one less",
+                                      "token count missing"])
+    def test_paragraph_documents_and_token_counts_must_agree(self, keep_all_dir, case):
+        # The rest of the paragraph table is derived from these two columns.
+        index_dir, masks_at, _ = keep_all_dir
+        raw = (index_dir / "phrases.bin").read_bytes()
+        docs, at = _parse_narrow(raw, 12)
+        lengths, _ = _parse_narrow(raw, at)
+        assert raw[12:masks_at] == _narrow(docs) + _narrow(lengths)
+        if case == "document out of order":
+            docs[0] = docs[-1]
+        elif case == "document past the corpus":
+            docs[-1] = 5
+        elif case == "token count missing":  # the last two paragraphs' counts in one
+            last = lengths.pop()
+            lengths[-1] += last
+        else:
+            lengths[0] += 1 if case == "token count one more" else -1
+        _rewrite_section(
+            index_dir, "phrases.bin", raw[:12] + _narrow(docs) + _narrow(lengths) + raw[masks_at:]
+        )
+        why = "document order" if case.startswith("document") else "token count"
+        with pytest.raises(ValueError, match=f"phrases.bin.*{why}"):
             load_index(index_dir)
 
 
@@ -543,53 +695,41 @@ class TestIvfSection:
         return tmp_path / "idx"
 
     def _rewrite(self, index_dir, edit):
-        """Rewrite ivf.bin with its CSR pair replaced by edit(offsets, rows)."""
+        """Rewrite ivf.bin with its cells' list set replaced by the bytes
+        edit(cells) returns, cells being each cell's rows."""
         raw = (index_dir / "ivf.bin").read_bytes()
         n_clusters, dim = struct.unpack("<II", raw[12:20])
-        at = 20 + 4 * n_clusters * dim  # the offsets' size, then the offsets
-        (size,) = struct.unpack("<Q", raw[at : at + 8])
-        offsets = np.frombuffer(raw, "<u8", size // 8, at + 8).copy()
-        rows = np.frombuffer(raw, "<u4", offset=at + 16 + size).copy()
+        at = 20 + 4 * n_clusters * dim  # the cells' list set follows the centroids
+        cells, end = _parse_list_set(raw, at)
+        assert len(cells) == n_clusters and all(cells) and raw[at:] == _list_set(cells)
+        _rewrite_section(index_dir, "ivf.bin", raw[:at] + edit(cells))
 
-        def pair(offsets, rows):
-            return b"".join(struct.pack("<Q", a.nbytes) + a.tobytes() for a in (offsets, rows))
-
-        assert raw[:at] + pair(offsets, rows) == raw
-        _rewrite_section(index_dir, "ivf.bin", raw[:at] + pair(*edit(offsets, rows)))
-
-    @pytest.mark.parametrize("case", ["one short", "one more", "first not 0", "decreasing",
-                                      "last short of the rows"])
+    @pytest.mark.parametrize("case", ["one short", "one more", "last short of the rows"])
     def test_cell_offsets(self, index_dir, case):
-        def edit(offsets, rows):
+        def edit(cells):
             if case == "one short":
-                return offsets[:-1], rows
+                return _list_set(cells[:-2] + [sorted(cells[-2] + cells[-1])])
             if case == "one more":
-                return np.append(offsets, offsets[-1]), rows
-            if case == "first not 0":
-                offsets[0] = 1
-            elif case == "decreasing":
-                assert offsets[1] < offsets[2]
-                offsets[[1, 2]] = offsets[[2, 1]]
-            else:
-                offsets[-1] -= 1
-            return offsets, rows
+                return _list_set(cells + [[]])
+            lengths = [len(c) for c in cells]
+            lengths[-1] -= 1
+            return _narrow(lengths) + _narrow(_gaps(cells))
 
         self._rewrite(index_dir, edit)
-        with pytest.raises(ValueError, match="ivf.bin.*offsets"):
+        with pytest.raises(ValueError, match="ivf.bin.*(cells|lengths)"):
             load_index(index_dir)
 
     @pytest.mark.parametrize("case", ["row past the start rows", "row in two cells",
                                       "one row more"])
     def test_each_start_row_in_one_cell(self, index_dir, case):
-        def edit(offsets, rows):
+        def edit(cells):
             if case == "row past the start rows":
-                rows[0] = 10**9
+                cells[0][-1] = 10**9
             elif case == "row in two cells":
-                rows[-1] = rows[0]
+                cells[-1] = sorted(cells[-1][:-1] + [cells[0][0]])
             else:
-                rows = np.append(rows, rows[0])
-                offsets[-1] += 1
-            return offsets, rows
+                cells[-1] = sorted(cells[-1] + [cells[0][0]])
+            return _list_set(cells)
 
         self._rewrite(index_dir, edit)
         with pytest.raises(ValueError, match="ivf.bin.*start rows"):
@@ -626,38 +766,66 @@ class TestSparseBinsAtOpen:
     def index_dir(self, tmp_path):
         corpus = make_random_corpus(np.random.default_rng(18), n_docs=5)
         index = build_small_index(corpus, tmp_path / "idx")
-        return tmp_path / "idx", index.own_bins.size
+        return tmp_path / "idx", len(index.para_table)
 
+    @staticmethod
+    def _rewrite_lists(index_dir, name, at, edit):
+        """Rewrite the list set at byte `at` of section name with edit(lists)."""
+        raw = (index_dir / name).read_bytes()
+        lists, end = _parse_list_set(raw, at)
+        assert raw[at:end] == _list_set(lists)
+        edit(lists)
+        _rewrite_section(index_dir, name, raw[:at] + _list_set(lists) + raw[end:])
+
+    # A gap of 0 repeats the bin before it; a gap of NGRAM_BINS leaves the bin space.
     @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
     def test_paragraph_bins_must_ascend_below_the_bin_space(self, index_dir, value):
-        # The paragraph CSR ends with its bins, then the size and data of its weights.
-        index_dir, n_entries = index_dir
-        raw = bytearray((index_dir / "sparse_docs.bin").read_bytes())
-        last_bin_at = len(raw) - 8 - 4 * n_entries - 4
-        raw[last_bin_at : last_bin_at + 4] = struct.pack("<I", value)
-        _rewrite_section(index_dir, "sparse_docs.bin", bytes(raw))
+        # The idf-0 bins, their dfs and a float32 per paragraph precede the paragraph bins.
+        index_dir, n_para = index_dir
+        raw = (index_dir / "sparse_docs.bin").read_bytes()
+        _, at = _parse_list_set(raw, 12)
+        _, at = _parse_narrow(raw, at)
+
+        def edit(lists):
+            vec = next(v for v in reversed(lists) if len(v) > 1)
+            vec[-1] = vec[-2] + value
+
+        self._rewrite_lists(index_dir, "sparse_docs.bin", at + 4 * n_para, edit)
         with pytest.raises(ValueError, match="sparse_docs.bin.*bins"):
             load_index(index_dir)
 
     @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
     def test_idf_zero_bins_must_ascend_below_the_bin_space(self, index_dir, value):
-        # Header, then the size and data of the idf-0 bins.
         index_dir, _ = index_dir
-        raw = bytearray((index_dir / "sparse_docs.bin").read_bytes())
-        (size,) = struct.unpack("<Q", raw[12:20])
-        assert size >= 8  # at least two bins, so that 0 in the last one is out of order
-        last_bin_at = 12 + 8 + size - 4
-        raw[last_bin_at : last_bin_at + 4] = struct.pack("<I", value)
-        _rewrite_section(index_dir, "sparse_docs.bin", bytes(raw))
+
+        def edit(lists):
+            (zero,) = lists
+            assert len(zero) >= 2  # a gap of 0 in the last bin repeats the one before it
+            zero[-1] = zero[-2] + value
+
+        self._rewrite_lists(index_dir, "sparse_docs.bin", 12, edit)
         with pytest.raises(ValueError, match="sparse_docs.bin.*bins"):
             load_index(index_dir)
 
-    def test_posting_bins_must_stay_below_the_bin_space(self, index_dir):
-        # Header, the bin count, then the size and data of the bins.
+    def test_postings_need_one_list_per_bin(self, index_dir):
         index_dir, _ = index_dir
-        raw = bytearray((index_dir / "postings.bin").read_bytes())
-        raw[12 + 8 + 8 : 12 + 8 + 8 + 4] = struct.pack("<I", NGRAM_BINS)
-        _rewrite_section(index_dir, "postings.bin", bytes(raw))
+        raw = (index_dir / "postings.bin").read_bytes()
+        _, at = _parse_list_set(raw, 12)
+
+        def edit(lists):
+            lists[-2:] = [sorted(lists[-2] + lists[-1])]
+
+        self._rewrite_lists(index_dir, "postings.bin", at, edit)
+        with pytest.raises(ValueError, match="postings.bin.*one posting list each"):
+            load_index(index_dir)
+
+    def test_posting_bins_must_stay_below_the_bin_space(self, index_dir):
+        index_dir, _ = index_dir
+
+        def edit(lists):
+            lists[0][-1] = NGRAM_BINS
+
+        self._rewrite_lists(index_dir, "postings.bin", 12, edit)
         with pytest.raises(ValueError, match="postings.bin.*bins"):
             load_index(index_dir)
 
@@ -699,13 +867,13 @@ def test_derived_para_vectors_are_the_combined_vectors(tmp_path):
         np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(np.float32).eps)
 
 
-def test_open_refuses_a_version_3_index(tmp_path):
+def test_open_refuses_a_version_4_index(tmp_path):
     build_small_index(make_random_corpus(np.random.default_rng(24), n_docs=4), tmp_path / "idx")
     manifest_path = tmp_path / "idx" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 3
+    manifest["format_version"] = 4
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="format version 3 .*reads format version 4"):
+    with pytest.raises(ValueError, match="format version 4 .*reads format version 5, so rebuild"):
         load_index(tmp_path / "idx")
 
 
@@ -811,9 +979,6 @@ def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[
     def section(tag, *parts):
         return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
 
-    def sized(arr):
-        return struct.pack("<Q", arr.nbytes) + arr.tobytes()
-
     return {
         "quant.bin": section(
             b"QNTZ", struct.pack("<I", dim),
@@ -824,8 +989,7 @@ def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[
         "ivf.bin": section(
             b"IVFC", struct.pack("<II", config.ivf_clusters, dim),
             ivf.centroids.astype("<f4").tobytes(),
-            sized(np.cumsum([0] + [c.size for c in cells]).astype("<u8")),
-            sized(np.concatenate(cells).astype("<u4")),
+            _list_set([c.tolist() for c in cells]),
         ),
     }
 
@@ -872,23 +1036,17 @@ def _reference_sparse_sections(corpus, tfidf) -> dict[str, bytes]:
     def section(tag, *parts):
         return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
 
-    def sized(values, dtype):
-        arr = np.array(values, dtype=dtype)
-        return struct.pack("<Q", arr.nbytes) + arr.tobytes()
+    def f4(values):
+        return np.array(values, dtype="<f4").tobytes()
 
     return {
         "postings.bin": section(
-            b"PSTG", struct.pack("<Q", len(bins)), sized(bins, "<u4"),
-            sized(np.cumsum([0] + [len(p) for p in docs]), "<u8"),
-            sized([x for p in docs for x in np.diff(p, prepend=0)], "<u4"),
-            sized([w for b in bins for _, w in postings[b]], "<f4"),
+            b"PSTG", _list_set([bins]), _list_set(docs),
+            f4([w for b in bins for _, w in postings[b]]),
         ),
         "sparse_docs.bin": section(
-            b"SPRS", sized(zero, "<u4"), sized([tfidf.doc_freq[b] for b in zero], "<u4"),
-            sized(inv_norms, "<f4"), struct.pack("<Q", len(own)),
-            sized(np.cumsum([0] + [v.bins.size for v in own]), "<u8"),
-            sized(np.concatenate([v.bins for v in own]), "<u4"),
-            sized(np.concatenate([v.weights for v in own]), "<f4"),
+            b"SPRS", _list_set([zero]), _narrow([tfidf.doc_freq[b] for b in zero]), f4(inv_norms),
+            _list_set([v.bins.tolist() for v in own]), f4(np.concatenate([v.weights for v in own])),
         ),
     }
 
