@@ -34,11 +34,46 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(**asdict(SearchConfig()))
 
 
-def _encoder_from_args(args) -> ToyEncoder:
+# The encoder flags of build and train, under the key names of train's config
+# file and encoder_state.json, with their defaults.
+ENCODER_DEFAULTS = {"seed": 0, "dim": 64, "boundary_dim": 28, "coherency_dim": 4, "n_features": 256}
+
+
+def _add_encoder_args(p: argparse.ArgumentParser) -> None:
+    for name in ENCODER_DEFAULTS:
+        p.add_argument("--" + name.replace("_", "-"), type=int)
+
+
+def _encoder(args) -> ToyEncoder:
+    """The toy encoder of the encoder settings, which a config file can give
+    as any JSON value; one that is not an integer raises a ValueError."""
+    for name in ENCODER_DEFAULTS:
+        value = getattr(args, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    if args.n_features < 1:
+        raise ValueError(f"n_features must be >= 1, got {args.n_features}")
     config = EncoderConfig(
         dim=args.dim, boundary_dim=args.boundary_dim, coherency_dim=args.coherency_dim
     )
     return ToyEncoder(config, seed=args.seed, n_features=args.n_features)
+
+
+def _train_settings(args, file_cfg: dict) -> TrainingConfig:
+    """Set each train setting a flag left unset from the config file, else
+    from its default, and return the TrainingConfig. A config key that names
+    no setting raises a ValueError."""
+    defaults = {**ENCODER_DEFAULTS, **asdict(TrainingConfig())}
+    unknown = sorted(set(file_cfg) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"--config {args.config}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"the keys are {', '.join(defaults)}"
+        )
+    for name, default in defaults.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, file_cfg.get(name, default))
+    return TrainingConfig(**{f.name: getattr(args, f.name) for f in fields(TrainingConfig)})
 
 
 def _read_json(flag: str, path: str):
@@ -54,9 +89,11 @@ def _read_json(flag: str, path: str):
         raise ValueError(f"{flag} {path}: not a JSON file") from exc
 
 
-def _encoder_state_linear(path: str, dim: int) -> np.ndarray:
+def _encoder_state_linear(path: str, args) -> np.ndarray:
     """The "linear" matrix of a training run's encoder_state.json, which must
-    be a JSON object whose "linear" is a dim x dim matrix of finite numbers."""
+    be a JSON object whose "linear" is a dim x dim matrix of finite numbers
+    and whose encoder settings are those of the build's flags."""
+    dim = args.dim
     state = _read_json("--encoder-state", path)
     rows = state.get("linear") if isinstance(state, dict) else None
     shape_ok = isinstance(rows, list) and len(rows) == dim and all(
@@ -72,6 +109,12 @@ def _encoder_state_linear(path: str, dim: int) -> np.ndarray:
         raise ValueError(
             f'--encoder-state {path}: "linear" must be a {dim} x {dim} matrix of finite numbers'
         )
+    for name in ENCODER_DEFAULTS:
+        got, want = state.get(name), getattr(args, name)
+        if type(got) is not int or got != want:
+            shown = json.dumps(got) if name in state else "missing"
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f'--encoder-state {path}: "{name}" is {shown}, but {flag} is {want}')
     return linear
 
 
@@ -90,9 +133,9 @@ def _peak_rss_mb(status: Path = Path("/proc/self/status")) -> float | None:
 
 
 def cmd_build(args) -> int:
-    encoder = _encoder_from_args(args)
+    encoder = args.encoder
     if args.encoder_state:
-        encoder.linear = _encoder_state_linear(args.encoder_state, args.dim)
+        encoder.linear = _encoder_state_linear(args.encoder_state, args)
     corpus = load_corpus(args.corpus)
     tfidf = fit_tfidf(corpus)
     out = build_index(corpus, encoder, tfidf, None, args.out, args.build)
@@ -103,41 +146,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _read_json("--config", args.config) if args.config else {}
-    if not isinstance(file_cfg, dict):
-        raise ValueError(f"--config {args.config}: not a JSON object")
     corpus = load_corpus(args.corpus)
     qa = load_qa(args.qa)
-    # Precedence: explicit flag > config file > built-in default.
-
-    def setting(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    encoder = ToyEncoder(
-        EncoderConfig(
-            dim=setting(args.dim, "dim", 64),
-            boundary_dim=setting(args.boundary_dim, "boundary_dim", 28),
-            coherency_dim=setting(args.coherency_dim, "coherency_dim", 4),
-        ),
-        seed=setting(args.seed, "seed", 0),
-        n_features=setting(args.n_features, "n_features", 256),
-    )
-    config = TrainingConfig(
-        learning_rate=setting(args.lr, "learning_rate", 0.05),
-        epochs=setting(args.epochs, "epochs", 10),
-        seed=setting(args.seed, "seed", 0),
-        max_span=setting(args.max_span, "max_span", 20),
-        negatives_per_paragraph=file_cfg.get("negatives_per_paragraph", 2),
-    )
-    history = train_encoder(corpus, qa, encoder, config)
+    history = train_encoder(corpus, qa, args.encoder, args.train)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(json.dumps(history, indent=2) + "\n")
-    (out / "encoder_state.json").write_text(
-        json.dumps({"linear": encoder.linear.tolist()}) + "\n"
-    )
+    state = {name: getattr(args, name) for name in ENCODER_DEFAULTS}
+    state["linear"] = args.encoder.linear.tolist()
+    (out / "encoder_state.json").write_text(json.dumps(state) + "\n")
     print(json.dumps({"epochs": len(history), "final": history[-1]}))
     return 0
 
@@ -184,30 +201,22 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-span", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--clusters", type=int, help="IVF cells (default: ceil(4 * sqrt(start rows)))"
     )
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--boundary-dim", type=int, default=28)
-    p.add_argument("--coherency-dim", type=int, default=4)
-    p.add_argument("--n-features", type=int, default=256)
+    _add_encoder_args(p)
     p.add_argument("--encoder-state", help="encoder_state.json from a training run")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(func=cmd_build, **ENCODER_DEFAULTS)
 
     p = sub.add_parser("train", help="train the encoder's linear layer on a QA set")
     p.add_argument("--corpus", required=True)
     p.add_argument("--qa", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file of training settings; flags override it")
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--max-span", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--boundary-dim", type=int)
-    p.add_argument("--coherency-dim", type=int)
-    p.add_argument("--n-features", type=int)
+    _add_encoder_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("query", help="answer one question against an index")
@@ -235,22 +244,29 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    try:  # check a command's settings before it reads any input
-        if "sparse_scale" in args:  # a command that searches
-            args.search = _search_config(args)
-        if args.func is cmd_build:
-            args.build = BuildConfig(
-                max_span=args.max_span, seed=args.seed, ivf_clusters=args.clusters
-            )
-    except ValueError as exc:
-        parser.error(str(exc))
     try:
+        # The config file is input, like the corpus: one that cannot be read is exit 1.
+        file_cfg = _read_json("--config", args.config) if getattr(args, "config", None) else {}
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"--config {args.config}: not a JSON object")
+        try:  # check a command's settings before it reads any input
+            if "sparse_scale" in args:  # a command that searches
+                args.search = _search_config(args)
+            if args.func is cmd_build:
+                args.build = BuildConfig(
+                    max_span=args.max_span, seed=args.seed, ivf_clusters=args.clusters
+                )
+            if args.func is cmd_train:
+                args.train = _train_settings(args, file_cfg)
+            if "n_features" in args:  # a command that encodes
+                args.encoder = _encoder(args)
+        except ValueError as exc:
+            parser.error(str(exc))
         return args.func(args)
     # Bad input, one line each; UnicodeDecodeError is a ValueError. Bugs still traceback.
     except (ValueError, FileNotFoundError, FileExistsError) as exc:
         print(f"phraseindex: error: {exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

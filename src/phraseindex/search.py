@@ -66,11 +66,12 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        counts = (self.top_k, self.sparse_top_docs, self.dense_top_starts, self.nprobe)
-        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in counts):
-            raise ValueError("all count parameters must be integers, not bool")
-        if min(counts) < 1:
-            raise ValueError("all count parameters must be >= 1")
+        for name in ("top_k", "sparse_top_docs", "dense_top_starts", "nprobe"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"counts must be integers: {name} is {value!r}")
+            if value < 1:
+                raise ValueError(f"counts must be >= 1: {name} is {value}")
         # NaN fails every comparison with the floor, and inf * 0 is NaN: either
         # would silently drop every phrase.
         if isinstance(self.sparse_scale, bool) or not math.isfinite(self.sparse_scale):

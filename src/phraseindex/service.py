@@ -228,15 +228,13 @@ def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -
     question = payload.get("question")
     if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be a non-empty string")
-    top_k = payload.get("top_k", base_config.top_k)
-    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
-        raise ValueError("top_k must be a positive integer")
-    if top_k > MAX_TOP_K:
+    cfg = replace(  # SearchConfig refuses a bad strategy or top_k
+        base_config,
+        strategy=payload.get("strategy", base_config.strategy),
+        top_k=payload.get("top_k", base_config.top_k),
+    )
+    if cfg.top_k > MAX_TOP_K:
         raise ValueError(f"top_k must be at most {MAX_TOP_K}")
-    strategy = payload.get("strategy", base_config.strategy)
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    cfg = replace(base_config, strategy=strategy, top_k=top_k)
     t0 = time.perf_counter()
     query = embed_question(index, question)
     t1 = time.perf_counter()

@@ -1,10 +1,14 @@
 """Training objective: logit matrices, span losses, no-answer bias, negative
-mining, the boundary filter classifier, and the toy-encoder training loop."""
+mining, the boundary filter classifier, and the toy-encoder training loop.
+The objective is the paper's fixed true/2 + (aux_start + aux_end)/4; each of
+its terms, in the loss functions and the training step, is one _softmax_loss."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,105 +63,83 @@ def compute_logits(
 
 def apply_no_answer(bundle: LogitBundle, bias: float) -> LogitBundle:
     """Augment the bundle with a trainable no-answer class of logit `bias`."""
-    return LogitBundle(
-        start_logits=bundle.start_logits,
-        end_logits=bundle.end_logits,
-        matrix=bundle.matrix,
-        max_span=bundle.max_span,
-        no_answer_bias=float(bias),
-    )
+    return replace(bundle, no_answer_bias=float(bias))
 
 
-def _check_answer(bundle: LogitBundle, answer: tuple[int, int] | None) -> None:
+def _targets(bundle: LogitBundle, answer: tuple[int, int] | None) -> tuple:
+    """The target logits of the true, start and end losses: the answer's span,
+    start and end logits, or the no-answer bias for all three when the answer
+    is None. An answer outside the valid spans raises a ValueError."""
     if answer is None:
         if bundle.no_answer_bias is None:
             raise ValueError("no-answer target requires a no-answer bias")
-        return
+        return (bundle.no_answer_bias,) * 3
     i, j = answer
     if not (0 <= i <= j < bundle.n_tokens):
         raise ValueError(f"answer span ({i}, {j}) out of range")
     if j - i >= bundle.max_span:
         raise ValueError(f"answer span ({i}, {j}) longer than max span {bundle.max_span}")
+    return bundle.matrix[answer], float(bundle.start_logits[i]), float(bundle.end_logits[j])
 
 
-def _logsumexp(values: np.ndarray) -> float:
+def _mask_and_means(bundle: LogitBundle) -> tuple[np.ndarray, ...]:
+    """The valid-span mask, its per-row and per-column counts, and the masked
+    row and column means of the logit matrix that the aux losses pool over."""
+    mask = valid_span_mask(bundle.n_tokens, bundle.max_span)
+    masked = bundle.matrix * mask
+    n_row, n_col = mask.sum(axis=1), mask.sum(axis=0)
+    return mask, n_row, n_col, masked.sum(axis=1) / n_row, masked.sum(axis=0) / n_col
+
+
+def _softmax_loss(
+    logits: np.ndarray, extra: float | None, target: float
+) -> tuple[float, np.ndarray, float]:
+    """-target + logsumexp(logits plus an optional extra class), with the
+    softmax of the logits and of the extra class (0.0 without one)."""
+    values = logits if extra is None else np.append(logits, extra)
     m = float(np.max(values))
-    return m + float(np.log(np.sum(np.exp(values - m))))
+    e = np.exp(values - m)
+    total = e.sum()
+    p = e / total
+    loss = float(-target + (m + float(np.log(total))))
+    return loss, p[: len(logits)], 0.0 if extra is None else float(p[-1])
 
 
 def true_loss(bundle: LogitBundle, answer: tuple[int, int] | None) -> float:
     """Negative log probability of the answer span over all valid spans."""
-    _check_answer(bundle, answer)
+    target = _targets(bundle, answer)[0]
     mask = valid_span_mask(bundle.n_tokens, bundle.max_span)
-    logits = bundle.matrix[mask]
-    if bundle.no_answer_bias is not None:
-        logits = np.append(logits, bundle.no_answer_bias)
-    target = bundle.no_answer_bias if answer is None else bundle.matrix[answer]
-    return float(-target + _logsumexp(logits))
-
-
-def _aux_loss(
-    target_logit: float | None,
-    pooled: np.ndarray,
-    no_answer_bias: float | None,
-) -> float:
-    values = pooled
-    if no_answer_bias is not None:
-        values = np.append(values, no_answer_bias)
-    target = no_answer_bias if target_logit is None else target_logit
-    return float(-target + _logsumexp(values))
+    return _softmax_loss(bundle.matrix[mask], bundle.no_answer_bias, target)[0]
 
 
 def aux_loss_start(bundle: LogitBundle, i_star: int | None) -> float:
     """Start-side loss: raw start logit vs logsumexp of per-row masked means."""
-    answer = None if i_star is None else (i_star, i_star)
-    _check_answer(bundle, answer)
-    mask = valid_span_mask(bundle.n_tokens, bundle.max_span)
-    row_means = (bundle.matrix * mask).sum(axis=1) / mask.sum(axis=1)
-    target = None if i_star is None else float(bundle.start_logits[i_star])
-    return _aux_loss(target, row_means, bundle.no_answer_bias)
+    target = _targets(bundle, None if i_star is None else (i_star, i_star))[1]
+    return _softmax_loss(_mask_and_means(bundle)[3], bundle.no_answer_bias, target)[0]
 
 
 def aux_loss_end(bundle: LogitBundle, j_star: int | None) -> float:
     """End-side counterpart of aux_loss_start over per-column masked means."""
-    answer = None if j_star is None else (j_star, j_star)
-    _check_answer(bundle, answer)
-    mask = valid_span_mask(bundle.n_tokens, bundle.max_span)
-    col_means = (bundle.matrix * mask).sum(axis=0) / mask.sum(axis=0)
-    target = None if j_star is None else float(bundle.end_logits[j_star])
-    return _aux_loss(target, col_means, bundle.no_answer_bias)
+    target = _targets(bundle, None if j_star is None else (j_star, j_star))[2]
+    return _softmax_loss(_mask_and_means(bundle)[4], bundle.no_answer_bias, target)[0]
 
 
-def combined_loss(
-    bundle: LogitBundle,
-    answer: tuple[int, int] | None,
-    weight_true: float = 0.5,
-    weight_aux: float = 0.25,
-) -> float:
-    """true/2 + (aux_start + aux_end)/4 at the default weights."""
+# The paper's fixed weights: the span loss counts half, each aux loss a quarter.
+TRUE_WEIGHT = 0.5
+AUX_WEIGHT = 0.25
+
+
+def combined_loss(bundle: LogitBundle, answer: tuple[int, int] | None) -> float:
+    """true/2 + (aux_start + aux_end)/4."""
     i_star, j_star = answer if answer is not None else (None, None)
-    return (
-        weight_true * true_loss(bundle, answer)
-        + weight_aux * aux_loss_start(bundle, i_star)
-        + weight_aux * aux_loss_end(bundle, j_star)
+    return TRUE_WEIGHT * true_loss(bundle, answer) + AUX_WEIGHT * (
+        aux_loss_start(bundle, i_star) + aux_loss_end(bundle, j_star)
     )
 
 
 # ---------------------------------------------------------------------------
 # Analytic gradients through the toy encoder's trainable layer
 # ---------------------------------------------------------------------------
-
-
-def _softmax_with_extra(values: np.ndarray, extra: float | None) -> tuple[np.ndarray, float]:
-    """Softmax over values plus an optional extra class; returns (probs, extra_prob)."""
-    if extra is not None:
-        values = np.append(values, extra)
-    m = np.max(values)
-    e = np.exp(values - m)
-    p = e / e.sum()
-    if extra is not None:
-        return p[:-1], float(p[-1])
-    return p, 0.0
 
 
 def combined_loss_and_grads(
@@ -167,75 +149,42 @@ def combined_loss_and_grads(
     answer: tuple[int, int] | None,
     max_span: int,
     no_answer_bias: float | None = None,
-    weight_true: float = 0.5,
-    weight_aux: float = 0.25,
 ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray, float]:
     """Combined loss plus gradients w.r.t. both encoding matrices and the bias.
 
-    Returns (loss, parts, dH_doc, dH_q, d_bias). The backward pass mirrors the
-    forward composition exactly: gradients flow through the logit matrix into
-    the four slices of the document matrix and the question marker row.
+    Returns (loss, parts, dH_doc, dH_q, d_bias). The three loss terms and
+    their softmaxes come from the helpers true_loss and the aux losses use;
+    the backward pass flows the softmax-minus-target gradients through the
+    logit matrix into the four slices of the document matrix and the
+    question marker row.
     """
     b, c = config.boundary_dim, config.coherency_dim
     H = TokenEncodingMatrix(H_doc, config)
-    q_row = np.asarray(H_q, dtype=np.float64)[0]
-    q1, q2 = q_row[:b], q_row[b : 2 * b]
-    q3, q4 = q_row[2 * b : 2 * b + c], q_row[2 * b + c :]
-    q = QueryDenseVector(start=q1, end=q2, coherency=float(np.dot(q3, q4)))
-
+    Hq = TokenEncodingMatrix(H_q, config)
+    q = question_dense(Hq)
     bundle = compute_logits(H, q, max_span)
     if no_answer_bias is not None:
         bundle = apply_no_answer(bundle, no_answer_bias)
-    _check_answer(bundle, answer)
-    T = bundle.n_tokens
-    mask = valid_span_mask(T, max_span)
-    L = bundle.matrix
-    bias = bundle.no_answer_bias
+    target_true, target_s, target_e = _targets(bundle, answer)
+    L, bias = bundle.matrix, bundle.no_answer_bias
+    mask, n_row, n_col, row_means, col_means = _mask_and_means(bundle)
+    loss_true, p_flat, p_na_true = _softmax_loss(L[mask], bias, target_true)
+    loss_s, p_row, p_na_s = _softmax_loss(row_means, bias, target_s)
+    loss_e, p_col, p_na_e = _softmax_loss(col_means, bias, target_e)
 
-    # True loss.
-    flat = L[mask]
-    p_flat, p_na_true = _softmax_with_extra(flat, bias)
-    P = np.zeros_like(L)
-    P[mask] = p_flat
-    loss_true = float(
-        -(bias if answer is None else L[answer]) + _logsumexp(np.append(flat, bias) if bias is not None else flat)
-    )
-    G_true = P.copy()
-    d_bias_true = p_na_true
-    if answer is None:
-        d_bias_true -= 1.0
-    else:
+    # Each loss's gradient w.r.t. its logits is its softmax less one at the target.
+    G_true = np.zeros_like(L)
+    G_true[mask] = p_flat
+    extra_l1, extra_l2 = np.zeros(bundle.n_tokens), np.zeros(bundle.n_tokens)
+    if answer is not None:
         G_true[answer] -= 1.0
-
-    # Aux losses over masked row/column means.
-    n_row = mask.sum(axis=1)
-    n_col = mask.sum(axis=0)
-    row_means = (L * mask).sum(axis=1) / n_row
-    col_means = (L * mask).sum(axis=0) / n_col
-    p_row, p_na_s = _softmax_with_extra(row_means, bias)
-    p_col, p_na_e = _softmax_with_extra(col_means, bias)
-    i_star, j_star = answer if answer is not None else (None, None)
-    loss_s = _aux_loss(
-        None if i_star is None else float(bundle.start_logits[i_star]), row_means, bias
-    )
-    loss_e = _aux_loss(
-        None if j_star is None else float(bundle.end_logits[j_star]), col_means, bias
-    )
+        extra_l1[answer[0]] -= AUX_WEIGHT
+        extra_l2[answer[1]] -= AUX_WEIGHT
     G_s = mask * (p_row / n_row)[:, None]
     G_e = mask * (p_col / n_col)[None, :]
-    d_bias_s = p_na_s - (1.0 if i_star is None else 0.0)
-    d_bias_e = p_na_e - (1.0 if j_star is None else 0.0)
-
-    G = weight_true * G_true + weight_aux * (G_s + G_e)
-    extra_l1 = np.zeros(T)
-    extra_l2 = np.zeros(T)
-    if i_star is not None:
-        extra_l1[i_star] -= weight_aux
-    if j_star is not None:
-        extra_l2[j_star] -= weight_aux
-    d_bias = weight_true * d_bias_true + weight_aux * (d_bias_s + d_bias_e)
-    if bias is None:
-        d_bias = 0.0
+    G = TRUE_WEIGHT * G_true + AUX_WEIGHT * (G_s + G_e)
+    no = 1.0 if answer is None else 0.0
+    d_bias = TRUE_WEIGHT * (p_na_true - no) + AUX_WEIGHT * ((p_na_s - no) + (p_na_e - no))
 
     # L = l1 (+) l2 + c' * C, with l1 = H1 q1, l2 = H2 q2, C = H3 H4^T.
     d_l1 = G.sum(axis=1) + extra_l1
@@ -244,20 +193,20 @@ def combined_loss_and_grads(
     d_cq = float((G * (H.coh_head_cols @ H.coh_tail_cols.T)).sum())
 
     dH = np.zeros_like(H.data)
-    dH[:, :b] = np.outer(d_l1, q1)
-    dH[:, b : 2 * b] = np.outer(d_l2, q2)
+    dH[:, :b] = np.outer(d_l1, q.start)
+    dH[:, b : 2 * b] = np.outer(d_l2, q.end)
     dH[:, 2 * b : 2 * b + c] = d_C @ H.coh_tail_cols
     dH[:, 2 * b + c :] = d_C.T @ H.coh_head_cols
 
-    dHq = np.zeros_like(np.asarray(H_q, dtype=np.float64))
+    dHq = np.zeros_like(Hq.data)
     dHq[0, :b] = H.start_cols.T @ d_l1
     dHq[0, b : 2 * b] = H.end_cols.T @ d_l2
-    dHq[0, 2 * b : 2 * b + c] = d_cq * q4
-    dHq[0, 2 * b + c :] = d_cq * q3
+    dHq[0, 2 * b : 2 * b + c] = d_cq * Hq.coh_tail_cols[0]
+    dHq[0, 2 * b + c :] = d_cq * Hq.coh_head_cols[0]
 
-    loss = weight_true * loss_true + weight_aux * (loss_s + loss_e)
+    loss = TRUE_WEIGHT * loss_true + AUX_WEIGHT * (loss_s + loss_e)
     parts = {"true": loss_true, "aux_start": loss_s, "aux_end": loss_e, "combined": loss}
-    return loss, parts, dH, dHq, float(d_bias)
+    return loss, parts, dH, dHq, 0.0 if bias is None else float(d_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +367,26 @@ def train_filter(
 
 @dataclass
 class TrainingConfig:
+    """Settings of train_encoder. The loss weights and the no-answer bias's
+    starting value (0.0) are fixed, as in the paper."""
+
     learning_rate: float = 0.05
     epochs: int = 10
     seed: int = 0
     max_span: int = 20
     negatives_per_paragraph: int = 2
-    no_answer_bias_init: float = 0.0
-    weight_true: float = 0.5
-    weight_aux: float = 0.25
 
     def __post_init__(self) -> None:
-        if abs(self.weight_true + 2 * self.weight_aux - 1.0) > 1e-12:
-            raise ValueError("loss weights must sum to 1")
-        if self.negatives_per_paragraph < 0:
-            raise ValueError("negatives_per_paragraph must be >= 0")
+        counts = {"epochs": 1, "seed": 0, "max_span": 1, "negatives_per_paragraph": 0}
+        for name, least in counts.items():  # each count's least value
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, not {lr!r}")
 
 
 def span_from_chars(para: Paragraph, char_start: int, char_end: int) -> tuple[int, int]:
@@ -547,7 +502,8 @@ def train_encoder(
     encoder: ToyEncoder,
     config: TrainingConfig,
 ) -> list[dict[str, float]]:
-    """SGD over the trainable linear layer and the no-answer bias.
+    """SGD over the trainable linear layer and the no-answer bias, which
+    starts at 0.0.
 
     Deterministic given the config seed; each epoch record carries the mean
     loss parts plus the boundary filter's validation precision/recall on the
@@ -566,7 +522,7 @@ def train_encoder(
             doc_bases[key] = encoder.base_document(para.tokens)
         q_bases.append(encoder.base_question(tokenize(ex.question_text)))
 
-    bias = config.no_answer_bias_init
+    bias = 0.0
     rng = np.random.default_rng(config.seed + 1)
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):
@@ -579,8 +535,7 @@ def train_encoder(
             H_doc = base_d @ encoder.linear.T
             H_q = base_q @ encoder.linear.T
             loss, parts, dH, dHq, d_bias = combined_loss_and_grads(
-                H_doc, H_q, encoder.config, ex.answer, config.max_span, bias,
-                weight_true=config.weight_true, weight_aux=config.weight_aux,
+                H_doc, H_q, encoder.config, ex.answer, config.max_span, bias
             )
             d_linear = dH.T @ base_d + dHq.T @ base_q
             encoder.linear -= config.learning_rate * d_linear

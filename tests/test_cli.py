@@ -29,6 +29,18 @@ def corpus_file(tmp_path):
 DIMS = ["--dim", "16", "--boundary-dim", "6", "--coherency-dim", "2"]
 
 
+def _qa_of_first_two_tokens(corpus, path):
+    """One answerable question per document, spanning its first two tokens."""
+    lines = []
+    for doc in corpus:
+        end = doc.paragraphs[0].tokens[1].char_end
+        lines.append(json.dumps({"question": f"start of {doc.id}", "doc_id": doc.id,
+                                 "answers": [doc.paragraphs[0].raw_text[:end]],
+                                 "answer_span": [0, 0, end]}))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_build_then_query(tmp_path, corpus_file, capsys):
     path, _ = corpus_file
     rc = main(
@@ -51,23 +63,7 @@ def test_build_then_query(tmp_path, corpus_file, capsys):
 
 def test_train_then_build_with_state(tmp_path, corpus_file, capsys):
     path, corpus = corpus_file
-    # One answerable question per document, spanning the first two tokens.
-    qa_path = tmp_path / "qa.jsonl"
-    lines = []
-    for doc in corpus:
-        para = doc.paragraphs[0]
-        end = para.tokens[1].char_end
-        lines.append(
-            json.dumps(
-                {
-                    "question": f"start of {doc.id}",
-                    "answers": [para.raw_text[:end]],
-                    "doc_id": doc.id,
-                    "answer_span": [0, 0, end],
-                }
-            )
-        )
-    qa_path.write_text("\n".join(lines) + "\n")
+    qa_path = _qa_of_first_two_tokens(corpus, tmp_path / "qa.jsonl")
 
     config_path = tmp_path / "train.json"
     config_path.write_text(json.dumps({"learning_rate": 0.1, "epochs": 5, "max_span": 3}))
@@ -378,6 +374,106 @@ def test_train_refuses_a_bad_config_before_the_corpus_is_read(tmp_path, capsys, 
     assert rc == 1
     assert capsys.readouterr().err == f"phraseindex: error: --config {path}: {why}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, config, why", [
+    ([], {"epochs": "ten"}, "epochs must be an integer, not 'ten'"),
+    (["--epochs", "0"], None, "epochs must be >= 1, got 0"),
+    ([], {"max_span": 0}, "max_span must be >= 1, got 0"),
+    ([], {"negatives_per_paragraph": -1}, "negatives_per_paragraph must be >= 0, got -1"),
+    (["--lr", "nan"], None, "learning_rate must be a finite number > 0, not nan"),
+    ([], {"learning_rate": 0}, "learning_rate must be a finite number > 0, not 0"),
+    (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+    ([], {"dim": "64"}, "dim must be an integer, not '64'"),
+    ([], {"n_features": 0}, "n_features must be >= 1, got 0"),
+    (["--dim", "16"], None, "2*28 + 2*4 != 16"),
+], ids=["epochs_string", "epochs_0", "max_span_0", "negatives_negative", "lr_nan", "lr_0",
+        "seed_negative", "dim_string", "n_features_0", "widths_disagree"])
+def test_bad_train_settings_are_refused_before_the_corpus_is_read(
+    tmp_path, capsys, flags, config, why
+):
+    # A usage error that names the setting, not a traceback once the corpus
+    # and QA set (which do not exist) have been read.
+    if config is not None:
+        (tmp_path / "train.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", str(tmp_path / "train.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(tmp_path / "missing.jsonl"), "--qa",
+              str(tmp_path / "missing_qa.jsonl"), "--out", str(tmp_path / "run"), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"phraseindex: error: {why}"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_config_key_it_does_not_read(tmp_path, capsys):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({"epoch": 3, "weight_true": 0.9, "epochs": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(tmp_path / "missing.jsonl"), "--qa",
+              str(tmp_path / "missing_qa.jsonl"), "--out", str(tmp_path / "run"),
+              "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"phraseindex: error: --config {path}: unknown key(s) 'epoch', 'weight_true';")
+    assert "learning_rate" in err and "negatives_per_paragraph" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_settings_default_to_the_training_and_encoder_defaults(monkeypatch):
+    import phraseindex.cli as cli
+    from phraseindex.training import TrainingConfig
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(args) or 0)
+    assert main(["train", "--corpus", "c.jsonl", "--qa", "qa.jsonl", "--out", "run"]) == 0
+    args = seen[0]
+    assert args.train == TrainingConfig()
+    assert {name: getattr(args, name) for name in cli.ENCODER_DEFAULTS} == cli.ENCODER_DEFAULTS
+    assert (args.encoder.seed, args.encoder.n_features) == (0, 256)
+    assert (args.encoder.config.dim, args.encoder.config.boundary_dim) == (64, 28)
+
+
+def test_build_refuses_the_state_of_a_training_run_at_another_seed(tmp_path, corpus_file, capsys):
+    path, corpus = corpus_file
+    qa_path = _qa_of_first_two_tokens(corpus, tmp_path / "qa.jsonl")
+    assert main(["train", "--corpus", str(path), "--qa", str(qa_path), "--out",
+                 str(tmp_path / "run"), "--epochs", "1", "--seed", "3", *DIMS]) == 0
+    state_path = tmp_path / "run" / "encoder_state.json"
+    state = json.loads(state_path.read_text())
+    assert {k: state[k] for k in state if k != "linear"} == {
+        "seed": 3, "dim": 16, "boundary_dim": 6, "coherency_dim": 2, "n_features": 256}
+    capsys.readouterr()
+    rc = main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"),
+               "--encoder-state", str(state_path), *DIMS])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f'phraseindex: error: --encoder-state {state_path}: "seed" is 3, but --seed is 0\n')
+    assert not (tmp_path / "idx").exists()
+    assert main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"),
+                 "--encoder-state", str(state_path), "--seed", "3", *DIMS]) == 0
+
+
+@pytest.mark.parametrize("change, why", [
+    ({"n_features": 512}, '"n_features" is 512, but --n-features is 256'),
+    ({"coherency_dim": 3}, '"coherency_dim" is 3, but --coherency-dim is 2'),
+    ({"seed": True}, '"seed" is true, but --seed is 0'),
+    ({"seed": 0.0}, '"seed" is 0.0, but --seed is 0'),
+    ({"seed": None}, '"seed" is missing, but --seed is 0'),
+    ({"dim": None, "n_features": None}, '"dim" is missing, but --dim is 16'),
+], ids=["n_features", "coherency_dim", "seed_bool", "seed_float", "seed_missing", "older_state"])
+def test_build_refuses_an_encoder_state_of_other_settings_before_the_corpus_is_read(
+    tmp_path, capsys, change, why
+):
+    state = {"seed": 0, "dim": 16, "boundary_dim": 6, "coherency_dim": 2, "n_features": 256,
+             "linear": np.eye(16).tolist()}
+    state.update(change)
+    path = tmp_path / "encoder_state.json"
+    path.write_text(json.dumps({k: v for k, v in state.items() if v is not None}))
+    rc = main(["build", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "idx"),
+               "--encoder-state", str(path), *DIMS])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phraseindex: error: --encoder-state {path}: {why}\n"
+    assert not (tmp_path / "idx").exists()
 
 
 def test_peak_rss_is_null_where_the_system_does_not_report_it(tmp_path):

@@ -284,6 +284,27 @@ class TestHttpService:
         payload = {"question": "x", "strategy": "psychic"}
         assert error_status(post, base + "/query", payload) == 400
 
+    @pytest.mark.parametrize("fields, why", [
+        ({"strategy": None}, "unknown strategy None"),
+        ({"strategy": ["exact"]}, "unknown strategy ['exact']"),
+        ({"top_k": 0}, "counts must be >= 1: top_k is 0"),
+        ({"top_k": -3}, "counts must be >= 1: top_k is -3"),
+        ({"top_k": 2.0}, "counts must be integers: top_k is 2.0"),
+        ({"top_k": "3"}, "counts must be integers: top_k is '3'"),
+        ({"top_k": None}, "counts must be integers: top_k is None"),
+    ], ids=["null_strategy", "list_strategy", "top_k_0", "top_k_negative", "top_k_float",
+            "top_k_string", "top_k_null"])
+    def test_bad_search_fields_are_400_naming_the_field(self, served_index, fields, why):
+        # handle_query leaves these checks to SearchConfig, whose ValueError
+        # the handler answers with 400.
+        _, base = served_index
+        payload = {"question": "where is w001", **fields}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(base + "/query", payload)
+        with err.value as resp:
+            assert resp.code == 400
+            assert json.loads(resp.read())["error"] == why
+
     def test_unknown_path_is_404(self, served_index):
         _, base = served_index
         assert error_status(get, base + "/nope") == 404

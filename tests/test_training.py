@@ -254,6 +254,38 @@ class TestGradients:
                 assert abs(fd - dV[a, b]) / denom < 1e-4
 
 
+@pytest.mark.parametrize("bias, answer", [
+    (None, (1, 2)), (0.7, (1, 2)), (-2.5, (0, 0)), (0.7, None), (-30.0, None),
+], ids=["no_bias", "bias", "bias_first_token", "bias_no_answer", "low_bias_no_answer"])
+def test_loss_and_grads_returns_the_public_losses_exactly(bias, answer):
+    # One path computes every loss: the training step's loss and parts are
+    # the very values the public loss functions give on the same logits.
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        T = int(rng.integers(3, 9))
+        H_doc = rng.normal(size=(T, CFG.dim))
+        H_q = rng.normal(size=(int(rng.integers(1, 4)), CFG.dim))
+        loss, parts, *_ = combined_loss_and_grads(H_doc, H_q, CFG, answer, 3, bias)
+        bundle = compute_logits(
+            TokenEncodingMatrix(H_doc, CFG), question_dense(TokenEncodingMatrix(H_q, CFG)), 3
+        )
+        if bias is not None:
+            bundle = apply_no_answer(bundle, bias)
+        i_star, j_star = answer if answer is not None else (None, None)
+        assert parts["true"] == true_loss(bundle, answer)
+        assert parts["aux_start"] == aux_loss_start(bundle, i_star)
+        assert parts["aux_end"] == aux_loss_end(bundle, j_star)
+        assert loss == parts["combined"] == combined_loss(bundle, answer)
+
+
+def test_loss_and_grads_has_no_bias_gradient_without_a_bias():
+    rng = np.random.default_rng(19)
+    H_doc, H_q = rng.normal(size=(5, CFG.dim)), rng.normal(size=(2, CFG.dim))
+    assert combined_loss_and_grads(H_doc, H_q, CFG, (0, 1), 3)[4] == 0.0
+    with pytest.raises(ValueError, match="no-answer bias"):
+        combined_loss_and_grads(H_doc, H_q, CFG, None, 3)
+
+
 class TestMineNegatives:
     @staticmethod
     def embed_with(vectors):
@@ -430,6 +462,29 @@ class TestTrainEncoder:
         np.testing.assert_array_equal(enc_a.linear, enc_b.linear)
 
 
-def test_training_config_validates_weights():
-    with pytest.raises(ValueError):
-        TrainingConfig(weight_true=0.6, weight_aux=0.25)
+@pytest.mark.parametrize("setting, why", [
+    ({"epochs": "ten"}, "epochs must be an integer, not 'ten'"),
+    ({"epochs": 2.0}, "epochs must be an integer, not 2.0"),
+    ({"epochs": True}, "epochs must be an integer, not True"),
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"max_span": 0}, "max_span must be >= 1, got 0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"negatives_per_paragraph": -1}, "negatives_per_paragraph must be >= 0, got -1"),
+    ({"negatives_per_paragraph": None}, "negatives_per_paragraph must be an integer, not None"),
+    ({"learning_rate": 0.0}, "learning_rate must be a finite number > 0, not 0.0"),
+    ({"learning_rate": -0.1}, "learning_rate must be a finite number > 0, not -0.1"),
+    ({"learning_rate": float("nan")}, "learning_rate must be a finite number > 0, not nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be a finite number > 0, not inf"),
+    ({"learning_rate": "0.1"}, "learning_rate must be a finite number > 0, not '0.1'"),
+    ({"learning_rate": False}, "learning_rate must be a finite number > 0, not False"),
+], ids=["epochs_string", "epochs_float", "epochs_bool", "epochs_0", "max_span_0", "seed_negative",
+        "negatives_negative", "negatives_null", "lr_0", "lr_negative", "lr_nan", "lr_inf",
+        "lr_string", "lr_bool"])
+def test_training_config_refuses_a_bad_setting(setting, why):
+    with pytest.raises(ValueError) as err:
+        TrainingConfig(**setting)
+    assert str(err.value) == why
+
+
+def test_training_config_accepts_its_least_values():
+    TrainingConfig(learning_rate=1, epochs=1, seed=0, max_span=1, negatives_per_paragraph=0)
