@@ -12,8 +12,9 @@ count as a u64, its width as one byte in {1, 2, 4, 8}, then the values as
 little-endian unsigned integers of the least width that holds the largest.
 A list set is the list lengths as a narrow array, then every list's
 ascending values as narrow d-gaps: each list's first value as is, every
-later one less the value before it. Float arrays are stored raw, their
-counts given by what precedes them.
+later one less the value before it. Open refuses an id list that does not
+ascend strictly below its limit: NGRAM_BINS, or the count of what it names.
+Float arrays are stored raw, their counts given by what precedes them.
 
 phrases.bin holds, after its header, each paragraph's document ordinal and
 its token count as two narrow arrays, then the start and the end survival
@@ -32,17 +33,18 @@ and its end's tail, computed when it is scored. The two matrices cost
 stored scalar, so they are smaller when there are more than 2 *
 coherency_dim phrases per token: at keep-all, about max_span of them.
 
-postings.bin holds, after its header, the posting bins as a list set of one
-list, each bin's document ordinals as a list set, and their float32
-weights. sparse_docs.bin holds only what postings.bin cannot give. After its
-header: the bins whose idf is 0, which have no postings, as a list set of
-one list, and their dfs as a narrow array; a float32 1 / ||doc + para|| per
-paragraph (0 for an empty sum); and each paragraph's own tf-idf vector, its
-bins as a list set and its float32 weights, empty for a document's only
-paragraph, whose paragraph vector is its document vector. The document
-vectors are the transpose of postings.bin, and every other bin's df is the
-length of its posting list, so the tf-idf model is derived at open. A
-paragraph's combined vector is (doc + para) * inv_norm.
+postings.bin holds, after its header, the document postings: the posting
+bins as a list set of one list, each bin's document ordinals as a list set,
+and their float32 weights. sparse_docs.bin holds only what postings.bin
+cannot give. After its header: the bins whose idf is 0, which have no
+postings, as a list set of one list, and their dfs as a narrow array; a
+float32 1 / ||doc + para|| per paragraph (0 for an empty sum); and the
+postings of the paragraphs' own tf-idf vectors in postings.bin's layout,
+paragraph ordinals in place of document ordinals. A document's only
+paragraph has no postings: its paragraph vector is its document vector.
+The document vectors are the transpose of postings.bin, and every other
+bin's df is the length of its posting list, so the tf-idf model is derived
+at open. A paragraph's combined vector is (doc + para) * inv_norm.
 
 ivf.bin holds, after its header, the cell count and the width as two u32,
 the float32 centroids, then each cell's ascending start rows as a list set.
@@ -62,7 +64,6 @@ from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ from .sparse import (
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
 _WIDTHS = (1, 2, 4, 8)  # the byte widths of a narrow array
@@ -217,6 +218,14 @@ def _write_lists(fh, offsets: np.ndarray, values: np.ndarray) -> None:
     _write_narrow(fh, gaps)
 
 
+def _write_postings(fh, p: PostingLists) -> None:
+    """The bins as a list set of one list, each bin's ids as a list set, then
+    the float32 weights."""
+    _write_lists(fh, np.array([0, p.bins.size]), p.bins)
+    _write_lists(fh, p.offsets, p.docs)
+    fh.write(p.weights.astype("<f4").tobytes())
+
+
 class _SectionReader:
     """A section's bytes after its checked header, read front to back. Every
     read checks that the bytes are there, so a section cut short is refused
@@ -252,8 +261,11 @@ class _SectionReader:
             raise ValueError(f"section {self.name}: {nbytes} bytes of {width}-byte values")
         return self.array(f"<u{width}", nbytes // width).astype(np.int64)
 
-    def lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """A list set, as int64 CSR arrays (offsets, values)."""
+    def lists(self, what: str | None = None, limit: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """A list set, as int64 CSR arrays (offsets, values). Given what the
+        lists hold, each must ascend strictly and stay in [0, limit): every
+        gap after its list's head at least 1, and none negative, which a u8
+        gap of 2**63 or more is as int64."""
         lengths, gaps = self.narrow(), self.narrow()
         offsets = np.append(0, np.cumsum(lengths))
         if offsets[-1] != gaps.size:
@@ -265,7 +277,33 @@ class _SectionReader:
         full = lengths > 0
         heads = offsets[:-1][full]
         values -= np.repeat(values[heads] - gaps[heads], lengths[full])
+        if what is not None:
+            least = np.ones_like(gaps)
+            least[heads] = 0
+            # Gaps below limit also keep the running sum from overflowing.
+            if (gaps < least).any() or (gaps >= limit).any() or values.max(initial=0) >= limit:
+                raise ValueError(
+                    f"section {self.name}: {what} must ascend strictly within each list "
+                    f"and stay below {limit}"
+                )
         return offsets, values
+
+    def one_list(self, what: str, limit: int) -> np.ndarray:
+        """A list set of one list, checked as lists checks it: its values."""
+        offsets, values = self.lists(what, limit)
+        if offsets.size != 2:
+            raise ValueError(f"section {self.name}: {offsets.size - 1} lists of {what}, not 1")
+        return values
+
+    def postings(self, n: int, what: str) -> InvertedIndex:
+        """Posting lists as _write_postings stores them, each bin's `what`
+        (document or paragraph ordinals) below n."""
+        bins = self.one_list("bins", NGRAM_BINS)
+        offsets, ids = self.lists(what, n)
+        if offsets.size != bins.size + 1:
+            raise ValueError(f"section {self.name}: the bins need one posting list each")
+        weights = self.array("<f4", ids.size).astype(np.float64)
+        return InvertedIndex(n, PostingLists(bins, offsets, ids, weights))
 
     def done(self) -> None:
         if self.at != len(self.data):
@@ -278,17 +316,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _check_bins(bins: np.ndarray, offsets: np.ndarray, name: str) -> None:
-    """Vector i's bins, bins[offsets[i]:offsets[i + 1]], must ascend strictly
-    and stay below NGRAM_BINS: PhraseIndex.para_keys and PostingLists find
-    entries by binary search over them."""
-    vector = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    if bins.size and (bins.max() >= NGRAM_BINS or (np.diff(vector * NGRAM_BINS + bins) <= 0).any()):
-        raise ValueError(
-            f"section {name}: n-gram bins must ascend within each vector and stay below {NGRAM_BINS}"
-        )
 
 
 def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, int]:
@@ -426,14 +453,12 @@ def _write_sparse_sections(
     own_vectors: SparseRows,
     inv_norms: array,
 ) -> None:
-    """postings.bin from the document vectors, then sparse_docs.bin."""
+    """postings.bin from the document vectors, then sparse_docs.bin with the
+    postings of the paragraph-only vectors."""
     inverted = build_inverted_index(doc_vecs)
-    p = inverted.postings
     with open(out / "postings.bin", "wb") as fh:
         _write_header(fh, b"PSTG")
-        _write_lists(fh, np.array([0, p.bins.size]), p.bins)
-        _write_lists(fh, p.offsets, p.docs)
-        fh.write(p.weights.astype("<f4").tobytes())
+        _write_postings(fh, inverted.postings)
     idf_zero = _idf_zero_doc_freq(tfidf, inverted)
     zero_bins = np.array(sorted(idf_zero), dtype=np.int64)
     with open(out / "sparse_docs.bin", "wb") as fh:
@@ -441,8 +466,7 @@ def _write_sparse_sections(
         _write_lists(fh, np.array([0, zero_bins.size]), zero_bins)
         _write_narrow(fh, np.array([idf_zero[b] for b in zero_bins.tolist()], dtype=np.int64))
         fh.write(np.array(inv_norms, dtype="<f4").tobytes())
-        _write_lists(fh, own_vectors.offsets, own_vectors.bins)
-        fh.write(own_vectors.weights.astype("<f4").tobytes())
+        _write_postings(fh, build_inverted_index(own_vectors).postings)
 
 
 def _fsync_tree(path: Path) -> None:
@@ -769,14 +793,8 @@ class PhraseIndex:
         self._map_coherency()
 
         section = _SectionReader(self.path / "postings.bin", b"PSTG")
-        _, bins = section.lists()
-        offsets, docs = section.lists()
-        weights = section.array("<f4", docs.size).astype(np.float64)
+        self.postings = section.postings(self.n_docs, "document ordinals")
         section.done()
-        _check_bins(bins, np.array([0, bins.size]), "postings.bin")
-        if offsets.size != bins.size + 1:
-            raise ValueError("section postings.bin: the bins need one posting list each")
-        self.postings = InvertedIndex(counts["docs"], PostingLists(bins, offsets, docs, weights))
         self._read_sparse_docs()
 
         section = _SectionReader(self.path / "filter.bin", b"FLTR")
@@ -831,26 +849,22 @@ class PhraseIndex:
         self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
 
     def _read_sparse_docs(self) -> None:
-        """The paragraph-only vectors and 1 / ||doc + paragraph|| of every
-        paragraph, and the tf-idf model: the df of a bin is the length of its
-        posting list, or its entry in the list of idf-0 bins."""
+        """1 / ||doc + paragraph|| of every paragraph, the postings of the
+        paragraph-only vectors (para_postings), and the tf-idf model: the df
+        of a bin is the length of its posting list, or its entry in the list
+        of idf-0 bins."""
         n_para = len(self.para_table)
         section = _SectionReader(self.path / "sparse_docs.bin", b"SPRS")
-        _, zero_bins = section.lists()
+        zero_bins = section.one_list("idf-0 bins", NGRAM_BINS)
         zero_counts = section.narrow()
         self.para_inv_norm = section.array("<f4", n_para).astype(np.float64)
-        self.own_offsets, self.own_bins = section.lists()
-        self.own_weights = section.array("<f4", self.own_bins.size).astype(np.float64)
+        self.para_postings = section.postings(n_para, "paragraph ordinals")
         section.done()
-        _check_bins(self.own_bins, self.own_offsets, "sparse_docs.bin")
         self.para_sole = (np.diff(self.doc_para_begin) == 1)[self.para_doc]
-        if self.own_offsets.size != n_para + 1:
-            raise ValueError(f"section sparse_docs.bin: expected {n_para} paragraphs")
-        if np.diff(self.own_offsets)[self.para_sole].any():
+        if self.para_sole[self.para_postings.postings.docs].any():
             raise ValueError(
                 "section sparse_docs.bin: a document's only paragraph has a vector of its own"
             )
-        _check_bins(zero_bins, np.array([0, zero_bins.size]), "sparse_docs.bin")
         postings = self.postings.postings
         doc_freq = dict(zip(map(int, postings.bins), map(int, np.diff(postings.offsets))))
         doc_freq.update(zip(map(int, zero_bins), map(int, zero_counts)))
@@ -871,9 +885,9 @@ class PhraseIndex:
                 f"section ivf.bin: centroids {dim} wide, boundary_dim is {self.config.boundary_dim}"
             )
         centroids = section.array("<f4", n_clusters * dim).reshape(n_clusters, dim)
-        offsets, rows = section.lists()
-        section.done()
         n = self.n_start_rows
+        offsets, rows = section.lists("start rows", n)
+        section.done()
         if offsets.size != n_clusters + 1 or not np.array_equal(np.sort(rows), np.arange(n)):
             raise ValueError(
                 f"section ivf.bin: {offsets.size - 1} cells of {rows.size} rows, expected "
@@ -973,16 +987,6 @@ class PhraseIndex:
 
     def span_text(self, ref: SpanRef) -> str:
         return self.corpus.span_text(ref)
-
-    @cached_property
-    def para_keys(self) -> np.ndarray:
-        """para_row * NGRAM_BINS + bin for each entry of the paragraph-only
-        CSR: ascending over the whole array, so one searchsorted finds any
-        (paragraph, bin) pair. Built on first use, O(paragraph-only entries)."""
-        rows = np.arange(self.own_offsets.size - 1)
-        keys = np.repeat(rows * NGRAM_BINS, np.diff(self.own_offsets))
-        keys += self.own_bins
-        return keys
 
 
 def load_index(path: str | Path) -> PhraseIndex:

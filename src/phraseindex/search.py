@@ -45,7 +45,7 @@ import numpy as np
 
 from .corpus import SpanRef, tokenize
 from .dense import QueryDenseVector, question_dense
-from .sparse import NGRAM_BINS, SparseVector, _top_k, retrieve_top_docs, score_docs
+from .sparse import SparseVector, _top_k, retrieve_top_docs, score_docs
 from .sparse import sparse_score  # noqa: F401  (callers import it from here)
 
 if TYPE_CHECKING:
@@ -370,25 +370,16 @@ def _para_sparse(
 ) -> np.ndarray:
     """Sparse score of q against the combined vector of each paragraph in
     `paras`: (q.doc + q.para) * inv_norm. q.doc is read from `doc_scores`,
-    score_docs' pass over the postings (made here when not given). q.para is
-    one searchsorted of every (paragraph, query bin) pair in index.para_keys,
-    the paragraph-only vectors; a document's only paragraph has none, and
-    takes q.doc. Each dot product sums its terms in bin order, so a paragraph
-    gets the same bits whichever other paragraphs are scored with it."""
+    score_docs' pass over the document postings (made here when not given),
+    and q.para from score_docs' pass over index.para_postings, the postings
+    of the paragraph-only vectors; a document's only paragraph has none, and
+    takes q.doc. score_docs sums each paragraph's terms in query-bin order,
+    so a paragraph gets the same bits whichever other paragraphs are asked
+    for."""
     if doc_scores is None:
         doc_scores = score_docs(q, index.postings)
     from_doc = doc_scores[index.para_doc[paras]]
-    keys = index.para_keys
-    from_para = np.zeros(paras.size)
-    if not q.is_empty and keys.size:
-        want = ((paras * NGRAM_BINS)[:, None] + q.bins).ravel()
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        hit = np.flatnonzero(keys[pos] == want)
-        from_para = np.bincount(
-            hit // q.bins.size,
-            weights=q.weights[hit % q.bins.size] * index.own_weights[pos[hit]],
-            minlength=paras.size,
-        )
+    from_para = score_docs(q, index.para_postings)[paras]
     from_para = np.where(index.para_sole[paras], from_doc, from_para)
     return (from_doc + from_para) * index.para_inv_norm[paras]
 
@@ -406,9 +397,10 @@ def _score_starts(
     """Score every stored phrase that starts at one of the ascending start
     records `recs` (an array, or a range for all of them), keep the best
     config.top_k and count the work done. A result is labelled label(start
-    record), or `strategy` without a label. `doc_scores` holds q . d for at
-    least the documents of `recs`, as score_docs computes it for all of them
-    when it is not given.
+    record), or `strategy` without a label. `doc_scores` is q . d for every
+    document, as score_docs computes it when it is not given. The sparse
+    score of every paragraph (_para_sparse) is taken once for the query, and
+    each block reads its records' paragraphs from it.
 
     The records are scored _BLOCK at a time. A block's phrases form a
     rectangle of records by window offsets t below the largest rec_n_ends,
@@ -449,10 +441,9 @@ def _score_starts(
     phrases ascend in (doc, para, i, j) order with (r, t), as do the kept
     cells, block after block; ranking them on (-score, position) gives the
     documented tie-break. Every term is computed per row, per phrase or per
-    paragraph, so a phrase scores the same bits in any set of records, and
-    when `recs` is a range the sparse score of every paragraph is taken once
-    for the query. The scratch is O(_BLOCK x max_span), whatever the number
-    of records.
+    paragraph, so a phrase scores the same bits in any set of records. The
+    scratch is O(_BLOCK x max_span), whatever the number of records, besides
+    one float64 per paragraph.
     """
     q = query.dense
     start_fold = _fold(index.start_quant, q.start)
@@ -462,13 +453,9 @@ def _score_starts(
     coh_lo, coh_hi = index.coherency_range
     coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
     k, scale = config.top_k, config.sparse_scale
-    if doc_scores is None:
-        doc_scores = score_docs(query.sparse, index.postings)
-    every_para = None
-    if isinstance(recs, range):
-        every_para = _para_sparse(
-            index, query.sparse, np.arange(index.para_inv_norm.size), doc_scores
-        )
+    para_scores = _para_sparse(
+        index, query.sparse, np.arange(index.para_inv_norm.size), doc_scores
+    )
     unset = floor = -np.finfo(np.float64).max
     kept = []  # per block: score, start logit, end logit, sparse, start record, offset
     n_scored = n_expanded = 0
@@ -479,14 +466,7 @@ def _score_starts(
         if n_valid == 0:
             continue
         n_scored += n_valid
-        paras = _take(index.rec_para, blk)
-        if every_para is not None:
-            sparse = every_para[paras]
-        else:
-            para_begins = np.ones(paras.size, dtype=bool)  # paras is nondecreasing
-            np.not_equal(paras[1:], paras[:-1], out=para_begins[1:])
-            sparse = _para_sparse(index, query.sparse, paras[para_begins], doc_scores)
-            sparse = sparse[np.cumsum(para_begins) - 1]
+        sparse = para_scores[_take(index.rec_para, blk)]
         end_rows, end_first = _end_ranges(_take(index.rec_end_row, blk), n_ends)
         start = _code_bounds(start_codes, blk, start_fold32)
         end = _code_bounds(end_codes, _as_run(end_rows), end_fold32)

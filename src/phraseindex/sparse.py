@@ -1,6 +1,8 @@
 """Hashed 2-gram tf-idf vectors, inverted-index retrieval, and learned sparse encoding.
 
-PostingLists is the one posting type: built, written, opened and scored as the same CSR arrays."""
+PostingLists is the one posting type: built, written, opened and scored as the same CSR arrays.
+An index keeps two, one over the document vectors and one over the paragraphs' own vectors,
+and score_docs scores a query against every vector of either in one pass."""
 
 from __future__ import annotations
 
@@ -196,8 +198,8 @@ class PostingLists(Mapping):
 
 @dataclass
 class InvertedIndex:
-    """Posting lists over n_docs documents; a posting's weight is the
-    document vector's weight for that bin, bit for bit."""
+    """Posting lists over n_docs vectors, documents or paragraphs; a
+    posting's weight is the vector's weight for that bin, bit for bit."""
 
     n_docs: int
     postings: PostingLists
@@ -238,9 +240,9 @@ class SparseRows:
 
 
 def build_inverted_index(vectors: SparseRows) -> InvertedIndex:
-    """The postings of the document vectors, document d being vector d: one
-    stable sort of every (bin, doc, weight) entry by bin, so each bin's
-    postings come out in ascending doc order."""
+    """The postings of the vectors, posting ordinal d being vector d: one
+    stable sort of every (bin, d, weight) entry by bin, so each bin's
+    postings come out in ascending ordinal order."""
     order = np.argsort(vectors.bins, kind="stable")
     bins = vectors.bins[order]
     docs = np.repeat(np.arange(len(vectors), dtype=np.int64), np.diff(vectors.offsets))[order]
@@ -278,10 +280,11 @@ def retrieve_top_docs(
 
 
 def score_docs(q: SparseVector, index: InvertedIndex) -> np.ndarray:
-    """q . d for every document d: one searchsorted of the query bins, one
-    gather of their posting ranges and one bincount. The entries stay in
-    query-bin order, so each document sums its terms in that order and gets
-    the same bits whichever other documents share its posting lists."""
+    """q . d for every vector d of the index, document or paragraph: one
+    searchsorted of the query bins, one gather of their posting ranges and
+    one bincount. The entries stay in query-bin order, so each vector sums
+    its terms in that order and gets the same bits whichever other vectors
+    share its posting lists."""
     p = index.postings
     k = np.searchsorted(p.bins, q.bins)
     hit = k < p.bins.size

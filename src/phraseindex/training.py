@@ -507,7 +507,8 @@ def train_encoder(
 
     Deterministic given the config seed; each epoch record carries the mean
     loss parts plus the boundary filter's validation precision/recall on the
-    epoch's encodings.
+    epoch's encodings. A step whose loss or updated weights are not finite
+    has diverged, and raises ValueError naming the epoch and the learning rate.
     """
     examples = build_training_examples(corpus, qa, encoder, config)
     if not examples:
@@ -532,14 +533,20 @@ def train_encoder(
             ex = examples[idx]
             base_d = doc_bases[(ex.doc_id, ex.para_idx)]
             base_q = q_bases[idx]
-            H_doc = base_d @ encoder.linear.T
-            H_q = base_q @ encoder.linear.T
-            loss, parts, dH, dHq, d_bias = combined_loss_and_grads(
-                H_doc, H_q, encoder.config, ex.answer, config.max_span, bias
-            )
-            d_linear = dH.T @ base_d + dHq.T @ base_q
-            encoder.linear -= config.learning_rate * d_linear
-            bias -= config.learning_rate * d_bias
+            with np.errstate(all="ignore"):  # a diverging step is refused below, not warned of
+                H_doc = base_d @ encoder.linear.T
+                H_q = base_q @ encoder.linear.T
+                loss, parts, dH, dHq, d_bias = combined_loss_and_grads(
+                    H_doc, H_q, encoder.config, ex.answer, config.max_span, bias
+                )
+                d_linear = dH.T @ base_d + dHq.T @ base_q
+                encoder.linear -= config.learning_rate * d_linear
+                bias -= config.learning_rate * d_bias
+            if not (math.isfinite(loss) and math.isfinite(bias) and np.isfinite(encoder.linear).all()):
+                raise ValueError(
+                    f"training diverged in epoch {epoch + 1} of {config.epochs}: a loss or "
+                    f"weight is not finite at learning_rate {config.learning_rate}"
+                )
             for k in sums:
                 sums[k] += parts[k]
         record = {k: v / len(examples) for k, v in sums.items()}

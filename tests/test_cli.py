@@ -95,6 +95,24 @@ def test_train_then_build_with_state(tmp_path, corpus_file, capsys):
     assert 0.0 <= report["exact_match"] <= 1.0
 
 
+def test_train_that_diverges_is_one_line_and_writes_nothing(tmp_path, corpus_file, capsys):
+    # At a learning rate of 1e6 the loss leaves the floats within two epochs;
+    # the run stops there instead of writing NaN metrics and weights.
+    path, corpus = corpus_file
+    qa_path = _qa_of_first_two_tokens(corpus, tmp_path / "qa.jsonl")
+    rc = main(
+        ["train", "--corpus", str(path), "--qa", str(qa_path), "--out", str(tmp_path / "run"),
+         "--epochs", "2", "--lr", "1e6", *DIMS]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("phraseindex: error: training diverged in epoch ")
+    assert "learning_rate 1000000.0" in line
+    assert not (tmp_path / "run" / "metrics.json").exists()
+    assert not (tmp_path / "run" / "encoder_state.json").exists()
+
+
 def test_bench_command(tmp_path, corpus_file, capsys):
     path, _ = corpus_file
     main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"),

@@ -547,6 +547,17 @@ class TestCodec:
         with pytest.raises(ValueError, match=f"section postings.bin: .*{why}"):
             _section_file(tmp_path, payload).lists()
 
+    @pytest.mark.parametrize("lists", [
+        [[3, 3]], [[1], [4, 2]], [[10]], [[0, 2**63]], [[2**63]], [[2**64 - 1]],
+    ], ids=["repeat", "descent", "at the limit", "gap of 2**63", "head of 2**63", "head of 2**64 - 1"])
+    def test_checked_lists_must_ascend_within_the_limit(self, tmp_path, lists):
+        # A u8 gap of 2**63 or more is negative as int64; it is refused, not wrapped.
+        payload = _narrow([len(lst) for lst in lists]) + _narrow(
+            [v % 2**64 for v in _gaps(lists)]
+        )
+        with pytest.raises(ValueError, match="section postings.bin: ids must ascend .*below 10"):
+            _section_file(tmp_path, payload).lists("ids", 10)
+
 
 @pytest.mark.parametrize("section", sorted(SECTIONS - {"corpus.jsonl"}))
 def test_a_section_with_a_byte_past_its_end_is_refused_by_name(tmp_path, section):
@@ -777,21 +788,63 @@ class TestSparseBinsAtOpen:
         edit(lists)
         _rewrite_section(index_dir, name, raw[:at] + _list_set(lists) + raw[end:])
 
-    # A gap of 0 repeats the bin before it; a gap of NGRAM_BINS leaves the bin space.
-    @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
-    def test_paragraph_bins_must_ascend_below_the_bin_space(self, index_dir, value):
-        # The idf-0 bins, their dfs and a float32 per paragraph precede the paragraph bins.
-        index_dir, n_para = index_dir
+    @staticmethod
+    def _paragraph_postings_at(index_dir, n_para) -> int:
+        """Where sparse_docs.bin's paragraph postings begin: after the idf-0
+        bins, their dfs and a float32 per paragraph."""
         raw = (index_dir / "sparse_docs.bin").read_bytes()
         _, at = _parse_list_set(raw, 12)
         _, at = _parse_narrow(raw, at)
+        return at + 4 * n_para
+
+    # A gap of 0 repeats the bin before it; a gap of NGRAM_BINS leaves the bin space.
+    @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
+    def test_paragraph_bins_must_ascend_below_the_bin_space(self, index_dir, value):
+        index_dir, n_para = index_dir
 
         def edit(lists):
-            vec = next(v for v in reversed(lists) if len(v) > 1)
-            vec[-1] = vec[-2] + value
+            (bins,) = lists
+            bins[-1] = bins[-2] + value
 
-        self._rewrite_lists(index_dir, "sparse_docs.bin", at + 4 * n_para, edit)
+        self._rewrite_lists(
+            index_dir, "sparse_docs.bin", self._paragraph_postings_at(index_dir, n_para), edit
+        )
         with pytest.raises(ValueError, match="sparse_docs.bin.*bins"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("case", ["past the paragraphs", "repeated"])
+    def test_paragraph_ordinals_must_ascend_below_the_paragraph_count(self, index_dir, case):
+        index_dir, n_para = index_dir
+        raw = (index_dir / "sparse_docs.bin").read_bytes()
+        _, at = _parse_list_set(raw, self._paragraph_postings_at(index_dir, n_para))
+
+        def edit(lists):
+            paras = next(lst for lst in lists if len(lst) > 1)
+            paras[-1] = n_para if case == "past the paragraphs" else paras[-2]
+
+        self._rewrite_lists(index_dir, "sparse_docs.bin", at, edit)
+        with pytest.raises(
+            ValueError,
+            match=f"section sparse_docs.bin: paragraph ordinals .*below {n_para}",
+        ):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("case", ["at the document count", "repeated"])
+    def test_posting_documents_must_ascend_below_the_document_count(self, index_dir, case):
+        # A document ordinal past the corpus used to open, and a query for its
+        # bin then raised IndexError in the search.
+        index_dir, _ = index_dir
+        raw = (index_dir / "postings.bin").read_bytes()
+        _, at = _parse_list_set(raw, 12)
+
+        def edit(lists):
+            docs = next(lst for lst in lists if len(lst) > 1)
+            docs[-1] = 5 if case == "at the document count" else docs[-2]
+
+        self._rewrite_lists(index_dir, "postings.bin", at, edit)
+        with pytest.raises(
+            ValueError, match="section postings.bin: document ordinals .*below 5"
+        ):
             load_index(index_dir)
 
     @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
@@ -868,13 +921,18 @@ def test_derived_para_vectors_are_the_combined_vectors(tmp_path):
 
 
 def test_open_refuses_a_version_4_index(tmp_path):
+    # And every other version before this one, with the same line.
     build_small_index(make_random_corpus(np.random.default_rng(24), n_docs=4), tmp_path / "idx")
     manifest_path = tmp_path / "idx" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 4
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="format version 4 .*reads format version 5, so rebuild"):
-        load_index(tmp_path / "idx")
+    for old in (4, 5):
+        manifest["format_version"] = old
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            ValueError,
+            match=f"format version {old} .*reads format version {FORMAT_VERSION}, so rebuild",
+        ):
+            load_index(tmp_path / "idx")
 
 
 def test_para_row_round_trips_and_rejects_missing_paragraphs(tmp_path):
@@ -1024,13 +1082,21 @@ def _reference_sparse_sections(corpus, tfidf) -> dict[str, bytes]:
             own.append(SparseVector.empty() if sole else para_vec)
             norm = add_vectors(doc_vec, para_vec).norm()
             inv_norms.append(1.0 / norm if norm else 0.0)
-    postings: dict[int, list[tuple[int, float]]] = {}
-    for d, vec in enumerate(doc_vecs):
-        for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
-            postings.setdefault(b, []).append((d, w))
-    bins = sorted(postings)
-    docs = [[d for d, _ in postings[b]] for b in bins]
-    zero = sorted(set(tfidf.doc_freq) - set(bins))
+
+    def postings_of(vectors) -> bytes:
+        """The bins as one list, each bin's vector ordinals, then the weights."""
+        postings: dict[int, list[tuple[int, float]]] = {}
+        for d, vec in enumerate(vectors):
+            for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
+                postings.setdefault(b, []).append((d, w))
+        bins = sorted(postings)
+        return (
+            _list_set([bins]) + _list_set([[d for d, _ in postings[b]] for b in bins])
+            + f4([w for b in bins for _, w in postings[b]])
+        )
+
+    posted = {b for vec in doc_vecs for b in vec.bins.tolist()}
+    zero = sorted(set(tfidf.doc_freq) - posted)
     assert zero and len(own) > len(doc_vecs)  # idf-0 bins and multi-paragraph docs occur
 
     def section(tag, *parts):
@@ -1040,13 +1106,10 @@ def _reference_sparse_sections(corpus, tfidf) -> dict[str, bytes]:
         return np.array(values, dtype="<f4").tobytes()
 
     return {
-        "postings.bin": section(
-            b"PSTG", _list_set([bins]), _list_set(docs),
-            f4([w for b in bins for _, w in postings[b]]),
-        ),
+        "postings.bin": section(b"PSTG", postings_of(doc_vecs)),
         "sparse_docs.bin": section(
             b"SPRS", _list_set([zero]), _narrow([tfidf.doc_freq[b] for b in zero]), f4(inv_norms),
-            _list_set([v.bins.tolist() for v in own]), f4(np.concatenate([v.weights for v in own])),
+            postings_of(own),
         ),
     }
 

@@ -1181,11 +1181,13 @@ def test_every_result_field_equals_a_reference_built_one_result_at_a_time(fixtur
 
 
 def test_hybrid_and_sfs_score_the_documents_once(random_index, monkeypatch):
+    # score_docs runs once over the document postings and once over the
+    # paragraph postings, whatever the number of blocks.
     calls = []
     score_docs = sparse_module.score_docs
 
     def counted(q, inverted):
-        calls.append(q)
+        calls.append(inverted)
         return score_docs(q, inverted)
 
     monkeypatch.setattr(sparse_module, "score_docs", counted)
@@ -1195,7 +1197,8 @@ def test_hybrid_and_sfs_score_the_documents_once(random_index, monkeypatch):
         cfg = SearchConfig(strategy=strategy, sparse_top_docs=3, dense_top_starts=15, nprobe=2)
         calls.clear()
         out = run_search(random_index, query, cfg)
-        assert out.results and len(calls) == 1, strategy
+        assert out.results and len(calls) == 2, strategy
+        assert calls[0] is random_index.postings and calls[1] is random_index.para_postings
 
 
 def test_question_of_idf_zero_ngrams_gets_no_sfs_documents_under_hybrid(random_index):
