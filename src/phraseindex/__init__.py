@@ -51,7 +51,6 @@ from .search import (
     run_search,
     sfs_search,
 )
-from .service import EvalReport, benchmark, em_f1, eval_em_f1, normalize_answer, serve
 from .sparse import (
     InvertedIndex,
     SparseRows,
@@ -81,3 +80,15 @@ from .training import (
 )
 
 __version__ = "0.1.0"
+
+# The HTTP service's names load http.server on first use, not with the package:
+# a build or a query does not need it.
+_SERVICE = frozenset({"EvalReport", "benchmark", "em_f1", "eval_em_f1", "normalize_answer", "serve"})
+
+
+def __getattr__(name: str):
+    if name in _SERVICE:
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ from .corpus import load_corpus, load_qa
 from .dense import EncoderConfig, ToyEncoder
 from .index import BuildConfig, PhraseIndex, build_index
 from .search import STRATEGIES, SearchConfig, embed_question, run_search
-from .service import benchmark, eval_em_f1, serve
 from .sparse import fit_tfidf
 from .training import TrainingConfig, train_encoder
 
@@ -167,11 +166,15 @@ def cmd_query(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .service import serve  # http.server loads only for the commands that use it
+
     serve(args.index, args.addr, args.search)
     return 0
 
 
 def cmd_eval(args) -> int:
+    from .service import eval_em_f1
+
     index = PhraseIndex(args.index)
     qa = load_qa(args.qa)
     predictions = []
@@ -184,6 +187,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .service import benchmark
+
     index = PhraseIndex(args.index)
     qa = load_qa(args.qa)
     reports = benchmark(

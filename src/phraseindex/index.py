@@ -35,16 +35,23 @@ coherency_dim phrases per token: at keep-all, about max_span of them.
 
 postings.bin holds, after its header, the document postings: the posting
 bins as a list set of one list, each bin's document ordinals as a list set,
-and their float32 weights. sparse_docs.bin holds only what postings.bin
-cannot give. After its header: the bins whose idf is 0, which have no
-postings, as a list set of one list, and their dfs as a narrow array; a
-float32 1 / ||doc + para|| per paragraph (0 for an empty sum); and the
-postings of the paragraphs' own tf-idf vectors in postings.bin's layout,
-paragraph ordinals in place of document ordinals. A document's only
-paragraph has no postings: its paragraph vector is its document vector.
-The document vectors are the transpose of postings.bin, and every other
-bin's df is the length of its posting list, so the tf-idf model is derived
-at open. A paragraph's combined vector is (doc + para) * inv_norm.
+each posting's term count (tf, at least 1) as a narrow array, then the
+float64 norm of each document vector's tf * idf before normalization, one
+per document with postings, in document order. No weight is stored: a bin's
+df is the length of its posting list, and open derives every weight as
+float32 of sparse.tfidf_weights(tf, idf(df), norm), which is the float32 of
+the weight TfIdfModel.embed gives, bit for bit. sparse_docs.bin holds only
+what postings.bin cannot give. After its header: the bins whose idf is 0,
+which have no postings, as a list set of one list, and their dfs as a narrow
+array; a float32 1 / ||doc + para|| per paragraph (0 for an empty sum); and
+the postings of the paragraphs' own tf-idf vectors in postings.bin's
+layout, with paragraph ordinals in place of document ordinals and each bin
+named by its rank in postings.bin's bins: a paragraph's bins are bins of its
+document, and they take the document's df. A document's only paragraph has
+no postings: its paragraph vector is its document vector. The document
+vectors are the transpose of postings.bin, and every other bin's df is the
+length of its posting list, so the tf-idf model is derived at open. A
+paragraph's combined vector is (doc + para) * inv_norm.
 
 ivf.bin holds, after its header, the cell count and the width as two u32,
 the float32 centroids, then each cell's ascending start rows as a list set.
@@ -52,6 +59,8 @@ the float32 centroids, then each cell's ascending start rows as a list set.
 
 from __future__ import annotations
 
+import fcntl
+import glob
 import hashlib
 import json
 import math
@@ -74,18 +83,18 @@ from .search import IvfIndex, phrase_coherency
 from .sparse import (
     NGRAM_BINS,
     InvertedIndex,
-    PostingLists,
     SparseRows,
-    SparseVector,
     TfIdfModel,
     add_vectors,
-    build_inverted_index,
+    idf_of_dfs,
+    posting_lists,
+    posting_order,
     summed_counts,
     token_counts,
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
 _WIDTHS = (1, 2, 4, 8)  # the byte widths of a narrow array
@@ -212,18 +221,31 @@ def _write_lists(fh, offsets: np.ndarray, values: np.ndarray) -> None:
     offsets[i + 1]], as a list set: the lengths, then the d-gaps."""
     lengths = np.diff(offsets)
     heads = offsets[:-1][lengths > 0]
-    gaps = np.diff(values, prepend=0)
+    gaps = values.copy()
+    gaps[1:] -= values[:-1]
     gaps[heads] = values[heads]
     _write_narrow(fh, lengths)
     _write_narrow(fh, gaps)
 
 
-def _write_postings(fh, p: PostingLists) -> None:
-    """The bins as a list set of one list, each bin's ids as a list set, then
-    the float32 weights."""
-    _write_lists(fh, np.array([0, p.bins.size]), p.bins)
-    _write_lists(fh, p.offsets, p.docs)
-    fh.write(p.weights.astype("<f4").tobytes())
+def _write_postings(
+    fh, rows: SparseRows, doc_bins: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The postings of rows (posting_order): the bins as a list set of one
+    list, or given doc_bins their ranks in doc_bins, each bin's ids as a
+    list set, the term counts as a narrow array, then the float64 norm of
+    each vector with postings. Returns the bins and the posting offsets."""
+    bins, offsets, ids, order = posting_order(rows)
+    names = bins
+    if doc_bins is not None:
+        names = np.searchsorted(doc_bins, bins)
+        if (names == doc_bins.size).any() or not np.array_equal(doc_bins[names], bins):
+            raise ValueError("the tf-idf model was not fit on the indexed corpus")
+    _write_lists(fh, np.array([0, names.size]), names)
+    _write_lists(fh, offsets, ids)
+    _write_narrow(fh, rows.tfs[order])
+    fh.write(rows.norms[np.diff(rows.offsets) > 0].astype("<f8").tobytes())
+    return bins, offsets
 
 
 class _SectionReader:
@@ -254,12 +276,13 @@ class _SectionReader:
     def array(self, dtype: str, count: int) -> np.ndarray:
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)
 
-    def narrow(self) -> np.ndarray:
-        """A narrow array, as int64."""
+    def narrow(self, wide: bool = True) -> np.ndarray:
+        """A narrow array, as int64, or else at its stored width."""
         nbytes, width = self.unpack("<QB")
         if width not in _WIDTHS or nbytes % width:
             raise ValueError(f"section {self.name}: {nbytes} bytes of {width}-byte values")
-        return self.array(f"<u{width}", nbytes // width).astype(np.int64)
+        values = self.array(f"<u{width}", nbytes // width)
+        return values.astype(np.int64) if wide else values
 
     def lists(self, what: str | None = None, limit: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """A list set, as int64 CSR arrays (offsets, values). Given what the
@@ -281,7 +304,7 @@ class _SectionReader:
             least = np.ones_like(gaps)
             least[heads] = 0
             # Gaps below limit also keep the running sum from overflowing.
-            if (gaps < least).any() or (gaps >= limit).any() or values.max(initial=0) >= limit:
+            if (gaps < least).any() or (gaps >= limit).any() or values.max(initial=-1) >= limit:
                 raise ValueError(
                     f"section {self.name}: {what} must ascend strictly within each list "
                     f"and stay below {limit}"
@@ -295,15 +318,32 @@ class _SectionReader:
             raise ValueError(f"section {self.name}: {offsets.size - 1} lists of {what}, not 1")
         return values
 
-    def postings(self, n: int, what: str) -> InvertedIndex:
-        """Posting lists as _write_postings stores them, each bin's `what`
-        (document or paragraph ordinals) below n."""
-        bins = self.one_list("bins", NGRAM_BINS)
+    def postings(
+        self, n: int, what: str, bins_what: str = "bins", n_bins: int = NGRAM_BINS
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Posting lists as _write_postings stores them: the bins (or ranks)
+        below n_bins, the offsets and each bin's `what` (document or
+        paragraph ordinals) below n, each posting's tf, and each vector's
+        norm (0 for a vector without postings). Every tf must be at least 1,
+        and every stored norm finite and above 0."""
+        bins = self.one_list(bins_what, n_bins)
         offsets, ids = self.lists(what, n)
         if offsets.size != bins.size + 1:
             raise ValueError(f"section {self.name}: the bins need one posting list each")
-        weights = self.array("<f4", ids.size).astype(np.float64)
-        return InvertedIndex(n, PostingLists(bins, offsets, ids, weights))
+        tfs = self.narrow(wide=False)
+        if tfs.size != ids.size or (tfs < 1).any():
+            raise ValueError(
+                f"section {self.name}: {tfs.size} term counts for {ids.size} postings, "
+                "each at least 1"
+            )
+        posted = np.zeros(n, dtype=bool)
+        posted[ids] = True
+        norms = self.array("<f8", int(posted.sum()))
+        if not (np.isfinite(norms) & (norms > 0.0)).all():
+            raise ValueError(f"section {self.name}: a vector norm is not finite and above 0")
+        vector_norms = np.zeros(n)
+        vector_norms[posted] = norms
+        return bins, offsets, ids, tfs, vector_norms
 
     def done(self) -> None:
         if self.at != len(self.data):
@@ -318,7 +358,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, int]:
+def _idf_zero_doc_freq(
+    tfidf: TfIdfModel, posting_bins: np.ndarray, offsets: np.ndarray, n_docs: int
+) -> dict[int, int]:
     """The (bin, df) pairs of the bins with no postings, which must be the
     bins whose idf is 0. Every other bin's df is the length of its posting
     list, as long as the model was fit on the indexed documents, so these
@@ -328,16 +370,15 @@ def _idf_zero_doc_freq(tfidf: TfIdfModel, inverted: InvertedIndex) -> dict[int, 
     n = len(tfidf.doc_freq)
     bins = np.fromiter(tfidf.doc_freq, np.int64, n)
     dfs = np.fromiter(tfidf.doc_freq.values(), np.int64, n)
-    p = inverted.postings
-    at = np.searchsorted(p.bins, bins)
-    posted = at < p.bins.size
-    posted[posted] = p.bins[at[posted]] == bins[posted]
+    at = np.searchsorted(posting_bins, bins)
+    posted = at < posting_bins.size
+    posted[posted] = posting_bins[at[posted]] == bins[posted]
     zero = dict(zip(bins[~posted].tolist(), dfs[~posted].tolist()))
     # Distinct df bins hit distinct posting bins, so equal counts mean every posting bin has a df.
     if (
-        tfidf.doc_count != inverted.n_docs
-        or int(posted.sum()) != p.bins.size
-        or not np.array_equal(dfs[posted], np.diff(p.offsets)[at[posted]])
+        tfidf.doc_count != n_docs
+        or int(posted.sum()) != posting_bins.size
+        or not np.array_equal(dfs[posted], np.diff(offsets)[at[posted]])
         or any(map(tfidf.idf, zero))
     ):
         raise ValueError("the tf-idf model was not fit on the indexed corpus")
@@ -449,24 +490,24 @@ def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
 def _write_sparse_sections(
     out: Path,
     tfidf: TfIdfModel,
-    doc_vecs: SparseRows,
-    own_vectors: SparseRows,
+    doc_rows: SparseRows,
+    own_rows: SparseRows,
     inv_norms: array,
 ) -> None:
-    """postings.bin from the document vectors, then sparse_docs.bin with the
-    postings of the paragraph-only vectors."""
-    inverted = build_inverted_index(doc_vecs)
+    """postings.bin from the document vectors' terms, then sparse_docs.bin
+    with the postings of the paragraph-only vectors, their bins as ranks in
+    postings.bin's."""
     with open(out / "postings.bin", "wb") as fh:
         _write_header(fh, b"PSTG")
-        _write_postings(fh, inverted.postings)
-    idf_zero = _idf_zero_doc_freq(tfidf, inverted)
+        bins, offsets = _write_postings(fh, doc_rows)
+    idf_zero = _idf_zero_doc_freq(tfidf, bins, offsets, len(doc_rows))
     zero_bins = np.array(sorted(idf_zero), dtype=np.int64)
     with open(out / "sparse_docs.bin", "wb") as fh:
         _write_header(fh, b"SPRS")
         _write_lists(fh, np.array([0, zero_bins.size]), zero_bins)
         _write_narrow(fh, np.array([idf_zero[b] for b in zero_bins.tolist()], dtype=np.int64))
         fh.write(np.array(inv_norms, dtype="<f4").tobytes())
-        _write_postings(fh, build_inverted_index(own_vectors).postings)
+        _write_postings(fh, own_rows, bins)
 
 
 def _fsync_tree(path: Path) -> None:
@@ -499,7 +540,8 @@ def build_index(
     document's paragraphs and takes their n-gram counts once, and keeps
     neither past the document: the document vector is embedded from the sum
     of the counts and each paragraph vector from its own, and both are
-    appended to flat buffers (SparseRows), not kept as objects. The pass
+    appended to flat buffers (SparseRows) as their terms, the bins, their
+    counts and the vector's norm, not kept as objects. The pass
     encodes each paragraph, keeps its survival masks, takes the least and
     greatest coherency of its phrases, and appends its surviving start/end
     rows (float64) and their float32 coherency heads and tails to four
@@ -515,8 +557,12 @@ def build_index(
     masks, bit-packed; the rest of the paragraph table and the phrases
     themselves are derived at open.
     The build is atomic: everything lands in a fresh temp directory beside
-    out_dir, which is fsynced and renamed at the end and removed if the build
-    fails, so a partial build is never visible and never blocks the next one.
+    out_dir, named <out_name>.*.tmp, which is fsynced and renamed at the end
+    and removed if the build fails, so a partial build is never visible and
+    never blocks the next one. The build holds an exclusive flock on the
+    temp directory's own fd for its whole life, and first removes every
+    <out_name>.*.tmp beside out_dir whose lock it can take without blocking:
+    a build killed outright leaves its directory, but not its lock.
     """
     config = config or BuildConfig()
     out_dir = Path(out_dir)
@@ -529,10 +575,62 @@ def build_index(
         raise ValueError("filter width does not match encoder boundary width")
 
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    with ExitStack() as spills:
-        _build(corpus, encoder, tfidf, filter_model, out_dir, config, spills)
+    _reclaim_dead_builds(out_dir)
+    with ExitStack() as held:
+        tmp = _locked_temp_dir(out_dir, held)
+        try:
+            _build(corpus, encoder, tfidf, filter_model, tmp, config, held)
+            _fsync_tree(tmp)
+            os.rename(tmp, out_dir)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
     _fsync_dir(out_dir.parent)
     return out_dir
+
+
+def _reclaim_dead_builds(out_dir: Path) -> None:
+    """Remove each directory <out_name>.*.tmp beside out_dir whose flock can
+    be taken without blocking: the build that made it is dead. Symlinks and
+    files of that name are left alone."""
+    for path in out_dir.parent.glob(f"{glob.escape(out_dir.name)}.*.tmp"):
+        try:
+            fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+        except OSError:
+            continue
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            shutil.rmtree(path, ignore_errors=True)
+        except BlockingIOError:
+            pass  # a live build holds it
+        finally:
+            os.close(fd)
+
+
+def _locked_temp_dir(out_dir: Path, held: ExitStack) -> Path:
+    """A new directory <out_name>.*.tmp beside out_dir, with the mode mkdir
+    would give it, locked through an fd of its own that held closes. Another
+    build's reclaim may remove it before the lock is taken; then it is made
+    afresh."""
+    while True:
+        tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", suffix=".tmp", dir=out_dir.parent))
+        try:
+            fd = os.open(tmp, os.O_RDONLY | os.O_DIRECTORY)
+        except FileNotFoundError:
+            continue
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            if os.stat(tmp).st_ino == os.fstat(fd).st_ino:
+                held.callback(os.close, fd)
+                break
+        except FileNotFoundError:
+            pass
+        os.close(fd)
+    # mkdtemp makes the directory private; give it the mode mkdir would.
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp.chmod(0o777 & ~umask)
+    return tmp
 
 
 def _build(
@@ -540,15 +638,15 @@ def _build(
     encoder: Encoder,
     tfidf: TfIdfModel,
     filter_model: FilterModel,
-    out_dir: Path,
+    tmp: Path,
     config: BuildConfig,
     spills: ExitStack,
 ) -> None:
-    """build_index's encode pass and section writes. Its spill files are
-    entered on spills, which the caller closes."""
+    """build_index's encode pass and its section writes into tmp. Its spill
+    files, beside tmp, are entered on spills, which the caller closes."""
 
     def spill():
-        return spills.enter_context(tempfile.TemporaryFile(dir=out_dir.parent))
+        return spills.enter_context(tempfile.TemporaryFile(dir=tmp.parent))
 
     cfg = encoder.config
     start_rows = _Spill(spill(), cfg.boundary_dim)  # surviving start/end columns
@@ -558,8 +656,8 @@ def _build(
     start_masks: list[np.ndarray] = []
     end_masks: list[np.ndarray] = []
     coh_lo, coh_hi = np.float32(np.inf), np.float32(-np.inf)
-    doc_vectors = SparseRows()
-    own_vectors = SparseRows()  # paragraph-only, empty for a document's only paragraph
+    doc_rows = SparseRows()
+    own_rows = SparseRows()  # paragraph-only, empty for a document's only paragraph
     inv_norms = array("d")  # 1 / ||doc + paragraph||
     n_tokens = n_phrases = 0
     for ord_, doc in enumerate(corpus):
@@ -567,8 +665,7 @@ def _build(
         doc_tokens = [para.surfaces() for para in doc.paragraphs]
         para_counts = [token_counts(tokens) for tokens in doc_tokens]
         sole = len(doc.paragraphs) == 1
-        doc_vec = tfidf.embed(para_counts[0] if sole else summed_counts(para_counts))
-        doc_vectors.append(doc_vec)
+        doc_vec = tfidf.embed(para_counts[0] if sole else summed_counts(para_counts), doc_rows)
         for pidx, (tokens, counts) in enumerate(zip(doc_tokens, para_counts)):
             H = encoder.encode_document(tokens, key=f"{doc.id}/{pidx}")
             if H.n_tokens != len(tokens):
@@ -589,11 +686,10 @@ def _build(
             start_masks.append(smask)
             end_masks.append(emask)
             if sole:  # doc + doc is 2 * doc exactly, and so is its norm
-                own_vectors.append(SparseVector.empty())
+                own_rows.append((), ())
                 norm = 2.0 * doc_vec.norm()
             else:
-                para_vec = tfidf.embed(counts)
-                own_vectors.append(para_vec)
+                para_vec = tfidf.embed(counts, own_rows)
                 norm = add_vectors(doc_vec, para_vec).norm()
             inv_norms.append(1.0 / norm if norm else 0.0)
             n_tokens += len(tokens)
@@ -607,106 +703,95 @@ def _build(
     end_quant, end_codes = end_rows.quantized()
     n_start_rows, n_end_rows = start_rows.rows, end_rows.rows
 
-    tmp = Path(tempfile.mkdtemp(prefix=f"{out_dir.name}.", suffix=".tmp", dir=out_dir.parent))
-    try:
-        # mkdtemp makes the directory private; give it the mode mkdir would.
-        umask = os.umask(0)
-        os.umask(umask)
-        tmp.chmod(0o777 & ~umask)
-        with open(tmp / "starts.bin", "wb") as fh:
-            _write_header(fh, b"STRT")
-            fh.write(struct.pack("<QI", n_start_rows, cfg.boundary_dim))
-            fh.write(start_codes.tobytes())
-        with open(tmp / "ends.bin", "wb") as fh:
-            _write_header(fh, b"ENDS")
-            fh.write(struct.pack("<QI", n_end_rows, cfg.boundary_dim))
-            fh.write(end_codes.tobytes())
-        # Each input below is dropped once its section is written, so none is
-        # held through k-means.
-        del end_codes
-        with open(tmp / "quant.bin", "wb") as fh:
-            _write_header(fh, b"QNTZ")
-            fh.write(struct.pack("<I", cfg.boundary_dim))
-            for arr in (start_quant.minimums, start_quant.scales, end_quant.minimums, end_quant.scales):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        with open(tmp / "coherency.bin", "wb") as fh:
-            _write_header(fh, b"COHR")
-            fh.write(
-                _COHERENCY_HEAD.pack(n_start_rows, n_end_rows, cfg.coherency_dim, coh_lo, coh_hi)
-            )
-            for spilled in (heads, tails):
-                spilled.seek(0)
-                shutil.copyfileobj(spilled, fh)
-        with open(tmp / "phrases.bin", "wb") as fh:
-            _write_header(fh, b"PHRS")
-            for column in np.array(para_rows, dtype=np.int64).T:
-                _write_narrow(fh, column)
-            fh.write(np.packbits(np.concatenate(start_masks)).tobytes())
-            fh.write(np.packbits(np.concatenate(end_masks)).tobytes())
-        n_paragraphs = len(para_rows)
-        del para_rows, start_masks, end_masks
-        _write_sparse_sections(tmp, tfidf, doc_vectors, own_vectors, inv_norms)
-        del doc_vectors, own_vectors, inv_norms
-        with open(tmp / "filter.bin", "wb") as fh:
-            _write_header(fh, b"FLTR")
-            fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
-            fh.write(np.ascontiguousarray(filter_model.start_weights, dtype="<f8").tobytes())
-            fh.write(struct.pack("<d", filter_model.start_bias))
-            fh.write(np.ascontiguousarray(filter_model.end_weights, dtype="<f8").tobytes())
-            fh.write(struct.pack("<d", filter_model.end_bias))
-        with open(tmp / "encoder.bin", "wb") as fh:
-            _write_header(fh, b"ENCD")
-            fh.write(_encoder_section_bytes(encoder))
-        from .search import kmeans_train  # looked up per build, so a patched one is used
-
-        n_clusters = config.ivf_clusters or math.ceil(4 * math.sqrt(n_start_rows))
-        ivf = kmeans_train(
-            start_codes, min(n_clusters, n_start_rows), seed=config.seed, quant=start_quant
+    with open(tmp / "starts.bin", "wb") as fh:
+        _write_header(fh, b"STRT")
+        fh.write(struct.pack("<QI", n_start_rows, cfg.boundary_dim))
+        fh.write(start_codes.tobytes())
+    with open(tmp / "ends.bin", "wb") as fh:
+        _write_header(fh, b"ENDS")
+        fh.write(struct.pack("<QI", n_end_rows, cfg.boundary_dim))
+        fh.write(end_codes.tobytes())
+    # Each input below is dropped once its section is written, so none is
+    # held through k-means.
+    del end_codes
+    with open(tmp / "quant.bin", "wb") as fh:
+        _write_header(fh, b"QNTZ")
+        fh.write(struct.pack("<I", cfg.boundary_dim))
+        for arr in (start_quant.minimums, start_quant.scales, end_quant.minimums, end_quant.scales):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    with open(tmp / "coherency.bin", "wb") as fh:
+        _write_header(fh, b"COHR")
+        fh.write(
+            _COHERENCY_HEAD.pack(n_start_rows, n_end_rows, cfg.coherency_dim, coh_lo, coh_hi)
         )
-        with open(tmp / "ivf.bin", "wb") as fh:
-            _write_header(fh, b"IVFC")
-            fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
-            fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
-            _write_lists(fh, ivf.offsets, ivf.rows)
-        with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
-            corpus.write_jsonl(fh)
+        for spilled in (heads, tails):
+            spilled.seek(0)
+            shutil.copyfileobj(spilled, fh)
+    with open(tmp / "phrases.bin", "wb") as fh:
+        _write_header(fh, b"PHRS")
+        for column in np.array(para_rows, dtype=np.int64).T:
+            _write_narrow(fh, column)
+        fh.write(np.packbits(np.concatenate(start_masks)).tobytes())
+        fh.write(np.packbits(np.concatenate(end_masks)).tobytes())
+    n_paragraphs = len(para_rows)
+    del para_rows, start_masks, end_masks
+    _write_sparse_sections(tmp, tfidf, doc_rows, own_rows, inv_norms)
+    del doc_rows, own_rows, inv_norms
+    with open(tmp / "filter.bin", "wb") as fh:
+        _write_header(fh, b"FLTR")
+        fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
+        fh.write(np.ascontiguousarray(filter_model.start_weights, dtype="<f8").tobytes())
+        fh.write(struct.pack("<d", filter_model.start_bias))
+        fh.write(np.ascontiguousarray(filter_model.end_weights, dtype="<f8").tobytes())
+        fh.write(struct.pack("<d", filter_model.end_bias))
+    with open(tmp / "encoder.bin", "wb") as fh:
+        _write_header(fh, b"ENCD")
+        fh.write(_encoder_section_bytes(encoder))
+    from .search import kmeans_train  # looked up per build, so a patched one is used
 
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "created_at": datetime.now(timezone.utc).isoformat(),
-            "encoder": {
-                "kind": "toy" if isinstance(encoder, ToyEncoder) else "precomputed",
-                "dim": cfg.dim,
-                "boundary_dim": cfg.boundary_dim,
-                "coherency_dim": cfg.coherency_dim,
-            },
-            "max_span": config.max_span,
-            "seed": config.seed,
-            "sparse_model_digest": tfidf.digest(),
-            "counts": {
-                "docs": corpus.n_docs,
-                "paragraphs": n_paragraphs,
-                "tokens": n_tokens,
-                "surviving_start_tokens": n_start_rows,
-                "surviving_end_tokens": n_end_rows,
-                "start_rows": n_start_rows,
-                "end_rows": n_end_rows,
-                "phrases": n_phrases,
-            },
-            "has_ivf": True,
-            "sections": {
-                name: {"bytes": (tmp / name).stat().st_size, "sha256": _sha256(tmp / name)}
-                for name in sorted(SECTIONS)
-            },
-        }
-        (tmp / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        _fsync_tree(tmp)
-        os.rename(tmp, out_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    n_clusters = config.ivf_clusters or math.ceil(4 * math.sqrt(n_start_rows))
+    ivf = kmeans_train(
+        start_codes, min(n_clusters, n_start_rows), seed=config.seed, quant=start_quant
+    )
+    with open(tmp / "ivf.bin", "wb") as fh:
+        _write_header(fh, b"IVFC")
+        fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
+        fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
+        _write_lists(fh, ivf.offsets, ivf.rows)
+    with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        corpus.write_jsonl(fh)
+
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "encoder": {
+            "kind": "toy" if isinstance(encoder, ToyEncoder) else "precomputed",
+            "dim": cfg.dim,
+            "boundary_dim": cfg.boundary_dim,
+            "coherency_dim": cfg.coherency_dim,
+        },
+        "max_span": config.max_span,
+        "seed": config.seed,
+        "sparse_model_digest": tfidf.digest(),
+        "counts": {
+            "docs": corpus.n_docs,
+            "paragraphs": n_paragraphs,
+            "tokens": n_tokens,
+            "surviving_start_tokens": n_start_rows,
+            "surviving_end_tokens": n_end_rows,
+            "start_rows": n_start_rows,
+            "end_rows": n_end_rows,
+            "phrases": n_phrases,
+        },
+        "has_ivf": True,
+        "sections": {
+            name: {"bytes": (tmp / name).stat().st_size, "sha256": _sha256(tmp / name)}
+            for name in sorted(SECTIONS)
+        },
+    }
+    (tmp / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +878,13 @@ class PhraseIndex:
         self._map_coherency()
 
         section = _SectionReader(self.path / "postings.bin", b"PSTG")
-        self.postings = section.postings(self.n_docs, "document ordinals")
+        bins, offsets, docs, tfs, norms = section.postings(self.n_docs, "document ordinals")
         section.done()
-        self._read_sparse_docs()
+        idfs = idf_of_dfs(np.diff(offsets), self.n_docs)
+        self.postings = InvertedIndex(
+            self.n_docs, posting_lists(bins, offsets, docs, tfs, idfs, norms)
+        )
+        self._read_sparse_docs(idfs)
 
         section = _SectionReader(self.path / "filter.bin", b"FLTR")
         dim, threshold = section.unpack("<Id")
@@ -848,24 +937,31 @@ class PhraseIndex:
         self.end_tok = ends - para_base[np.searchsorted(para_stop, ends, side="right")]
         self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
 
-    def _read_sparse_docs(self) -> None:
+    def _read_sparse_docs(self, doc_idfs: np.ndarray) -> None:
         """1 / ||doc + paragraph|| of every paragraph, the postings of the
-        paragraph-only vectors (para_postings), and the tf-idf model: the df
-        of a bin is the length of its posting list, or its entry in the list
-        of idf-0 bins."""
+        paragraph-only vectors (para_postings), whose bins take the idf of
+        the document bin they name (doc_idfs, one per document bin), and the
+        tf-idf model: the df of a bin is the length of its posting list, or
+        its entry in the list of idf-0 bins."""
         n_para = len(self.para_table)
+        postings = self.postings.postings
         section = _SectionReader(self.path / "sparse_docs.bin", b"SPRS")
         zero_bins = section.one_list("idf-0 bins", NGRAM_BINS)
         zero_counts = section.narrow()
         self.para_inv_norm = section.array("<f4", n_para).astype(np.float64)
-        self.para_postings = section.postings(n_para, "paragraph ordinals")
+        ranks, offsets, paras, tfs, norms = section.postings(
+            n_para, "paragraph ordinals", "paragraph bins, as ranks of document bins,",
+            postings.bins.size,
+        )
         section.done()
+        self.para_postings = InvertedIndex(
+            n_para, posting_lists(postings.bins[ranks], offsets, paras, tfs, doc_idfs[ranks], norms)
+        )
         self.para_sole = (np.diff(self.doc_para_begin) == 1)[self.para_doc]
-        if self.para_sole[self.para_postings.postings.docs].any():
+        if self.para_sole[paras].any():
             raise ValueError(
                 "section sparse_docs.bin: a document's only paragraph has a vector of its own"
             )
-        postings = self.postings.postings
         doc_freq = dict(zip(map(int, postings.bins), map(int, np.diff(postings.offsets))))
         doc_freq.update(zip(map(int, zero_bins), map(int, zero_counts)))
         if zero_counts.size != zero_bins.size or len(doc_freq) != postings.bins.size + zero_bins.size:

@@ -1,8 +1,10 @@
 """Hashed 2-gram tf-idf vectors, inverted-index retrieval, and learned sparse encoding.
 
-PostingLists is the one posting type: built, written, opened and scored as the same CSR arrays.
-An index keeps two, one over the document vectors and one over the paragraphs' own vectors,
-and score_docs scores a query against every vector of either in one pass."""
+PostingLists is the one posting type: built, opened and scored as the same CSR arrays of float32
+weights. An index keeps two, one over the document vectors and one over the paragraphs' own
+vectors, and score_docs scores a query against every vector of either in one pass. A posting's
+weight is float32(tfidf_weights(tf, idf, norm)): the index stores each posting's term count tf and
+each vector's norm, and posting_lists derives the weights from them at open."""
 
 from __future__ import annotations
 
@@ -37,11 +39,6 @@ class SparseVector:
     @classmethod
     def empty(cls) -> "SparseVector":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-
-    @classmethod
-    def from_pairs(cls, pairs: dict[int, float]) -> "SparseVector":
-        bins = sorted(pairs)
-        return cls(np.array(bins, dtype=np.int64), np.array([pairs[b] for b in bins], dtype=float))
 
     @property
     def is_empty(self) -> bool:
@@ -115,6 +112,29 @@ def _doc_counts(doc: Document) -> Counter[int]:
     return summed_counts(token_counts(para.surfaces()) for para in doc.paragraphs)
 
 
+def idf_of_df(df: int, doc_count: int) -> float:
+    """ln((N - df + 0.5) / (df + 0.5)) clamped at 0: the idf of a bin in df of N documents."""
+    return max(0.0, math.log((doc_count - df + 0.5) / (df + 0.5)))
+
+
+def idf_of_dfs(dfs: np.ndarray, doc_count: int) -> np.ndarray:
+    """idf_of_df of each df (a count, at least 0), in float64, taking the log
+    once per distinct df."""
+    table = np.zeros(int(dfs.max(initial=0)) + 1, dtype=np.float64)
+    distinct = np.flatnonzero(np.bincount(dfs))
+    table[distinct] = [idf_of_df(df, doc_count) for df in distinct.tolist()]
+    return table[dfs]
+
+
+def tfidf_weights(tfs: np.ndarray, idfs: np.ndarray, norms: np.ndarray | float) -> np.ndarray:
+    """(tf * idf) / norm entry by entry, in float64: the one weight formula.
+    TfIdfModel.embed gives a vector these weights, norm being the norm of its
+    tf * idf; a posting holds them as float32."""
+    weights = tfs * idfs
+    weights /= norms
+    return weights
+
+
 @dataclass
 class TfIdfModel:
     """Document frequencies over the hashed unigram/bigram bin space."""
@@ -124,15 +144,18 @@ class TfIdfModel:
     n_bins: int = NGRAM_BINS
 
     def idf(self, bin_: int) -> float:
-        df = self.doc_freq.get(bin_, 0)
-        return max(0.0, math.log((self.doc_count - df + 0.5) / (df + 0.5)))
+        return idf_of_df(self.doc_freq.get(bin_, 0), self.doc_count)
 
     def embed(
-        self, unit: Paragraph | Document | Sequence[Token] | Sequence[str] | Counter[int]
+        self,
+        unit: Paragraph | Document | Sequence[Token] | Sequence[str] | Counter[int],
+        rows: SparseRows | None = None,
     ) -> SparseVector:
         """tf * idf per bin, unit-normalized. A Counter is taken as bin counts
         already hashed (token_counts, summed_counts), so a caller that has them
-        does not hash the text again."""
+        does not hash the text again. Given rows, the vector is also appended
+        to them as its terms: its bins, their counts and its norm before
+        normalization, from which tfidf_weights gives its weights back."""
         if isinstance(unit, Counter):
             counts = unit
         elif isinstance(unit, Paragraph):
@@ -141,8 +164,16 @@ class TfIdfModel:
             counts = _doc_counts(unit)
         else:
             counts = token_counts(unit)
-        pairs = {b: tf * self.idf(b) for b, tf in counts.items()}
-        return SparseVector.from_pairs(pairs).normalized()
+        terms = [(b, tf, idf) for b, tf in sorted(counts.items()) if tf * (idf := self.idf(b))]
+        bins = np.array([b for b, _, _ in terms], dtype=np.int64)
+        tfs = np.array([tf for _, tf, _ in terms], dtype=np.int64)
+        idfs = np.array([idf for _, _, idf in terms], dtype=np.float64)
+        norm = float(np.linalg.norm(tfs * idfs))
+        if rows is not None:
+            rows.append(bins, tfs, norm)
+        if norm == 0.0:
+            return SparseVector.empty()
+        return SparseVector(bins, tfidf_weights(tfs, idfs, norm))
 
     def digest(self) -> str:
         """Content hash used to tie an index to the model that produced it."""
@@ -173,7 +204,7 @@ def embed_text_sparse(
 
 class PostingLists(Mapping):
     """Read-only bin -> (doc ordinals, weights) over CSR arrays: int64 bins
-    (ascending), offsets and docs (ascending per bin), and float64 weights;
+    (ascending), offsets and docs (ascending per bin), and float32 weights;
     bin bins[k]'s postings are at offsets[k]:offsets[k + 1]. A lookup is one
     searchsorted and two views; nothing is held per bin."""
 
@@ -196,32 +227,58 @@ class PostingLists(Mapping):
         return self.bins.size
 
 
+_WEIGHT_BLOCK = 1 << 14  # postings weighted at a time, so that open needs little scratch
+
+
+def posting_lists(
+    bins: np.ndarray,
+    offsets: np.ndarray,
+    docs: np.ndarray,
+    tfs: np.ndarray,
+    idfs: np.ndarray,
+    norms: np.ndarray,
+) -> PostingLists:
+    """PostingLists over the CSR arrays, each posting weighted float32 of
+    tfidf_weights of its tf, its bin's idf (idfs, one per bin) and its
+    vector's norm (norms, one per vector), a block of postings at a time."""
+    weights = np.empty(docs.size, dtype=np.float32)
+    for lo in range(0, docs.size, _WEIGHT_BLOCK):
+        at = slice(lo, lo + _WEIGHT_BLOCK)
+        k = np.searchsorted(offsets, np.arange(lo, min(lo + _WEIGHT_BLOCK, docs.size)), "right")
+        weights[at] = tfidf_weights(tfs[at], idfs[k - 1], norms[docs[at]])
+    return PostingLists(bins, offsets, docs, weights)
+
+
 @dataclass
 class InvertedIndex:
     """Posting lists over n_docs vectors, documents or paragraphs; a
-    posting's weight is the vector's weight for that bin, bit for bit."""
+    posting's weight is the vector's weight for that bin, rounded to float32."""
 
     n_docs: int
     postings: PostingLists
 
 
 class SparseRows:
-    """Sparse vectors appended one at a time to three flat growing buffers, so
-    no object is kept per vector: vector i is bins[offsets[i]:offsets[i + 1]]
-    with the weights at the same places. The arrays are views of the buffers,
-    read once the last vector is in."""
+    """Sparse vectors appended one at a time to flat growing buffers, so no
+    object is kept per vector: vector i has the bins bins[offsets[i]:
+    offsets[i + 1]], their term counts tfs at the same places, and norms[i],
+    its norm before normalization. A vector given as a SparseVector is taken
+    as its own terms: its weights as the tfs, under idf 1 and norm 1. The
+    arrays are views of the buffers, read once the last vector is in."""
 
     def __init__(self, vectors: Iterable[SparseVector] = ()):
         self._offsets = array("q", [0])
         self._bins = array("q")
-        self._weights = array("d")
+        self._tfs = array("d")
+        self._norms = array("d")
         for v in vectors:
-            self.append(v)
+            self.append(v.bins, v.weights)
 
-    def append(self, v: SparseVector) -> None:
-        self._bins.frombytes(np.asarray(v.bins, np.int64).tobytes())
-        self._weights.frombytes(np.asarray(v.weights, np.float64).tobytes())
+    def append(self, bins: np.ndarray, tfs: np.ndarray, norm: float = 1.0) -> None:
+        self._bins.frombytes(np.asarray(bins, np.int64).tobytes())
+        self._tfs.frombytes(np.asarray(tfs, np.float64).tobytes())
         self._offsets.append(len(self._bins))
+        self._norms.append(norm)
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -235,20 +292,41 @@ class SparseRows:
         return np.frombuffer(self._bins, np.int64)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.frombuffer(self._weights, np.float64)
+    def tfs(self) -> np.ndarray:
+        return np.frombuffer(self._tfs, np.float64)
+
+    @property
+    def norms(self) -> np.ndarray:
+        return np.frombuffer(self._norms, np.float64)
 
 
-def build_inverted_index(vectors: SparseRows) -> InvertedIndex:
-    """The postings of the vectors, posting ordinal d being vector d: one
-    stable sort of every (bin, d, weight) entry by bin, so each bin's
+def posting_order(
+    vectors: SparseRows,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The postings of the vectors as CSR arrays (bins, offsets, docs), posting
+    ordinal d being vector d, and order, the place in the vectors' entries of
+    each posting: one stable sort of every entry by bin, so each bin's
     postings come out in ascending ordinal order."""
     order = np.argsort(vectors.bins, kind="stable")
     bins = vectors.bins[order]
-    docs = np.repeat(np.arange(len(vectors), dtype=np.int64), np.diff(vectors.offsets))[order]
-    heads = np.flatnonzero(np.diff(bins, prepend=-1))
-    offsets = np.append(heads, bins.size)
-    return InvertedIndex(len(vectors), PostingLists(bins[heads], offsets, docs, vectors.weights[order]))
+    fresh = np.ones(bins.size, dtype=bool)  # whether each entry begins its bin's postings
+    np.not_equal(bins[1:], bins[:-1], out=fresh[1:])
+    heads = np.flatnonzero(fresh)
+    del bins, fresh
+    # The vector holding each entry, found from its place: no per-entry ordinal table is made.
+    docs = np.searchsorted(vectors.offsets, order, side="right")
+    docs -= 1
+    return vectors.bins[order[heads]], np.append(heads, order.size), docs, order
+
+
+def build_inverted_index(vectors: SparseRows) -> InvertedIndex:
+    """The postings of vectors given as SparseVectors, each weighted float32
+    of its vector's weight by posting_lists, under idf 1 and norm 1."""
+    bins, offsets, docs, order = posting_order(vectors)
+    postings = posting_lists(
+        bins, offsets, docs, vectors.tfs[order], np.ones(bins.size), vectors.norms
+    )
+    return InvertedIndex(len(vectors), postings)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

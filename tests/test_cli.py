@@ -500,3 +500,22 @@ def test_peak_rss_is_null_where_the_system_does_not_report_it(tmp_path):
     assert _peak_rss_mb(tmp_path / "status") is None
     (tmp_path / "status").write_text("Name:\tpython3\nVmHWM:\t  51712 kB\n")
     assert _peak_rss_mb(tmp_path / "status") == 50.5
+
+
+def test_the_cli_and_the_package_load_no_http_stack():
+    # build, query and the benchmark's batch child import phraseindex.cli; only
+    # serve, eval and bench load the HTTP service, and the package's service
+    # names resolve on first use.
+    src = str(Path(phraseindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    check = (
+        "import sys, phraseindex, phraseindex.cli\n"
+        "assert 'http.server' not in sys.modules and 'phraseindex.service' not in sys.modules\n"
+        "from phraseindex import serve, EvalReport\n"
+        "import phraseindex.service as service\n"
+        "assert serve is service.serve and EvalReport is service.EvalReport\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        phraseindex.no_such_name

@@ -9,6 +9,8 @@ import re
 import stat
 import struct
 import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,7 @@ from phraseindex.sparse import (
     build_inverted_index,
     combine_doc_para,
     fit_tfidf,
+    token_counts,
 )
 from phraseindex.training import FilterModel
 
@@ -797,7 +800,8 @@ class TestSparseBinsAtOpen:
         _, at = _parse_narrow(raw, at)
         return at + 4 * n_para
 
-    # A gap of 0 repeats the bin before it; a gap of NGRAM_BINS leaves the bin space.
+    # A gap of 0 repeats the bin before it; a gap of NGRAM_BINS leaves the bin space, and
+    # so the ranks of the document bins, which paragraph bins are stored as.
     @pytest.mark.parametrize("value", [NGRAM_BINS, 0])
     def test_paragraph_bins_must_ascend_below_the_bin_space(self, index_dir, value):
         index_dir, n_para = index_dir
@@ -883,6 +887,118 @@ class TestSparseBinsAtOpen:
             load_index(index_dir)
 
 
+def _postings_parts(raw, at) -> dict[str, tuple[int, int]]:
+    """Where each part of the postings that begin at raw[at:] lies: the
+    bins, the ids, the term counts and the norms, as (begin, end)."""
+    parts = {}
+    for part in ("bins", "ids"):
+        _, end = _parse_list_set(raw, at)
+        parts[part], at = (at, end), end
+    tfs, end = _parse_narrow(raw, at)
+    parts["tfs"] = (at, end)
+    parts["norms"] = (end, len(raw))
+    return parts
+
+
+class TestTermCountsAndNorms:
+    """Format 7 stores a term count per posting and a norm per vector with
+    postings; open derives the weights from them and refuses bad ones."""
+
+    @pytest.fixture
+    def index_dir(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(18), n_docs=5)
+        index = build_small_index(corpus, tmp_path / "idx")
+        return tmp_path / "idx", index
+
+    @staticmethod
+    def _parts(index_dir, index, name) -> tuple[bytes, dict[str, tuple[int, int]]]:
+        raw = (index_dir / name).read_bytes()
+        if name == "postings.bin":
+            return raw, _postings_parts(raw, 12)
+        at = TestSparseBinsAtOpen._paragraph_postings_at(index_dir, len(index.para_table))
+        return raw, _postings_parts(raw, at)
+
+    @pytest.mark.parametrize("name", ["postings.bin", "sparse_docs.bin"])
+    def test_a_term_count_of_0_is_refused(self, index_dir, name):
+        index_dir, index = index_dir
+        raw, parts = self._parts(index_dir, index, name)
+        begin, end = parts["tfs"]
+        tfs, _ = _parse_narrow(raw, begin)
+        assert len(tfs) > 1 and min(tfs) >= 1
+        tfs[len(tfs) // 2] = 0
+        _rewrite_section(index_dir, name, raw[:begin] + _narrow(tfs) + raw[end:])
+        with pytest.raises(ValueError, match=f"section {name}: .*term counts .*at least 1"):
+            load_index(index_dir)
+
+    @pytest.mark.parametrize("name", ["postings.bin", "sparse_docs.bin"])
+    @pytest.mark.parametrize("norm", [0.0, -1.0, np.inf, np.nan])
+    def test_a_norm_not_finite_and_above_0_is_refused(self, index_dir, name, norm):
+        index_dir, index = index_dir
+        raw, parts = self._parts(index_dir, index, name)
+        begin, end = parts["norms"]
+        norms = np.frombuffer(raw[begin:end], "<f8").copy()
+        assert norms.size > 1 and (norms > 0).all()
+        norms[-1] = norm
+        _rewrite_section(index_dir, name, raw[:begin] + norms.tobytes())
+        with pytest.raises(ValueError, match=f"section {name}: a vector norm is not finite"):
+            load_index(index_dir)
+
+    def test_a_paragraph_bin_rank_past_the_document_bins_is_refused(self, index_dir):
+        index_dir, index = index_dir
+        n_bins = len(index.postings.postings)
+        raw, parts = self._parts(index_dir, index, "sparse_docs.bin")
+        begin, end = parts["bins"]
+        (ranks,), _ = _parse_list_set(raw, begin)
+        assert ranks[-1] < n_bins
+        ranks[-1] = n_bins
+        _rewrite_section(index_dir, "sparse_docs.bin", raw[:begin] + _list_set([ranks]) + raw[end:])
+        with pytest.raises(
+            ValueError, match=f"section sparse_docs.bin: paragraph bins, as ranks .*below {n_bins}"
+        ):
+            load_index(index_dir)
+
+    def test_counts_and_norms_are_those_of_the_vectors(self, index_dir):
+        # The stored count of each posting is the n-gram's count in its
+        # vector, and the norms are those of the vectors with postings.
+        index_dir, index = index_dir
+        raw, parts = self._parts(index_dir, index, "postings.bin")
+        tfs, _ = _parse_narrow(raw, parts["tfs"][0])
+        assert len(tfs) == index.postings.postings.docs.size and max(tfs) > 1
+        norms = np.frombuffer(raw[slice(*parts["norms"])], "<f8")
+        assert norms.size == np.unique(index.postings.postings.docs).size
+
+
+@pytest.mark.parametrize("seed, paras", [(31, (1, 1)), (32, (1, 3))])
+def test_opened_weights_are_float32_of_the_embedded_weights(tmp_path, seed, paras):
+    # Open derives every weight from a term count, an idf and a norm; each
+    # must be float32 of the weight TfIdfModel.embed gives the document or
+    # the paragraph, bit for bit.
+    corpus = make_random_corpus(np.random.default_rng(seed), n_docs=20, paras_per_doc=paras, vocab=30)
+    index = build_small_index(corpus, tmp_path / "idx")
+    tfidf = fit_tfidf(corpus)
+    checked = 0
+    for which, postings in (("doc", index.postings), ("para", index.para_postings)):
+        p = postings.postings
+        assert p.weights.dtype == np.float32
+        vectors = [tfidf.embed(doc) for doc in corpus] if which == "doc" else [
+            SparseVector.empty() if len(doc.paragraphs) == 1 else tfidf.embed(para)
+            for doc in corpus for para in doc.paragraphs
+        ]
+        expected = {
+            (int(b), d): np.float32(w)
+            for d, vec in enumerate(vectors) for b, w in zip(vec.bins, vec.weights)
+        }
+        got = {
+            (int(b), int(d)): w
+            for b, lo, hi in zip(p.bins, p.offsets[:-1], p.offsets[1:])
+            for d, w in zip(p.docs[lo:hi], p.weights[lo:hi])
+        }
+        assert got.keys() == expected.keys()
+        assert all(got[key].tobytes() == expected[key].tobytes() for key in got)
+        checked += len(got)
+    assert checked > 100 and (paras == (1, 1)) == (len(index.para_postings.postings) == 0)
+
+
 def test_df_table_and_digest_are_those_of_the_fitted_model(tmp_path):
     # The df of a bin whose idf is 0 (df >= N/2) comes from sparse_docs.bin,
     # every other one from the length of its posting list.
@@ -925,7 +1041,7 @@ def test_open_refuses_a_version_4_index(tmp_path):
     build_small_index(make_random_corpus(np.random.default_rng(24), n_docs=4), tmp_path / "idx")
     manifest_path = tmp_path / "idx" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    for old in (4, 5):
+    for old in range(4, FORMAT_VERSION):
         manifest["format_version"] = old
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(
@@ -1016,6 +1132,112 @@ class TestCrashSafeBuild:
         assert spill_files and all(f.closed for f in spill_files)
 
 
+_STALLED_BUILD = """
+import sys, time
+from pathlib import Path
+
+import numpy as np
+
+from conftest import SMALL_CONFIG, make_random_corpus
+from phraseindex import search
+from phraseindex.dense import ToyEncoder
+from phraseindex.index import BuildConfig, build_index
+from phraseindex.sparse import fit_tfidf
+
+
+def stall(*args, **kwargs):
+    print("sections written", flush=True)
+    time.sleep(120)
+
+
+search.kmeans_train = stall
+corpus = make_random_corpus(np.random.default_rng(13), n_docs=4)
+build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, Path(sys.argv[1]))
+"""
+
+_HOLD_LOCK = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_RDONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+time.sleep(120)
+"""
+
+
+class TestDeadBuildReclaim:
+    """A build removes the temp directories of dead builds to its name, and
+    nothing else: a live build holds an flock on its own."""
+
+    @staticmethod
+    def _child(script, *args):
+        import subprocess
+        import sys
+
+        import phraseindex
+
+        paths = [
+            str(Path(phraseindex.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent),
+            os.environ.get("PYTHONPATH"),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        return subprocess.Popen(
+            [sys.executable, "-c", script, *map(str, args)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+
+    @staticmethod
+    def _build(out):
+        corpus = make_random_corpus(np.random.default_rng(21), n_docs=3)
+        build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, out,
+                    BuildConfig(max_span=3, ivf_clusters=4))
+
+    def test_a_killed_build_is_reclaimed_by_the_next(self, tmp_path):
+        import signal
+
+        with self._child(_STALLED_BUILD, tmp_path / "idx") as proc:
+            try:
+                assert proc.stdout.readline() == "sections written\n"
+                (left,) = tmp_path.glob("idx.*.tmp")
+                assert (left / "starts.bin").exists() and (left / "postings.bin").exists()
+            finally:
+                proc.send_signal(signal.SIGKILL)
+                proc.wait()
+        assert left.exists()  # a killed build cannot clean up
+        self._build(tmp_path / "idx")
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+        assert load_index(tmp_path / "idx").counts["docs"] == 3
+
+    def test_a_directory_locked_by_a_live_process_survives(self, tmp_path):
+        live = tmp_path / "idx.live.tmp"
+        live.mkdir()
+        (live / "starts.bin").write_bytes(b"partial")
+        with self._child(_HOLD_LOCK, live) as proc:
+            try:
+                assert proc.stdout.readline() == "locked\n"
+                self._build(tmp_path / "idx")
+                assert (live / "starts.bin").read_bytes() == b"partial"
+            finally:
+                proc.kill()
+                proc.wait()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx", "idx.live.tmp"]
+
+    def test_only_temp_directories_of_the_name_are_removed(self, tmp_path):
+        # None of these is locked; only idx.dead.tmp is a temp directory of idx.
+        kept = ["idx.tmp", "idx2.x.tmp", "xidx.y.tmp", "idx.z.tmpx", "other.a.tmp", "target"]
+        for name in [*kept, "idx.dead.tmp"]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "f").write_bytes(b"x")
+        (tmp_path / "idx.file.tmp").write_bytes(b"a file, not a directory")
+        (tmp_path / "idx.link.tmp").symlink_to(tmp_path / "target")
+        self._build(tmp_path / "idx")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*kept, "idx", "idx.file.tmp", "idx.link.tmp"]
+        )
+        assert all((tmp_path / name / "f").read_bytes() == b"x" for name in kept)
+
+
 def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[str, bytes]:
     """quant.bin, starts.bin, ends.bin and ivf.bin of a keep-all build, from
     params fitted on every row held as float64, and each cell's rows taken
@@ -1071,45 +1293,60 @@ def test_quantized_sections_are_the_bytes_of_a_fit_on_every_row(tmp_path, monkey
 
 
 def _reference_sparse_sections(corpus, tfidf) -> dict[str, bytes]:
-    """postings.bin and sparse_docs.bin from a SparseVector per document and
-    per paragraph, every posting gathered one entry at a time."""
-    doc_vecs = [tfidf.embed(doc) for doc in corpus]
-    own, inv_norms = [], []
-    for doc, doc_vec in zip(corpus, doc_vecs):
-        for para in doc.paragraphs:
+    """postings.bin and sparse_docs.bin from a SparseVector, its bin counts and
+    its norm per document and per paragraph, every posting gathered one entry
+    at a time."""
+
+    def terms(counts):
+        """The vector of counts, the count of each of its bins, and the norm
+        of its tf * idf."""
+        vec = tfidf.embed(counts)
+        tfs = [counts[b] for b in vec.bins.tolist()]
+        norm = np.linalg.norm([tf * tfidf.idf(b) for b, tf in zip(vec.bins.tolist(), tfs)])
+        return vec, tfs, float(norm)
+
+    docs, own, inv_norms = [], [], []
+    for doc in corpus:
+        counts = [token_counts(para.surfaces()) for para in doc.paragraphs]
+        doc_terms = terms(sum(counts, Counter()))
+        docs.append(doc_terms)
+        for para_counts in counts:
             sole = len(doc.paragraphs) == 1
-            para_vec = doc_vec if sole else tfidf.embed(para)
-            own.append(SparseVector.empty() if sole else para_vec)
-            norm = add_vectors(doc_vec, para_vec).norm()
+            para_terms = doc_terms if sole else terms(para_counts)
+            own.append((SparseVector.empty(), [], 0.0) if sole else para_terms)
+            norm = add_vectors(doc_terms[0], para_terms[0]).norm()
             inv_norms.append(1.0 / norm if norm else 0.0)
 
-    def postings_of(vectors) -> bytes:
-        """The bins as one list, each bin's vector ordinals, then the weights."""
-        postings: dict[int, list[tuple[int, float]]] = {}
-        for d, vec in enumerate(vectors):
-            for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
-                postings.setdefault(b, []).append((d, w))
+    posted = sorted({b for vec, _, _ in docs for b in vec.bins.tolist()})
+    rank = {b: k for k, b in enumerate(posted)}
+
+    def postings_of(vectors, name) -> bytes:
+        """The bins, named by name(bin), as one list, each bin's vector
+        ordinals, their term counts, then the norm of each vector with
+        postings."""
+        postings: dict[int, list[tuple[int, int]]] = {}
+        for d, (vec, tfs, _) in enumerate(vectors):
+            for b, tf in zip(vec.bins.tolist(), tfs):
+                postings.setdefault(b, []).append((d, tf))
         bins = sorted(postings)
         return (
-            _list_set([bins]) + _list_set([[d for d, _ in postings[b]] for b in bins])
-            + f4([w for b in bins for _, w in postings[b]])
+            _list_set([[name(b) for b in bins]])
+            + _list_set([[d for d, _ in postings[b]] for b in bins])
+            + _narrow([tf for b in bins for _, tf in postings[b]])
+            + np.array([norm for vec, _, norm in vectors if vec.bins.size], dtype="<f8").tobytes()
         )
 
-    posted = {b for vec in doc_vecs for b in vec.bins.tolist()}
-    zero = sorted(set(tfidf.doc_freq) - posted)
-    assert zero and len(own) > len(doc_vecs)  # idf-0 bins and multi-paragraph docs occur
+    zero = sorted(set(tfidf.doc_freq) - set(posted))
+    assert zero and len(own) > len(docs)  # idf-0 bins and multi-paragraph docs occur
 
     def section(tag, *parts):
         return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
 
-    def f4(values):
-        return np.array(values, dtype="<f4").tobytes()
-
     return {
-        "postings.bin": section(b"PSTG", postings_of(doc_vecs)),
+        "postings.bin": section(b"PSTG", postings_of(docs, lambda b: b)),
         "sparse_docs.bin": section(
-            b"SPRS", _list_set([zero]), _narrow([tfidf.doc_freq[b] for b in zero]), f4(inv_norms),
-            postings_of(own),
+            b"SPRS", _list_set([zero]), _narrow([tfidf.doc_freq[b] for b in zero]),
+            np.array(inv_norms, dtype="<f4").tobytes(), postings_of(own, rank.__getitem__),
         ),
     }
 
@@ -1144,23 +1381,21 @@ class TestDefaultCellCount:
         assert load_index(tmp_path / "idx").ivf.centroids.shape[0] == cells
 
 
-def _float32_doc_vectors(corpus):
-    """The corpus's tf-idf document vectors with their weights rounded to
-    float32, as postings.bin stores them."""
+def _doc_vectors(corpus):
+    """The corpus's tf-idf document vectors."""
     tfidf = fit_tfidf(corpus)
-    vectors = [tfidf.embed(doc) for doc in corpus]
-    return [SparseVector(v.bins, v.weights.astype(np.float32).astype(np.float64)) for v in vectors]
+    return [tfidf.embed(doc) for doc in corpus]
 
 
 def test_postings_decode_to_the_inverted_index_of_the_doc_vectors(tmp_path):
     rng = np.random.default_rng(14)
     corpus = make_random_corpus(rng, n_docs=30, vocab=40)
     index = build_small_index(corpus, tmp_path / "idx")
-    want = build_inverted_index(SparseRows(_float32_doc_vectors(corpus))).postings
+    want = build_inverted_index(SparseRows(_doc_vectors(corpus))).postings
     got = index.postings.postings
     assert sorted(got) == sorted(want) and len(got) > 50
     for b, (docs, weights) in want.items():
-        assert got[b][0].dtype == np.int64 and got[b][1].dtype == np.float64
+        assert got[b][0].dtype == np.int64 and got[b][1].dtype == np.float32
         assert np.array_equal(got[b][0], docs)
         assert np.array_equal(got[b][1], weights)
 
@@ -1180,7 +1415,7 @@ def test_open_postings_answer_like_the_built_inverted_index(tmp_path):
     assert postings.get(missing) is None and missing not in postings
     with pytest.raises(KeyError):
         postings[missing]
-    built = build_inverted_index(SparseRows(_float32_doc_vectors(corpus)))
+    built = build_inverted_index(SparseRows(_doc_vectors(corpus)))
     for text in ["w001 w002", "w010 w011 w012", "w030", "w039 w000 w017"]:
         q = embed_question(index, text).sparse
         assert retrieve_top_docs(q, index.postings, 7) == retrieve_top_docs(q, built, 7)

@@ -184,11 +184,14 @@ class TestRetrieveTopDocs:
         rng = np.random.default_rng(4)
         model, doc_vecs = self._random_setup(rng, 100)
         index = build_inverted_index(SparseRows(doc_vecs))
+        # Postings hold the weights as float32, so the brute force reads them so too.
+        posted = [SparseVector(v.bins, v.weights.astype(np.float32).astype(np.float64))
+                  for v in doc_vecs]
         for probe in range(0, 100, 17):
             query = doc_vecs[probe]
             got = retrieve_top_docs(query, index, 5)
             brute = sorted(
-                ((d, sparse_score(query, v)) for d, v in enumerate(doc_vecs)),
+                ((d, sparse_score(query, v)) for d, v in enumerate(posted)),
                 key=lambda t: (-t[1], t[0]),
             )[:5]
             assert [d for d, _ in got] == [d for d, _ in brute]
@@ -219,14 +222,14 @@ def test_inverted_index_reconstruction_is_bit_exact():
     model = fit_tfidf(corpus)
     doc_vecs = [embed_text_sparse(doc, model) for doc in corpus]
     postings = build_inverted_index(SparseRows(doc_vecs)).postings
-    # Every entry of every document vector is posted with its own bits, and
-    # nothing else is.
+    # Every entry of every document vector is posted with its own bits at
+    # float32, and nothing else is.
     assert postings.docs.size == sum(v.bins.size for v in doc_vecs)
     for d, vec in enumerate(doc_vecs):
         for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
             docs, weights = postings[b]
             k = int(np.searchsorted(docs, d))
-            assert docs[k] == d and weights[k] == w
+            assert docs[k] == d and weights[k] == np.float32(w)
 
 
 def test_inverted_index_matches_per_entry_reference():
@@ -246,8 +249,9 @@ def test_inverted_index_matches_per_entry_reference():
     assert sorted(index.postings) == sorted(want)
     for b, (docs, weights) in want.items():
         got_docs, got_weights = index.postings[b]
-        assert got_docs.dtype == np.int64 and got_weights.dtype == np.float64
-        assert got_docs.tolist() == docs and got_weights.tolist() == weights
+        assert got_docs.dtype == np.int64 and got_weights.dtype == np.float32
+        assert got_docs.tolist() == docs
+        assert got_weights.tolist() == np.array(weights, dtype=np.float32).tolist()
     empty = build_inverted_index(SparseRows([SparseVector.empty(), SparseVector.empty()]))
     assert empty.n_docs == 2 and empty.postings == {}
     assert build_inverted_index(SparseRows([])).postings == {}
@@ -298,7 +302,7 @@ def test_build_inverted_index_returns_csr_posting_lists():
         assert isinstance(postings, PostingLists)
         for name in ("bins", "offsets", "docs"):
             assert getattr(postings, name).dtype == np.int64
-        assert postings.weights.dtype == np.float64
+        assert postings.weights.dtype == np.float32
         assert postings.offsets.size == postings.bins.size + 1 and postings.offsets[0] == 0
         assert postings.offsets[-1] == postings.docs.size == postings.weights.size
 
@@ -427,3 +431,18 @@ def test_build_memory_does_not_grow_by_a_token_object_per_token(tmp_path):
     large_tokens, large_peak = traced_peak(100, "large")
     assert (small_tokens, large_tokens) == (2_000, 20_000)
     assert (large_peak - small_peak) / (large_tokens - small_tokens) < 100
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_posting_weights_do_not_depend_on_the_weighting_block(monkeypatch, block):
+    # posting_lists weights a block of postings at a time; blocks that split
+    # posting lists anywhere must give the same bits.
+    import phraseindex.sparse as sparse_module
+
+    rng = np.random.default_rng(10)
+    doc_vecs = [SparseVector(np.sort(rng.choice(12, size=4, replace=False)), rng.normal(size=4))
+                for _ in range(9)]
+    want = build_inverted_index(SparseRows(doc_vecs)).postings.weights
+    monkeypatch.setattr(sparse_module, "_WEIGHT_BLOCK", block)
+    got = build_inverted_index(SparseRows(doc_vecs)).postings.weights
+    assert want.size == 36 and got.tobytes() == want.tobytes()
