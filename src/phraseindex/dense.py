@@ -85,16 +85,7 @@ class DensePhraseVector:
         return np.concatenate([self.start, self.end, [self.coherency]])
 
 
-@dataclass
-class QueryDenseVector:
-    """Question-side counterpart with the same layout as DensePhraseVector."""
-
-    start: np.ndarray
-    end: np.ndarray
-    coherency: float
-
-    def flattened(self) -> np.ndarray:
-        return np.concatenate([self.start, self.end, [self.coherency]])
+QueryDenseVector = DensePhraseVector  # a question's vector has the same layout
 
 
 def phrase_dense(H: TokenEncodingMatrix, i: int, j: int) -> DensePhraseVector:
@@ -112,11 +103,7 @@ def question_dense(H: TokenEncodingMatrix) -> QueryDenseVector:
     """Question vector read entirely from the marker row (row 0)."""
     if H.n_tokens < 1:
         raise ValueError("empty question")
-    return QueryDenseVector(
-        start=H.start_cols[0],
-        end=H.end_cols[0],
-        coherency=float(np.dot(H.coh_head_cols[0], H.coh_tail_cols[0])),
-    )
+    return phrase_dense(H, 0, 0)
 
 
 def dense_score(q: QueryDenseVector, p: DensePhraseVector) -> float:

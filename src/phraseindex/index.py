@@ -4,8 +4,8 @@ Directory layout: manifest.json plus the SECTIONS: binary sections
 (starts.bin, ends.bin, phrases.bin, coherency.bin, quant.bin,
 sparse_docs.bin, postings.bin, filter.bin, encoder.bin, ivf.bin) and
 corpus.jsonl. Every binary section is little-endian and begins with a magic
-+ tag + version header; the manifest records a checksum for each file and
-lists exactly these sections.
++ tag + version header; the manifest records a checksum for each file, lists
+exactly these sections, and gives counts that open checks against them.
 
 Every list of ids is stored with one codec pair. A narrow array is its byte
 count as a u64, its width as one byte in {1, 2, 4, 8}, then the values as
@@ -19,9 +19,9 @@ Float arrays are stored raw, their counts given by what precedes them.
 phrases.bin holds, after its header, each paragraph's document ordinal and
 its token count as two narrow arrays, then the start and the end survival
 masks, each as np.packbits of one bit per token over the whole corpus in
-token order. Nothing per start or per phrase is stored: PhraseIndex derives
-the rest of the paragraph table (PARA_DTYPE) and the phrase table from
-these at open.
+token order. Nothing per start or per phrase is stored: _phrase_records
+derives the start records from these, at build and at open, where
+PhraseIndex also derives the rest of the paragraph table (PARA_DTYPE).
 
 coherency.bin holds, after its header, (n_start_rows, n_end_rows) as two
 u64, coherency_dim as a u32 and the least and greatest phrase coherency as
@@ -79,7 +79,7 @@ import numpy as np
 
 from .corpus import CorpusStore, SpanRef, load_corpus
 from .dense import Encoder, EncoderConfig, ToyEncoder
-from .search import IvfIndex, phrase_coherency
+from .search import IvfIndex, _ranges, phrase_coherency
 from .sparse import (
     NGRAM_BINS,
     InvertedIndex,
@@ -350,6 +350,16 @@ class _SectionReader:
             raise ValueError(f"section {self.name}: {len(self.data) - self.at} bytes past its end")
 
 
+def _map_rows(path: Path, offset: int, dtype, shape: tuple[int, int]) -> np.memmap:
+    """A read-only memory map of the rows of a section from byte offset on,
+    after checking that the file holds exactly those rows past offset."""
+    size = path.stat().st_size
+    expected = offset + np.dtype(dtype).itemsize * shape[0] * shape[1]
+    if size != expected:
+        raise ValueError(f"section {path.name}: {size} bytes, expected {expected}")
+    return np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape)
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -358,31 +368,36 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _idf_is_zero(dfs: np.ndarray, n_docs: int) -> bool:
+    """Whether every df is in [0, n_docs], which is tested first, and has idf 0."""
+    return bool(((dfs >= 0) & (dfs <= n_docs)).all()) and not idf_of_dfs(dfs, n_docs).any()
+
+
 def _idf_zero_doc_freq(
     tfidf: TfIdfModel, posting_bins: np.ndarray, offsets: np.ndarray, n_docs: int
-) -> dict[int, int]:
-    """The (bin, df) pairs of the bins with no postings, which must be the
-    bins whose idf is 0. Every other bin's df is the length of its posting
-    list, as long as the model was fit on the indexed documents, so these
-    pairs and postings.bin give the whole df table. The posting bins ascend
-    without repeats, so one searchsorted finds each df bin's posting list,
-    and no table is sorted."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bins with no postings, ascending, and their dfs: these must be
+    the bins whose idf is 0. Every other bin's df is the length of its
+    posting list, as long as the model was fit on the indexed documents, so
+    these pairs and postings.bin give the whole df table. The posting bins
+    ascend without repeats, so one searchsorted finds each df bin's posting
+    list, and only the bins without postings are sorted."""
     n = len(tfidf.doc_freq)
     bins = np.fromiter(tfidf.doc_freq, np.int64, n)
     dfs = np.fromiter(tfidf.doc_freq.values(), np.int64, n)
     at = np.searchsorted(posting_bins, bins)
     posted = at < posting_bins.size
     posted[posted] = posting_bins[at[posted]] == bins[posted]
-    zero = dict(zip(bins[~posted].tolist(), dfs[~posted].tolist()))
+    zero = np.flatnonzero(~posted)[np.argsort(bins[~posted])]
     # Distinct df bins hit distinct posting bins, so equal counts mean every posting bin has a df.
     if (
         tfidf.doc_count != n_docs
         or int(posted.sum()) != posting_bins.size
         or not np.array_equal(dfs[posted], np.diff(offsets)[at[posted]])
-        or any(map(tfidf.idf, zero))
+        or not _idf_is_zero(dfs[zero], n_docs)
     ):
         raise ValueError("the tf-idf model was not fit on the indexed corpus")
-    return zero
+    return bins[zero], dfs[zero]
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +491,24 @@ def _load_encoder_section(path: Path) -> tuple[EncoderConfig, ToyEncoder | None]
     return config, encoder
 
 
-def _phrase_table(smask: np.ndarray, emask: np.ndarray, max_span: int):
-    """The (start, end) token pair of every phrase of a paragraph, in (start,
-    end) order, from its survival masks. The ends of start i are the surviving
-    tokens of the window [i, i + max_span) that fall inside the paragraph."""
-    starts = np.flatnonzero(smask)
-    window = starts[:, None] + np.arange(min(max_span, emask.size))
-    ok = window < emask.size
-    ok[ok] = emask[window[ok]]
-    return np.broadcast_to(starts[:, None], window.shape)[ok], window[ok]
+def _phrase_records(
+    start_mask: np.ndarray, end_mask: np.ndarray, para_len: np.ndarray | list[int], max_span: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(token, paragraph, first end row, number of ends) of each start record
+    of paragraphs of para_len tokens, from their concatenated survival masks.
+    Record r is the r-th surviving start token, at global token g in a
+    paragraph of n tokens from global token B: its token is g - B, and its
+    end rows are [end_rank[g], end_rank[min(g + max_span, B + n)]), with
+    end_rank[g] the count of surviving end tokens before g, which never
+    decreases."""
+    para_stop = np.cumsum(para_len)
+    starts = np.flatnonzero(start_mask)
+    para = np.searchsorted(para_stop, starts, side="right")
+    end_rank = np.zeros(end_mask.size + 1, dtype=np.int64)
+    np.cumsum(end_mask, out=end_rank[1:])
+    first = end_rank[starts]
+    n_ends = end_rank[np.minimum(starts + max_span, para_stop[para])] - first
+    return starts - (para_stop - para_len)[para], para, first, n_ends
 
 
 def _write_sparse_sections(
@@ -500,12 +524,11 @@ def _write_sparse_sections(
     with open(out / "postings.bin", "wb") as fh:
         _write_header(fh, b"PSTG")
         bins, offsets = _write_postings(fh, doc_rows)
-    idf_zero = _idf_zero_doc_freq(tfidf, bins, offsets, len(doc_rows))
-    zero_bins = np.array(sorted(idf_zero), dtype=np.int64)
+    zero_bins, zero_dfs = _idf_zero_doc_freq(tfidf, bins, offsets, len(doc_rows))
     with open(out / "sparse_docs.bin", "wb") as fh:
         _write_header(fh, b"SPRS")
         _write_lists(fh, np.array([0, zero_bins.size]), zero_bins)
-        _write_narrow(fh, np.array([idf_zero[b] for b in zero_bins.tolist()], dtype=np.int64))
+        _write_narrow(fh, zero_dfs)
         fh.write(np.array(inv_norms, dtype="<f4").tobytes())
         _write_postings(fh, own_rows, bins)
 
@@ -671,17 +694,17 @@ def _build(
             if H.n_tokens != len(tokens):
                 raise ValueError(f"encoder returned {H.n_tokens} rows for {len(tokens)} tokens")
             smask, emask = apply_filter(H, filter_model)
-            ii, jj = _phrase_table(smask, emask, config.max_span)
+            _, _, first, n_ends = _phrase_records(smask, emask, [len(tokens)], config.max_span)
             para_rows.append((ord_, len(tokens)))
             start_rows.append(H.start_cols[smask])
             end_rows.append(H.end_cols[emask])
 
-            head = H.coh_head_cols.astype("<f4")
-            tail = H.coh_tail_cols.astype("<f4")
-            heads.write(head[smask].tobytes())
-            tails.write(tail[emask].tobytes())
-            if jj.size:
-                coh = phrase_coherency(head[ii], tail[jj])
+            head = H.coh_head_cols.astype("<f4")[smask]
+            tail = H.coh_tail_cols.astype("<f4")[emask]
+            heads.write(head.tobytes())
+            tails.write(tail.tobytes())
+            if n_ends.any():
+                coh = phrase_coherency(np.repeat(head, n_ends, 0), tail[_ranges(first, n_ends)])
                 coh_lo, coh_hi = min(coh_lo, coh.min()), max(coh_hi, coh.max())
             start_masks.append(smask)
             end_masks.append(emask)
@@ -693,7 +716,7 @@ def _build(
                 norm = add_vectors(doc_vec, para_vec).norm()
             inv_norms.append(1.0 / norm if norm else 0.0)
             n_tokens += len(tokens)
-            n_phrases += jj.size
+            n_phrases += int(n_ends.sum())
     if n_tokens == 0:
         raise ValueError("empty index: no tokens in any paragraph")
     if n_phrases == 0:
@@ -772,7 +795,6 @@ def _build(
         },
         "max_span": config.max_span,
         "seed": config.seed,
-        "sparse_model_digest": tfidf.digest(),
         "counts": {
             "docs": corpus.n_docs,
             "paragraphs": n_paragraphs,
@@ -783,7 +805,6 @@ def _build(
             "end_rows": n_end_rows,
             "phrases": n_phrases,
         },
-        "has_ivf": True,
         "sections": {
             name: {"bytes": (tmp / name).stat().st_size, "sha256": _sha256(tmp / name)}
             for name in sorted(SECTIONS)
@@ -807,25 +828,20 @@ class PhraseIndex:
     Small sections are parsed once at load. Any number of concurrent readers
     may share a directory; each handle is independent.
 
-    The paragraph table and the phrase table are derived at open from each
-    paragraph's document and token count and the two survival masks. Start record r is the r-th surviving start token and
-    owns start row r; end row e is the e-th surviving end token. For a start
-    record at global token g, in a paragraph of n tokens beginning at global
-    token B, with end_rank[g] the number of surviving end tokens before g:
-      rec_para     the paragraph holding g
-      rec_tok      g - B
-      rec_end_row  end_rank[g], the first end row of its phrases
-      rec_n_ends   end_rank[min(g + max_span, B + n)] - end_rank[g]
-    Phrase (r, t), for t < rec_n_ends[r], ends at end row rec_end_row[r] + t;
-    end_tok[e] is the paragraph-local token of end row e, and the phrase's
-    coherency is phrase_coherency of head row r and that end row's tail.
-    end_rank never decreases, so neither does rec_end_row, records without
-    ends included. Document d owns paragraph rows [doc_para_begin[d],
+    The paragraph table and the start records are derived at open from each
+    paragraph's document and token count and the two survival masks. Start
+    record r owns start row r; rec_tok, rec_para, rec_end_row and rec_n_ends
+    are its paragraph-local token, paragraph, first end row and number of
+    ends (_phrase_records). Phrase (r, t), for t < rec_n_ends[r], ends at end
+    row rec_end_row[r] + t; end_tok[e] is the paragraph-local token of end
+    row e, and the phrase's coherency is phrase_coherency of head row r and
+    that end row's tail. Document d owns paragraph rows [doc_para_begin[d],
     doc_para_begin[d + 1]) and start records [doc_rec_begin[d],
     doc_rec_begin[d + 1]). These arrays are O(tokens), and nothing is held
-    per phrase. Search reads the coherency heads and tails, one float32 row
-    per start row and per end row, and coherency_range, the least and
-    greatest phrase coherency, from the header of coherency.bin.
+    per phrase. Open refuses manifest counts that differ from these. Search
+    reads the coherency heads and tails, one float32 row per start row and
+    per end row, and coherency_range, the least and greatest phrase
+    coherency, from the header of coherency.bin.
     """
 
     def __init__(self, path: str | Path):
@@ -875,6 +891,12 @@ class PhraseIndex:
         masks = [np.unpackbits(section.array("u1", -(-n // 8)), count=n) for _ in range(2)]
         section.done()
         self._derive_phrase_table(para_doc, para_len, *masks)
+        starts, ends = self.n_start_rows, self.n_end_rows
+        want = dict(paragraphs=para_doc.size, start_rows=starts, surviving_start_tokens=starts,
+                    end_rows=ends, surviving_end_tokens=ends, phrases=int(self.rec_n_ends.sum()))
+        wrong = [f"{k} {counts.get(k)!r}, not {v}" for k, v in want.items() if counts.get(k) != v]
+        if wrong:
+            raise ValueError(f"manifest.json under {self.path}: counts " + ", ".join(wrong))
         self._map_coherency()
 
         section = _SectionReader(self.path / "postings.bin", b"PSTG")
@@ -908,8 +930,6 @@ class PhraseIndex:
             return ValueError(f"section phrases.bin: {what}")
 
         self.para_doc = doc
-        para_stop = np.cumsum(para_len)
-        para_base = para_stop - para_len
         self.doc_para_begin = np.searchsorted(doc, np.arange(self.n_docs + 1))
         if doc.size != para_len.size:
             raise bad(f"{doc.size} paragraph documents but {para_len.size} token counts")
@@ -920,21 +940,16 @@ class PhraseIndex:
         if int(start_mask.sum()) != self.n_start_rows or int(end_mask.sum()) != self.n_end_rows:
             raise bad("mask sums disagree with the rows of starts.bin/ends.bin")
 
-        starts = np.flatnonzero(start_mask)
-        self.rec_para = np.searchsorted(para_stop, starts, side="right")
+        self.rec_tok, self.rec_para, self.rec_end_row, self.rec_n_ends = _phrase_records(
+            start_mask, end_mask, para_len, self.max_span
+        )
         n_recs = np.bincount(self.rec_para, minlength=doc.size)
         rec_stop = np.cumsum(n_recs)
         table = self.para_table = np.empty(doc.size, PARA_DTYPE)
         table["doc"], table["para"] = doc, np.arange(doc.size) - self.doc_para_begin[doc]
         table["rec_begin"], table["n_recs"], table["n_tokens"] = rec_stop - n_recs, n_recs, para_len
-        self.rec_tok = starts - para_base[self.rec_para]
-        end_rank = np.zeros(end_mask.size + 1, dtype=np.int64)
-        np.cumsum(end_mask, out=end_rank[1:])
-        self.rec_end_row = end_rank[starts]
-        window_stop = np.minimum(starts + self.max_span, para_stop[self.rec_para])
-        self.rec_n_ends = end_rank[window_stop] - self.rec_end_row
-        ends = np.flatnonzero(end_mask)
-        self.end_tok = ends - para_base[np.searchsorted(para_stop, ends, side="right")]
+        # End row e's paragraph-local token is that of record e of the end mask.
+        self.end_tok = _phrase_records(end_mask, end_mask, para_len, 1)[0]
         self.doc_rec_begin = np.append(0, rec_stop)[self.doc_para_begin]
 
     def _read_sparse_docs(self, doc_idfs: np.ndarray) -> None:
@@ -948,6 +963,9 @@ class PhraseIndex:
         section = _SectionReader(self.path / "sparse_docs.bin", b"SPRS")
         zero_bins = section.one_list("idf-0 bins", NGRAM_BINS)
         zero_counts = section.narrow()
+        if not _idf_is_zero(zero_counts, self.n_docs):
+            raise ValueError(f"section sparse_docs.bin: each idf-0 bin's df must be at most "
+                             f"{self.n_docs} and give an idf of 0")
         self.para_inv_norm = section.array("<f4", n_para).astype(np.float64)
         ranks, offsets, paras, tfs, norms = section.postings(
             n_para, "paragraph ordinals", "paragraph bins, as ranks of document bins,",
@@ -1009,26 +1027,14 @@ class PhraseIndex:
                 f"coherency_dim is {self.config.coherency_dim}"
             )
         offset = _HEADER_LEN + _COHERENCY_HEAD.size
-        expected = offset + 4 * width * (n_heads + n_tails)
-        if path.stat().st_size != expected:
-            raise ValueError(
-                f"section coherency.bin: {path.stat().st_size} bytes, expected {expected}"
-            )
-        rows = np.memmap(
-            path, dtype="<f4", mode="r", offset=offset, shape=(n_heads + n_tails, width)
-        )
+        rows = _map_rows(path, offset, "<f4", (n_heads + n_tails, width))
         self.coherency_heads, self.coherency_tails = rows[:n_heads], rows[n_heads:]
         self.coherency_range = (float(lo), float(hi))
 
     def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
         path = self.path / name
         n_rows, dim = _SectionReader(path, tag, 12).unpack("<QI")
-        offset = _HEADER_LEN + 12
-        if path.stat().st_size != offset + n_rows * dim:
-            raise ValueError(
-                f"section {name}: {path.stat().st_size} bytes, expected {offset + n_rows * dim}"
-            )
-        return np.memmap(path, dtype=np.int8, mode="r", offset=offset, shape=(n_rows, dim))
+        return _map_rows(path, _HEADER_LEN + 12, np.int8, (n_rows, dim))
 
     # -- accessors ----------------------------------------------------------
 

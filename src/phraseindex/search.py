@@ -315,8 +315,8 @@ def phrase_coherency(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     over the columns c in ascending order, of float64(head[..., c]) *
     float64(tail[..., c]). A product of two float32 values is exact in
     float64, and the column loop fixes the order of the sum, so a phrase gets
-    the same bits in any batch. The build, the kernel and result
-    materialization all take coherency from here."""
+    the same bits in any batch. The build's coherency range and the kernel
+    take coherency from here; a result keeps the kernel's dense score."""
     products = np.multiply(head, tail, dtype=np.float64)
     total = products[..., 0].copy()
     for c in range(1, products.shape[-1]):
@@ -457,7 +457,7 @@ def _score_starts(
         index, query.sparse, np.arange(index.para_inv_norm.size), doc_scores
     )
     unset = floor = -np.finfo(np.float64).max
-    kept = []  # per block: score, start logit, end logit, sparse, start record, offset
+    kept = []  # per block: score, dense score, sparse, start record, offset
     n_scored = n_expanded = 0
     for b in range(0, len(recs), _BLOCK):
         blk = recs[b : b + _BLOCK]
@@ -478,7 +478,7 @@ def _score_starts(
             """The valid cells of the records blk[sel] whose bound reaches
             `floor`, in (record, offset) order, that is by ascending phrase
             id: their positions in `sel`, their offsets, their scores and
-            their float64 start and end logits."""
+            their dense scores, (end + start) + coherency * q_c."""
             sel_ends = n_ends[sel]
             offsets = np.arange(int(sel_ends.max()))[:, None]
             at = end_first[sel] + offsets
@@ -492,13 +492,11 @@ def _score_starts(
             col, t = np.nonzero(reach.T)
             rec = blk[sel[col]]
             end_row = index.rec_end_row[rec] + t
-            start_logit = _code_logits(start_codes, rec, start_fold)
-            end_logit = _code_logits(end_codes, end_row, end_fold)
-            total = end_logit + start_logit
+            dense = _code_logits(end_codes, end_row, end_fold)
+            dense += _code_logits(start_codes, rec, start_fold)
             coh = phrase_coherency(heads[rec], tails[end_row])
-            total += np.multiply(coh, q.coherency, dtype=np.float64)
-            total += cell_sparse[col]
-            return col, t, total, start_logit, end_logit
+            dense += np.multiply(coh, q.coherency, dtype=np.float64)
+            return col, t, dense + cell_sparse[col], dense
 
         seeded = None
         if floor == unset and bound.size > k:
@@ -514,29 +512,24 @@ def _score_starts(
             # No record outside the seed has a larger bound than one inside,
             # so the seed holds every live record, and its cells every cell
             # that reaches the floor.
-            live, (col, t, total, start_logit, end_logit) = seed, seeded
+            live, (col, t, total, dense) = seed, seeded
         else:
-            col, t, total, start_logit, end_logit = cells(live, floor)
+            col, t, total, dense = cells(live, floor)
         above = total[total >= floor]
         if above.size > k:
             above.partition(above.size - k)  # in place: the k-th best of the block is at size - k
             floor = max(floor, float(above[above.size - k]))
         keep = total >= floor
         row = live[col[keep]]
-        kept.append((total[keep], start_logit[keep], end_logit[keep], sparse[row], blk[row], t[keep]))
+        kept.append((total[keep], dense[keep], sparse[row], blk[row], t[keep]))
 
     results = []
     if kept:
-        score, start_logit, end_logit, para_score, rec, offset = (
-            np.concatenate(c) for c in zip(*kept)
-        )
+        score, dense, para_score, rec, offset = (np.concatenate(c) for c in zip(*kept))
         top = _top_k(score, k)
         rec = rec[top]
         end_row = index.rec_end_row[rec] + offset[top]
         para = index.rec_para[rec]
-        dense = start_logit[top] + end_logit[top]
-        coherency = phrase_coherency(heads[rec], tails[end_row]).astype(np.float64)
-        dense += coherency * q.coherency
         for r, doc_ord, para_idx, i, j, total, dense_score, para_sparse in zip(
             rec.tolist(),
             index.para_doc[para].tolist(),
@@ -544,7 +537,7 @@ def _score_starts(
             index.rec_tok[rec].tolist(),
             index.end_tok[end_row].tolist(),
             score[top].tolist(),
-            dense.tolist(),
+            dense[top].tolist(),
             para_score[top].tolist(),
         ):
             ref = SpanRef(doc_id=index.doc_id(doc_ord), para_idx=para_idx, i=i, j=j)

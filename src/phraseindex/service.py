@@ -211,7 +211,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
             return
         try:
             response = handle_query(index, payload, self.server.search_config)
-        except ValueError as exc:
+        except _BadRequest as exc:
             self._send_json(400, {"error": str(exc)})
             return
         except Exception as exc:  # the server keeps serving; the client still gets an answer
@@ -221,20 +221,27 @@ class _QueryHandler(BaseHTTPRequestHandler):
         self._send_json(200, response)
 
 
+class _BadRequest(ValueError):
+    """A fault of the request itself, which the server answers with 400."""
+
+
 def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -> dict:
-    """Validate a QueryRequest payload, run the search, time the stages."""
+    """Validate a QueryRequest payload (else _BadRequest), run the search, time the stages."""
     if not isinstance(payload, dict):
-        raise ValueError("request body must be a JSON object")
+        raise _BadRequest("request body must be a JSON object")
     question = payload.get("question")
     if not isinstance(question, str) or not question.strip():
-        raise ValueError("question must be a non-empty string")
-    cfg = replace(  # SearchConfig refuses a bad strategy or top_k
-        base_config,
-        strategy=payload.get("strategy", base_config.strategy),
-        top_k=payload.get("top_k", base_config.top_k),
-    )
+        raise _BadRequest("question must be a non-empty string")
+    try:
+        cfg = replace(  # SearchConfig refuses a bad strategy or top_k
+            base_config,
+            strategy=payload.get("strategy", base_config.strategy),
+            top_k=payload.get("top_k", base_config.top_k),
+        )
+    except ValueError as exc:
+        raise _BadRequest(str(exc)) from exc
     if cfg.top_k > MAX_TOP_K:
-        raise ValueError(f"top_k must be at most {MAX_TOP_K}")
+        raise _BadRequest(f"top_k must be at most {MAX_TOP_K}")
     t0 = time.perf_counter()
     query = embed_question(index, question)
     t1 = time.perf_counter()

@@ -141,7 +141,6 @@ class TfIdfModel:
 
     doc_count: int
     doc_freq: dict[int, int]
-    n_bins: int = NGRAM_BINS
 
     def idf(self, bin_: int) -> float:
         return idf_of_df(self.doc_freq.get(bin_, 0), self.doc_count)
@@ -174,14 +173,6 @@ class TfIdfModel:
         if norm == 0.0:
             return SparseVector.empty()
         return SparseVector(bins, tfidf_weights(tfs, idfs, norm))
-
-    def digest(self) -> str:
-        """Content hash used to tie an index to the model that produced it."""
-        h = hashlib.sha256()
-        h.update(str(self.doc_count).encode())
-        for b in sorted(self.doc_freq):
-            h.update(f"{b}:{self.doc_freq[b]};".encode())
-        return h.hexdigest()
 
 
 def fit_tfidf(corpus: CorpusStore) -> TfIdfModel:

@@ -187,7 +187,7 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize(
         "model", ["other documents", "one df off", "an unposted bin", "a posted bin left out",
-                  "one document more"],
+                  "one document more", "an idf-0 df past the documents"],
     )
     def test_tfidf_model_of_other_documents_is_refused(self, tmp_path, model):
         # sparse_docs.bin stores only what the postings cannot give, which
@@ -206,6 +206,9 @@ class TestBuildIndex:
                 tfidf.doc_freq[unseen] = 1  # no postings, yet idf above 0
             elif model == "a posted bin left out":
                 del tfidf.doc_freq[rare]  # its postings remain, now with no df
+            elif model == "an idf-0 df past the documents":
+                unseen = next(b for b in range(NGRAM_BINS) if b not in tfidf.doc_freq)
+                tfidf.doc_freq[unseen] = tfidf.doc_count + 1  # its idf would be the log of < 0
             else:
                 tfidf.doc_count += 1
         with pytest.raises(ValueError, match="not fit on the indexed corpus"):
@@ -265,6 +268,26 @@ class TestLoadIndex:
         assert index.counts["docs"] == 6
         assert index.counts["tokens"] == corpus.total_tokens()
         assert index.n_start_rows == index.counts["surviving_start_tokens"]
+
+    def test_the_manifest_holds_only_its_pinned_keys(self, tmp_path):
+        # A key that the build writes and nothing reads cannot come back.
+        build_small_index(make_random_corpus(np.random.default_rng(4), n_docs=3), tmp_path / "idx")
+        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+        assert sorted(manifest) == sorted(
+            ["format_version", "created_at", "encoder", "max_span", "seed", "counts", "sections"]
+        )
+
+    @pytest.mark.parametrize("count", ["paragraphs", "start_rows", "end_rows",
+                                       "surviving_start_tokens", "surviving_end_tokens", "phrases"])
+    def test_manifest_counts_must_be_what_open_derives(self, tmp_path, count):
+        # The manifest has no checksum, and /health reports its counts.
+        build_small_index(make_random_corpus(np.random.default_rng(6), n_docs=4), tmp_path / "idx")
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["counts"][count] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"manifest.json under .*: counts {count} "):
+            load_index(tmp_path / "idx")
 
     def test_truncated_section_names_the_file(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -1008,7 +1031,23 @@ def test_df_table_and_digest_are_those_of_the_fitted_model(tmp_path):
     assert any(2 * df >= corpus.n_docs for df in want.doc_freq.values())
     assert index.tfidf.doc_count == want.doc_count
     assert index.tfidf.doc_freq == want.doc_freq
-    assert index.tfidf.digest() == want.digest() == index.manifest["sparse_model_digest"]
+    assert "sparse_model_digest" not in index.manifest
+
+
+@pytest.mark.parametrize("case", ["above the document count", "with an idf above 0"])
+def test_an_idf_zero_df_is_refused_before_its_log_is_taken(tmp_path, case):
+    # A df of 108 in 12 documents used to open, and every question with that
+    # bin then failed in TfIdfModel.idf with "math domain error".
+    corpus = make_random_corpus(np.random.default_rng(22), n_docs=12, vocab=20)
+    build_small_index(corpus, tmp_path / "idx")
+    raw = (tmp_path / "idx" / "sparse_docs.bin").read_bytes()
+    _, at = _parse_list_set(raw, 12)
+    dfs, end = _parse_narrow(raw, at)
+    assert dfs and max(dfs) <= 12
+    dfs[0] = 108 if case == "above the document count" else 1
+    _rewrite_section(tmp_path / "idx", "sparse_docs.bin", raw[:at] + _narrow(dfs) + raw[end:])
+    with pytest.raises(ValueError, match="section sparse_docs.bin: each idf-0 bin's df must be"):
+        load_index(tmp_path / "idx")
 
 
 def test_derived_para_vectors_are_the_combined_vectors(tmp_path):

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import socket
 import urllib.error
 import urllib.request
@@ -262,6 +263,23 @@ class TestHttpService:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_a_search_fault_is_500_and_logged_once(self, served_index, monkeypatch, caplog):
+        # A ValueError raised inside the search is a fault of the index or the
+        # server, not of the request, so it is not answered with 400.
+        _, base = served_index
+
+        def broken(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(service, "run_search", broken)
+        with caplog.at_level(logging.ERROR, logger=service.__name__):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(base + "/query", {"question": "where is w001"})
+        with err.value as resp:
+            assert resp.code == 500
+            assert json.loads(resp.read())["error"] == "internal error: ValueError"
+        assert [r.name for r in caplog.records] == [service.__name__]
 
     def test_short_body_times_out(self, served_index, monkeypatch):
         monkeypatch.setattr(service, "REQUEST_TIMEOUT_S", 0.2)
