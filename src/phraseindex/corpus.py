@@ -8,6 +8,7 @@ import string
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar
 
@@ -77,15 +78,17 @@ class SpanRef:
     j: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, limit: int | None = None) -> list[Token]:
     """Split on whitespace and detach leading/trailing punctuation characters,
-    one token each: the matches of _TOKEN_RE.
+    one token each: the matches of _TOKEN_RE. With a limit, only the first
+    `limit` tokens are made, and the rest of the text is not scanned.
 
     Deterministic, and every token's surface equals the raw-text slice
     [char_start, char_end). Lowercasing happens downstream, for sparse
     features only.
     """
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    matches = islice(_TOKEN_RE.finditer(text), limit)
+    return [Token(m.group(), m.start(), m.end()) for m in matches]
 
 
 def enumerate_spans(

@@ -370,7 +370,8 @@ def _sha256(path: Path) -> str:
 
 def _idf_is_zero(dfs: np.ndarray, n_docs: int) -> bool:
     """Whether every df is in [0, n_docs], which is tested first, and has idf 0."""
-    return bool(((dfs >= 0) & (dfs <= n_docs)).all()) and not idf_of_dfs(dfs, n_docs).any()
+    in_range = bool(((dfs >= 0) & (dfs <= n_docs)).all())
+    return in_range and not idf_of_dfs(dfs.tolist(), n_docs).any()
 
 
 def _idf_zero_doc_freq(
@@ -833,9 +834,12 @@ class PhraseIndex:
     record r owns start row r; rec_tok, rec_para, rec_end_row and rec_n_ends
     are its paragraph-local token, paragraph, first end row and number of
     ends (_phrase_records). Phrase (r, t), for t < rec_n_ends[r], ends at end
-    row rec_end_row[r] + t; end_tok[e] is the paragraph-local token of end
-    row e, and the phrase's coherency is phrase_coherency of head row r and
-    that end row's tail. Document d owns paragraph rows [doc_para_begin[d],
+    row rec_end_row[r] + t. rec_ends_chain says whether each record's end
+    rows begin no later than the previous record's stop and the stops never
+    fall, so that the end rows of any run of records are one run of rows, as
+    in an index without a filter. end_tok[e] is the paragraph-local token of
+    end row e, and the phrase's coherency is phrase_coherency of head row r
+    and that end row's tail. Document d owns paragraph rows [doc_para_begin[d],
     doc_para_begin[d + 1]) and start records [doc_rec_begin[d],
     doc_rec_begin[d + 1]). These arrays are O(tokens), and nothing is held
     per phrase. Open refuses manifest counts that differ from these. Search
@@ -868,7 +872,12 @@ class PhraseIndex:
                 raise ValueError(f"section {name}: checksum mismatch")
 
         counts = self.manifest["counts"]
-        self.max_span: int = self.manifest["max_span"]
+        span = self.manifest.get("max_span")
+        if isinstance(span, bool) or not isinstance(span, int) or span < 1:
+            raise ValueError(
+                f"manifest.json under {self.path}: max_span {span!r} is not a positive integer"
+            )
+        self.max_span: int = span
         self.config, self.encoder = _load_encoder_section(self.path / "encoder.bin")
         self.corpus = load_corpus(self.path / "corpus.jsonl")
         if self.corpus.n_docs != counts["docs"]:
@@ -902,7 +911,7 @@ class PhraseIndex:
         section = _SectionReader(self.path / "postings.bin", b"PSTG")
         bins, offsets, docs, tfs, norms = section.postings(self.n_docs, "document ordinals")
         section.done()
-        idfs = idf_of_dfs(np.diff(offsets), self.n_docs)
+        idfs = idf_of_dfs(np.diff(offsets).tolist(), self.n_docs)
         self.postings = InvertedIndex(
             self.n_docs, posting_lists(bins, offsets, docs, tfs, idfs, norms)
         )
@@ -942,6 +951,10 @@ class PhraseIndex:
 
         self.rec_tok, self.rec_para, self.rec_end_row, self.rec_n_ends = _phrase_records(
             start_mask, end_mask, para_len, self.max_span
+        )
+        stop = self.rec_end_row + self.rec_n_ends
+        self.rec_ends_chain = bool(
+            (self.rec_end_row[1:] <= stop[:-1]).all() and (stop[1:] >= stop[:-1]).all()
         )
         n_recs = np.bincount(self.rec_para, minlength=doc.size)
         rec_stop = np.cumsum(n_recs)

@@ -29,9 +29,15 @@ phrases expanded.
 
 A query's fixed cost stays small. embed_question encodes only the marker
 row's window, the marker and the next `window` tokens of the question, since
-the dense vector is read from that row alone. The top k are assembled in one
-pass: each field of the k winners (document, paragraph, start and end token,
-score, dense and sparse score) is gathered with one index and one tolist().
+the dense vector is read from that row alone, and the tf-idf model takes the
+idfs of all the question's bins in one pass. Every paragraph's sparse score
+is read from whole arrays. A block's bounds convert the codes to float32 in
+chunks small enough to stay in a core's L2 cache. A block of consecutive
+records in an index whose records' end rows chain (PhraseIndex.rec_ends_chain)
+reads its end rows as one range, without checking or merging intervals. The
+top k are assembled in one pass: each field of the k winners (document,
+paragraph, start and end token, score, dense and sparse score) is gathered
+with one index and one tolist().
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .corpus import SpanRef, tokenize
+from .corpus import SpanRef, Token, tokenize
 from .dense import QueryDenseVector, question_dense
 from .sparse import SparseVector, _top_k, retrieve_top_docs, score_docs
 from .sparse import sparse_score  # noqa: F401  (callers import it from here)
@@ -129,8 +135,12 @@ class SearchOutput:
         return len(self.visited_doc_ordinals)
 
 
-def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
+def embed_question(
+    index: "PhraseIndex", text: str, tokens: list[Token] | None = None
+) -> QueryVector:
     """Embed question text with the index's own encoder and tf-idf model.
+    `tokens`, when given, is tokenize(text): a caller that has already
+    tokenized the question passes them on, so it is not tokenized twice.
 
     The dense vector is read from the marker row alone (question_dense), and
     that row's features are the marker and the next `encoder.window` tokens,
@@ -144,7 +154,8 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
             "index was built with precomputed embeddings; construct the "
             "QueryVector from a precomputed question embedding instead"
         )
-    tokens = tokenize(text)
+    if tokens is None:
+        tokens = tokenize(text)
     if not tokens:
         raise ValueError("empty question")
     marker_window = tokens[: max(1, index.encoder.window)]
@@ -159,7 +170,9 @@ def embed_question(index: "PhraseIndex", text: str) -> QueryVector:
 
 _BLOCK = 8192  # start records scored at a time; bounds the kernel's scratch
 _LOGIT_BLOCK = 1024  # code rows converted to float64 at a time by _code_logits
-_BOUND_BYTES = 1 << 20  # most bytes of float32 code rows converted at a time by _code_bounds
+# Most bytes of float32 code rows converted at a time by _code_bounds: small
+# enough that the chunk and its codes stay in a core's L2 cache between blocks.
+_BOUND_BYTES = 1 << 18
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and float64
 
 
@@ -256,7 +269,10 @@ def _code_bounds(
     + c0) + margin, each add in float64. The margin is twice the largest gap
     between the two values (_bound_margin), so the bound is at least the
     float64 logit on every row. The rows are converted to float32 in chunks
-    of at most _BOUND_BYTES, a whole _BLOCK of records at boundary_dim 28."""
+    of at most _BOUND_BYTES, 2,340 rows at boundary_dim 28. BLAS may sum a
+    row in another order by where it falls in its chunk, so the chunking can
+    move a bound's last bits, but never past the margin, which holds for any
+    order of the sum."""
     c0, w32, margin = fold32
     step = max(1, _BOUND_BYTES // (4 * codes.shape[1]))
     out = np.empty(len(rows), dtype=np.float64)
@@ -365,23 +381,49 @@ def _merge_ranges(begin: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.n
     return _ranges(lo, fresh), first
 
 
+def _block_end_rows(
+    index: "PhraseIndex", blk: np.ndarray | range, n_ends: np.ndarray
+) -> tuple[np.ndarray | range, np.ndarray]:
+    """The distinct end rows of the ascending start records `blk`, ascending
+    (a range when they are one run), and the position among them of each
+    record's first end row. A range of records of an index whose records'
+    end rows chain (rec_ends_chain) has one run of end rows, from the first
+    record's first end row to the last record's stop, and the positions are
+    the begins less the first; any other records are merged by _end_ranges."""
+    begin = _take(index.rec_end_row, blk)
+    if isinstance(blk, range) and index.rec_ends_chain:
+        return range(int(begin[0]), int(begin[-1] + n_ends[-1])), begin - begin[0]
+    rows, first = _end_ranges(begin, n_ends)
+    return _as_run(rows), first
+
+
 def _para_sparse(
-    index: "PhraseIndex", q: SparseVector, paras: np.ndarray, doc_scores: np.ndarray | None = None
+    index: "PhraseIndex",
+    q: SparseVector,
+    paras: np.ndarray | None = None,
+    doc_scores: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sparse score of q against the combined vector of each paragraph in
-    `paras`: (q.doc + q.para) * inv_norm. q.doc is read from `doc_scores`,
-    score_docs' pass over the document postings (made here when not given),
-    and q.para from score_docs' pass over index.para_postings, the postings
-    of the paragraph-only vectors; a document's only paragraph has none, and
-    takes q.doc. score_docs sums each paragraph's terms in query-bin order,
-    so a paragraph gets the same bits whichever other paragraphs are asked
-    for."""
+    `paras`, or of every paragraph when it is None: (q.doc + q.para) *
+    inv_norm. q.doc is read from `doc_scores`, score_docs' pass over the
+    document postings (made here when not given), and q.para from
+    score_docs' pass over index.para_postings, the postings of the
+    paragraph-only vectors; a document's only paragraph has none, and takes
+    q.doc. score_docs sums each paragraph's terms in query-bin order, so a
+    paragraph gets the same bits whichever other paragraphs are asked for.
+    Every paragraph reads the per-paragraph arrays whole, without a gather."""
+
+    def rows(values: np.ndarray) -> np.ndarray:
+        return values if paras is None else values[paras]
+
     if doc_scores is None:
         doc_scores = score_docs(q, index.postings)
-    from_doc = doc_scores[index.para_doc[paras]]
-    from_para = score_docs(q, index.para_postings)[paras]
-    from_para = np.where(index.para_sole[paras], from_doc, from_para)
-    return (from_doc + from_para) * index.para_inv_norm[paras]
+    from_doc = doc_scores[rows(index.para_doc)]
+    from_para = rows(score_docs(q, index.para_postings))
+    np.copyto(from_para, from_doc, where=rows(index.para_sole))
+    from_para += from_doc
+    from_para *= rows(index.para_inv_norm)
+    return from_para
 
 
 def _score_starts(
@@ -453,9 +495,7 @@ def _score_starts(
     coh_lo, coh_hi = index.coherency_range
     coh_top = max(coh_lo * q.coherency, coh_hi * q.coherency)
     k, scale = config.top_k, config.sparse_scale
-    para_scores = _para_sparse(
-        index, query.sparse, np.arange(index.para_inv_norm.size), doc_scores
-    )
+    para_scores = _para_sparse(index, query.sparse, doc_scores=doc_scores)
     unset = floor = -np.finfo(np.float64).max
     kept = []  # per block: score, dense score, sparse, start record, offset
     n_scored = n_expanded = 0
@@ -467,9 +507,9 @@ def _score_starts(
             continue
         n_scored += n_valid
         sparse = para_scores[_take(index.rec_para, blk)]
-        end_rows, end_first = _end_ranges(_take(index.rec_end_row, blk), n_ends)
+        end_rows, end_first = _block_end_rows(index, blk, n_ends)
         start = _code_bounds(start_codes, blk, start_fold32)
-        end = _code_bounds(end_codes, _as_run(end_rows), end_fold32)
+        end = _code_bounds(end_codes, end_rows, end_fold32)
         bound = _record_bounds(start, end, end_first, n_ends, coh_top, scale * sparse)
         if isinstance(blk, range):
             blk = np.arange(blk.start, blk.stop)

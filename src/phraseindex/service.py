@@ -13,12 +13,17 @@ from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
+from .corpus import tokenize
 from .index import PhraseIndex
 from .search import STRATEGIES, SearchConfig, embed_question, run_search
 
 REQUEST_TIMEOUT_S = 30.0  # a connection that sends nothing for this long is closed
 MAX_BODY_BYTES = 1 << 20  # a longer Content-Length gets 413, and the body is not read
 MAX_TOP_K = 1000  # a larger requested top_k gets 400: the kernel materialises top_k results
+# A question of more tokens gets 400 and is neither embedded nor tokenized
+# past the bound: its sparse vector hashes every unigram and bigram, ~1 s for
+# a 1 MB question.
+MAX_QUESTION_TOKENS = 512
 
 _log = logging.getLogger(__name__)
 _ARTICLES = {"a", "an", "the"}
@@ -243,7 +248,10 @@ def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -
     if cfg.top_k > MAX_TOP_K:
         raise _BadRequest(f"top_k must be at most {MAX_TOP_K}")
     t0 = time.perf_counter()
-    query = embed_question(index, question)
+    tokens = tokenize(question, MAX_QUESTION_TOKENS + 1)
+    if len(tokens) > MAX_QUESTION_TOKENS:
+        raise _BadRequest(f"question must be at most {MAX_QUESTION_TOKENS} tokens")
+    query = embed_question(index, question, tokens)
     t1 = time.perf_counter()
     out = run_search(index, query, cfg)
     t2 = time.perf_counter()

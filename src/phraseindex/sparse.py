@@ -117,13 +117,12 @@ def idf_of_df(df: int, doc_count: int) -> float:
     return max(0.0, math.log((doc_count - df + 0.5) / (df + 0.5)))
 
 
-def idf_of_dfs(dfs: np.ndarray, doc_count: int) -> np.ndarray:
+def idf_of_dfs(dfs: list[int], doc_count: int) -> np.ndarray:
     """idf_of_df of each df (a count, at least 0), in float64, taking the log
-    once per distinct df."""
-    table = np.zeros(int(dfs.max(initial=0)) + 1, dtype=np.float64)
-    distinct = np.flatnonzero(np.bincount(dfs))
-    table[distinct] = [idf_of_df(df, doc_count) for df in distinct.tolist()]
-    return table[dfs]
+    once per distinct df. The scratch is a dict of the distinct dfs, O(len(dfs))
+    whatever the document count."""
+    idfs = {df: idf_of_df(df, doc_count) for df in set(dfs)}
+    return np.fromiter(map(idfs.__getitem__, dfs), np.float64, len(dfs))
 
 
 def tfidf_weights(tfs: np.ndarray, idfs: np.ndarray, norms: np.ndarray | float) -> np.ndarray:
@@ -154,7 +153,9 @@ class TfIdfModel:
         already hashed (token_counts, summed_counts), so a caller that has them
         does not hash the text again. Given rows, the vector is also appended
         to them as its terms: its bins, their counts and its norm before
-        normalization, from which tfidf_weights gives its weights back."""
+        normalization, from which tfidf_weights gives its weights back. The
+        idfs of all the bins come from one idf_of_dfs, and the bins of zero
+        weight are dropped with one mask."""
         if isinstance(unit, Counter):
             counts = unit
         elif isinstance(unit, Paragraph):
@@ -163,10 +164,13 @@ class TfIdfModel:
             counts = _doc_counts(unit)
         else:
             counts = token_counts(unit)
-        terms = [(b, tf, idf) for b, tf in sorted(counts.items()) if tf * (idf := self.idf(b))]
-        bins = np.array([b for b, _, _ in terms], dtype=np.int64)
-        tfs = np.array([tf for _, tf, _ in terms], dtype=np.int64)
-        idfs = np.array([idf for _, _, idf in terms], dtype=np.float64)
+        keys = sorted(counts)
+        n = len(keys)
+        bins = np.fromiter(keys, np.int64, n)
+        tfs = np.fromiter(map(counts.__getitem__, keys), np.int64, n)
+        idfs = idf_of_dfs([self.doc_freq.get(b, 0) for b in keys], self.doc_count)
+        keep = np.flatnonzero(tfs * idfs)
+        bins, tfs, idfs = bins[keep], tfs[keep], idfs[keep]
         norm = float(np.linalg.norm(tfs * idfs))
         if rows is not None:
             rows.append(bins, tfs, norm)

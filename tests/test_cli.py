@@ -244,6 +244,22 @@ def test_query_of_an_index_with_a_cut_section_is_one_line_and_exit_status_1(
     assert err.startswith(f"phraseindex: error: section {section}: ") and err.count("\n") == 1
 
 
+def test_query_of_an_index_with_a_string_max_span_is_one_line_and_exit_status_1(
+    tmp_path, corpus_file, capsys
+):
+    path, _ = corpus_file
+    index = tmp_path / "idx"
+    main(["build", "--corpus", str(path), "--out", str(index), "--clusters", "4", *DIMS])
+    manifest = json.loads((index / "manifest.json").read_text())
+    manifest["max_span"] = "20"
+    (index / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--question", "w001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phraseindex: error: manifest.json under ") and err.count("\n") == 1
+    assert "max_span '20' is not a positive integer" in err
+
+
 @pytest.mark.parametrize("bad, why", [
     (b"[1, 2]", "expected a JSON object, got list"),
     (b'{"id": ', "invalid JSON"),

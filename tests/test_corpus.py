@@ -43,6 +43,12 @@ class TestTokenize:
         for tok in tokenize(text):
             assert text[tok.char_start : tok.char_end] == tok.surface
 
+    def test_limit_keeps_the_first_tokens(self):
+        text = "The U.S. economy grew 3.2% (roughly)."
+        whole = tokenize(text)
+        for limit in range(len(whole) + 2):
+            assert tokenize(text, limit) == whole[:limit]
+
     def test_idempotent_on_single_space_joins(self):
         rng = np.random.default_rng(0)
         pieces = ["alpha", "beta!", "¿que?", "x", "--", "t.v."]

@@ -289,6 +289,20 @@ class TestLoadIndex:
         with pytest.raises(ValueError, match=f"manifest.json under .*: counts {count} "):
             load_index(tmp_path / "idx")
 
+    @pytest.mark.parametrize(
+        "bad", ["20", True, 0, -1, None], ids=["string", "true", "0", "-1", "null"]
+    )
+    def test_manifest_max_span_must_be_a_positive_integer(self, tmp_path, bad):
+        # The manifest has no checksum; "20" used to fail inside numpy, and
+        # true to open as a max_span of 1.
+        build_small_index(make_random_corpus(np.random.default_rng(6), n_docs=4), tmp_path / "idx")
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["max_span"] = bad
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest.json under .*: max_span .* not a positive"):
+            load_index(tmp_path / "idx")
+
     def test_truncated_section_names_the_file(self, tmp_path):
         rng = np.random.default_rng(5)
         corpus = make_random_corpus(rng, n_docs=4)

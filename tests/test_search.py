@@ -67,6 +67,20 @@ def filtered_index(tmp_path_factory):
     )
 
 
+@pytest.fixture(scope="module")
+def gapped_index(tmp_path_factory):
+    # Every end token survives and about one start token in five, so a
+    # record's end rows often begin past the previous record's stop.
+    rng = np.random.default_rng(9)
+    corpus = make_random_corpus(rng, n_docs=6, tokens_per_para=(8, 20))
+    w = rng.normal(size=SMALL_CONFIG.boundary_dim)
+    model = FilterModel(w, -0.2, np.zeros_like(w), 1.0, threshold=0.5)
+    return build_small_index(
+        corpus, tmp_path_factory.mktemp("gapped") / "idx", max_span=3, ivf_clusters=4,
+        filter_model=model,
+    )
+
+
 def spans_and_scores(output):
     return [(r.span, round(r.score, 9)) for r in output.results]
 
@@ -649,6 +663,32 @@ def test_float32_pruning_changes_no_result(fixture, request, monkeypatch):
     assert sum(p[4] for p in proven) < sum(u[4] for u in unpruned)  # the float32 bound prunes
 
 
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index", "gapped_index"])
+def test_bound_chunks_of_one_code_row_change_no_result_or_counter(fixture, request, monkeypatch):
+    # _code_bounds converts the codes to float32 _BOUND_BYTES at a time. One
+    # code row a chunk may round a bound differently, but within the proven
+    # margin, so every result and every work counter stays the same.
+    index = request.getfixturevalue(fixture)
+    queries = [embed_question(index, text) for text in ("w001 w002", "w010 w011 w012", "w030")]
+
+    def run_all():
+        out = []
+        for q in queries:
+            for strategy in STRATEGIES:
+                for k in (1, 10):
+                    cfg = SearchConfig(strategy=strategy, top_k=k, dense_top_starts=200)
+                    o = run_search(index, q, cfg)
+                    out.append(([(r.span, r.score.hex(), r.dense_score.hex(),
+                                  r.sparse_score.hex(), r.strategy) for r in o.results],
+                                o.docs_visited, o.start_rows_scored, o.phrases_scored,
+                                o.phrases_expanded))
+        return out
+
+    default = run_all()
+    monkeypatch.setattr(search_module, "_BOUND_BYTES", 1)
+    assert run_all() == default
+
+
 def test_window_max_equals_the_brute_force_maximum():
     # Widths 1..max_span, powers of two or not, and windows that run past the
     # last end row (cut short there), up to arrays shorter than the window.
@@ -894,6 +934,34 @@ def test_end_ranges_merge_any_nondecreasing_begins():
         assert np.array_equal(rows[_ranges(first, count)], want)
 
 
+@pytest.mark.parametrize("fixture", ["random_index", "filtered_index", "gapped_index"])
+def test_end_rows_chain_as_derived_and_the_range_path_equals_the_merge(fixture, request):
+    # rec_ends_chain, derived at open, must be the brute-force fact: each
+    # record's end rows begin no later than the previous record's stop, and
+    # the stops never fall. Where it holds, every range of records reads its
+    # end rows as one range, and that must equal _end_ranges' merge.
+    index = request.getfixturevalue(fixture)
+    begin, n_ends = index.rec_end_row.tolist(), index.rec_n_ends.tolist()
+    stop = [b + n for b, n in zip(begin, n_ends)]
+    chained = all(begin[r + 1] <= stop[r] and stop[r + 1] >= stop[r] for r in range(len(begin) - 1))
+    assert index.rec_ends_chain is chained
+    if fixture == "random_index":  # every token is a start and an end
+        assert chained
+    if fixture == "gapped_index":
+        assert not chained
+    n = index.n_start_rows
+    rng = np.random.default_rng(2)
+    pairs = [(0, n), (0, 1), (n - 1, n), *(sorted(rng.choice(n + 1, 2, replace=False))
+                                             for _ in range(200))]
+    for a, b in pairs:
+        a, b = int(a), int(b)
+        rows, first = search_module._block_end_rows(index, range(a, b), index.rec_n_ends[a:b])
+        want_rows, want_first = _end_ranges(index.rec_end_row[a:b], index.rec_n_ends[a:b])
+        assert isinstance(rows, range) or not chained
+        assert np.array_equal(np.asarray(rows), want_rows), (a, b)
+        assert np.array_equal(first, want_first), (a, b)
+
+
 def test_para_sparse_same_bits_in_any_subset(random_index):
     # The CSR pass must give a paragraph the same bits whatever else is
     # scored with it, and agree with the per-vector reference: the re-fitted
@@ -918,6 +986,11 @@ def test_para_sparse_same_bits_in_any_subset(random_index):
         q = embed_question(index, text).sparse
         full = _para_sparse(index, q, np.arange(n_paras))
         assert full.any()
+        # Every paragraph, read from the whole arrays, with or without the
+        # document scores given.
+        assert np.array_equal(_para_sparse(index, q), full)
+        doc_scores = sparse_module.score_docs(q, index.postings)
+        assert np.array_equal(_para_sparse(index, q, doc_scores=doc_scores), full)
         for p, (doc_vec, para_vec) in enumerate(parts):
             want = (sparse_score(q, doc_vec) + sparse_score(q, para_vec)) * index.para_inv_norm[p]
             assert abs(full[p] - want) <= 1e-12

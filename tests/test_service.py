@@ -11,8 +11,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import phraseindex.search as search_module
 from conftest import SMALL_CONFIG, build_small_index, make_random_corpus
 from phraseindex import service
+from phraseindex.corpus import tokenize
 from phraseindex.dense import PrecomputedEncoder, write_embedding_file
 from phraseindex.search import SearchConfig, embed_question, run_search
 from phraseindex.service import (
@@ -207,6 +209,38 @@ class TestHttpService:
             assert str(service.MAX_TOP_K) in json.loads(resp.read())["error"]
         status, body = post(base + "/query", {"question": "where is w001", "top_k": service.MAX_TOP_K})
         assert status == 200 and body["results"]
+
+    def test_question_over_the_token_bound_is_400_and_never_embedded(
+        self, served_index, monkeypatch
+    ):
+        index, base = served_index
+
+        def must_not_embed(*args, **kwargs):
+            raise AssertionError("embedded a question over the bound")
+
+        monkeypatch.setattr(service, "embed_question", must_not_embed)
+        long_question = " ".join(["w001"] * (service.MAX_QUESTION_TOKENS + 1))
+        with pytest.raises(service._BadRequest, match=str(service.MAX_QUESTION_TOKENS)):
+            handle_query(index, {"question": long_question}, SearchConfig())
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(base + "/query", {"question": long_question})
+        with err.value as resp:
+            assert resp.code == 400
+            assert str(service.MAX_QUESTION_TOKENS) in json.loads(resp.read())["error"]
+
+    def test_question_at_the_token_bound_is_tokenized_once(self, served_index, monkeypatch):
+        index, _ = served_index
+        calls = []
+
+        def counted(text, limit=None):
+            calls.append(text)
+            return tokenize(text, limit)
+
+        monkeypatch.setattr(service, "tokenize", counted)
+        monkeypatch.setattr(search_module, "tokenize", counted)
+        question = " ".join(["w001"] * service.MAX_QUESTION_TOKENS)
+        body = handle_query(index, {"question": question}, SearchConfig())
+        assert body["results"] and len(calls) == 1
 
     def test_negative_content_length_is_400(self, served_index):
         _, base = served_index

@@ -1,5 +1,7 @@
 """tf-idf model, sparse vectors, inverted index, and the learned sparse encoder."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,13 @@ from phraseindex.sparse import (
     SparseRows,
     SparseVector,
     TwoLayerMap,
+    TfIdfModel,
     build_inverted_index,
     combine_doc_para,
     embed_text_sparse,
     fit_tfidf,
+    idf_of_df,
+    idf_of_dfs,
     learned_sparse_encode,
     ngram_bin,
     retrieve_top_docs,
@@ -109,6 +114,59 @@ class TestEmbed:
         assert ngram_bin("q") in fwd_bins and ngram_bin("q") in rev_bins
         assert ngram_bin("p q") in fwd_bins and ngram_bin("p q") not in rev_bins
         assert ngram_bin("q p") in rev_bins and ngram_bin("q p") not in fwd_bins
+
+
+def _per_bin_embed(model: TfIdfModel, counts: Counter):
+    """TfIdfModel.embed one bin at a time: model.idf per bin, a bin kept when
+    tf * idf is nonzero. Returns (bins, tfs, norm, weights)."""
+    terms = [(b, tf, idf) for b, tf in sorted(counts.items()) if tf * (idf := model.idf(b))]
+    bins = np.array([b for b, _, _ in terms], dtype=np.int64)
+    tfs = np.array([tf for _, tf, _ in terms], dtype=np.int64)
+    idfs = np.array([idf for _, _, idf in terms], dtype=np.float64)
+    norm = float(np.linalg.norm(tfs * idfs))
+    return bins, tfs, norm, (tfs * idfs) / norm if norm else np.empty(0)
+
+
+def test_embed_equals_the_per_bin_idf_formula_bit_for_bit():
+    # embed takes every bin's idf from one idf_of_dfs call and drops the
+    # zero-weight bins with one mask. Its bins, term counts, norm, weights and
+    # the terms it appends to SparseRows must be the bits of the per-bin
+    # formula, over counters with idf-0 bins (df near or at N) and bins the
+    # model has never seen (df 0).
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        n_docs = int(rng.integers(1, 60))
+        seen = rng.choice(1 << 20, size=40, replace=False)
+        doc_freq = {int(b): int(rng.integers(1, n_docs + 1)) for b in seen}
+        for b in seen[:5]:  # idf 0: in every document, or in more than half
+            doc_freq[int(b)] = n_docs if rng.random() < 0.5 else (n_docs + 1) // 2
+        model = TfIdfModel(doc_count=n_docs, doc_freq=doc_freq)
+        unseen = rng.integers(1 << 20, 1 << 24, size=10)
+        pool = np.concatenate([seen, unseen])
+        picks = rng.choice(pool, size=int(rng.integers(0, 30)), replace=False)
+        counts = Counter({int(b): int(rng.integers(1, 5)) for b in picks})
+        bins, tfs, norm, weights = _per_bin_embed(model, counts)
+        rows = SparseRows()
+        vec = model.embed(counts, rows)
+        assert rows.bins.tobytes() == bins.tobytes(), trial
+        assert np.array_equal(rows.tfs, tfs), trial
+        assert rows.norms.tobytes() == np.float64(norm).tobytes(), trial
+        if norm == 0.0:
+            assert vec.is_empty
+        else:
+            assert vec.bins.tobytes() == bins.tobytes(), trial
+            assert vec.weights.tobytes() == weights.tobytes(), trial
+
+
+@pytest.mark.parametrize("n_docs", [1, 7, 1000, 10**6])
+def test_idf_of_dfs_is_idf_of_df_bit_for_bit(n_docs):
+    # Fewer dfs than the largest df, and more, so that most repeat.
+    rng = np.random.default_rng(n_docs)
+    for size in (0, 1, 5, 50, 3000):
+        dfs = rng.integers(0, n_docs + 1, size=size).tolist()
+        want = np.array([idf_of_df(df, n_docs) for df in dfs], dtype=np.float64)
+        got = idf_of_dfs(dfs, n_docs)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), size
 
 
 class TestCombineAndScore:
