@@ -2,10 +2,15 @@
 
 Directory layout: manifest.json plus the SECTIONS: binary sections
 (starts.bin, ends.bin, phrases.bin, coherency.bin, quant.bin,
-sparse_docs.bin, postings.bin, filter.bin, encoder.bin, ivf.bin) and
-corpus.jsonl. Every binary section is little-endian and begins with a magic
-+ tag + version header; the manifest records a checksum for each file, lists
-exactly these sections, and gives counts that open checks against them.
+sparse_docs.bin, postings.bin, encoder.bin, ivf.bin) and corpus.jsonl.
+Every binary section is little-endian and begins with a magic + tag +
+version header; the manifest records a checksum for each file, lists exactly
+these sections, and gives counts that open checks against them. Each shape
+is stored once: encoder.bin's header gives every width (boundary_dim,
+coherency_dim), and the sums of phrases.bin's survival masks give the start
+and end row counts. No other section stores a width or a row count, and open
+reads each one at exactly the shape these give, so a section of any other
+size is refused by name.
 
 Every list of ids is stored with one codec pair. A narrow array is its byte
 count as a u64, its width as one byte in {1, 2, 4, 8}, then the values as
@@ -23,15 +28,18 @@ token order. Nothing per start or per phrase is stored: _phrase_records
 derives the start records from these, at build and at open, where
 PhraseIndex also derives the rest of the paragraph table (PARA_DTYPE).
 
-coherency.bin holds, after its header, (n_start_rows, n_end_rows) as two
-u64, coherency_dim as a u32 and the least and greatest phrase coherency as
-two f32, then two float32 matrices: one coherency-head row per start row,
-aligned with starts.bin, and one coherency-tail row per end row, aligned with
-ends.bin. A phrase's coherency is search.phrase_coherency of its start's head
-and its end's tail, computed when it is scored. The two matrices cost
-4 * coherency_dim bytes per stored row against 4 bytes per phrase for a
-stored scalar, so they are smaller when there are more than 2 *
-coherency_dim phrases per token: at keep-all, about max_span of them.
+starts.bin and ends.bin hold, after their headers, the int8 codes of the
+start and end rows, boundary_dim per row, and quant.bin the float64 minimums
+and scales of the start side, then of the end side, boundary_dim each.
+
+coherency.bin holds, after its header, the least and greatest phrase
+coherency as two f32, then two float32 matrices: one coherency-head row per
+start row, aligned with starts.bin, and one coherency-tail row per end row,
+aligned with ends.bin. A phrase's coherency is search.phrase_coherency of
+its start's head and its end's tail, computed when it is scored. The two
+matrices cost 4 * coherency_dim bytes per stored row against 4 bytes per
+phrase for a stored scalar, so they are smaller when there are more than
+2 * coherency_dim phrases per token: at keep-all, about max_span of them.
 
 postings.bin holds, after its header, the document postings: the posting
 bins as a list set of one list, each bin's document ordinals as a list set,
@@ -53,8 +61,9 @@ vectors are the transpose of postings.bin, and every other bin's df is the
 length of its posting list, so the tf-idf model is derived at open. A
 paragraph's combined vector is (doc + para) * inv_norm.
 
-ivf.bin holds, after its header, the cell count and the width as two u32,
-the float32 centroids, then each cell's ascending start rows as a list set.
+ivf.bin holds, after its header, the cell count as a u32, the float32
+centroids, boundary_dim each, then each cell's ascending start rows as a
+list set.
 """
 
 from __future__ import annotations
@@ -94,15 +103,14 @@ from .sparse import (
 )
 from .training import FilterModel
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 MAGIC = b"PIDX"
 _HEADER_LEN = 12  # magic(4) + tag(4) + version(4)
 _WIDTHS = (1, 2, 4, 8)  # the byte widths of a narrow array
-_COHERENCY_HEAD = struct.Struct("<QQIff")  # head rows, tail rows, width, least, greatest
 
 SECTIONS = frozenset({
     "starts.bin", "ends.bin", "phrases.bin", "coherency.bin", "quant.bin", "sparse_docs.bin",
-    "postings.bin", "filter.bin", "encoder.bin", "ivf.bin", "corpus.jsonl",
+    "postings.bin", "encoder.bin", "ivf.bin", "corpus.jsonl",
 })
 
 PARA_DTYPE = np.dtype(
@@ -350,14 +358,19 @@ class _SectionReader:
             raise ValueError(f"section {self.name}: {len(self.data) - self.at} bytes past its end")
 
 
-def _map_rows(path: Path, offset: int, dtype, shape: tuple[int, int]) -> np.memmap:
-    """A read-only memory map of the rows of a section from byte offset on,
-    after checking that the file holds exactly those rows past offset."""
+def _map_rows(
+    path: Path, tag: bytes, dtype, shape: tuple[int, int], head: str = "<"
+) -> tuple[tuple, np.memmap]:
+    """The fields of a section's header after its version, unpacked by the
+    struct format head, and a read-only memory map of the rows after them,
+    after checking that the file holds exactly those rows."""
+    fields = _SectionReader(path, tag, struct.calcsize(head)).unpack(head)
+    offset = _HEADER_LEN + struct.calcsize(head)
     size = path.stat().st_size
     expected = offset + np.dtype(dtype).itemsize * shape[0] * shape[1]
     if size != expected:
         raise ValueError(f"section {path.name}: {size} bytes, expected {expected}")
-    return np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape)
+    return fields, np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape)
 
 
 def _sha256(path: Path) -> str:
@@ -729,25 +742,20 @@ def _build(
 
     with open(tmp / "starts.bin", "wb") as fh:
         _write_header(fh, b"STRT")
-        fh.write(struct.pack("<QI", n_start_rows, cfg.boundary_dim))
         fh.write(start_codes.tobytes())
     with open(tmp / "ends.bin", "wb") as fh:
         _write_header(fh, b"ENDS")
-        fh.write(struct.pack("<QI", n_end_rows, cfg.boundary_dim))
         fh.write(end_codes.tobytes())
     # Each input below is dropped once its section is written, so none is
     # held through k-means.
     del end_codes
     with open(tmp / "quant.bin", "wb") as fh:
         _write_header(fh, b"QNTZ")
-        fh.write(struct.pack("<I", cfg.boundary_dim))
         for arr in (start_quant.minimums, start_quant.scales, end_quant.minimums, end_quant.scales):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     with open(tmp / "coherency.bin", "wb") as fh:
         _write_header(fh, b"COHR")
-        fh.write(
-            _COHERENCY_HEAD.pack(n_start_rows, n_end_rows, cfg.coherency_dim, coh_lo, coh_hi)
-        )
+        fh.write(struct.pack("<ff", coh_lo, coh_hi))
         for spilled in (heads, tails):
             spilled.seek(0)
             shutil.copyfileobj(spilled, fh)
@@ -761,13 +769,6 @@ def _build(
     del para_rows, start_masks, end_masks
     _write_sparse_sections(tmp, tfidf, doc_rows, own_rows, inv_norms)
     del doc_rows, own_rows, inv_norms
-    with open(tmp / "filter.bin", "wb") as fh:
-        _write_header(fh, b"FLTR")
-        fh.write(struct.pack("<Id", cfg.boundary_dim, filter_model.threshold))
-        fh.write(np.ascontiguousarray(filter_model.start_weights, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", filter_model.start_bias))
-        fh.write(np.ascontiguousarray(filter_model.end_weights, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", filter_model.end_bias))
     with open(tmp / "encoder.bin", "wb") as fh:
         _write_header(fh, b"ENCD")
         fh.write(_encoder_section_bytes(encoder))
@@ -779,7 +780,7 @@ def _build(
     )
     with open(tmp / "ivf.bin", "wb") as fh:
         _write_header(fh, b"IVFC")
-        fh.write(struct.pack("<II", ivf.centroids.shape[0], cfg.boundary_dim))
+        fh.write(struct.pack("<I", ivf.centroids.shape[0]))
         fh.write(np.ascontiguousarray(ivf.centroids, dtype="<f4").tobytes())
         _write_lists(fh, ivf.offsets, ivf.rows)
     with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as fh:
@@ -885,28 +886,33 @@ class PhraseIndex:
                 f"section corpus.jsonl: {self.corpus.n_docs} documents, not {counts['docs']}"
             )
 
-        self.start_codes = self._map_code_matrix("starts.bin", b"STRT")
-        self.end_codes = self._map_code_matrix("ends.bin", b"ENDS")
-        section = _SectionReader(self.path / "quant.bin", b"QNTZ")
-        (dim,) = section.unpack("<I")
-        arrs = [section.array("<f8", dim).astype(np.float64) for _ in range(4)]
-        section.done()
-        self.start_quant = QuantizationParams(arrs[0], arrs[1])
-        self.end_quant = QuantizationParams(arrs[2], arrs[3])
-
         section = _SectionReader(self.path / "phrases.bin", b"PHRS")
         para_doc, para_len = section.narrow(), section.narrow()
         n = counts["tokens"]
         masks = [np.unpackbits(section.array("u1", -(-n // 8)), count=n) for _ in range(2)]
         section.done()
         self._derive_phrase_table(para_doc, para_len, *masks)
-        starts, ends = self.n_start_rows, self.n_end_rows
+        # Every other section is read at the shape the masks and encoder.bin give.
+        starts, ends = self.rec_tok.size, self.end_tok.size
+        dim = self.config.boundary_dim
+        _, self.start_codes = _map_rows(self.path / "starts.bin", b"STRT", np.int8, (starts, dim))
+        _, self.end_codes = _map_rows(self.path / "ends.bin", b"ENDS", np.int8, (ends, dim))
+        section = _SectionReader(self.path / "quant.bin", b"QNTZ")
+        arrs = [section.array("<f8", dim).astype(np.float64) for _ in range(4)]
+        section.done()
+        self.start_quant = QuantizationParams(arrs[0], arrs[1])
+        self.end_quant = QuantizationParams(arrs[2], arrs[3])
         want = dict(paragraphs=para_doc.size, start_rows=starts, surviving_start_tokens=starts,
                     end_rows=ends, surviving_end_tokens=ends, phrases=int(self.rec_n_ends.sum()))
         wrong = [f"{k} {counts.get(k)!r}, not {v}" for k, v in want.items() if counts.get(k) != v]
         if wrong:
             raise ValueError(f"manifest.json under {self.path}: counts " + ", ".join(wrong))
-        self._map_coherency()
+        (lo, hi), rows = _map_rows(
+            self.path / "coherency.bin", b"COHR", "<f4", (starts + ends, self.config.coherency_dim),
+            "<ff",
+        )
+        self.coherency_heads, self.coherency_tails = rows[:starts], rows[starts:]
+        self.coherency_range = (float(lo), float(hi))
 
         section = _SectionReader(self.path / "postings.bin", b"PSTG")
         bins, offsets, docs, tfs, norms = section.postings(self.n_docs, "document ordinals")
@@ -916,16 +922,6 @@ class PhraseIndex:
             self.n_docs, posting_lists(bins, offsets, docs, tfs, idfs, norms)
         )
         self._read_sparse_docs(idfs)
-
-        section = _SectionReader(self.path / "filter.bin", b"FLTR")
-        dim, threshold = section.unpack("<Id")
-        sw = section.array("<f8", dim).astype(np.float64)
-        (sb,) = section.unpack("<d")
-        ew = section.array("<f8", dim).astype(np.float64)
-        (eb,) = section.unpack("<d")
-        section.done()
-        self.filter_model = FilterModel(sw, sb, ew, eb, threshold)
-
         self.ivf = self._read_ivf()
 
     def _derive_phrase_table(
@@ -933,7 +929,7 @@ class PhraseIndex:
     ) -> None:
         """The paragraph table, and the per-record and per-end-row arrays,
         from each paragraph's document and token count and the two survival
-        masks, in O(tokens), checked against the other sections."""
+        masks, in O(tokens), checked against each other."""
 
         def bad(what: str) -> ValueError:
             return ValueError(f"section phrases.bin: {what}")
@@ -946,8 +942,6 @@ class PhraseIndex:
             raise bad("paragraph table is not in document order")
         if int(para_len.sum()) != start_mask.size:
             raise bad("paragraph lengths do not add up to the token count")
-        if int(start_mask.sum()) != self.n_start_rows or int(end_mask.sum()) != self.n_end_rows:
-            raise bad("mask sums disagree with the rows of starts.bin/ends.bin")
 
         self.rec_tok, self.rec_para, self.rec_end_row, self.rec_n_ends = _phrase_records(
             start_mask, end_mask, para_len, self.max_span
@@ -1002,15 +996,12 @@ class PhraseIndex:
         self.tfidf = TfIdfModel(doc_count=self.n_docs, doc_freq=doc_freq)
 
     def _read_ivf(self) -> IvfIndex:
-        """ivf.bin's centroids and cells, after checking that the centroids
-        are boundary_dim wide, that there are n_clusters cells, and that each
-        start row is in exactly one cell."""
+        """ivf.bin's boundary_dim-wide centroids and cells, after checking
+        that there are n_clusters cells and that each start row is in
+        exactly one cell."""
         section = _SectionReader(self.path / "ivf.bin", b"IVFC")
-        n_clusters, dim = section.unpack("<II")
-        if dim != self.config.boundary_dim:
-            raise ValueError(
-                f"section ivf.bin: centroids {dim} wide, boundary_dim is {self.config.boundary_dim}"
-            )
+        (n_clusters,) = section.unpack("<I")
+        dim = self.config.boundary_dim
         centroids = section.array("<f4", n_clusters * dim).reshape(n_clusters, dim)
         n = self.n_start_rows
         offsets, rows = section.lists("start rows", n)
@@ -1021,33 +1012,6 @@ class PhraseIndex:
                 f"{n_clusters} cells holding each of the {n} start rows once"
             )
         return IvfIndex(centroids=centroids.astype(np.float64), offsets=offsets, rows=rows)
-
-    def _map_coherency(self) -> None:
-        """Map the coherency heads and tails after checking that coherency.bin
-        holds one row per start row and per end row, coherency_dim wide, and
-        nothing else; read the coherency range from its header."""
-        path = self.path / "coherency.bin"
-        header = _SectionReader(path, b"COHR", _COHERENCY_HEAD.size)
-        n_heads, n_tails, width, lo, hi = header.unpack(_COHERENCY_HEAD.format)
-        if (n_heads, n_tails) != (self.n_start_rows, self.n_end_rows):
-            raise ValueError(
-                f"section coherency.bin: {n_heads} head and {n_tails} tail rows for "
-                f"{self.n_start_rows} start rows and {self.n_end_rows} end rows"
-            )
-        if width != self.config.coherency_dim:
-            raise ValueError(
-                f"section coherency.bin: rows {width} wide, "
-                f"coherency_dim is {self.config.coherency_dim}"
-            )
-        offset = _HEADER_LEN + _COHERENCY_HEAD.size
-        rows = _map_rows(path, offset, "<f4", (n_heads + n_tails, width))
-        self.coherency_heads, self.coherency_tails = rows[:n_heads], rows[n_heads:]
-        self.coherency_range = (float(lo), float(hi))
-
-    def _map_code_matrix(self, name: str, tag: bytes) -> np.memmap:
-        path = self.path / name
-        n_rows, dim = _SectionReader(path, tag, 12).unpack("<QI")
-        return _map_rows(path, _HEADER_LEN + 12, np.int8, (n_rows, dim))
 
     # -- accessors ----------------------------------------------------------
 

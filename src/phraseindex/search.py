@@ -52,7 +52,6 @@ import numpy as np
 from .corpus import SpanRef, Token, tokenize
 from .dense import QueryDenseVector, question_dense
 from .sparse import SparseVector, _top_k, retrieve_top_docs, score_docs
-from .sparse import sparse_score  # noqa: F401  (callers import it from here)
 
 if TYPE_CHECKING:
     from .index import PhraseIndex, QuantizationParams

@@ -237,6 +237,10 @@ def handle_query(index: PhraseIndex, payload: dict, base_config: SearchConfig) -
     question = payload.get("question")
     if not isinstance(question, str) or not question.strip():
         raise _BadRequest("question must be a non-empty string")
+    try:  # JSON allows a lone surrogate, which the n-gram hash cannot encode
+        question.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _BadRequest("question must be valid Unicode text") from None
     try:
         cfg = replace(  # SearchConfig refuses a bad strategy or top_k
             base_config,

@@ -461,26 +461,27 @@ def build_training_examples(
 
 
 def _boundary_filter_metrics(
-    corpus: CorpusStore,
+    doc_bases: dict[tuple[str, int], np.ndarray],
     examples: Sequence[TrainExample],
     encoder: ToyEncoder,
     seed: int,
 ) -> dict[str, float]:
-    """Fit the boundary filter on current encodings and report validation P/R."""
+    """Fit the boundary filter on current encodings and report validation P/R.
+    doc_bases holds each paragraph's base_document, so a paragraph's
+    encoding is its base times the current linear layer."""
     answers: dict[tuple[str, int], list[tuple[int, int]]] = {}
     for ex in examples:
         if ex.answer is not None:
             answers.setdefault((ex.doc_id, ex.para_idx), []).append(ex.answer)
     start_vecs, start_labels, end_vecs, end_labels = [], [], [], []
-    for (doc_id, para_idx), spans in sorted(answers.items()):
-        para = corpus.doc(doc_id).paragraphs[para_idx]
-        H = encoder.encode_document(para.tokens)
+    for key, spans in sorted(answers.items()):
+        H = TokenEncodingMatrix(doc_bases[key] @ encoder.linear.T, encoder.config)
         starts = {i for i, _ in spans}
         ends = {j for _, j in spans}
         start_vecs.append(H.start_cols)
         end_vecs.append(H.end_cols)
-        start_labels.append([1.0 if t in starts else 0.0 for t in range(para.n_tokens)])
-        end_labels.append([1.0 if t in ends else 0.0 for t in range(para.n_tokens)])
+        start_labels.append([1.0 if t in starts else 0.0 for t in range(H.n_tokens)])
+        end_labels.append([1.0 if t in ends else 0.0 for t in range(H.n_tokens)])
     try:
         _, metrics = train_filter(
             np.vstack(start_vecs),
@@ -552,6 +553,6 @@ def train_encoder(
         record = {k: v / len(examples) for k, v in sums.items()}
         record["epoch"] = float(epoch)
         record["no_answer_bias"] = bias
-        record.update(_boundary_filter_metrics(corpus, examples, encoder, config.seed))
+        record.update(_boundary_filter_metrics(doc_bases, examples, encoder, config.seed))
         history.append(record)
     return history

@@ -42,36 +42,40 @@ def brute_force_tfidf_weights(texts: list[str], target: str) -> dict[int, float]
     return {b: w / norm for b, w in weights.items()} if norm else {}
 
 
-def _read_code_section(path: Path) -> tuple[np.ndarray, int]:
+def _read_widths(path: Path) -> tuple[int, int]:
+    """boundary_dim and coherency_dim, from encoder.bin's header: after the
+    12-byte section header, the encoder kind, dim, boundary_dim and
+    coherency_dim as u32."""
     raw = path.read_bytes()
     assert raw[:4] == b"PIDX"
-    n_rows, dim = struct.unpack("<QI", raw[12:24])
-    codes = np.frombuffer(raw[24:], dtype=np.int8).reshape(n_rows, dim)
-    return codes, dim
+    _, _, boundary_dim, coherency_dim = struct.unpack("<IIII", raw[12:28])
+    return boundary_dim, coherency_dim
 
 
-def _read_quant_section(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _read_code_section(path: Path, dim: int) -> np.ndarray:
+    """The int8 code rows after the 12-byte header, as many as the file holds."""
     raw = path.read_bytes()
     assert raw[:4] == b"PIDX"
-    (dim,) = struct.unpack("<I", raw[12:16])
-    arrays = []
-    offset = 16
-    for _ in range(4):
-        arrays.append(np.frombuffer(raw[offset : offset + dim * 8], dtype="<f8").copy())
-        offset += dim * 8
-    return tuple(arrays)  # start_min, start_scale, end_min, end_scale
+    return np.frombuffer(raw[12:], dtype=np.int8).reshape(-1, dim)
 
 
-def _read_coherency_section(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The coherency head rows (one per start row) and tail rows (one per end
-    row), as float32 matrices."""
+def _read_quant_section(
+    path: Path, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    raw = path.read_bytes()
+    assert raw[:4] == b"PIDX" and len(raw) == 12 + 4 * dim * 8
+    arrays = np.frombuffer(raw[12:], dtype="<f8").reshape(4, dim)
+    return tuple(a.copy() for a in arrays)  # start_min, start_scale, end_min, end_scale
+
+
+def _read_coherency_section(path: Path, width: int, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coherency head rows (n_heads, one per start row) and tail rows (one
+    per end row), as float32 matrices, after the header and the coherency
+    range's two f32."""
     raw = path.read_bytes()
     assert raw[:4] == b"PIDX"
-    n_heads, n_tails, width = struct.unpack("<QQI", raw[12:32])
-    body = np.frombuffer(raw[40:], dtype="<f4")
-    assert body.size == (n_heads + n_tails) * width
-    heads = body[: n_heads * width].reshape(n_heads, width)
-    return heads, body[n_heads * width :].reshape(n_tails, width)
+    body = np.frombuffer(raw[20:], dtype="<f4").reshape(-1, width)
+    return body[:n_heads], body[n_heads:]
 
 
 def enumerate_all_scores(
@@ -89,10 +93,13 @@ def enumerate_all_scores(
     Returns (score, doc_ordinal, para_idx, i, j) tuples in ranked order with
     the (doc, para, i, j) tie-break.
     """
-    start_codes, dim = _read_code_section(index_dir / "starts.bin")
-    end_codes, _ = _read_code_section(index_dir / "ends.bin")
-    s_min, s_scale, e_min, e_scale = _read_quant_section(index_dir / "quant.bin")
-    heads, tails = _read_coherency_section(index_dir / "coherency.bin")
+    dim, width = _read_widths(index_dir / "encoder.bin")
+    start_codes = _read_code_section(index_dir / "starts.bin", dim)
+    end_codes = _read_code_section(index_dir / "ends.bin", dim)
+    s_min, s_scale, e_min, e_scale = _read_quant_section(index_dir / "quant.bin", dim)
+    heads, tails = _read_coherency_section(index_dir / "coherency.bin", width, len(start_codes))
+    # keep-all: one start row, one end row, one head and one tail per token
+    assert len(start_codes) == len(end_codes) == len(tails) == corpus.total_tokens()
     starts = s_min + (start_codes.astype(np.float64) + 128.0) * s_scale
     ends = e_min + (end_codes.astype(np.float64) + 128.0) * e_scale
 

@@ -226,7 +226,7 @@ def test_query_of_a_missing_index_is_one_line_and_exit_status_1(tmp_path, capsys
     assert str(missing) in err
 
 
-@pytest.mark.parametrize("section", ["filter.bin", "sparse_docs.bin", "ivf.bin", "quant.bin"])
+@pytest.mark.parametrize("section", ["starts.bin", "sparse_docs.bin", "ivf.bin", "quant.bin"])
 def test_query_of_an_index_with_a_cut_section_is_one_line_and_exit_status_1(
     tmp_path, corpus_file, capsys, section
 ):

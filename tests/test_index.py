@@ -661,11 +661,13 @@ class TestPhrasesSection:
 
     @pytest.mark.parametrize("mask", ["start", "end"])
     def test_mask_sum_must_match_the_stored_rows(self, keep_all_dir, mask):
+        # A mask's sum is its side's row count, so a flipped bit leaves the
+        # code section one row longer than open derives.
         index_dir, start_mask_at, mask_bytes = keep_all_dir
         raw = bytearray((index_dir / "phrases.bin").read_bytes())
         raw[start_mask_at + (mask_bytes if mask == "end" else 0)] ^= 0x80  # token 0's bit
         _rewrite_section(index_dir, "phrases.bin", bytes(raw))
-        with pytest.raises(ValueError, match="phrases.bin.*starts.bin/ends.bin"):
+        with pytest.raises(ValueError, match=f"section {mask}s?.bin: .* bytes, expected"):
             load_index(index_dir)
 
     @pytest.mark.parametrize("case", ["document out of order", "document past the corpus",
@@ -710,31 +712,39 @@ class TestCoherencySection:
     @pytest.mark.parametrize("cut", [4, 1, "header"])
     def test_truncated_section(self, index_dir, cut):
         def edit(raw):
-            del raw[12 + 10 if cut == "header" else -cut :]
+            del raw[12 + 6 if cut == "header" else -cut :]  # the header ends at byte 20
 
         self._rewrite(index_dir, edit)
         with pytest.raises(ValueError, match="coherency.bin.*(truncated|expected)"):
             load_index(index_dir)
 
-    @pytest.mark.parametrize("field", [0, 8])  # head rows, tail rows
-    def test_wrong_row_count(self, index_dir, field):
+    @pytest.mark.parametrize("case", ["one row short", "one row more"])
+    def test_wrong_row_count(self, index_dir, case):
+        # One head row per start row and one tail row per end row: the mask sums.
+        row = 4 * SMALL_CONFIG.coherency_dim
+
         def edit(raw):
-            at = 12 + field
-            (n,) = struct.unpack("<Q", raw[at : at + 8])
-            raw[at : at + 8] = struct.pack("<Q", n - 1)
+            if case == "one row short":
+                del raw[-row:]
+            else:
+                raw += raw[-row:]
 
         self._rewrite(index_dir, edit)
-        with pytest.raises(ValueError, match="coherency.bin.*start rows"):
+        with pytest.raises(ValueError, match="section coherency.bin: .* bytes, expected"):
             load_index(index_dir)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width(self, index_dir, width):
+        # The rows are coherency_dim wide, as encoder.bin gives it.
         def edit(raw):
-            assert struct.unpack("<I", raw[28:32]) == (SMALL_CONFIG.coherency_dim,)
-            raw[28:32] = struct.pack("<I", width)
+            rows = np.frombuffer(bytes(raw[20:]), "<f4").reshape(-1, SMALL_CONFIG.coherency_dim)
+            wide = np.zeros((len(rows), width), "<f4")
+            n = min(width, SMALL_CONFIG.coherency_dim)
+            wide[:, :n] = rows[:, :n]
+            raw[20:] = wide.tobytes()
 
         self._rewrite(index_dir, edit)
-        with pytest.raises(ValueError, match="coherency.bin.*coherency_dim"):
+        with pytest.raises(ValueError, match="section coherency.bin: .* bytes, expected"):
             load_index(index_dir)
 
 
@@ -749,8 +759,8 @@ class TestIvfSection:
         """Rewrite ivf.bin with its cells' list set replaced by the bytes
         edit(cells) returns, cells being each cell's rows."""
         raw = (index_dir / "ivf.bin").read_bytes()
-        n_clusters, dim = struct.unpack("<II", raw[12:20])
-        at = 20 + 4 * n_clusters * dim  # the cells' list set follows the centroids
+        (n_clusters,) = struct.unpack("<I", raw[12:16])
+        at = 16 + 4 * n_clusters * SMALL_CONFIG.boundary_dim  # the cells follow the centroids
         cells, end = _parse_list_set(raw, at)
         assert len(cells) == n_clusters and all(cells) and raw[at:] == _list_set(cells)
         _rewrite_section(index_dir, "ivf.bin", raw[:at] + edit(cells))
@@ -787,18 +797,64 @@ class TestIvfSection:
             load_index(index_dir)
 
     def test_centroid_width(self, index_dir):
-        raw = bytearray((index_dir / "ivf.bin").read_bytes())
-        raw[16:20] = struct.pack("<I", SMALL_CONFIG.boundary_dim + 1)
-        _rewrite_section(index_dir, "ivf.bin", bytes(raw))
-        with pytest.raises(ValueError, match="ivf.bin.*wide"):
+        # Centroids one value wider than encoder.bin's boundary_dim put the
+        # cells where open does not read them.
+        raw = (index_dir / "ivf.bin").read_bytes()
+        (n_clusters,) = struct.unpack("<I", raw[12:16])
+        at = 16 + 4 * n_clusters * SMALL_CONFIG.boundary_dim
+        centroids = np.frombuffer(raw[16:at], "<f4").reshape(n_clusters, -1)
+        wide = np.hstack([centroids, np.ones((n_clusters, 1), "<f4")])
+        _rewrite_section(index_dir, "ivf.bin", raw[:16] + wide.tobytes() + raw[at:])
+        with pytest.raises(ValueError, match="section ivf.bin: "):
             load_index(index_dir)
 
 
-@pytest.mark.parametrize("section", sorted(SECTIONS) + ["extra.bin"])
+# The bytes of one row of each section read at a shape open derives: a code
+# row, one quantization value, a coherency row, and one centroid of ivf.bin.
+_ROW_BYTES = {
+    "starts.bin": SMALL_CONFIG.boundary_dim,
+    "ends.bin": SMALL_CONFIG.boundary_dim,
+    "quant.bin": 8,
+    "coherency.bin": 4 * SMALL_CONFIG.coherency_dim,
+    "ivf.bin": 4 * SMALL_CONFIG.boundary_dim,
+}
+
+
+@pytest.mark.parametrize("change", ["one short", "one more"])
+@pytest.mark.parametrize("section", sorted(_ROW_BYTES))
+def test_a_section_one_row_off_its_derived_shape_is_refused_by_name(tmp_path, section, change):
+    # encoder.bin gives every width and phrases.bin's masks every row count.
+    # ivf.bin's cells follow its centroids, and stay as stored.
+    index_dir = tmp_path / "idx"
+    corpus = make_random_corpus(np.random.default_rng(30), n_docs=4)
+    build_small_index(corpus, index_dir, ivf_clusters=4)
+    raw = (index_dir / section).read_bytes()
+    # The centroids of the 4 cells end 4 rows past ivf.bin's 16-byte header.
+    at = 16 + 4 * _ROW_BYTES["ivf.bin"] if section == "ivf.bin" else len(raw)
+    row = _ROW_BYTES[section]
+    edited = raw[: at - row] if change == "one short" else raw[:at] + raw[at - row : at]
+    _rewrite_section(index_dir, section, edited + raw[at:])
+    with pytest.raises(ValueError, match=f"section {re.escape(section)}: "):
+        load_index(index_dir)
+
+
+def test_a_quant_section_one_dimension_narrower_is_refused_at_open(tmp_path):
+    # Its width is encoder.bin's: opened, a narrower quant.bin would fail
+    # every query with a shape error.
+    index_dir = tmp_path / "idx"
+    build_small_index(make_random_corpus(np.random.default_rng(31), n_docs=4), index_dir)
+    raw = (index_dir / "quant.bin").read_bytes()
+    params = np.frombuffer(raw[12:], "<f8").reshape(4, SMALL_CONFIG.boundary_dim)
+    _rewrite_section(index_dir, "quant.bin", raw[:12] + params[:, :-1].tobytes())
+    with pytest.raises(ValueError, match="section quant.bin: "):
+        load_index(index_dir)
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS) + ["extra.bin", "filter.bin"])
 def test_manifest_must_list_exactly_the_format_sections(tmp_path, section):
     # Open checksums the sections the manifest lists, so a section left out
     # of it would be read unchecked; it and a section the format does not
-    # define are refused by name.
+    # define, such as format 7's filter.bin, are refused by name.
     build_small_index(make_random_corpus(np.random.default_rng(22), n_docs=4), tmp_path / "idx")
     manifest_path = tmp_path / "idx" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -1295,7 +1351,6 @@ def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[
     """quant.bin, starts.bin, ends.bin and ivf.bin of a keep-all build, from
     params fitted on every row held as float64, and each cell's rows taken
     one cell at a time from the assignment of every start row."""
-    dim = encoder.config.boundary_dim
     rows = ([], [])
     for _, doc, pidx, para in corpus.iter_paragraphs():
         H = encoder.encode_document(para.tokens, key=f"{doc.id}/{pidx}")
@@ -1312,15 +1367,16 @@ def _reference_quantized_sections(corpus, encoder, config: BuildConfig) -> dict[
     def section(tag, *parts):
         return b"PIDX" + tag + struct.pack("<I", FORMAT_VERSION) + b"".join(parts)
 
+    # Each section's shape is given by encoder.bin and the masks, so the code
+    # and quantization sections store no width or row count.
     return {
         "quant.bin": section(
-            b"QNTZ", struct.pack("<I", dim),
-            *(a.astype("<f8").tobytes() for q in quants for a in (q.minimums, q.scales)),
+            b"QNTZ", *(a.astype("<f8").tobytes() for q in quants for a in (q.minimums, q.scales)),
         ),
-        "starts.bin": section(b"STRT", struct.pack("<QI", len(codes[0]), dim), codes[0].tobytes()),
-        "ends.bin": section(b"ENDS", struct.pack("<QI", len(codes[1]), dim), codes[1].tobytes()),
+        "starts.bin": section(b"STRT", codes[0].tobytes()),
+        "ends.bin": section(b"ENDS", codes[1].tobytes()),
         "ivf.bin": section(
-            b"IVFC", struct.pack("<II", config.ivf_clusters, dim),
+            b"IVFC", struct.pack("<I", config.ivf_clusters),
             ivf.centroids.astype("<f4").tobytes(),
             _list_set([c.tolist() for c in cells]),
         ),

@@ -228,6 +228,24 @@ class TestHttpService:
             assert resp.code == 400
             assert str(service.MAX_QUESTION_TOKENS) in json.loads(resp.read())["error"]
 
+    def test_question_that_is_not_valid_unicode_is_400_and_never_embedded(
+        self, served_index, monkeypatch, caplog
+    ):
+        # JSON allows a lone surrogate, which UTF-8 cannot encode.
+        _, base = served_index
+
+        def must_not_embed(*args, **kwargs):
+            raise AssertionError("embedded a question that is not valid Unicode text")
+
+        monkeypatch.setattr(service, "embed_question", must_not_embed)
+        with caplog.at_level(logging.DEBUG, logger=service.__name__):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(base + "/query", {"question": "\ud800 colony"})
+            with err.value as resp:
+                assert resp.code == 400
+                assert json.loads(resp.read())["error"] == "question must be valid Unicode text"
+        assert caplog.records == []
+
     def test_question_at_the_token_bound_is_tokenized_once(self, served_index, monkeypatch):
         index, _ = served_index
         calls = []

@@ -461,6 +461,20 @@ class TestTrainEncoder:
         assert hist_a == hist_b
         np.testing.assert_array_equal(enc_a.linear, enc_b.linear)
 
+    def test_epochs_encode_no_paragraph_again(self, monkeypatch):
+        # A paragraph's base encoding never changes, so the filter metrics of
+        # every epoch take it from the bases training already holds.
+        corpus, qa = synthetic_training_setup(n_paras=10)
+        cfg = EncoderConfig(dim=16, boundary_dim=6, coherency_dim=2)
+        config = TrainingConfig(learning_rate=0.05, epochs=2, seed=4, max_span=4)
+
+        def must_not_encode(*args, **kwargs):
+            raise AssertionError("a training epoch encoded a paragraph")
+
+        monkeypatch.setattr(ToyEncoder, "encode_document", must_not_encode)
+        history = train_encoder(corpus, qa, ToyEncoder(cfg, seed=3), config)
+        assert len(history) == 2 and all("filter_start_recall" in rec for rec in history)
+
 
 @pytest.mark.parametrize("setting, why", [
     ({"epochs": "ten"}, "epochs must be an integer, not 'ten'"),
