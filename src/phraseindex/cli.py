@@ -14,7 +14,6 @@ from .corpus import load_corpus, load_qa
 from .dense import EncoderConfig, ToyEncoder
 from .index import BuildConfig, PhraseIndex, build_index
 from .search import STRATEGIES, SearchConfig, embed_question, run_search
-from .sparse import fit_tfidf
 from .training import TrainingConfig, train_encoder
 
 
@@ -136,8 +135,7 @@ def cmd_build(args) -> int:
     if args.encoder_state:
         encoder.linear = _encoder_state_linear(args.encoder_state, args)
     corpus = load_corpus(args.corpus)
-    tfidf = fit_tfidf(corpus)
-    out = build_index(corpus, encoder, tfidf, None, args.out, args.build)
+    out = build_index(corpus, encoder, None, args.out, args.build)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     report = {"index": str(out), "counts": manifest["counts"], "peak_rss_mb": _peak_rss_mb()}
     print(json.dumps(report))

@@ -95,6 +95,7 @@ from .sparse import (
     SparseRows,
     TfIdfModel,
     add_vectors,
+    fit_tfidf,
     idf_of_dfs,
     posting_lists,
     posting_order,
@@ -236,24 +237,18 @@ def _write_lists(fh, offsets: np.ndarray, values: np.ndarray) -> None:
     _write_narrow(fh, gaps)
 
 
-def _write_postings(
-    fh, rows: SparseRows, doc_bins: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _write_postings(fh, rows: SparseRows, doc_bins: np.ndarray | None = None) -> np.ndarray:
     """The postings of rows (posting_order): the bins as a list set of one
-    list, or given doc_bins their ranks in doc_bins, each bin's ids as a
-    list set, the term counts as a narrow array, then the float64 norm of
-    each vector with postings. Returns the bins and the posting offsets."""
+    list, or given doc_bins (which hold them) their ranks in doc_bins, each
+    bin's ids as a list set, the term counts as a narrow array, then the
+    float64 norm of each vector with postings. Returns the bins."""
     bins, offsets, ids, order = posting_order(rows)
-    names = bins
-    if doc_bins is not None:
-        names = np.searchsorted(doc_bins, bins)
-        if (names == doc_bins.size).any() or not np.array_equal(doc_bins[names], bins):
-            raise ValueError("the tf-idf model was not fit on the indexed corpus")
+    names = bins if doc_bins is None else np.searchsorted(doc_bins, bins)
     _write_lists(fh, np.array([0, names.size]), names)
     _write_lists(fh, offsets, ids)
     _write_narrow(fh, rows.tfs[order])
     fh.write(rows.norms[np.diff(rows.offsets) > 0].astype("<f8").tobytes())
-    return bins, offsets
+    return bins
 
 
 class _SectionReader:
@@ -292,11 +287,11 @@ class _SectionReader:
         values = self.array(f"<u{width}", nbytes // width)
         return values.astype(np.int64) if wide else values
 
-    def lists(self, what: str | None = None, limit: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """A list set, as int64 CSR arrays (offsets, values). Given what the
-        lists hold, each must ascend strictly and stay in [0, limit): every
-        gap after its list's head at least 1, and none negative, which a u8
-        gap of 2**63 or more is as int64."""
+    def lists(self, what: str, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """A list set of what, as int64 CSR arrays (offsets, values). Each
+        list must ascend strictly and stay in [0, limit): every gap after its
+        list's head at least 1, and none negative, which a u8 gap of 2**63 or
+        more is as int64."""
         lengths, gaps = self.narrow(), self.narrow()
         offsets = np.append(0, np.cumsum(lengths))
         if offsets[-1] != gaps.size:
@@ -308,15 +303,14 @@ class _SectionReader:
         full = lengths > 0
         heads = offsets[:-1][full]
         values -= np.repeat(values[heads] - gaps[heads], lengths[full])
-        if what is not None:
-            least = np.ones_like(gaps)
-            least[heads] = 0
-            # Gaps below limit also keep the running sum from overflowing.
-            if (gaps < least).any() or (gaps >= limit).any() or values.max(initial=-1) >= limit:
-                raise ValueError(
-                    f"section {self.name}: {what} must ascend strictly within each list "
-                    f"and stay below {limit}"
-                )
+        least = np.ones_like(gaps)
+        least[heads] = 0
+        # Gaps below limit also keep the running sum from overflowing.
+        if (gaps < least).any() or (gaps >= limit).any() or values.max(initial=-1) >= limit:
+            raise ValueError(
+                f"section {self.name}: {what} must ascend strictly within each list "
+                f"and stay below {limit}"
+            )
         return offsets, values
 
     def one_list(self, what: str, limit: int) -> np.ndarray:
@@ -379,39 +373,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _idf_is_zero(dfs: np.ndarray, n_docs: int) -> bool:
-    """Whether every df is in [0, n_docs], which is tested first, and has idf 0."""
-    in_range = bool(((dfs >= 0) & (dfs <= n_docs)).all())
-    return in_range and not idf_of_dfs(dfs.tolist(), n_docs).any()
-
-
-def _idf_zero_doc_freq(
-    tfidf: TfIdfModel, posting_bins: np.ndarray, offsets: np.ndarray, n_docs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bins with no postings, ascending, and their dfs: these must be
-    the bins whose idf is 0. Every other bin's df is the length of its
-    posting list, as long as the model was fit on the indexed documents, so
-    these pairs and postings.bin give the whole df table. The posting bins
-    ascend without repeats, so one searchsorted finds each df bin's posting
-    list, and only the bins without postings are sorted."""
-    n = len(tfidf.doc_freq)
-    bins = np.fromiter(tfidf.doc_freq, np.int64, n)
-    dfs = np.fromiter(tfidf.doc_freq.values(), np.int64, n)
-    at = np.searchsorted(posting_bins, bins)
-    posted = at < posting_bins.size
-    posted[posted] = posting_bins[at[posted]] == bins[posted]
-    zero = np.flatnonzero(~posted)[np.argsort(bins[~posted])]
-    # Distinct df bins hit distinct posting bins, so equal counts mean every posting bin has a df.
-    if (
-        tfidf.doc_count != n_docs
-        or int(posted.sum()) != posting_bins.size
-        or not np.array_equal(dfs[posted], np.diff(offsets)[at[posted]])
-        or not _idf_is_zero(dfs[zero], n_docs)
-    ):
-        raise ValueError("the tf-idf model was not fit on the indexed corpus")
-    return bins[zero], dfs[zero]
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +493,23 @@ def _write_sparse_sections(
     own_rows: SparseRows,
     inv_norms: array,
 ) -> None:
-    """postings.bin from the document vectors' terms, then sparse_docs.bin
-    with the postings of the paragraph-only vectors, their bins as ranks in
-    postings.bin's."""
+    """postings.bin from the document vectors' terms, then sparse_docs.bin:
+    the model's bins whose idf is 0, ascending, and their dfs, then the
+    postings of the paragraph-only vectors, their bins as ranks in
+    postings.bin's. The model is fit on the indexed documents, so a bin has
+    postings exactly when its idf is above 0, a paragraph's bins are bins of
+    its document, and the idf-0 pairs and postings.bin give every df."""
     with open(out / "postings.bin", "wb") as fh:
         _write_header(fh, b"PSTG")
-        bins, offsets = _write_postings(fh, doc_rows)
-    zero_bins, zero_dfs = _idf_zero_doc_freq(tfidf, bins, offsets, len(doc_rows))
+        bins = _write_postings(fh, doc_rows)
+    df_bins = np.fromiter(tfidf.doc_freq, np.int64, len(tfidf.doc_freq))
+    dfs = np.fromiter(tfidf.doc_freq.values(), np.int64, df_bins.size)
+    zero = np.flatnonzero(idf_of_dfs(dfs.tolist(), tfidf.doc_count) == 0.0)
+    zero = zero[np.argsort(df_bins[zero])]
     with open(out / "sparse_docs.bin", "wb") as fh:
         _write_header(fh, b"SPRS")
-        _write_lists(fh, np.array([0, zero_bins.size]), zero_bins)
-        _write_narrow(fh, zero_dfs)
+        _write_lists(fh, np.array([0, zero.size]), df_bins[zero])
+        _write_narrow(fh, dfs[zero])
         fh.write(np.array(inv_norms, dtype="<f4").tobytes())
         _write_postings(fh, own_rows, bins)
 
@@ -566,19 +533,21 @@ def _fsync_dir(path: Path) -> None:
 def build_index(
     corpus: CorpusStore,
     encoder: Encoder,
-    tfidf: TfIdfModel,
     filter_model: FilterModel | None,
     out_dir: str | Path,
     config: BuildConfig | None = None,
 ) -> Path:
-    """Encode each paragraph once, then write a new index directory.
+    """Fit the corpus's tf-idf model, encode each paragraph once, then write
+    a new index directory.
 
-    One pass walks the corpus a document at a time. It tokenizes each of the
-    document's paragraphs and takes their n-gram counts once, and keeps
-    neither past the document: the document vector is embedded from the sum
-    of the counts and each paragraph vector from its own, and both are
-    appended to flat buffers (SparseRows) as their terms, the bins, their
-    counts and the vector's norm, not kept as objects. The pass
+    The tf-idf model is fit_tfidf(corpus), the model open derives from the
+    sparse sections; no other is taken. One pass walks the corpus a document
+    at a time. It tokenizes each of the document's paragraphs and takes
+    their n-gram counts once, and keeps neither past the document: the
+    document vector is embedded from the sum of the counts and each
+    paragraph vector from its own, and both are appended to flat buffers
+    (SparseRows) as their terms, the bins, their counts and the vector's
+    norm, not kept as objects. The pass
     encodes each paragraph, keeps its survival masks, takes the least and
     greatest coherency of its phrases, and appends its surviving start/end
     rows (float64) and their float32 coherency heads and tails to four
@@ -616,7 +585,7 @@ def build_index(
     with ExitStack() as held:
         tmp = _locked_temp_dir(out_dir, held)
         try:
-            _build(corpus, encoder, tfidf, filter_model, tmp, config, held)
+            _build(corpus, encoder, filter_model, tmp, config, held)
             _fsync_tree(tmp)
             os.rename(tmp, out_dir)
         except BaseException:
@@ -673,7 +642,6 @@ def _locked_temp_dir(out_dir: Path, held: ExitStack) -> Path:
 def _build(
     corpus: CorpusStore,
     encoder: Encoder,
-    tfidf: TfIdfModel,
     filter_model: FilterModel,
     tmp: Path,
     config: BuildConfig,
@@ -685,6 +653,7 @@ def _build(
     def spill():
         return spills.enter_context(tempfile.TemporaryFile(dir=tmp.parent))
 
+    tfidf = fit_tfidf(corpus)
     cfg = encoder.config
     start_rows = _Spill(spill(), cfg.boundary_dim)  # surviving start/end columns
     end_rows = _Spill(spill(), cfg.boundary_dim)
@@ -822,6 +791,45 @@ def _build(
 # ---------------------------------------------------------------------------
 
 
+def _read_manifest(path: Path) -> dict:
+    """manifest.json under path, which has no checksum: anything but this
+    format's JSON object of the shape open reads (sections of a bytes count
+    and a sha256 each, counts of docs and tokens, a positive max_span) is
+    one ValueError naming it."""
+    manifest_path = path / "manifest.json"
+    if not manifest_path.exists():
+        raise FileNotFoundError(f"no manifest.json under {path}")
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"manifest.json under {path}: {what}")
+
+    def is_count(value, least: int = 0) -> bool:
+        return not isinstance(value, bool) and isinstance(value, int) and value >= least
+
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise bad(str(exc)) from None
+    if not isinstance(manifest, dict):
+        raise bad("not a JSON object")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ValueError(
+            f"index format version {manifest.get('format_version')} under {path}: "
+            f"this phraseindex reads format version {FORMAT_VERSION}, so rebuild the index"
+        )
+    sections, counts, span = (manifest.get(k) for k in ("sections", "counts", "max_span"))
+    if not isinstance(sections, dict) or not all(
+        isinstance(meta, dict) and is_count(meta.get("bytes")) and isinstance(meta.get("sha256"), str)
+        for meta in sections.values()
+    ):
+        raise bad("sections must map each name to its bytes and sha256")
+    if not isinstance(counts, dict) or not all(is_count(counts.get(k)) for k in ("docs", "tokens")):
+        raise bad("counts must give docs and tokens as counts")
+    if not is_count(span, 1):
+        raise bad(f"max_span {span!r} is not a positive integer")
+    return manifest
+
+
 class PhraseIndex:
     """Read-only handle over a built index directory.
 
@@ -851,15 +859,7 @@ class PhraseIndex:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        manifest_path = self.path / "manifest.json"
-        if not manifest_path.exists():
-            raise FileNotFoundError(f"no manifest.json under {self.path}")
-        self.manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if self.manifest.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"index format version {self.manifest.get('format_version')} under {self.path}: "
-                f"this phraseindex reads format version {FORMAT_VERSION}, so rebuild the index"
-            )
+        self.manifest = _read_manifest(self.path)
         listed = self.manifest["sections"]
         wrong = [f"missing section {n}" for n in sorted(SECTIONS - listed.keys())]
         wrong += [f"unknown section {n}" for n in sorted(listed.keys() - SECTIONS)]
@@ -873,12 +873,7 @@ class PhraseIndex:
                 raise ValueError(f"section {name}: checksum mismatch")
 
         counts = self.manifest["counts"]
-        span = self.manifest.get("max_span")
-        if isinstance(span, bool) or not isinstance(span, int) or span < 1:
-            raise ValueError(
-                f"manifest.json under {self.path}: max_span {span!r} is not a positive integer"
-            )
-        self.max_span: int = span
+        self.max_span: int = self.manifest["max_span"]
         self.config, self.encoder = _load_encoder_section(self.path / "encoder.bin")
         self.corpus = load_corpus(self.path / "corpus.jsonl")
         if self.corpus.n_docs != counts["docs"]:
@@ -970,7 +965,9 @@ class PhraseIndex:
         section = _SectionReader(self.path / "sparse_docs.bin", b"SPRS")
         zero_bins = section.one_list("idf-0 bins", NGRAM_BINS)
         zero_counts = section.narrow()
-        if not _idf_is_zero(zero_counts, self.n_docs):
+        # Every df must be in [0, n_docs] before any log is taken of it.
+        in_range = ((zero_counts >= 0) & (zero_counts <= self.n_docs)).all()
+        if not in_range or idf_of_dfs(zero_counts.tolist(), self.n_docs).any():
             raise ValueError(f"section sparse_docs.bin: each idf-0 bin's df must be at most "
                              f"{self.n_docs} and give an idf of 0")
         self.para_inv_norm = section.array("<f4", n_para).astype(np.float64)

@@ -397,31 +397,21 @@ def _block_end_rows(
 
 
 def _para_sparse(
-    index: "PhraseIndex",
-    q: SparseVector,
-    paras: np.ndarray | None = None,
-    doc_scores: np.ndarray | None = None,
+    index: "PhraseIndex", q: SparseVector, doc_scores: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sparse score of q against the combined vector of each paragraph in
-    `paras`, or of every paragraph when it is None: (q.doc + q.para) *
-    inv_norm. q.doc is read from `doc_scores`, score_docs' pass over the
-    document postings (made here when not given), and q.para from
-    score_docs' pass over index.para_postings, the postings of the
-    paragraph-only vectors; a document's only paragraph has none, and takes
-    q.doc. score_docs sums each paragraph's terms in query-bin order, so a
-    paragraph gets the same bits whichever other paragraphs are asked for.
-    Every paragraph reads the per-paragraph arrays whole, without a gather."""
-
-    def rows(values: np.ndarray) -> np.ndarray:
-        return values if paras is None else values[paras]
-
+    """Sparse score of q against the combined vector of every paragraph:
+    (q.doc + q.para) * inv_norm. q.doc is read from `doc_scores`,
+    score_docs' pass over the document postings (made here when not given),
+    and q.para from score_docs' pass over index.para_postings, the postings
+    of the paragraph-only vectors; a document's only paragraph has none, and
+    takes q.doc. The per-paragraph arrays are read whole, without a gather."""
     if doc_scores is None:
         doc_scores = score_docs(q, index.postings)
-    from_doc = doc_scores[rows(index.para_doc)]
-    from_para = rows(score_docs(q, index.para_postings))
-    np.copyto(from_para, from_doc, where=rows(index.para_sole))
+    from_doc = doc_scores[index.para_doc]
+    from_para = score_docs(q, index.para_postings)
+    np.copyto(from_para, from_doc, where=index.para_sole)
     from_para += from_doc
-    from_para *= rows(index.para_inv_norm)
+    from_para *= index.para_inv_norm
     return from_para
 
 

@@ -18,7 +18,6 @@ from phraseindex.dense import (
 )
 from phraseindex.index import BuildConfig, PhraseIndex, build_index, load_index
 from phraseindex.search import QueryVector, SearchConfig, _para_sparse
-from phraseindex.sparse import fit_tfidf
 
 SMALL_CONFIG = EncoderConfig(dim=16, boundary_dim=6, coherency_dim=2)
 
@@ -51,15 +50,8 @@ def build_small_index(
     filter_model=None,
 ) -> PhraseIndex:
     encoder = encoder or ToyEncoder(SMALL_CONFIG, seed=seed)
-    tfidf = fit_tfidf(corpus)
-    build_index(
-        corpus,
-        encoder,
-        tfidf,
-        filter_model,
-        out_dir,
-        BuildConfig(max_span=max_span, seed=seed, ivf_clusters=ivf_clusters),
-    )
+    config = BuildConfig(max_span=max_span, seed=seed, ivf_clusters=ivf_clusters)
+    build_index(corpus, encoder, filter_model, out_dir, config)
     return load_index(out_dir)
 
 
@@ -171,15 +163,8 @@ def build_planted_suite(base_dir: Path) -> PlantedSuite:
     doc_embed_path = base_dir / "planted_docs.bin"
     write_embedding_file(doc_embed_path, doc_records, PLANTED_CONFIG.dim)
     encoder = PrecomputedEncoder(doc_embed_path, PLANTED_CONFIG)
-    tfidf = fit_tfidf(corpus)
-    build_index(
-        corpus,
-        encoder,
-        tfidf,
-        None,
-        base_dir / "planted_index",
-        BuildConfig(max_span=PLANTED_MAX_SPAN, seed=5, ivf_clusters=64),
-    )
+    config = BuildConfig(max_span=PLANTED_MAX_SPAN, seed=5, ivf_clusters=64)
+    build_index(corpus, encoder, None, base_dir / "planted_index", config)
     index = load_index(base_dir / "planted_index")
 
     # Query marker rows are aligned with the gold span's stored (dequantized)
@@ -220,7 +205,7 @@ def build_planted_suite(base_dir: Path) -> PlantedSuite:
         if decoy is not None:
             # The question's sparse vector must strictly prefer the gold doc.
             rows = np.array([index.para_row(gold_doc[q], 0), index.para_row(decoy, 0)])
-            gold, decoy_score = _para_sparse(index, sparse_vec, rows)
+            gold, decoy_score = _para_sparse(index, sparse_vec)[rows]
             margin = gold - decoy_score
             assert margin > 1e-6, f"question {q} lacks a sparse margin"
         questions.append(

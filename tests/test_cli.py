@@ -260,6 +260,28 @@ def test_query_of_an_index_with_a_string_max_span_is_one_line_and_exit_status_1(
     assert "max_span '20' is not a positive integer" in err
 
 
+def test_query_of_an_index_whose_manifest_lacks_counts_exits_1_without_a_traceback(
+    tmp_path, corpus_file
+):
+    # The command's exit status and stderr, from a process of its own: this
+    # used to end in a KeyError traceback.
+    path, _ = corpus_file
+    index = tmp_path / "idx"
+    main(["build", "--corpus", str(path), "--out", str(index), "--clusters", "4", *DIMS])
+    manifest = json.loads((index / "manifest.json").read_text())
+    del manifest["counts"]
+    (index / "manifest.json").write_text(json.dumps(manifest))
+    src = str(Path(phraseindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phraseindex.cli", "query", "--index", str(index), "--question", "w001"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("phraseindex: error: manifest.json under ")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad, why", [
     (b"[1, 2]", "expected a JSON object, got list"),
     (b'{"id": ', "invalid JSON"),

@@ -147,10 +147,7 @@ class TestBuildIndex:
             [Document("d1", "T", [Paragraph.from_text("alpha beta gamma")])]
         )
         enc = ToyEncoder(SMALL_CONFIG, seed=0)
-        build_index(
-            corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx",
-            BuildConfig(max_span=2),
-        )
+        build_index(corpus, enc, None, tmp_path / "idx", BuildConfig(max_span=2))
         index = load_index(tmp_path / "idx")
         assert index.n_start_rows == 3
         assert index.n_end_rows == 3
@@ -164,7 +161,7 @@ class TestBuildIndex:
             np.zeros(SMALL_CONFIG.boundary_dim), -50.0, threshold=0.5,
         )
         with pytest.raises(ValueError, match="empty index"):
-            build_index(corpus, enc, fit_tfidf(corpus), reject_all, tmp_path / "idx")
+            build_index(corpus, enc, reject_all, tmp_path / "idx")
 
     def test_threshold_one_trips_empty_index_guard(self, tmp_path):
         # A sigmoid never reaches 1.0 with zero weights, so threshold 1.0
@@ -176,50 +173,20 @@ class TestBuildIndex:
             np.zeros(SMALL_CONFIG.boundary_dim), 0.0, threshold=1.0,
         )
         with pytest.raises(ValueError, match="empty index"):
-            build_index(corpus, enc, fit_tfidf(corpus), discard_all, tmp_path / "idx2")
+            build_index(corpus, enc, discard_all, tmp_path / "idx2")
 
     def test_corpus_without_tokens_is_an_error(self, tmp_path):
         # Not "filter discarded every candidate phrase": there was none to discard.
         paragraphs = [Paragraph.from_text(" "), Paragraph.from_text("")]
         corpus = CorpusStore([Document("d1", "T", paragraphs)])
         with pytest.raises(ValueError, match="no tokens"):
-            build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx")
-
-    @pytest.mark.parametrize(
-        "model", ["other documents", "one df off", "an unposted bin", "a posted bin left out",
-                  "one document more", "an idf-0 df past the documents"],
-    )
-    def test_tfidf_model_of_other_documents_is_refused(self, tmp_path, model):
-        # sparse_docs.bin stores only what the postings cannot give, which
-        # holds only for a model fit on the indexed documents.
-        corpus = make_random_corpus(np.random.default_rng(25), n_docs=12)
-        if model == "other documents":
-            tfidf = fit_tfidf(make_random_corpus(np.random.default_rng(26), n_docs=12))
-        else:
-            tfidf = fit_tfidf(corpus)
-            rare = min(tfidf.doc_freq, key=tfidf.doc_freq.get)
-            if model == "one df off":
-                tfidf.doc_freq[rare] += 1
-                assert tfidf.idf(rare) > 0.0  # still a bin with postings
-            elif model == "an unposted bin":
-                unseen = next(b for b in range(NGRAM_BINS) if b not in tfidf.doc_freq)
-                tfidf.doc_freq[unseen] = 1  # no postings, yet idf above 0
-            elif model == "a posted bin left out":
-                del tfidf.doc_freq[rare]  # its postings remain, now with no df
-            elif model == "an idf-0 df past the documents":
-                unseen = next(b for b in range(NGRAM_BINS) if b not in tfidf.doc_freq)
-                tfidf.doc_freq[unseen] = tfidf.doc_count + 1  # its idf would be the log of < 0
-            else:
-                tfidf.doc_count += 1
-        with pytest.raises(ValueError, match="not fit on the indexed corpus"):
-            build_index(corpus, ToyEncoder(SMALL_CONFIG), tfidf, None, tmp_path / "idx")
-        assert not (tmp_path / "idx").exists()
+            build_index(corpus, ToyEncoder(SMALL_CONFIG), None, tmp_path / "idx")
 
     def test_existing_directory_rejected(self, tmp_path):
         corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text("a b")])])
         (tmp_path / "idx").mkdir()
         with pytest.raises(FileExistsError):
-            build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx")
+            build_index(corpus, ToyEncoder(SMALL_CONFIG), None, tmp_path / "idx")
 
     def test_indexed_scores_match_float_pipeline_within_bound(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -301,6 +268,37 @@ class TestLoadIndex:
         manifest["max_span"] = bad
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"manifest.json under .*: max_span .* not a positive"):
+            load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("case", [
+        "not JSON", "a list", "no sections", "sections a list", "a section without bytes",
+        "no counts", "counts without docs", "counts without tokens", "tokens a string", "tokens true",
+    ])
+    def test_a_malformed_manifest_is_one_error_naming_it(self, tmp_path, case):
+        # The manifest has no checksum; each of these used to fail with an
+        # error that did not name it, or with an AttributeError, a KeyError or
+        # a TypeError.
+        build_small_index(make_random_corpus(np.random.default_rng(6), n_docs=4), tmp_path / "idx")
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if case == "a list":
+            manifest = [manifest]
+        elif case == "no sections":
+            del manifest["sections"]
+        elif case == "sections a list":
+            manifest["sections"] = list(manifest["sections"].values())
+        elif case == "a section without bytes":
+            del manifest["sections"]["starts.bin"]["bytes"]
+        elif case == "no counts":
+            del manifest["counts"]
+        elif case.startswith("counts without"):
+            del manifest["counts"][case.split()[-1]]
+        elif case.startswith("tokens"):
+            tokens = manifest["counts"]["tokens"]
+            manifest["counts"]["tokens"] = str(tokens) if case == "tokens a string" else True
+        text = json.dumps(manifest)
+        manifest_path.write_text(text[:1] if case == "not JSON" else text)
+        with pytest.raises(ValueError, match=r"manifest.json under .*: "):
             load_index(tmp_path / "idx")
 
     def test_truncated_section_names_the_file(self, tmp_path):
@@ -554,11 +552,11 @@ class TestCodec:
         out = io.BytesIO()
         _write_lists(out, np.array([0, 1, 4]), np.array([top, 0, 7, top]))
         assert out.getvalue() == _list_set(lists)
-        offsets, values = _section_file(tmp_path, out.getvalue()).lists()
+        offsets, values = _section_file(tmp_path, out.getvalue()).lists("ids", top + 1)
         assert offsets.tolist() == [0, 1, 4] and values.tolist() == [top, 0, 7, top]
 
     @pytest.mark.parametrize("lists", [
-        [], [[]], [[2, 5, 9]], [[], [3, 5], [], [], [0, 7, 7, 9], []], [[4], [1], [0]],
+        [], [[]], [[2, 5, 9]], [[], [3, 5], [], [], [0, 7, 8, 9], []], [[4], [1], [0]],
     ], ids=["no lists", "one empty list", "a single list", "empty lists among others",
             "lists of one"])
     def test_list_sets_round_trip(self, tmp_path, lists):
@@ -567,7 +565,7 @@ class TestCodec:
         out = io.BytesIO()
         _write_lists(out, offsets, values)
         assert out.getvalue() == _list_set(lists)
-        got_offsets, got_values = _section_file(tmp_path, out.getvalue()).lists()
+        got_offsets, got_values = _section_file(tmp_path, out.getvalue()).lists("ids", 10)
         assert got_offsets.tolist() == offsets.tolist() and got_values.tolist() == values.tolist()
 
     def test_an_empty_array_is_its_count_and_width(self, tmp_path):
@@ -585,7 +583,7 @@ class TestCodec:
             "cut short"])
     def test_refusals_name_the_section(self, tmp_path, payload, why):
         with pytest.raises(ValueError, match=f"section postings.bin: .*{why}"):
-            _section_file(tmp_path, payload).lists()
+            _section_file(tmp_path, payload).lists("ids", 10)
 
     @pytest.mark.parametrize("lists", [
         [[3, 3]], [[1], [4, 2]], [[10]], [[0, 2**63]], [[2**63]], [[2**64 - 1]],
@@ -1137,10 +1135,9 @@ def test_derived_para_vectors_are_the_combined_vectors(tmp_path):
         for b, w in zip(vec.bins.tolist(), vec.weights.tolist()):
             want.setdefault(b, np.zeros(len(index.para_table)))[row] = w
     assert min(n_paras) == 1 and max(n_paras) > 1
-    rows = np.arange(len(index.para_table))
     for b in [*want, max(want) + 1, min(tfidf.doc_freq, key=tfidf.idf)]:
-        got = _para_sparse(index, SparseVector(np.array([b]), np.ones(1)), rows)
-        expected = want.get(b, np.zeros(rows.size))
+        got = _para_sparse(index, SparseVector(np.array([b]), np.ones(1)))
+        expected = want.get(b, np.zeros(len(index.para_table)))
         assert np.array_equal(got != 0, expected != 0), b
         np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(np.float32).eps)
 
@@ -1200,12 +1197,12 @@ class TestCrashSafeBuild:
 
         monkeypatch.setattr(search, "kmeans_train", fail)
         with pytest.raises(RuntimeError, match="k-means failed"):
-            build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=3))
+            build_index(corpus, enc, None, tmp_path / "idx", BuildConfig(max_span=3))
         assert list(tmp_path.iterdir()) == []
         assert spill_files and all(f.closed for f in spill_files)
 
         monkeypatch.undo()
-        build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=3))
+        build_index(corpus, enc, None, tmp_path / "idx", BuildConfig(max_span=3))
         assert [p.name for p in tmp_path.iterdir()] == ["idx"]
         assert load_index(tmp_path / "idx").counts["docs"] == 4
         umask = os.umask(0)
@@ -1214,7 +1211,7 @@ class TestCrashSafeBuild:
 
     def test_spills_of_a_successful_build_are_closed_and_unnamed(self, tmp_path, spill_files):
         corpus = make_random_corpus(np.random.default_rng(17), n_docs=4)
-        build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx")
+        build_index(corpus, ToyEncoder(SMALL_CONFIG), None, tmp_path / "idx")
         assert [p.name for p in tmp_path.iterdir()] == ["idx"]
         assert len(spill_files) == 4 and all(f.closed for f in spill_files)
         index = load_index(tmp_path / "idx")
@@ -1234,9 +1231,7 @@ class TestCrashSafeBuild:
                 np.zeros(SMALL_CONFIG.boundary_dim), -50.0, threshold=0.5,
             )
         with pytest.raises(ValueError, match=case):
-            build_index(
-                corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), filter_model, tmp_path / "idx"
-            )
+            build_index(corpus, ToyEncoder(SMALL_CONFIG), filter_model, tmp_path / "idx")
         assert list(tmp_path.iterdir()) == []
         assert spill_files and all(f.closed for f in spill_files)
 
@@ -1251,7 +1246,6 @@ from conftest import SMALL_CONFIG, make_random_corpus
 from phraseindex import search
 from phraseindex.dense import ToyEncoder
 from phraseindex.index import BuildConfig, build_index
-from phraseindex.sparse import fit_tfidf
 
 
 def stall(*args, **kwargs):
@@ -1261,7 +1255,7 @@ def stall(*args, **kwargs):
 
 search.kmeans_train = stall
 corpus = make_random_corpus(np.random.default_rng(13), n_docs=4)
-build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, Path(sys.argv[1]))
+build_index(corpus, ToyEncoder(SMALL_CONFIG), None, Path(sys.argv[1]))
 """
 
 _HOLD_LOCK = """
@@ -1299,7 +1293,7 @@ class TestDeadBuildReclaim:
     @staticmethod
     def _build(out):
         corpus = make_random_corpus(np.random.default_rng(21), n_docs=3)
-        build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, out,
+        build_index(corpus, ToyEncoder(SMALL_CONFIG), None, out,
                     BuildConfig(max_span=3, ivf_clusters=4))
 
     def test_a_killed_build_is_reclaimed_by_the_next(self, tmp_path):
@@ -1396,7 +1390,7 @@ def test_quantized_sections_are_the_bytes_of_a_fit_on_every_row(tmp_path, monkey
     monkeypatch.setattr("phraseindex.index._SPILL_CHUNK", chunk % rows or rows)
     config = BuildConfig(max_span=3, seed=5, ivf_clusters=4)
     encoder = ToyEncoder(SMALL_CONFIG, seed=2)
-    build_index(corpus, encoder, fit_tfidf(corpus), None, tmp_path / "idx", config)
+    build_index(corpus, encoder, None, tmp_path / "idx", config)
     for name, want in _reference_quantized_sections(corpus, encoder, config).items():
         assert (tmp_path / "idx" / name).read_bytes() == want, name
 
@@ -1465,7 +1459,7 @@ def test_sparse_sections_are_the_bytes_of_a_vector_per_document_and_paragraph(tm
     # SparseVector; its sections must equal those written from the vectors.
     corpus = make_random_corpus(np.random.default_rng(19), n_docs=30, paras_per_doc=(1, 3), vocab=40)
     tfidf = fit_tfidf(corpus)
-    build_index(corpus, ToyEncoder(SMALL_CONFIG, seed=2), tfidf, None, tmp_path / "idx",
+    build_index(corpus, ToyEncoder(SMALL_CONFIG, seed=2), None, tmp_path / "idx",
                 BuildConfig(max_span=3, ivf_clusters=4))
     for name, want in _reference_sparse_sections(corpus, tfidf).items():
         assert (tmp_path / "idx" / name).read_bytes() == want, name
@@ -1486,7 +1480,7 @@ class TestDefaultCellCount:
         text = " ".join(f"w{k}" for k in range(n_tokens))
         corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text(text)])])
         enc = ToyEncoder(SMALL_CONFIG, seed=0)
-        build_index(corpus, enc, fit_tfidf(corpus), None, tmp_path / "idx", BuildConfig(max_span=2))
+        build_index(corpus, enc, None, tmp_path / "idx", BuildConfig(max_span=2))
         assert load_index(tmp_path / "idx").ivf.centroids.shape[0] == cells
 
 

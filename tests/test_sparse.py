@@ -416,9 +416,10 @@ class TestLearnedSparse:
 
 
 def test_a_build_hashes_each_ngram_occurrence_once_per_pass(tmp_path, monkeypatch):
-    # Nothing is cached on the paragraphs, so the tf-idf fit and the build
-    # each hash every n-gram occurrence once: the build takes each paragraph's
-    # counts once and serves its document's embed and its own from them.
+    # Nothing is cached on the paragraphs, so a build hashes every n-gram
+    # occurrence exactly twice: once as it fits the tf-idf model's dfs, and
+    # once as it takes each paragraph's counts, which serve its document's
+    # embed and its own.
     import phraseindex.sparse as sparse_module
     from conftest import SMALL_CONFIG, make_random_corpus
     from phraseindex.dense import ToyEncoder
@@ -427,21 +428,19 @@ def test_a_build_hashes_each_ngram_occurrence_once_per_pass(tmp_path, monkeypatc
     corpus = make_random_corpus(np.random.default_rng(5), n_docs=8, paras_per_doc=(1, 3))
     calls = []
     monkeypatch.setattr(sparse_module, "ngram_bin", lambda s: calls.append(s) or ngram_bin(s))
-    lengths = [p.n_tokens for _, _, _, p in corpus.iter_paragraphs()]
-    occurrences = sum(2 * n - 1 for n in lengths)
-    tfidf = fit_tfidf(corpus)
-    assert len(calls) == occurrences
-    build_index(corpus, ToyEncoder(SMALL_CONFIG), tfidf, None, tmp_path / "idx",
-                BuildConfig(max_span=3))
-    assert len(calls) == 2 * occurrences
-    # The counts match hashing each document afresh, bigrams kept inside paragraphs.
+    build_index(corpus, ToyEncoder(SMALL_CONFIG), None, tmp_path / "idx", BuildConfig(max_span=3))
+    hashed = Counter(calls)
+    occurrences: Counter[str] = Counter()  # bigrams kept inside paragraphs
     for doc in corpus:
-        words = [[t.surface.lower() for t in p.tokens] for p in doc.paragraphs]
-        want: dict[int, int] = {}
-        for w in words:
-            for g in w + [f"{a} {b}" for a, b in zip(w, w[1:])]:
-                want[ngram_bin(g)] = want.get(ngram_bin(g), 0) + 1
+        want: Counter[int] = Counter()
+        for p in doc.paragraphs:
+            w = [t.surface.lower() for t in p.tokens]
+            grams = w + [f"{a} {b}" for a, b in zip(w, w[1:])]
+            occurrences.update(grams)
+            want.update(map(ngram_bin, grams))
+        # The counts match hashing each document afresh.
         assert sparse_module._doc_counts(doc) == want
+    assert hashed == Counter({g: 2 * n for g, n in occurrences.items()})
 
 
 def test_build_keeps_no_tokens_or_counts(tmp_path):
@@ -450,14 +449,14 @@ def test_build_keeps_no_tokens_or_counts(tmp_path):
     from phraseindex.index import BuildConfig, build_index
 
     corpus = make_random_corpus(np.random.default_rng(6), n_docs=12, paras_per_doc=(1, 3))
-    build_index(corpus, ToyEncoder(SMALL_CONFIG), fit_tfidf(corpus), None, tmp_path / "idx",
+    build_index(corpus, ToyEncoder(SMALL_CONFIG), None, tmp_path / "idx",
                 BuildConfig(max_span=3, ivf_clusters=4))
     for _, _, _, para in corpus.iter_paragraphs():
         assert not {"tokens", "ngram_counts"} & vars(para).keys()
 
 
 def test_build_memory_does_not_grow_by_a_token_object_per_token(tmp_path):
-    # The traced peak of fit_tfidf + build_index, 2k against 20k tokens. A
+    # The traced peak of build_index, tf-idf fit included, 2k against 20k tokens. A
     # vocabulary of 60 words bounds the distinct n-grams (at most 3,660), so
     # the tf-idf table stops growing. What the build holds per token (masks,
     # codes, the documents' sparse vectors) reads ~77 B; keeping every
@@ -477,7 +476,7 @@ def test_build_memory_does_not_grow_by_a_token_object_per_token(tmp_path):
         encoder = ToyEncoder(SMALL_CONFIG)
         tracemalloc.start()
         try:
-            build_index(corpus, encoder, fit_tfidf(corpus), None, tmp_path / run,
+            build_index(corpus, encoder, None, tmp_path / run,
                         BuildConfig(ivf_clusters=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
