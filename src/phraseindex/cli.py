@@ -1,4 +1,5 @@
-"""Command-line entry points: build, train, query, serve, eval, bench."""
+"""Command-line entry points: build, train, query, serve, and bench, the EM/F1 and latency of
+every strategy on a QA set."""
 
 from __future__ import annotations
 
@@ -170,20 +171,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    from .service import eval_em_f1
-
-    index = PhraseIndex(args.index)
-    qa = load_qa(args.qa)
-    predictions = []
-    for rec in qa:
-        out = run_search(index, embed_question(index, rec.question), args.search)
-        predictions.append(out.results[0].text if out.results else "")
-    report = eval_em_f1(predictions, [rec.answers for rec in qa])
-    print(json.dumps(asdict(report), indent=2))
-    return 0
-
-
 def cmd_bench(args) -> int:
     from .service import benchmark
 
@@ -234,13 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_search_args(p)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("eval", help="EM/F1 of top-1 answers on a QA set")
-    p.add_argument("--index", required=True)
-    p.add_argument("--qa", required=True)
-    _add_search_args(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="latency/throughput benchmark on a QA set")
+    p = sub.add_parser("bench", help="EM/F1, latency and throughput of every strategy on a QA set")
     p.add_argument("--index", required=True)
     p.add_argument("--qa", required=True)
     _add_search_args(p)

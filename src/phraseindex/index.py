@@ -91,7 +91,6 @@ from .dense import Encoder, EncoderConfig, ToyEncoder
 from .search import IvfIndex, _ranges, phrase_coherency
 from .sparse import (
     NGRAM_BINS,
-    InvertedIndex,
     SparseRows,
     TfIdfModel,
     add_vectors,
@@ -794,8 +793,8 @@ def _build(
 def _read_manifest(path: Path) -> dict:
     """manifest.json under path, which has no checksum: anything but this
     format's JSON object of the shape open reads (sections of a bytes count
-    and a sha256 each, counts of docs and tokens, a positive max_span) is
-    one ValueError naming it."""
+    and a sha256 each, counts that are all counts and give docs and tokens,
+    a positive max_span) is one ValueError naming it."""
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {path}")
@@ -823,8 +822,10 @@ def _read_manifest(path: Path) -> dict:
         for meta in sections.values()
     ):
         raise bad("sections must map each name to its bytes and sha256")
-    if not isinstance(counts, dict) or not all(is_count(counts.get(k)) for k in ("docs", "tokens")):
-        raise bad("counts must give docs and tokens as counts")
+    if not isinstance(counts, dict) or not {"docs", "tokens"} <= counts.keys() or not all(
+        map(is_count, counts.values())
+    ):
+        raise bad("counts must give docs and tokens, and every count as a count")
     if not is_count(span, 1):
         raise bad(f"max_span {span!r} is not a positive integer")
     return manifest
@@ -913,9 +914,7 @@ class PhraseIndex:
         bins, offsets, docs, tfs, norms = section.postings(self.n_docs, "document ordinals")
         section.done()
         idfs = idf_of_dfs(np.diff(offsets).tolist(), self.n_docs)
-        self.postings = InvertedIndex(
-            self.n_docs, posting_lists(bins, offsets, docs, tfs, idfs, norms)
-        )
+        self.postings = posting_lists(self.n_docs, bins, offsets, docs, tfs, idfs, norms)
         self._read_sparse_docs(idfs)
         self.ivf = self._read_ivf()
 
@@ -961,7 +960,7 @@ class PhraseIndex:
         tf-idf model: the df of a bin is the length of its posting list, or
         its entry in the list of idf-0 bins."""
         n_para = len(self.para_table)
-        postings = self.postings.postings
+        postings = self.postings
         section = _SectionReader(self.path / "sparse_docs.bin", b"SPRS")
         zero_bins = section.one_list("idf-0 bins", NGRAM_BINS)
         zero_counts = section.narrow()
@@ -976,8 +975,8 @@ class PhraseIndex:
             postings.bins.size,
         )
         section.done()
-        self.para_postings = InvertedIndex(
-            n_para, posting_lists(postings.bins[ranks], offsets, paras, tfs, doc_idfs[ranks], norms)
+        self.para_postings = posting_lists(
+            n_para, postings.bins[ranks], offsets, paras, tfs, doc_idfs[ranks], norms
         )
         self.para_sole = (np.diff(self.doc_para_begin) == 1)[self.para_doc]
         if self.para_sole[paras].any():

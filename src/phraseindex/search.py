@@ -188,14 +188,6 @@ def _take(values: np.ndarray, rows: np.ndarray | range) -> np.ndarray:
     return values.take(rows, axis=0)
 
 
-def _as_run(rows: np.ndarray) -> np.ndarray | range:
-    """Ascending distinct rows as a range when they are one run, so that their
-    codes are read through a slice."""
-    if rows.size and rows[-1] - rows[0] == rows.size - 1:
-        return range(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
 def _code_logits(
     codes: np.ndarray, rows: np.ndarray | range, fold: tuple[float, np.ndarray]
 ) -> np.ndarray:
@@ -355,23 +347,11 @@ def _end_ranges(begin: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns the distinct rows, ascending, and for each interval the position
     of its row `begin` among them; row begin + t sits at that position + t.
-    The begins must be nondecreasing. When each interval begins no later
-    than the one before it stops, as those of consecutive records of an
-    unfiltered index do, the union is the one run begin[0] .. max(stop) - 1
-    and the positions are begin - begin[0]; otherwise see _merge_ranges.
+    The begins must be nondecreasing: each interval adds only its rows past
+    the largest stop before it, and its rows below that stop are already in,
+    because the interval with that stop began no later.
     """
     stop = begin + count
-    if begin.size and (begin[1:] <= stop[:-1]).all():
-        lo = int(begin[0])
-        return np.arange(lo, max(lo, int(stop.max()))), begin - lo
-    return _merge_ranges(begin, stop)
-
-
-def _merge_ranges(begin: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_end_ranges of the intervals [begin, stop) when they may leave gaps:
-    each interval adds only its rows past the largest stop before it, and its
-    rows below that stop are already in, because the interval with that stop
-    began no later."""
     covered = np.zeros_like(stop)
     np.maximum.accumulate(stop[:-1], out=covered[1:])
     lo = np.maximum(begin, covered)
@@ -383,17 +363,16 @@ def _merge_ranges(begin: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.n
 def _block_end_rows(
     index: "PhraseIndex", blk: np.ndarray | range, n_ends: np.ndarray
 ) -> tuple[np.ndarray | range, np.ndarray]:
-    """The distinct end rows of the ascending start records `blk`, ascending
-    (a range when they are one run), and the position among them of each
-    record's first end row. A range of records of an index whose records'
-    end rows chain (rec_ends_chain) has one run of end rows, from the first
-    record's first end row to the last record's stop, and the positions are
-    the begins less the first; any other records are merged by _end_ranges."""
+    """The distinct end rows of the ascending start records `blk`, ascending,
+    and the position among them of each record's first end row. A range of
+    records of an index whose records' end rows chain (rec_ends_chain) has
+    one run of end rows, from the first record's first end row to the last
+    record's stop, read as a range, and the positions are the begins less
+    the first; any other records are merged by _end_ranges."""
     begin = _take(index.rec_end_row, blk)
     if isinstance(blk, range) and index.rec_ends_chain:
         return range(int(begin[0]), int(begin[-1] + n_ends[-1])), begin - begin[0]
-    rows, first = _end_ranges(begin, n_ends)
-    return _as_run(rows), first
+    return _end_ranges(begin, n_ends)
 
 
 def _para_sparse(

@@ -174,19 +174,11 @@ class _QueryHandler(BaseHTTPRequestHandler):
         if self.path != "/health":
             self._send_json(404, {"error": "not found"})
             return
-        index = getattr(self.server, "index", None)
-        if index is None:
-            self._send_json(503, {"error": "index loading"})
-            return
-        self._send_json(200, {"status": "ok", "counts": index.counts})
+        self._send_json(200, {"status": "ok", "counts": self.server.index.counts})
 
     def do_POST(self):
         if self.path != "/query":
             self._send_json(404, {"error": "not found"})
-            return
-        index = getattr(self.server, "index", None)
-        if index is None:
-            self._send_json(503, {"error": "index loading"})
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -215,7 +207,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "malformed JSON body"})
             return
         try:
-            response = handle_query(index, payload, self.server.search_config)
+            response = handle_query(self.server.index, payload, self.server.search_config)
         except _BadRequest as exc:
             self._send_json(400, {"error": str(exc)})
             return

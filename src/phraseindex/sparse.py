@@ -1,6 +1,6 @@
 """Hashed 2-gram tf-idf vectors, inverted-index retrieval, and learned sparse encoding.
 
-PostingLists is the one posting type: built, opened and scored as the same CSR arrays of float32
+InvertedIndex is the one posting type: built, opened and scored as the same CSR arrays of float32
 weights. An index keeps two, one over the document vectors and one over the paragraphs' own
 vectors, and score_docs scores a query against every vector of either in one pass. A posting's
 weight is float32(tfidf_weights(tf, idf, norm)): the index stores each posting's term count tf and
@@ -197,15 +197,18 @@ def embed_text_sparse(
     return model.embed(unit)
 
 
-class PostingLists(Mapping):
-    """Read-only bin -> (doc ordinals, weights) over CSR arrays: int64 bins
-    (ascending), offsets and docs (ascending per bin), and float32 weights;
-    bin bins[k]'s postings are at offsets[k]:offsets[k + 1]. A lookup is one
-    searchsorted and two views; nothing is held per bin."""
+class InvertedIndex(Mapping):
+    """Read-only bin -> (ordinals, weights) over CSR arrays for n_docs vectors,
+    documents or paragraphs: int64 bins (ascending), offsets and docs
+    (ascending per bin), and float32 weights, a posting's weight being its
+    vector's weight for that bin; bin bins[k]'s postings are at
+    offsets[k]:offsets[k + 1]. A lookup is one searchsorted and two views;
+    nothing is held per bin."""
 
     def __init__(
-        self, bins: np.ndarray, offsets: np.ndarray, docs: np.ndarray, weights: np.ndarray
+        self, n_docs: int, bins: np.ndarray, offsets: np.ndarray, docs: np.ndarray, weights: np.ndarray
     ):
+        self.n_docs = n_docs
         self.bins, self.offsets, self.docs, self.weights = bins, offsets, docs, weights
 
     def __getitem__(self, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,31 +229,24 @@ _WEIGHT_BLOCK = 1 << 14  # postings weighted at a time, so that open needs littl
 
 
 def posting_lists(
+    n_docs: int,
     bins: np.ndarray,
     offsets: np.ndarray,
     docs: np.ndarray,
     tfs: np.ndarray,
     idfs: np.ndarray,
     norms: np.ndarray,
-) -> PostingLists:
-    """PostingLists over the CSR arrays, each posting weighted float32 of
-    tfidf_weights of its tf, its bin's idf (idfs, one per bin) and its
-    vector's norm (norms, one per vector), a block of postings at a time."""
+) -> InvertedIndex:
+    """The InvertedIndex over n_docs vectors and the CSR arrays, each posting
+    weighted float32 of tfidf_weights of its tf, its bin's idf (idfs, one per
+    bin) and its vector's norm (norms, one per vector), a block of postings
+    at a time."""
     weights = np.empty(docs.size, dtype=np.float32)
     for lo in range(0, docs.size, _WEIGHT_BLOCK):
         at = slice(lo, lo + _WEIGHT_BLOCK)
         k = np.searchsorted(offsets, np.arange(lo, min(lo + _WEIGHT_BLOCK, docs.size)), "right")
         weights[at] = tfidf_weights(tfs[at], idfs[k - 1], norms[docs[at]])
-    return PostingLists(bins, offsets, docs, weights)
-
-
-@dataclass
-class InvertedIndex:
-    """Posting lists over n_docs vectors, documents or paragraphs; a
-    posting's weight is the vector's weight for that bin, rounded to float32."""
-
-    n_docs: int
-    postings: PostingLists
+    return InvertedIndex(n_docs, bins, offsets, docs, weights)
 
 
 class SparseRows:
@@ -318,10 +314,9 @@ def build_inverted_index(vectors: SparseRows) -> InvertedIndex:
     """The postings of vectors given as SparseVectors, each weighted float32
     of its vector's weight by posting_lists, under idf 1 and norm 1."""
     bins, offsets, docs, order = posting_order(vectors)
-    postings = posting_lists(
-        bins, offsets, docs, vectors.tfs[order], np.ones(bins.size), vectors.norms
+    return posting_lists(
+        len(vectors), bins, offsets, docs, vectors.tfs[order], np.ones(bins.size), vectors.norms
     )
-    return InvertedIndex(len(vectors), postings)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -358,16 +353,15 @@ def score_docs(q: SparseVector, index: InvertedIndex) -> np.ndarray:
     one bincount. The entries stay in query-bin order, so each vector sums
     its terms in that order and gets the same bits whichever other vectors
     share its posting lists."""
-    p = index.postings
-    k = np.searchsorted(p.bins, q.bins)
-    hit = k < p.bins.size
-    hit[hit] = p.bins[k[hit]] == q.bins[hit]
+    k = np.searchsorted(index.bins, q.bins)
+    hit = k < index.bins.size
+    hit[hit] = index.bins[k[hit]] == q.bins[hit]
     k = k[hit]
-    lo, sizes = p.offsets[k], p.offsets[k + 1] - p.offsets[k]
+    lo, sizes = index.offsets[k], index.offsets[k + 1] - index.offsets[k]
     # Each entry's place: its range's start plus its rank within the range.
     entries = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-    terms = np.repeat(q.weights[hit], sizes) * p.weights[entries]
-    scores = np.bincount(p.docs[entries], terms, minlength=index.n_docs)
+    terms = np.repeat(q.weights[hit], sizes) * index.weights[entries]
+    scores = np.bincount(index.docs[entries], terms, minlength=index.n_docs)
     return scores.astype(np.float64, copy=False)  # bincount of nothing gives int64 zeros
 
 

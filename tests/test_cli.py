@@ -86,13 +86,10 @@ def test_train_then_build_with_state(tmp_path, corpus_file, capsys):
     assert rc == 0
     capsys.readouterr()
 
-    rc = main(
-        ["eval", "--index", str(tmp_path / "idx2"), "--qa", str(qa_path),
-         "--strategy", "exact"]
-    )
+    rc = main(["bench", "--index", str(tmp_path / "idx2"), "--qa", str(qa_path)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert 0.0 <= report["exact_match"] <= 1.0
+    assert 0.0 <= report["exact"]["exact_match"] <= 1.0
 
 
 def test_train_that_diverges_is_one_line_and_writes_nothing(tmp_path, corpus_file, capsys):
@@ -323,14 +320,14 @@ def test_build_refuses_a_bad_encoder_state_before_the_corpus_is_read(tmp_path, c
     assert not (tmp_path / "idx").exists()
 
 
-def test_eval_of_an_empty_answer_list_is_one_line_and_exit_status_1(tmp_path, corpus_file, capsys):
+def test_bench_of_an_empty_answer_list_is_one_line_and_exit_status_1(tmp_path, corpus_file, capsys):
     path, _ = corpus_file
     assert main(["build", "--corpus", str(path), "--out", str(tmp_path / "idx"),
                  "--max-span", "3", "--clusters", "4", *DIMS]) == 0
     capsys.readouterr()
     qa_path = tmp_path / "qa.jsonl"
     qa_path.write_text(json.dumps({"question": "w001", "answers": []}) + "\n")
-    assert main(["eval", "--index", str(tmp_path / "idx"), "--qa", str(qa_path)]) == 1
+    assert main(["bench", "--index", str(tmp_path / "idx"), "--qa", str(qa_path)]) == 1
     err = capsys.readouterr().err
     why = "answers must be a non-empty list of strings"
     assert err == f"phraseindex: error: {qa_path}: line 1: {why}\n"
@@ -358,14 +355,13 @@ def test_build_of_a_corpus_without_tokens_is_one_line_and_exit_status_1(tmp_path
     assert not (tmp_path / "idx").exists()
 
 
-@pytest.mark.parametrize("command", ["query", "serve", "eval", "bench"])
+@pytest.mark.parametrize("command", ["query", "serve", "bench"])
 def test_search_flags_default_to_the_search_config_defaults(monkeypatch, command):
     import phraseindex.cli as cli
 
     seen = []
     monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
-    extra = {"query": ["--question", "w001"], "eval": ["--qa", "qa.jsonl"],
-             "bench": ["--qa", "qa.jsonl"], "serve": []}[command]
+    extra = {"query": ["--question", "w001"], "bench": ["--qa", "qa.jsonl"], "serve": []}[command]
     assert main([command, "--index", "idx", *extra]) == 0
     assert seen[0].search == SearchConfig()
 
@@ -542,7 +538,7 @@ def test_peak_rss_is_null_where_the_system_does_not_report_it(tmp_path):
 
 def test_the_cli_and_the_package_load_no_http_stack():
     # build, query and the benchmark's batch child import phraseindex.cli; only
-    # serve, eval and bench load the HTTP service, and the package's service
+    # serve and bench load the HTTP service, and the package's service
     # names resolve on first use.
     src = str(Path(phraseindex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

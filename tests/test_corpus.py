@@ -188,7 +188,7 @@ def test_paragraph_tokens_are_taken_on_first_use(tmp_path):
 
 
 def test_load_qa_refuses_an_empty_answer_list(tmp_path):
-    # eval would otherwise end in a traceback from em_f1.
+    # bench would otherwise end in a traceback from em_f1.
     path = tmp_path / "qa.jsonl"
     lines = [{"question": "q1", "answers": ["a"]}, {"question": "q2", "answers": []}]
     path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))

@@ -256,6 +256,21 @@ class TestLoadIndex:
         with pytest.raises(ValueError, match=f"manifest.json under .*: counts {count} "):
             load_index(tmp_path / "idx")
 
+    @pytest.mark.parametrize("count", ["paragraphs", "start_rows", "end_rows",
+                                       "surviving_start_tokens", "surviving_end_tokens", "phrases"])
+    def test_a_derived_count_of_true_is_refused(self, tmp_path, count):
+        # Every count of a one-token index is 1, and true == 1 in
+        # Python: a bool must be refused before open compares the counts.
+        corpus = CorpusStore([Document("d1", "T", [Paragraph.from_text("alpha")])])
+        index = build_small_index(corpus, tmp_path / "idx", ivf_clusters=1)
+        assert set(index.counts.values()) == {1}
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["counts"][count] = True
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest.json under .*: counts "):
+            load_index(tmp_path / "idx")
+
     @pytest.mark.parametrize(
         "bad", ["20", True, 0, -1, None], ids=["string", "true", "0", "-1", "null"]
     )
@@ -299,6 +314,24 @@ class TestLoadIndex:
         text = json.dumps(manifest)
         manifest_path.write_text(text[:1] if case == "not JSON" else text)
         with pytest.raises(ValueError, match=r"manifest.json under .*: "):
+            load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_a_flipped_byte_fails_the_section_checksum(self, tmp_path, name):
+        # The manifest is not resealed, so only the checksum can catch it.
+        build_small_index(make_random_corpus(np.random.default_rng(6), n_docs=4), tmp_path / "idx")
+        path = tmp_path / "idx" / name
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"section {re.escape(name)}: checksum mismatch"):
+            load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_a_deleted_section_is_a_missing_file(self, tmp_path, name):
+        build_small_index(make_random_corpus(np.random.default_rng(6), n_docs=4), tmp_path / "idx")
+        (tmp_path / "idx" / name).unlink()
+        with pytest.raises(ValueError, match=f"section {re.escape(name)}: missing file"):
             load_index(tmp_path / "idx")
 
     def test_truncated_section_names_the_file(self, tmp_path):
@@ -1036,7 +1069,7 @@ class TestTermCountsAndNorms:
 
     def test_a_paragraph_bin_rank_past_the_document_bins_is_refused(self, index_dir):
         index_dir, index = index_dir
-        n_bins = len(index.postings.postings)
+        n_bins = len(index.postings)
         raw, parts = self._parts(index_dir, index, "sparse_docs.bin")
         begin, end = parts["bins"]
         (ranks,), _ = _parse_list_set(raw, begin)
@@ -1054,9 +1087,9 @@ class TestTermCountsAndNorms:
         index_dir, index = index_dir
         raw, parts = self._parts(index_dir, index, "postings.bin")
         tfs, _ = _parse_narrow(raw, parts["tfs"][0])
-        assert len(tfs) == index.postings.postings.docs.size and max(tfs) > 1
+        assert len(tfs) == index.postings.docs.size and max(tfs) > 1
         norms = np.frombuffer(raw[slice(*parts["norms"])], "<f8")
-        assert norms.size == np.unique(index.postings.postings.docs).size
+        assert norms.size == np.unique(index.postings.docs).size
 
 
 @pytest.mark.parametrize("seed, paras", [(31, (1, 1)), (32, (1, 3))])
@@ -1068,8 +1101,7 @@ def test_opened_weights_are_float32_of_the_embedded_weights(tmp_path, seed, para
     index = build_small_index(corpus, tmp_path / "idx")
     tfidf = fit_tfidf(corpus)
     checked = 0
-    for which, postings in (("doc", index.postings), ("para", index.para_postings)):
-        p = postings.postings
+    for which, p in (("doc", index.postings), ("para", index.para_postings)):
         assert p.weights.dtype == np.float32
         vectors = [tfidf.embed(doc) for doc in corpus] if which == "doc" else [
             SparseVector.empty() if len(doc.paragraphs) == 1 else tfidf.embed(para)
@@ -1087,7 +1119,7 @@ def test_opened_weights_are_float32_of_the_embedded_weights(tmp_path, seed, para
         assert got.keys() == expected.keys()
         assert all(got[key].tobytes() == expected[key].tobytes() for key in got)
         checked += len(got)
-    assert checked > 100 and (paras == (1, 1)) == (len(index.para_postings.postings) == 0)
+    assert checked > 100 and (paras == (1, 1)) == (len(index.para_postings) == 0)
 
 
 def test_df_table_and_digest_are_those_of_the_fitted_model(tmp_path):
@@ -1494,8 +1526,8 @@ def test_postings_decode_to_the_inverted_index_of_the_doc_vectors(tmp_path):
     rng = np.random.default_rng(14)
     corpus = make_random_corpus(rng, n_docs=30, vocab=40)
     index = build_small_index(corpus, tmp_path / "idx")
-    want = build_inverted_index(SparseRows(_doc_vectors(corpus))).postings
-    got = index.postings.postings
+    want = build_inverted_index(SparseRows(_doc_vectors(corpus)))
+    got = index.postings
     assert sorted(got) == sorted(want) and len(got) > 50
     for b, (docs, weights) in want.items():
         assert got[b][0].dtype == np.int64 and got[b][1].dtype == np.float32
@@ -1507,13 +1539,13 @@ def test_open_postings_answer_like_the_built_inverted_index(tmp_path):
     # Postings are read as CSR arrays with no object per bin; lookups, misses
     # and retrieval must behave as with the build's dict of posting lists.
     from phraseindex.search import embed_question
-    from phraseindex.sparse import PostingLists, retrieve_top_docs
+    from phraseindex.sparse import InvertedIndex, retrieve_top_docs
 
     rng = np.random.default_rng(15)
     corpus = make_random_corpus(rng, n_docs=30, vocab=40)
     index = build_small_index(corpus, tmp_path / "idx")
-    postings = index.postings.postings
-    assert isinstance(postings, PostingLists)
+    postings = index.postings
+    assert isinstance(postings, InvertedIndex)
     missing = max(postings) + 1
     assert postings.get(missing) is None and missing not in postings
     with pytest.raises(KeyError):

@@ -25,7 +25,6 @@ from phraseindex.search import (
     _end_ranges,
     _fold,
     _fold32,
-    _merge_ranges,
     _para_sparse,
     _ranges,
     _record_bounds,
@@ -741,39 +740,6 @@ def test_record_bound_covers_its_cells_and_is_at_most_the_block_max_bound(fixtur
                     coh = np.float64(phrase_coherency(heads[r], tails[row])) * q.coherency
                     score = ((start_logits_all[r] + end_logits_all[row]) + coh) + sparse_term[i]
                     assert score <= bound[i], (text, r, t)
-
-
-def test_contiguous_end_ranges_equal_the_merge(monkeypatch):
-    # When each interval begins no later than the one before it stops, the
-    # union is one run and _end_ranges answers without merging.
-    rng = np.random.default_rng(12)
-
-    def no_merge(begin, stop):
-        raise AssertionError("merged a single run")
-
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        count = rng.integers(0, 6, size=n)
-        begin = np.zeros(n, dtype=np.int64)
-        begin[0] = rng.integers(0, 50)
-        for i in range(1, n):
-            begin[i] = begin[i - 1] + rng.integers(0, count[i - 1] + 1)
-        want_rows, want_first = _merge_ranges(begin, begin + count)
-        with monkeypatch.context() as m:
-            m.setattr(search_module, "_merge_ranges", no_merge)
-            rows, first = _end_ranges(begin, count)
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(first, want_first)
-    # Any nondecreasing begins, runs or not, agree with the merge.
-    for _ in range(300):
-        n = int(rng.integers(1, 20))
-        begin = np.sort(rng.integers(0, 30, size=n))
-        count = rng.integers(0, 6, size=n)
-        rows, first = _end_ranges(begin, count)
-        want_rows, want_first = _merge_ranges(begin, begin + count)
-        assert np.array_equal(rows, want_rows)
-        live = count > 0
-        assert np.array_equal(first[live], want_first[live])
 
 
 def _phrase_of(index, span):

@@ -379,23 +379,6 @@ class TestHttpService:
         _, base = served_index
         assert error_status(get, base + "/nope") == 404
 
-    def test_503_while_index_not_ready(self):
-        from http.server import ThreadingHTTPServer
-
-        from phraseindex.service import _QueryHandler
-
-        raw = ThreadingHTTPServer(("127.0.0.1", 0), _QueryHandler)
-        raw.daemon_threads = True
-        raw.index = None
-        raw.search_config = SearchConfig()
-        start_server_thread(raw)
-        try:
-            url = f"http://127.0.0.1:{raw.server_address[1]}/health"
-            assert error_status(get, url) == 503
-        finally:
-            raw.shutdown()
-            raw.server_close()
-
     def test_concurrent_identical_queries_agree(self, served_index):
         _, base = served_index
         payload = {"question": "w002 w003 w004", "top_k": 5, "strategy": "hybrid"}

@@ -8,8 +8,8 @@ import pytest
 from oracles import brute_force_tfidf_weights as brute_force_tfidf
 from phraseindex.corpus import CorpusStore, Document, Paragraph
 from phraseindex.sparse import (
+    InvertedIndex,
     LinearMap,
-    PostingLists,
     SparseRows,
     SparseVector,
     TwoLayerMap,
@@ -279,7 +279,7 @@ def test_inverted_index_reconstruction_is_bit_exact():
     corpus = make_corpus(texts)
     model = fit_tfidf(corpus)
     doc_vecs = [embed_text_sparse(doc, model) for doc in corpus]
-    postings = build_inverted_index(SparseRows(doc_vecs)).postings
+    postings = build_inverted_index(SparseRows(doc_vecs))
     # Every entry of every document vector is posted with its own bits at
     # float32, and nothing else is.
     assert postings.docs.size == sum(v.bins.size for v in doc_vecs)
@@ -304,22 +304,22 @@ def test_inverted_index_matches_per_entry_reference():
             want[b][1].append(w)
     index = build_inverted_index(SparseRows(doc_vecs))
     assert index.n_docs == 25
-    assert sorted(index.postings) == sorted(want)
+    assert sorted(index) == sorted(want)
     for b, (docs, weights) in want.items():
-        got_docs, got_weights = index.postings[b]
+        got_docs, got_weights = index[b]
         assert got_docs.dtype == np.int64 and got_weights.dtype == np.float32
         assert got_docs.tolist() == docs
         assert got_weights.tolist() == np.array(weights, dtype=np.float32).tolist()
     empty = build_inverted_index(SparseRows([SparseVector.empty(), SparseVector.empty()]))
-    assert empty.n_docs == 2 and empty.postings == {}
-    assert build_inverted_index(SparseRows([])).postings == {}
+    assert empty.n_docs == 2 and empty == {}
+    assert build_inverted_index(SparseRows([])) == {}
 
 
 def _per_bin_score_docs(q: SparseVector, index) -> np.ndarray:
     """The per-bin loop score_docs replaced, kept as the reference."""
     scores = np.zeros(index.n_docs, dtype=np.float64)
     for b, w in zip(q.bins, q.weights):
-        posting = index.postings.get(int(b))
+        posting = index.get(int(b))
         if posting is not None:
             docs, weights = posting
             scores[docs] += w * weights
@@ -356,8 +356,8 @@ def test_build_inverted_index_returns_csr_posting_lists():
     doc_vecs = [SparseVector(np.sort(rng.choice(20, size=5, replace=False)), rng.normal(size=5))
                 for _ in range(6)]
     for vectors in (doc_vecs, [SparseVector.empty()], []):
-        postings = build_inverted_index(SparseRows(vectors)).postings
-        assert isinstance(postings, PostingLists)
+        postings = build_inverted_index(SparseRows(vectors))
+        assert isinstance(postings, InvertedIndex) and postings.n_docs == len(vectors)
         for name in ("bins", "offsets", "docs"):
             assert getattr(postings, name).dtype == np.int64
         assert postings.weights.dtype == np.float32
@@ -499,7 +499,7 @@ def test_posting_weights_do_not_depend_on_the_weighting_block(monkeypatch, block
     rng = np.random.default_rng(10)
     doc_vecs = [SparseVector(np.sort(rng.choice(12, size=4, replace=False)), rng.normal(size=4))
                 for _ in range(9)]
-    want = build_inverted_index(SparseRows(doc_vecs)).postings.weights
+    want = build_inverted_index(SparseRows(doc_vecs)).weights
     monkeypatch.setattr(sparse_module, "_WEIGHT_BLOCK", block)
-    got = build_inverted_index(SparseRows(doc_vecs)).postings.weights
+    got = build_inverted_index(SparseRows(doc_vecs)).weights
     assert want.size == 36 and got.tobytes() == want.tobytes()
